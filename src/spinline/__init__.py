@@ -35,7 +35,6 @@ from .receiver import (
     ReceiverState,
     assemble_rho,
     classify_families,
-    compute_line_params,
     line_params_at,
     partial_trace_oracle,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "diagonalize", "propagators", "evolve",
     "BoundaryOptimum", "first_maximum", "optimize_boundary",
     "LineParams", "ReceiverState", "assemble_rho", "classify_families",
-    "compute_line_params", "line_params_at", "partial_trace_oracle",
+    "line_params_at", "partial_trace_oracle",
     "ProbeState", "probe_set", "simulate_probes", "extract_params",
     "TargetState", "InverseSolution", "discrepancy", "werner_target",
     "solve_werner", "solve_general", "feasibility_scan", "zero_family_iii",

@@ -151,7 +151,7 @@ def _objective(n_nodes, t_max, dt, floor):
             spec = ChainSpec(n_nodes=n_nodes, delta1=d1, delta2=d2)
         except ValueError:
             return None
-        spectral = diagonalize(build_blocks(spec, basis, two_excitation=False))
+        spectral = diagonalize(build_blocks(spec, basis))
         try:
             return first_maximum(spectral, t_max=t_max, dt=dt, floor=floor)
         except NoArrivalError:

@@ -3,8 +3,9 @@
 Every subcommand builds a plain config dict, validates it against a JSON
 schema, runs, and embeds the config in each artifact it writes, so a run
 is reproducible from its artifacts alone.  Exit codes: 0 success,
-1 failed verification report, 2 invalid config, 3 file I/O error,
-4 infeasible target or no transfer arrival.
+1 failed verification report, 2 invalid config or input (a bad scan grid
+or parameter table), 3 file I/O error, 4 infeasible target or no
+transfer arrival.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .disorder import (
     werner_robustness,
 )
 from .dynamics import diagonalize
-from .errors import InfeasibleTargetError, NoArrivalError
+from .errors import InfeasibleTargetError, InputError, NoArrivalError
 from .hamiltonian import ChainSpec, build_blocks
 from .inverse import (
     TargetState,
@@ -306,7 +307,13 @@ def run_create_state(config):
 
 def run_feasibility(config):
     params = import_params_csv(config["params"])
-    lo, hi, step = (float(x) for x in config.get("grid", "0:1:0.02").split(":"))
+    spec = config.get("grid", "0:1:0.02")
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+    except ValueError as exc:
+        raise InputError(f"--grid must be lo:hi:step, got {spec!r}") from exc
+    if not step > 0:
+        raise InputError(f"--grid step must be positive, got {step}")
     grid = np.arange(lo, hi + step / 2, step)
     boundary, resolution = feasibility_scan(
         params, grid,
@@ -508,6 +515,9 @@ def main(argv=None):
         return run_config(config)
     except (ConfigError, jsonschema.ValidationError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except InputError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)

@@ -1,9 +1,17 @@
-"""Spectral time evolution of the excitation blocks.
+"""Spectral time evolution of the chain, built on free fermions.
 
-Everything is computed from one dense eigendecomposition per block: the
-propagator at any time t is V exp(-i L t) V^T, so a single diagonalization
-serves every registration time and every sender state.  The transfer
-matrices are kept complex; their phases carry physical content.
+The nearest-neighbour XY chain maps to free fermions (Lieb, Schultz and
+Mattis, Ann. Phys. 16, 407, 1961), so one dense eigendecomposition of the
+N x N one-excitation block determines everything.  The one-excitation
+propagator at any time t is p1 = V exp(-i L t) V^T; the two-excitation
+propagator is its 2x2 minor,
+
+    p2[(i,j),(n,m)] = p1[i,n] p1[j,m] - p1[i,m] p1[j,n],
+
+so the C(N,2)-dimensional pair block is never built or diagonalized.  A
+single diagonalization serves every registration time and every sender
+state.  The transfer matrices are kept complex; their phases carry
+physical content.
 """
 
 import csv
@@ -19,18 +27,12 @@ RECONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecompositions of the Hamiltonian blocks."""
+    """Eigendecomposition of the one-excitation block."""
 
     basis: object
     spec: object
     evals1: np.ndarray = field(repr=False)
     evecs1: np.ndarray = field(repr=False)
-    evals2: np.ndarray = field(repr=False, default=None)
-    evecs2: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def has_two_excitation(self):
-        return self.evals2 is not None
 
 
 @dataclass(frozen=True)
@@ -71,50 +73,44 @@ class EvolvedState:
 
 
 def diagonalize(blocks, check=True):
-    """Eigendecompose the Hamiltonian blocks.
+    """Eigendecompose the one-excitation block.
 
     With ``check`` the reconstruction V L V^T is compared to the input to
     1e-10, which guards against a silently failed eigensolve.
     """
     evals1, evecs1 = np.linalg.eigh(blocks.h1)
-    evals2 = evecs2 = None
-    if blocks.h2 is not None:
-        evals2, evecs2 = np.linalg.eigh(blocks.h2)
     if check:
-        for evals, evecs, h in ((evals1, evecs1, blocks.h1), (evals2, evecs2, blocks.h2)):
-            if evals is None:
-                continue
-            err = np.max(np.abs((evecs * evals) @ evecs.T - h))
-            if err > RECONSTRUCTION_TOL:
-                raise SpinlineError(f"eigendecomposition reconstruction error {err:.3e}")
-    return SpectralData(
-        basis=blocks.basis, spec=blocks.spec,
-        evals1=evals1, evecs1=evecs1, evals2=evals2, evecs2=evecs2,
-    )
+        err = np.max(np.abs((evecs1 * evals1) @ evecs1.T - blocks.h1))
+        if err > RECONSTRUCTION_TOL:
+            raise SpinlineError(f"eigendecomposition reconstruction error {err:.3e}")
+    return SpectralData(basis=blocks.basis, spec=blocks.spec, evals1=evals1, evecs1=evecs1)
+
+
+def one_excitation_columns(spectral, t, n_cols=None):
+    """The first ``n_cols`` columns of p1 = V exp(-i L t) V^T (all by default)."""
+    if t < 0:
+        warnings.warn(f"propagating backwards in time (t = {t})", stacklevel=3)
+    V = spectral.evecs1
+    return (V * np.exp(-1j * spectral.evals1 * t)) @ V[:n_cols].T
+
+
+def pair_minors(p1, row_pairs, col_pairs):
+    """Two-excitation amplitudes <ij|exp(-iHt)|nm> as 2x2 minors of ``p1``.
+
+    ``row_pairs`` and ``col_pairs`` are 1-based node pairs (i < j); the
+    column nodes must lie within the columns of ``p1``.
+    """
+    i, j = np.asarray(row_pairs).T - 1
+    n, m = np.asarray(col_pairs).T - 1
+    return p1[np.ix_(i, n)] * p1[np.ix_(j, m)] - p1[np.ix_(i, m)] * p1[np.ix_(j, n)]
 
 
 def propagators(spectral, t, basis=None):
     """Full transfer-amplitude matrices p1, p2 at time t."""
-    if not spectral.has_two_excitation:
-        raise SpinlineError("two-excitation block was not diagonalized")
-    if t < 0:
-        warnings.warn(f"propagating backwards in time (t = {t})", stacklevel=2)
-    p1 = (spectral.evecs1 * np.exp(-1j * spectral.evals1 * t)) @ spectral.evecs1.T
-    p2 = (spectral.evecs2 * np.exp(-1j * spectral.evals2 * t)) @ spectral.evecs2.T
-    return TransferAmplitudes(t=float(t), p1=p1, p2=p2, basis=basis or spectral.basis)
-
-
-def propagator_columns(spectral, t, pair_columns):
-    """Selected columns of p2 at time t, cheaper than the full matrix.
-
-    ``pair_columns`` are indices into the pair basis.  Returns an array of
-    shape (n_pairs, len(pair_columns)).
-    """
-    if not spectral.has_two_excitation:
-        raise SpinlineError("two-excitation block was not diagonalized")
-    V = spectral.evecs2
-    phase = np.exp(-1j * spectral.evals2 * t)
-    return V @ (phase[:, None] * V.T[:, pair_columns])
+    basis = basis or spectral.basis
+    p1 = one_excitation_columns(spectral, t)
+    p2 = pair_minors(p1, basis.pairs, basis.pairs)
+    return TransferAmplitudes(t=float(t), p1=p1, p2=p2, basis=basis)
 
 
 def single_transfer_series(spectral, i, k, times):

@@ -13,6 +13,11 @@ class SizeMismatchError(SpinlineError, ValueError):
     """Inconsistent dimensions between chain, basis, state or amplitudes."""
 
 
+class InputError(SpinlineError, ValueError):
+    """Malformed user input: a scan grid or a parameter table that cannot
+    be used as given."""
+
+
 class NormalizationError(SpinlineError, ValueError):
     """Sender state violates the unit-norm constraint.
 

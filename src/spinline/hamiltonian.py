@@ -1,4 +1,4 @@
-"""XY Hamiltonian blocks on the one- and two-excitation subspaces.
+"""XY Hamiltonian of the chain on the one-excitation subspace.
 
 The chain couples nearest neighbors with an XY exchange term, which acts as
 a hopping of strength J/2 between excitation basis states.  The coupling
@@ -96,27 +96,21 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class HamiltonianBlocks:
-    """One- and two-excitation blocks of the XY Hamiltonian.
+    """One-excitation block of the XY Hamiltonian.
 
-    ``h1`` is the N x N tridiagonal hopping matrix (J/2 off-diagonal);
-    ``h2`` acts on the ordered-pair basis and may be None when only
-    single-excitation dynamics is needed.  The vacuum has energy zero and
+    ``h1`` is the N x N tridiagonal hopping matrix (J/2 off-diagonal).  The
+    chain maps to free fermions, so the two-excitation dynamics follows
+    from ``h1`` alone (see :mod:`dynamics`); the vacuum has energy zero and
     is not represented.
     """
 
     spec: ChainSpec
     basis: ExcitationBasis
     h1: np.ndarray = field(repr=False)
-    h2: np.ndarray = field(repr=False)
 
 
-def build_blocks(spec, basis, two_excitation=True):
-    """Assemble the Hamiltonian blocks for ``spec`` on ``basis``.
-
-    The two-excitation block connects pairs that differ by moving one
-    excitation across a single bond; moves onto an occupied node are
-    excluded (no double occupancy).
-    """
+def build_blocks(spec, basis):
+    """Assemble the one-excitation Hamiltonian block for ``spec`` on ``basis``."""
     if spec.n_nodes != basis.n_nodes:
         raise SizeMismatchError(
             f"spec has {spec.n_nodes} nodes but basis has {basis.n_nodes}"
@@ -127,22 +121,7 @@ def build_blocks(spec, basis, two_excitation=True):
     rows = np.arange(n - 1)
     h1[rows, rows + 1] = J / 2
     h1[rows + 1, rows] = J / 2
-
-    h2 = None
-    if two_excitation:
-        idx = basis.pair_index
-        h2 = np.zeros((basis.n_pairs, basis.n_pairs))
-        for (a, b) in basis.pairs:
-            i = idx[(a, b)]
-            if a + 1 < b:
-                h2[i, idx[(a + 1, b)]] = J[a - 1] / 2
-            if a > 1:
-                h2[i, idx[(a - 1, b)]] = J[a - 2] / 2
-            if b < n:
-                h2[i, idx[(a, b + 1)]] = J[b - 1] / 2
-            if b - 1 > a:
-                h2[i, idx[(a, b - 1)]] = J[b - 2] / 2
-    return HamiltonianBlocks(spec=spec, basis=basis, h1=h1, h2=h2)
+    return HamiltonianBlocks(spec=spec, basis=basis, h1=h1)
 
 
 def apply_disorder(spec, epsilon, deltas):

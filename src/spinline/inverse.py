@@ -9,14 +9,14 @@ multi-start: solutions are particular, not unique, and reproducibility of
 our chosen solution is what matters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .basis import SenderState
-from .errors import InfeasibleTargetError
-from .receiver import assemble_rho
+from .errors import InfeasibleTargetError, InputError
+from .receiver import KINDS, assemble_rho, classify_families, param_index
 
 WERNER_RESIDUAL_TOL = 1e-10
 FEASIBILITY_RESIDUAL_TOL = 1e-8
@@ -218,12 +218,20 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0,
                      residual_tol=FEASIBILITY_RESIDUAL_TOL, refine_tol=5e-4):
     """Largest Werner parameter p for which controls exist.
 
-    Walks the monotone grid to bracket the boundary, then bisects the
-    bracket down to ``refine_tol``.  Returns (boundary, resolution).
+    Walks the monotone grid up to its first infeasible point to bracket the
+    boundary, then bisects the bracket down to ``refine_tol``.  Returns
+    (boundary, resolution).
+
+    Raises
+    ------
+    InputError
+        If the grid has fewer than two points or is not strictly increasing.
     """
     p_grid = np.asarray(p_grid, float)
-    if p_grid.ndim != 1 or np.any(np.diff(p_grid) <= 0):
-        raise ValueError("p_grid must be strictly increasing")
+    if p_grid.ndim != 1 or p_grid.size < 2:
+        raise InputError(f"p_grid needs at least two points, got {p_grid.size}")
+    if np.any(np.diff(p_grid) <= 0):
+        raise InputError("p_grid must be strictly increasing")
 
     def feasible(p):
         try:
@@ -233,12 +241,11 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0,
         except InfeasibleTargetError:
             return False
 
-    flags = [feasible(p) for p in p_grid]
-    if not flags[0]:
+    hi_idx = next((i for i, p in enumerate(p_grid) if not feasible(p)), None)
+    if hi_idx == 0:
         return float(p_grid[0]), float(p_grid[1] - p_grid[0])
-    if all(flags):
+    if hi_idx is None:
         return float(p_grid[-1]), float(p_grid[-1] - p_grid[-2])
-    hi_idx = next(i for i, ok in enumerate(flags) if not ok)
     lo, hi = float(p_grid[hi_idx - 1]), float(p_grid[hi_idx])
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
@@ -255,31 +262,9 @@ def zero_family_iii(params):
     The small-magnitude approximation used when solving the inverse problem
     against a simplified line description.
     """
-    from dataclasses import replace
-
-    from .receiver import classify_families
-
-    cls = classify_families(params)
-    pidx = {p: i for i, p in enumerate(params.pairs)}
-    arrays = {
-        "p_N": params.p_N.copy(),
-        "p_Nm1": params.p_Nm1.copy(),
-        "p_pair": params.p_pair.copy(),
-        "P_Nm1": params.P_Nm1.copy(),
-        "P_N": params.P_N.copy(),
-        "P_mm": params.P_mm.copy(),
-        "P_mN": params.P_mN.copy(),
-        "P_NN": params.P_NN.copy(),
-    }
-    for (kind, idx), tag in cls.tags.items():
-        if tag != "III":
-            continue
-        if kind in ("p_N", "p_Nm1"):
-            arrays[kind][idx[0] - 1] = 0.0
-        elif kind == "p_pair":
-            arrays[kind][pidx[idx]] = 0.0
-        elif kind in ("P_Nm1", "P_N"):
-            arrays[kind][idx[0] - 1, pidx[idx[1:]]] = 0.0
-        else:
-            arrays[kind][pidx[idx[:2]], pidx[idx[2:]]] = 0.0
+    tags = classify_families(params).tags
+    arrays = {kind: getattr(params, kind).copy() for kind in KINDS}
+    for kind, idx, pos in param_index(params.n_sender):
+        if tags[(kind, idx)] == "III":
+            arrays[kind][pos] = 0.0
     return replace(params, **arrays)

@@ -10,18 +10,49 @@ Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import sender_pairs
-from .dynamics import embed_sender, evolve, propagator_columns
-from .errors import SizeMismatchError
+from .dynamics import evolve, one_excitation_columns, pair_minors
+from .errors import InputError, SizeMismatchError
 
 SYMMETRY_TOL = 1e-12
 
 # parameter kinds, in canonical export order
 KINDS = ("p_N", "p_Nm1", "p_pair", "P_Nm1", "P_N", "P_mm", "P_mN", "P_NN")
+
+
+@functools.lru_cache(maxsize=8)
+def param_index(n_sender):
+    """Every entry as (kind, 1-based indices, array position), canonical order.
+
+    The one definition of the parameter index: iteration, lookup, CSV
+    import and truncation all go through it.
+    """
+    pairs = sender_pairs(n_sender)
+    index = [(kind, (k + 1,), (k,)) for kind in ("p_N", "p_Nm1") for k in range(n_sender)]
+    index += [("p_pair", nm, (s,)) for s, nm in enumerate(pairs)]
+    index += [
+        (kind, (k + 1, *nm), (k, s))
+        for kind in ("P_Nm1", "P_N")
+        for k in range(n_sender)
+        for s, nm in enumerate(pairs)
+    ]
+    index += [
+        (kind, kl + nm, (a, b))
+        for kind in ("P_mm", "P_mN", "P_NN")
+        for a, kl in enumerate(pairs)
+        for b, nm in enumerate(pairs)
+    ]
+    return tuple(index)
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(n_sender):
+    return {(kind, idx): pos for kind, idx, pos in param_index(n_sender)}
 
 
 @dataclass(frozen=True)
@@ -50,74 +81,44 @@ class LineParams:
 
     def items(self):
         """Yield (kind, indices, value) over all entries, canonical order."""
-        pairs = self.pairs
-        for k in range(self.n_sender):
-            yield "p_N", (k + 1,), self.p_N[k]
-        for k in range(self.n_sender):
-            yield "p_Nm1", (k + 1,), self.p_Nm1[k]
-        for s, (n, m) in enumerate(pairs):
-            yield "p_pair", (n, m), self.p_pair[s]
-        for kind, M in (("P_Nm1", self.P_Nm1), ("P_N", self.P_N)):
-            for k in range(self.n_sender):
-                for s, (n, m) in enumerate(pairs):
-                    yield kind, (k + 1, n, m), M[k, s]
-        for kind, M in (("P_mm", self.P_mm), ("P_mN", self.P_mN), ("P_NN", self.P_NN)):
-            for a, (k, l) in enumerate(pairs):
-                for b, (n, m) in enumerate(pairs):
-                    yield kind, (k, l, n, m), M[a, b]
+        for kind, idx, pos in param_index(self.n_sender):
+            yield kind, idx, getattr(self, kind)[pos]
 
     def get(self, kind, indices):
         """Single entry lookup by (kind, 1-based index tuple)."""
-        pidx = {p: i for i, p in enumerate(self.pairs)}
-        indices = tuple(indices)
-        if kind == "p_N":
-            return self.p_N[indices[0] - 1]
-        if kind == "p_Nm1":
-            return self.p_Nm1[indices[0] - 1]
-        if kind == "p_pair":
-            return self.p_pair[pidx[indices]]
-        if kind == "P_Nm1":
-            return self.P_Nm1[indices[0] - 1, pidx[indices[1:]]]
-        if kind == "P_N":
-            return self.P_N[indices[0] - 1, pidx[indices[1:]]]
-        if kind in ("P_mm", "P_mN", "P_NN"):
-            return getattr(self, kind)[pidx[indices[:2]], pidx[indices[2:]]]
-        raise KeyError(kind)
+        pos = _positions(self.n_sender)[(kind, tuple(indices))]
+        return getattr(self, kind)[pos]
 
     @property
     def n_entries(self):
-        return sum(1 for _ in self.items())
+        return len(param_index(self.n_sender))
 
 
-def _receiver_rows(basis, n_sender):
-    """Row index sets used in every environment sum."""
-    n = basis.n_nodes
+def line_params_at(spectral, t, n_sender=4):
+    """Evaluate the full parameter set at time t.
+
+    Only the sender columns of the one-excitation propagator are formed.
+    The pair amplitudes p_{i(N-1);nm} (A) and p_{iN;nm} (B) for environment
+    nodes i = 1..N-2, and the receiver-pair row p_{(N-1)N;nm} (q), are 2x2
+    minors of those columns (free fermions, see :mod:`dynamics`).
+    """
+    n = spectral.basis.n_nodes
     if n_sender > n - 2:
         raise SizeMismatchError(
             f"sender of {n_sender} nodes overlaps the receiver on an {n}-node chain"
         )
+    p1 = one_excitation_columns(spectral, t, n_sender)
     env = range(1, n - 1)
-    rows_m = [basis.index_of(i, n - 1) for i in env]
-    rows_N = [basis.index_of(i, n) for i in env]
-    cols = [basis.index_of(a, b) for (a, b) in sender_pairs(n_sender)]
-    return rows_m, rows_N, cols
-
-
-def _line_params(t, p1, A, B, q, n_sender):
-    """Assemble LineParams from the environment slices.
-
-    A and B hold the pair amplitudes p_{i(N-1);nm} and p_{iN;nm} for
-    environment nodes i = 1..N-2 (rows) and sender pairs (columns); q is
-    the receiver-pair row p_{(N-1)N;nm}.
-    """
-    n = p1.shape[0]
-    C1 = p1[: n - 2, :n_sender]
+    rows = [(i, n - 1) for i in env] + [(i, n) for i in env] + [(n - 1, n)]
+    p2 = pair_minors(p1, rows, sender_pairs(n_sender))
+    A, B, q = p2[: n - 2], p2[n - 2 : -1], p2[-1]
+    C1 = p1[: n - 2]
     params = LineParams(
         n_sender=n_sender,
         t0=float(t),
-        p_N=p1[n - 1, :n_sender].copy(),
-        p_Nm1=p1[n - 2, :n_sender].copy(),
-        p_pair=q.copy(),
+        p_N=p1[n - 1],
+        p_Nm1=p1[n - 2],
+        p_pair=q,
         P_Nm1=C1.T @ A.conj(),
         P_N=C1.T @ B.conj(),
         P_mm=A.T @ A.conj(),
@@ -130,33 +131,6 @@ def _line_params(t, p1, A, B, q, n_sender):
         if dev > SYMMETRY_TOL:
             raise AssertionError(f"{name} Hermitian symmetry violated by {dev:.3e}")
     return params
-
-
-def compute_line_params(amps, n_sender=4):
-    """Evaluate the full parameter set from transfer amplitudes at one time."""
-    basis = amps.basis
-    rows_m, rows_N, cols = _receiver_rows(basis, n_sender)
-    A = amps.p2[np.ix_(rows_m, cols)]
-    B = amps.p2[np.ix_(rows_N, cols)]
-    q = amps.p2[basis.index_of(basis.n_nodes - 1, basis.n_nodes), cols]
-    return _line_params(amps.t, amps.p1, A, B, q, n_sender)
-
-
-def line_params_at(spectral, t, n_sender=4):
-    """Parameter set at time t without materializing the full p2 matrix.
-
-    Same arithmetic as :func:`compute_line_params` but only the sender-pair
-    columns of the two-excitation propagator are formed; for long chains
-    this is what makes disorder sweeps cheap.
-    """
-    basis = spectral.basis
-    rows_m, rows_N, cols = _receiver_rows(basis, n_sender)
-    p1 = (spectral.evecs1 * np.exp(-1j * spectral.evals1 * t)) @ spectral.evecs1.T
-    p2c = propagator_columns(spectral, t, cols)
-    A = p2c[rows_m, :]
-    B = p2c[rows_N, :]
-    q = p2c[basis.index_of(basis.n_nodes - 1, basis.n_nodes), :]
-    return _line_params(t, p1, A, B, q, n_sender)
 
 
 @dataclass(frozen=True)
@@ -321,41 +295,46 @@ def export_params_csv(params, path, header_lines=()):
 
 
 def import_params_csv(path):
-    """Rebuild a LineParams from :func:`export_params_csv` output."""
-    entries = {}
-    t0 = float("nan")
+    """Rebuild a LineParams from :func:`export_params_csv` output.
+
+    Raises
+    ------
+    InputError
+        If the ``# t0`` line is missing, a row is malformed, or the table
+        lacks or adds any entry of the index for its sender size.
+    """
     with open(path, newline="") as fh:
-        raw = list(csv.reader(fh))
-    rows = []
-    for r in raw:
-        if r and r[0].startswith("# t0:"):
-            t0 = float(r[0].split(":", 1)[1])
-        elif r and not r[0].startswith("#"):
-            rows.append(r)
-    for kind, idx, re, im, _fam in rows[1:]:
-        indices = tuple(int(i) for i in idx.split(";"))
-        entries[(kind, indices)] = float(re) + 1j * float(im)
-    n_sender = max(i[0] for k, i in entries if k == "p_N")
-    pairs = sender_pairs(n_sender)
-    pidx = {p: i for i, p in enumerate(pairs)}
-    np_ = len(pairs)
-    vecs = {
-        "p_N": np.zeros(n_sender, complex),
-        "p_Nm1": np.zeros(n_sender, complex),
-        "p_pair": np.zeros(np_, complex),
-        "P_Nm1": np.zeros((n_sender, np_), complex),
-        "P_N": np.zeros((n_sender, np_), complex),
-        "P_mm": np.zeros((np_, np_), complex),
-        "P_mN": np.zeros((np_, np_), complex),
-        "P_NN": np.zeros((np_, np_), complex),
-    }
-    for (kind, indices), value in entries.items():
-        if kind in ("p_N", "p_Nm1"):
-            vecs[kind][indices[0] - 1] = value
-        elif kind == "p_pair":
-            vecs[kind][pidx[indices]] = value
-        elif kind in ("P_Nm1", "P_N"):
-            vecs[kind][indices[0] - 1, pidx[indices[1:]]] = value
-        else:
-            vecs[kind][pidx[indices[:2]], pidx[indices[2:]]] = value
-    return LineParams(n_sender=n_sender, t0=t0, **vecs)
+        raw = [r for r in csv.reader(fh) if r]
+    rows = [r for r in raw if not r[0].startswith("#")]
+    t0 = None
+    entries = {}
+    try:
+        for r in raw:
+            if r[0].startswith("# t0:"):
+                t0 = float(r[0].split(":", 1)[1])
+        for kind, idx, re, im, _fam in rows[1:]:
+            indices = tuple(int(i) for i in idx.split(";"))
+            entries[(kind, indices)] = float(re) + 1j * float(im)
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed parameter table ({exc})") from exc
+    if t0 is None:
+        raise InputError(f"{path}: no '# t0' line")
+    n_sender = max((i[0] for k, i in entries if k == "p_N"), default=0)
+    if n_sender < 2:
+        raise InputError(f"{path}: no p_N entries to fix the sender size")
+    positions = _positions(n_sender)
+    missing = [k for k in positions if k not in entries]
+    unknown = [k for k in entries if k not in positions]
+    if missing or unknown:
+        bad = missing or unknown
+        raise InputError(
+            f"{path}: {len(missing)} entries missing and {len(unknown)} unknown for "
+            f"a {n_sender}-node sender, e.g. {bad[0][0]};{';'.join(map(str, bad[0][1]))}"
+        )
+    n_pairs = len(sender_pairs(n_sender))
+    shapes = {"p_N": (n_sender,), "p_Nm1": (n_sender,), "p_pair": (n_pairs,),
+              "P_Nm1": (n_sender, n_pairs), "P_N": (n_sender, n_pairs)}
+    arrays = {kind: np.zeros(shapes.get(kind, (n_pairs, n_pairs)), complex) for kind in KINDS}
+    for (kind, indices), pos in positions.items():
+        arrays[kind][pos] = entries[(kind, indices)]
+    return LineParams(n_sender=n_sender, t0=t0, **arrays)

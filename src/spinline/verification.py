@@ -30,7 +30,6 @@ from .receiver import (
     FAMILY_II,
     assemble_rho,
     classify_families,
-    compute_line_params,
     line_params_at,
     partial_trace_oracle,
 )
@@ -183,6 +182,31 @@ def _random_chain(n, rng, epsilon=0.1):
     return sample_chain(base, epsilon, rng)
 
 
+def pair_block(spec, basis):
+    """Two-excitation block h2 of the XY Hamiltonian on the ordered-pair basis.
+
+    Connects pairs that differ by moving one excitation across a single
+    bond; moves onto an occupied node are excluded (no double occupancy).
+    The library never builds it: it is the oracle for the free-fermion
+    identities (spectrum of pairwise sums, p2 as minors of p1).
+    """
+    n = spec.n_nodes
+    J = spec.couplings()
+    idx = basis.pair_index
+    h2 = np.zeros((basis.n_pairs, basis.n_pairs))
+    for (a, b) in basis.pairs:
+        i = idx[(a, b)]
+        if a + 1 < b:
+            h2[i, idx[(a + 1, b)]] = J[a - 1] / 2
+        if a > 1:
+            h2[i, idx[(a - 1, b)]] = J[a - 2] / 2
+        if b < n:
+            h2[i, idx[(a, b + 1)]] = J[b - 1] / 2
+        if b - 1 > a:
+            h2[i, idx[(a, b - 1)]] = J[b - 2] / 2
+    return h2
+
+
 def full_space_receiver(state, spec, t):
     """Receiver matrix from dense evolution of the full 2^N chain.
 
@@ -235,9 +259,10 @@ def check_oracle_equivalence(seed=2024, n_states=36):
     for n in (7, 10, 20):
         basis = build_basis(n)
         for spec in (ChainSpec.uniform(n), _random_chain(n, rng)):
-            amps = propagators(diagonalize(build_blocks(spec, basis)),
-                               rng.uniform(0.3, 2.0) * n)
-            params = compute_line_params(amps, n_sender=4)
+            spectral = diagonalize(build_blocks(spec, basis))
+            t = rng.uniform(0.3, 2.0) * n
+            amps = propagators(spectral, t)
+            params = line_params_at(spectral, t, n_sender=4)
             for _ in range(n_states // 2):
                 state = SenderState.random(rng)
                 direct = assemble_rho(params, state).rho
@@ -425,9 +450,9 @@ def check_invariants(seed=5):
     for _ in range(3):
         m = int(rng.integers(7, 9))
         spec = _random_chain(m, rng, epsilon=0.3)
-        blocks = build_blocks(spec, build_basis(m))
-        e1 = np.linalg.eigvalsh(blocks.h1)
-        e2 = np.sort(np.linalg.eigvalsh(blocks.h2))
+        basis = build_basis(m)
+        e1 = np.linalg.eigvalsh(build_blocks(spec, basis).h1)
+        e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, basis)))
         sums = np.sort([e1[a] + e1[b] for a in range(m) for b in range(a + 1, m)])
         worst_ff = max(worst_ff, float(np.max(np.abs(e2 - sums))))
     out.append(_result(

@@ -10,7 +10,7 @@ from spinline.hamiltonian import ChainSpec, build_blocks
 
 def spectral_for(n, d1=1.0, d2=1.0):
     spec = ChainSpec(n_nodes=n, delta1=d1, delta2=d2)
-    return sl.diagonalize(build_blocks(spec, build_basis(n), two_excitation=False))
+    return sl.diagonalize(build_blocks(spec, build_basis(n)))
 
 
 def test_first_maximum_tuned_n20(tuned20):

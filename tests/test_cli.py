@@ -5,6 +5,7 @@ import pytest
 
 from spinline import benchmarks as bm
 from spinline.cli import EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from spinline.errors import InputError
 from spinline.probing import probe_outputs_to_json, simulate_probes
 from spinline.receiver import import_params_csv
 
@@ -99,6 +100,27 @@ def test_feasibility_smoke(workdir, params_csv, capsys):
     assert rc == EXIT_OK
     artifact = json.loads((workdir / "f.json").read_text())
     assert 0.85 < artifact["result"]["boundary"] < 0.92
+
+
+@pytest.mark.parametrize("grid", ["0.5:0.5:0.1", "0.5:x:0.1", "0.9:0.8:-0.1"])
+def test_feasibility_bad_grid_exit_code(params_csv, grid, capsys):
+    rc = main(["feasibility", "--params", str(params_csv), "--grid", grid])
+    assert rc == EXIT_BAD_CONFIG
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop", ["P_mm,", "# t0:"])
+def test_incomplete_params_csv_exit_code(workdir, params_csv, drop, capsys):
+    lines = params_csv.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(drop)]
+    assert len(kept) < len(lines)
+    (workdir / "bad.csv").write_text("".join(kept))
+    with pytest.raises(InputError):
+        import_params_csv(workdir / "bad.csv")
+    rc = main(["create-state", "--target", "werner", "--p", "0.4",
+               "--params", "bad.csv"])
+    assert rc == EXIT_BAD_CONFIG
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_disorder_study_artifacts(workdir):

@@ -5,8 +5,9 @@ from scipy.linalg import expm
 import spinline as sl
 from spinline import benchmarks as bm
 from spinline.basis import SenderState, build_basis
-from spinline.dynamics import dump_amplitudes_csv, propagator_columns
+from spinline.dynamics import dump_amplitudes_csv
 from spinline.hamiltonian import ChainSpec, build_blocks
+from spinline.verification import pair_block
 
 
 def spectral_for(n, **kwargs):
@@ -58,7 +59,7 @@ def test_end_to_end_amplitude_n20(tuned20):
 def test_end_to_end_amplitude_n60():
     ref = bm.TUNED_CHAINS[60]
     spec = ChainSpec(n_nodes=60, delta1=ref["delta1"], delta2=ref["delta2"])
-    spectral = sl.diagonalize(build_blocks(spec, build_basis(60), two_excitation=False))
+    spectral = sl.diagonalize(build_blocks(spec, build_basis(60)))
     w = spectral.evecs1[59] * spectral.evecs1[0]
     amp = abs(np.exp(-1j * spectral.evals1 * ref["t0"]) @ w)
     assert amp == pytest.approx(0.99223, abs=5e-4)
@@ -95,8 +96,7 @@ def test_evolve_pair_combination_vs_expm(tuned20):
     out = sl.evolve(SenderState.from_double(a2), amps)
     assert out.norm_squared == pytest.approx(1.0, abs=1e-10)
     basis = tuned20.basis
-    h2 = (tuned20.evecs2 * tuned20.evals2) @ tuned20.evecs2.T
-    u2 = expm(-1j * h2 * t0)
+    u2 = expm(-1j * pair_block(tuned20.spec, basis) * t0)
     expected = (u2[:, basis.index_of(1, 2)] + u2[:, basis.index_of(3, 4)]) / np.sqrt(2)
     assert np.max(np.abs(out.f_double - expected)) < 1e-9
 
@@ -106,13 +106,6 @@ def test_norm_conservation(tuned20, rng):
     for _ in range(10):
         out = sl.evolve(SenderState.random(rng), amps)
         assert out.norm_squared == pytest.approx(1.0, abs=1e-10)
-
-
-def test_propagator_columns_match_full(tuned20):
-    amps = sl.propagators(tuned20, 13.7)
-    cols = [0, 5, 17, 100]
-    sub = propagator_columns(tuned20, 13.7, cols)
-    assert np.max(np.abs(sub - amps.p2[:, cols])) < 1e-12
 
 
 def test_amplitude_dump_format(tmp_path, tuned20):

@@ -6,6 +6,7 @@ import pytest
 from spinline.basis import build_basis
 from spinline.errors import ChainLengthError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder, build_blocks
+from spinline.verification import pair_block
 
 
 def uniform_blocks(n):
@@ -20,9 +21,8 @@ def test_uniform_n4_single_block():
 
 
 def test_pair_block_selection_rule():
-    blocks = uniform_blocks(4)
-    basis = blocks.basis
-    h2 = blocks.h2
+    basis = build_basis(4)
+    h2 = pair_block(ChainSpec.uniform(4), basis)
     # one excitation hops 2 -> 3 across bond (2,3)
     assert h2[basis.index_of(1, 2), basis.index_of(1, 3)] == pytest.approx(0.5)
     # both indices differ: forbidden
@@ -31,7 +31,7 @@ def test_pair_block_selection_rule():
 
 def test_tuned_boundary_entries():
     spec = ChainSpec(n_nodes=20, delta1=0.550, delta2=0.817)
-    h1 = build_blocks(spec, build_basis(20), two_excitation=False).h1
+    h1 = build_blocks(spec, build_basis(20)).h1
     assert h1[0, 1] == pytest.approx(0.275)
     assert h1[1, 2] == pytest.approx(0.4085)
 
@@ -39,13 +39,15 @@ def test_tuned_boundary_entries():
 def test_blocks_exactly_symmetric(rng):
     spec = ChainSpec(n_nodes=9, delta1=0.7, delta2=1.1,
                      bulk=rng.uniform(0.5, 1.5, 4))
-    blocks = build_blocks(spec, build_basis(9))
-    assert np.max(np.abs(blocks.h1 - blocks.h1.T)) == 0.0
-    assert np.max(np.abs(blocks.h2 - blocks.h2.T)) == 0.0
+    basis = build_basis(9)
+    h1 = build_blocks(spec, basis).h1
+    h2 = pair_block(spec, basis)
+    assert np.max(np.abs(h1 - h1.T)) == 0.0
+    assert np.max(np.abs(h2 - h2.T)) == 0.0
 
 
 def test_pair_block_row_sparsity():
-    h2 = uniform_blocks(12).h2
+    h2 = pair_block(ChainSpec.uniform(12), build_basis(12))
     assert np.max(np.count_nonzero(h2, axis=1)) <= 4
 
 
@@ -55,9 +57,9 @@ def test_free_fermion_spectrum_identity(n, rng):
     spec = ChainSpec(n_nodes=n, delta1=rng.uniform(0.3, 1.2),
                      delta2=rng.uniform(0.3, 1.2),
                      bulk=rng.uniform(0.5, 1.5, n - 5))
-    blocks = build_blocks(spec, build_basis(n))
-    e1 = np.linalg.eigvalsh(blocks.h1)
-    e2 = np.sort(np.linalg.eigvalsh(blocks.h2))
+    basis = build_basis(n)
+    e1 = np.linalg.eigvalsh(build_blocks(spec, basis).h1)
+    e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, basis)))
     sums = np.sort([e1[a] + e1[b] for a in range(n) for b in range(a + 1, n)])
     assert np.max(np.abs(e2 - sums)) < 1e-10
 

@@ -3,8 +3,9 @@ import pytest
 
 import spinline as sl
 from spinline import benchmarks as bm
+from spinline import inverse
 from spinline.basis import SenderState
-from spinline.errors import InfeasibleTargetError
+from spinline.errors import InfeasibleTargetError, InputError
 from spinline.inverse import TargetState, discrepancy, werner_target, zero_family_iii
 
 
@@ -104,3 +105,46 @@ def test_feasibility_scan_quick(tuned20_params):
     )
     assert boundary == pytest.approx(bm.WERNER_FEASIBLE_MAX, abs=0.002)
     assert res <= 2e-3
+
+
+def _scan_every_point(feasible, grid, refine_tol):
+    """The bracket and bisection of a scan that evaluates the whole grid."""
+    flags = [feasible(p) for p in grid]
+    if not flags[0]:
+        return grid[0], grid[1] - grid[0]
+    if all(flags):
+        return grid[-1], grid[-1] - grid[-2]
+    k = flags.index(False)
+    lo, hi = grid[k - 1], grid[k]
+    while hi - lo > refine_tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+@pytest.mark.parametrize("edge, n_feasible", [(0.8744, 8), (2.0, 21), (0.5, 0)])
+def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, edge, n_feasible):
+    calls = []
+
+    def solve_stub(params, p, **kwargs):
+        calls.append(p)
+        if p > edge:
+            raise InfeasibleTargetError(0.1)
+
+    monkeypatch.setattr(inverse, "solve_werner", solve_stub)
+    grid = [float(p) for p in np.round(np.arange(0.80, 1.0001, 0.01), 10)]
+    got = sl.feasibility_scan(None, grid, refine_tol=5e-4)
+    n_grid = min(n_feasible + 1, len(grid))
+    assert calls[:n_grid] == grid[:n_grid]
+    bracket = calls[n_grid:]
+    if 0 < n_feasible < len(grid):
+        assert bracket and all(grid[n_feasible - 1] < p < grid[n_feasible] for p in bracket)
+    else:
+        assert bracket == []
+    assert got == _scan_every_point(lambda p: p <= edge, grid, 5e-4)
+
+
+@pytest.mark.parametrize("grid", [[0.5], [0.9, 0.8]])
+def test_feasibility_scan_rejects_bad_grid(tuned20_params, grid):
+    with pytest.raises(InputError):
+        sl.feasibility_scan(tuned20_params, grid)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import spinline as sl
-from spinline import benchmarks as bm
 from spinline.basis import SenderState, build_basis
 from spinline.errors import SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder, build_blocks
@@ -42,21 +41,12 @@ def test_spot_values_n20(tuned20_params):
     assert p.get("p_Nm1", (1,)) == pytest.approx(-1.007e-4, abs=2e-5)
 
 
-def test_compute_matches_fast_path(tuned20):
-    t0 = bm.TUNED_CHAINS[20]["t0"]
-    amps = sl.propagators(tuned20, t0)
-    full = sl.compute_line_params(amps)
-    fast = sl.line_params_at(tuned20, t0)
-    dev = max(abs(a[2] - b[2]) for a, b in zip(full.items(), fast.items()))
-    assert dev < 1e-12
-
-
 def test_sender_receiver_overlap_rejected():
     basis = build_basis(5)
     spec = ChainSpec.uniform(5)
-    amps = sl.propagators(sl.diagonalize(build_blocks(spec, basis)), 1.0)
+    spectral = sl.diagonalize(build_blocks(spec, basis))
     with pytest.raises(SizeMismatchError):
-        sl.compute_line_params(amps, n_sender=4)
+        sl.line_params_at(spectral, 1.0, n_sender=4)
 
 
 def test_vacuum_receiver_state(tuned20_params):
@@ -87,7 +77,7 @@ def test_oracle_equivalence(n, rng):
         spectral = sl.diagonalize(build_blocks(spec, basis))
         for t in rng.uniform(0.3, 2.5, 2) * n:
             amps = sl.propagators(spectral, t)
-            params = sl.compute_line_params(amps)
+            params = sl.line_params_at(spectral, t)
             for _ in range(10):
                 state = SenderState.random(rng)
                 direct = sl.assemble_rho(params, state).rho
