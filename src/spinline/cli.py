@@ -3,9 +3,9 @@
 Every subcommand builds a plain config dict, validates it against a JSON
 schema, runs, and embeds the config in each artifact it writes, so a run
 is reproducible from its artifacts alone.  Exit codes: 0 success,
-1 failed verification report, 2 invalid config or input (a bad scan grid
-or parameter table), 3 file I/O error, 4 infeasible target or no
-transfer arrival.
+1 failed verification report, 2 invalid config or input (a bad scan grid,
+search box, parameter table, target state or sender size), 3 file I/O
+error, 4 infeasible target or no transfer arrival.
 """
 
 import argparse
@@ -38,6 +38,7 @@ from .probing import (
     extract_params,
     probe_outputs_from_json,
     probe_outputs_to_json,
+    probe_set,
     simulate_probes,
 )
 from .receiver import export_params_csv, import_params_csv, line_params_at
@@ -67,6 +68,8 @@ _CHAIN_FIELDS = {
     "sender": {"type": "integer", "minimum": 2},
 }
 
+_RANGE = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+
 SCHEMAS = {
     "optimize-chain": {
         "type": "object",
@@ -75,8 +78,8 @@ SCHEMAS = {
             "n": {"type": "integer", "minimum": 7},
             "grid_step": {"type": "number", "exclusiveMinimum": 0},
             "t_max": {"type": "number", "exclusiveMinimum": 0},
-            "delta1_range": {"type": "array", "items": {"type": "number"}},
-            "delta2_range": {"type": "array", "items": {"type": "number"}},
+            "delta1_range": _RANGE,
+            "delta2_range": _RANGE,
             "out": {"type": ["string", "null"]},
         },
         "required": ["command", "n"],
@@ -218,16 +221,8 @@ def _provenance(config):
 
 
 def run_optimize_chain(config):
-    kwargs = {}
-    if config.get("grid_step"):
-        kwargs["grid_step"] = config["grid_step"]
-    if config.get("t_max"):
-        kwargs["t_max"] = config["t_max"]
-    for key in ("delta1_range", "delta2_range"):
-        if config.get(key):
-            lo, hi = config[key]
-            kwargs[key] = (lo, hi)
-    opt = optimize_boundary(config["n"], **kwargs)
+    keys = ("grid_step", "t_max", "delta1_range", "delta2_range")
+    opt = optimize_boundary(config["n"], **{k: config[k] for k in keys if config.get(k)})
     _emit_json(config, opt.as_dict(), config.get("out"))
     return EXIT_OK
 
@@ -247,6 +242,7 @@ def run_compute_params(config):
 
 
 def run_probe_params(config):
+    probe_set(config.get("sender", 4))  # rejects an unsupported sender before any work
     if config.get("outputs"):
         with open(config["outputs"]) as fh:
             outputs = probe_outputs_from_json(fh.read())
@@ -503,8 +499,12 @@ def _config_from_args(args):
         config[key] = value
     for key in ("delta1_range", "delta2_range"):
         if key in config:
-            lo, hi = config[key].split(",")
-            config[key] = [float(lo), float(hi)]
+            try:
+                lo, hi = (float(x) for x in config[key].split(","))
+            except ValueError as exc:
+                flag = "--" + key.replace("_", "-")
+                raise InputError(f"{flag} must be lo,hi, got {config[key]!r}") from exc
+            config[key] = [lo, hi]
     return config
 
 

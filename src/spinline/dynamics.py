@@ -51,9 +51,6 @@ class TransferAmplitudes:
     def single(self, i, k):
         return self.p1[i - 1, k - 1]
 
-    def double(self, ij, nm):
-        return self.p2[self.basis.index_of(*ij), self.basis.index_of(*nm)]
-
 
 @dataclass(frozen=True)
 class EvolvedState:
@@ -111,12 +108,6 @@ def propagators(spectral, t, basis=None):
     p1 = one_excitation_columns(spectral, t)
     p2 = pair_minors(p1, basis.pairs, basis.pairs)
     return TransferAmplitudes(t=float(t), p1=p1, p2=p2, basis=basis)
-
-
-def single_transfer_series(spectral, i, k, times):
-    """|<i|exp(-iHt)|k>| on a grid of times (1-based node indices)."""
-    w = spectral.evecs1[i - 1] * spectral.evecs1[k - 1]
-    return np.abs(np.exp(-1j * np.outer(np.asarray(times), spectral.evals1)) @ w)
 
 
 def embed_sender(state, basis):

@@ -14,8 +14,8 @@ class SizeMismatchError(SpinlineError, ValueError):
 
 
 class InputError(SpinlineError, ValueError):
-    """Malformed user input: a scan grid or a parameter table that cannot
-    be used as given."""
+    """Malformed user input that cannot be used as given: a scan grid, a
+    search box, a parameter table, a target state or a sender size."""
 
 
 class NormalizationError(SpinlineError, ValueError):

@@ -56,10 +56,6 @@ class ChainSpec:
     def uniform(cls, n_nodes):
         return cls(n_nodes=n_nodes)
 
-    @classmethod
-    def tuned(cls, n_nodes, delta1, delta2):
-        return cls(n_nodes=n_nodes, delta1=delta1, delta2=delta2)
-
     def couplings(self):
         """The N-1 bond couplings [delta1, delta2, bulk..., delta2, delta1]."""
         n = self.n_nodes

@@ -31,12 +31,12 @@ class TargetState:
     def validate(self, tol=1e-8, allow_nonphysical=False):
         m = self.matrix
         if m.shape != (4, 4):
-            raise ValueError(f"target must be 4x4, got {m.shape}")
+            raise InputError(f"target must be 4x4, got {m.shape}")
         herm = np.max(np.abs(m - m.conj().T))
         tr = abs(np.trace(m) - 1.0)
         lo = np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
         if not allow_nonphysical and (herm > tol or tr > tol or lo < -tol):
-            raise ValueError(
+            raise InputError(
                 f"not a density matrix (hermiticity {herm:.1e}, trace dev {tr:.1e}, "
                 f"min eigenvalue {lo:.1e})"
             )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SenderState, sender_pairs
-from .errors import ConditioningError, ExtractionError
+from .errors import ConditioningError, ExtractionError, InputError
 from .receiver import LineParams, ReceiverState, assemble_rho
 
 PROBE_KINDS = ("single", "single-pair", "pair-pair-real", "pair-pair-imag")
@@ -71,7 +71,7 @@ class ProbeState:
 def probe_set(n_sender=4):
     """The complete probe enumeration for a four-node sender (58 states)."""
     if n_sender != 4:
-        raise ValueError(f"probe protocol is enumerated for n_sender=4, got {n_sender}")
+        raise InputError(f"probe protocol is enumerated for n_sender=4, got {n_sender}")
     pairs = sender_pairs(n_sender)
     probes = [ProbeState("single", (k,)) for k in range(1, n_sender + 1)]
     probes += [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinline import benchmarks as bm
+from spinline import cli
 from spinline.cli import EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from spinline.errors import InputError
 from spinline.probing import probe_outputs_to_json, simulate_probes
@@ -30,8 +31,25 @@ def test_optimize_chain_artifact(workdir, capsys):
     assert rc == EXIT_OK
     artifact = json.loads((workdir / "opt.json").read_text())
     assert artifact["config"]["command"] == "optimize-chain"
-    assert set(artifact["result"]) == {"n", "delta1", "delta2", "t0", "amplitude"}
-    assert artifact["result"]["amplitude"] > 0.9
+    result = artifact["result"]
+    assert set(result) == {"n", "delta1", "delta2", "t0", "amplitude", "coarse_amplitude"}
+    assert result["amplitude"] > 0.9
+    assert result["amplitude"] >= result["coarse_amplitude"] > 0.9
+
+
+@pytest.mark.parametrize("box", ["0.9,0.5", "0.5", "0.5,x"])
+def test_optimize_chain_bad_search_box_exit_code(workdir, box, capsys):
+    rc = main(["optimize-chain", "--n", "7", "--delta1-range", box, "--out", "opt.json"])
+    assert rc == EXIT_BAD_CONFIG
+    assert "invalid input" in capsys.readouterr().err
+    assert not (workdir / "opt.json").exists()
+
+
+def test_optimize_chain_config_range_needs_two_values(workdir, capsys):
+    (workdir / "cfg.json").write_text(json.dumps({
+        "command": "optimize-chain", "n": 7, "delta1_range": [0.5],
+    }))
+    assert main(["run", "--config", "cfg.json"]) == EXIT_BAD_CONFIG
 
 
 def test_compute_params_matches_reference(params_csv):
@@ -86,6 +104,28 @@ def test_create_state_general_target(workdir, params_csv):
     assert rc == EXIT_OK
     artifact = json.loads((workdir / "sol.json").read_text())
     assert artifact["result"]["residual"] < 1e-6
+
+
+def test_create_state_nonphysical_target_exit_code(workdir, params_csv, capsys):
+    target = np.diag([0.5, 0.5, 0.5, -0.5])
+    (workdir / "target.json").write_text(
+        json.dumps({"re": target.tolist(), "im": np.zeros((4, 4)).tolist()})
+    )
+    rc = main(["create-state", "--target", "file:target.json",
+               "--params", str(params_csv)])
+    assert rc == EXIT_BAD_CONFIG
+    assert "not a density matrix" in capsys.readouterr().err
+
+
+def test_probe_params_unsupported_sender_exit_code(workdir, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the line was computed before the sender was checked")
+
+    monkeypatch.setattr(cli, "diagonalize", no_work)
+    rc = main(["probe-params", "--n", "20", "--tuned", "--sender", "3", "--out", "p.csv"])
+    assert rc == EXIT_BAD_CONFIG
+    assert "n_sender=4" in capsys.readouterr().err
+    assert not (workdir / "p.csv").exists()
 
 
 def test_create_state_infeasible_exit_code(params_csv):
