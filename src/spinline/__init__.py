@@ -9,7 +9,7 @@ quantify robustness under random coupling errors (:mod:`disorder`).
 
 from .basis import ExcitationBasis, SenderState, build_basis, sender_pairs, validate_sender_state
 from .chainopt import BoundaryOptimum, first_maximum, optimize_boundary
-from .disorder import param_statistics, sample_chain, werner_robustness
+from .disorder import param_statistics, sample_chain, sample_line_params, werner_robustness
 from .dynamics import (
     EvolvedState,
     SpectralData,
@@ -18,7 +18,7 @@ from .dynamics import (
     evolve,
     propagators,
 )
-from .hamiltonian import ChainSpec, HamiltonianBlocks, apply_disorder, build_blocks
+from .hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from .inverse import (
     InverseSolution,
     TargetState,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExcitationBasis", "SenderState", "build_basis", "sender_pairs",
     "validate_sender_state",
-    "ChainSpec", "HamiltonianBlocks", "apply_disorder", "build_blocks",
+    "ChainSpec", "apply_disorder", "hopping_matrix",
     "SpectralData", "TransferAmplitudes", "EvolvedState",
     "diagonalize", "propagators", "evolve",
     "BoundaryOptimum", "first_maximum", "optimize_boundary",
@@ -53,6 +53,6 @@ __all__ = [
     "ProbeState", "probe_set", "simulate_probes", "extract_params",
     "TargetState", "InverseSolution", "discrepancy", "werner_target",
     "solve_werner", "solve_general", "feasibility_scan", "zero_family_iii",
-    "param_statistics", "sample_chain", "werner_robustness",
+    "param_statistics", "sample_chain", "sample_line_params", "werner_robustness",
     "__version__",
 ]

@@ -22,10 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .basis import build_basis
 from .dynamics import diagonalize
 from .errors import InputError, NoArrivalError, SpinlineError
-from .hamiltonian import ChainSpec, build_blocks
+from .hamiltonian import ChainSpec, hopping_matrix
 
 # detection floor rejecting the tiny ripples that precede the main arrival
 AMPLITUDE_FLOOR = 0.2
@@ -146,15 +145,12 @@ def _coarse_grid(n_nodes, d1_values, d2_values, dt, t_max, floor):
     then one arrival scan of the whole grid.  Grid peaks underestimate the
     true maxima, which is fine for ranking candidates.
     """
-    rows = np.arange(n_nodes - 1)
     J = np.ones((len(d2_values), n_nodes - 1))
     J[:, 1] = J[:, -2] = d2_values
-    H = np.zeros((len(d2_values), n_nodes, n_nodes))
     lam, weights = [], []
     for d1 in d1_values:
         J[:, 0] = J[:, -1] = d1
-        H[:, rows, rows + 1] = H[:, rows + 1, rows] = J / 2
-        row_lam, V = np.linalg.eigh(H)
+        row_lam, V = np.linalg.eigh(hopping_matrix(J))
         lam.append(row_lam)
         weights.append(V[:, -1] * V[:, 0])
     ts = np.arange(0.0, t_max + dt, dt)
@@ -193,16 +189,14 @@ def optimize_boundary(
         raise NoArrivalError("no grid point produced an arrival above the floor")
     coarse_amp = best[top]
     x0 = combos[top]
-    basis = build_basis(n_nodes)
 
     def evaluate(d1, d2):
         try:
             spec = ChainSpec(n_nodes=n_nodes, delta1=d1, delta2=d2)
         except ValueError:
             return None
-        spectral = diagonalize(build_blocks(spec, basis))
         try:
-            return first_maximum(spectral, t_max=t_max, dt=dt, floor=floor)
+            return first_maximum(diagonalize(spec), t_max=t_max, dt=dt, floor=floor)
         except NoArrivalError:
             return None
 

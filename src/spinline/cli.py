@@ -3,9 +3,11 @@
 Every subcommand builds a plain config dict, validates it against a JSON
 schema, runs, and embeds the config in each artifact it writes, so a run
 is reproducible from its artifacts alone.  Exit codes: 0 success,
-1 failed verification report, 2 invalid config or input (a bad scan grid,
-search box, parameter table, target state or sender size), 3 file I/O
-error, 4 infeasible target or no transfer arrival.
+1 failed verification report, 2 invalid config or input (a config, chain,
+target or probe-output file that is not valid JSON of the expected shape,
+a bad scan grid, search box, parameter table, target state or sender size,
+an incomplete or degenerate probe set), 3 file I/O error, 4 infeasible
+target or no transfer arrival.
 """
 
 import argparse
@@ -16,17 +18,23 @@ import numpy as np
 import jsonschema
 
 from . import benchmarks as bm
-from .basis import build_basis
 from .chainopt import optimize_boundary
 from .disorder import (
     export_param_stats_csv,
     export_robustness_csv,
     param_statistics,
+    sample_line_params,
     werner_robustness,
 )
 from .dynamics import diagonalize
-from .errors import InfeasibleTargetError, InputError, NoArrivalError
-from .hamiltonian import ChainSpec, build_blocks
+from .errors import (
+    ConditioningError,
+    ExtractionError,
+    InfeasibleTargetError,
+    InputError,
+    NoArrivalError,
+)
+from .hamiltonian import ChainSpec
 from .inverse import (
     TargetState,
     feasibility_scan,
@@ -52,6 +60,8 @@ from .verification import (
     check_oracle_equivalence,
     check_probe_closure,
     check_werner,
+    tuned_spec,
+    werner_controls,
 )
 
 EXIT_OK = 0
@@ -196,10 +206,8 @@ def _resolve_chain(config, default_tuned=False):
     if config.get("tuned"):
         if n not in bm.TUNED_CHAINS:
             raise ConfigError(f"no tuned reference couplings for n={n}")
-        ref = bm.TUNED_CHAINS[n]
-        spec = ChainSpec(n_nodes=n, delta1=ref["delta1"], delta2=ref["delta2"])
-        t0 = float(config.get("t0", ref["t0"]))
-        return spec, t0, sender
+        t0 = float(config.get("t0", bm.TUNED_CHAINS[n]["t0"]))
+        return tuned_spec(n), t0, sender
     if config.get("t0") is None:
         raise ConfigError("--t0 is required unless --tuned is given")
     return ChainSpec.uniform(n), float(config["t0"]), sender
@@ -227,10 +235,9 @@ def run_optimize_chain(config):
     return EXIT_OK
 
 
-def _line_params_for(config):
-    spec, t0, sender = _resolve_chain(config)
-    spectral = diagonalize(build_blocks(spec, build_basis(spec.n_nodes)))
-    return line_params_at(spectral, t0, n_sender=sender), spec
+def _line_params_for(config, default_tuned=False):
+    spec, t0, sender = _resolve_chain(config, default_tuned)
+    return line_params_at(diagonalize(spec), t0, n_sender=sender), spec
 
 
 def run_compute_params(config):
@@ -244,15 +251,19 @@ def run_compute_params(config):
 def run_probe_params(config):
     probe_set(config.get("sender", 4))  # rejects an unsupported sender before any work
     if config.get("outputs"):
+        if config.get("t0") is None:
+            raise ConfigError("--t0 is required with --outputs")
+        t0 = float(config["t0"])
         with open(config["outputs"]) as fh:
             outputs = probe_outputs_from_json(fh.read())
     else:
         params_true, _spec = _line_params_for(config)
+        t0 = params_true.t0
         outputs = simulate_probes(params_true)
         if config.get("dump_outputs"):
             with open(config["dump_outputs"], "w") as fh:
                 fh.write(probe_outputs_to_json(outputs) + "\n")
-    params = extract_params(outputs)
+    params = extract_params(outputs, t0)
     out = config.get("out") or "params.csv"
     export_params_csv(params, out, header_lines=_provenance(config))
     print(f"extracted {params.n_entries} parameters to {out}")
@@ -266,9 +277,15 @@ def _load_target(config):
             raise ConfigError("--p is required for the werner target")
         return werner_target(config["p"]), True
     if target.startswith("file:"):
-        with open(target[5:]) as fh:
-            data = json.load(fh)
-        m = np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float)
+        try:
+            with open(target[5:]) as fh:
+                data = json.load(fh)
+            m = np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"target file must hold JSON {{'re': 4x4, 'im': 4x4}} numbers "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         return TargetState(matrix=m).validate(), False
     raise ConfigError(f"unknown target {target!r} (use 'werner' or 'file:...')")
 
@@ -324,20 +341,15 @@ def run_feasibility(config):
 def run_disorder_study(config):
     # bare --n defaults to the tuned benchmark chain: a disorder study only
     # makes sense at a fixed registration time
-    spec, t0, sender = _resolve_chain(config, default_tuned=True)
-    spectral = diagonalize(build_blocks(spec, build_basis(spec.n_nodes)))
-    params = line_params_at(spectral, t0, n_sender=sender)
+    params, spec = _line_params_for(config, default_tuned=True)
     epsilon = config["epsilon"]
     n_chains = config.get("chains", 100)
     seed = config["seed"]
-    study = param_statistics(spec, t0, epsilon, n_chains=n_chains, seed=seed,
-                             n_sender=sender)
-    controls = {
-        round(0.1 * k, 1): solve_werner(params, round(0.1 * k, 1), seed=seed).controls
-        for k in range(9)
-    }
-    points = werner_robustness(spec, t0, controls, epsilon,
-                               n_chains=n_chains, seed=seed)
+    sample = sample_line_params(spec, params.t0, epsilon, n_chains=n_chains, seed=seed,
+                                n_sender=params.n_sender)
+    study = param_statistics(params, sample)
+    controls = {p: sol.controls for p, sol in werner_controls(params, seed=seed).items()}
+    points = werner_robustness(sample, controls)
     result = {
         "epsilon": epsilon,
         "chains": n_chains,
@@ -489,8 +501,14 @@ def build_parser():
 
 def _config_from_args(args):
     if args.command == "run":
-        with open(args.config) as fh:
-            return json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{args.config} is not JSON ({exc})") from exc
+        if not isinstance(config, dict):
+            raise InputError(f"{args.config} must hold a JSON object")
+        return config
     config = {"command": args.command}
     for key, value in vars(args).items():
         # drop unset flags; 0 and 0.0 are real values, False is an unset flag
@@ -516,7 +534,7 @@ def main(argv=None):
     except (ConfigError, jsonschema.ValidationError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except InputError as exc:
+    except (InputError, ExtractionError, ConditioningError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

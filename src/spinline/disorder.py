@@ -5,6 +5,10 @@ draws independent uniform perturbations on [-1, 1] per bulk bond while the
 boundary pairs and the registration time stay fixed at their unperturbed
 values.  Statistics are collected over N_p independent chains.
 
+:func:`sample_line_params` diagonalizes each sampled chain once; the
+statistics (:func:`param_statistics`, :func:`werner_robustness`) are
+reductions over the parameter sets it returns.
+
 Standard deviation of a complex parameter is defined through |P - <P>|^2,
 the only convention that keeps sigma real; per-component (re, im) spreads
 are stored alongside for error-bar plots.
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import diagonalize
-from .hamiltonian import apply_disorder, build_blocks
+from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
 from .receiver import assemble_rho, classify_families, line_params_at
 
@@ -32,6 +36,21 @@ def sample_chain(base, epsilon, rng):
 def _chain_rng(seed, index):
     # independent per-chain streams so evaluation order cannot matter
     return np.random.default_rng([seed, index])
+
+
+def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_sender=4):
+    """LineParams at t0 of ``n_chains`` chains sampled around ``base``, a tuple.
+
+    Chain i draws from its own stream seeded by (seed, i), so a chain's
+    parameters do not depend on how many chains the sample holds.
+    """
+    if n_chains < 2:
+        raise ValueError(f"need at least 2 chains, got {n_chains}")
+    return tuple(
+        line_params_at(diagonalize(sample_chain(base, epsilon, _chain_rng(seed, i))),
+                       t0, n_sender)
+        for i in range(n_chains)
+    )
 
 
 @dataclass(frozen=True)
@@ -50,9 +69,7 @@ class ParamStats:
 class DisorderStudy:
     """Distribution of the line parameters over random chains."""
 
-    epsilon: float
     n_chains: int
-    seed: int
     t0: float
     stats: dict = field(repr=False)  # (kind, indices) -> ParamStats
 
@@ -62,20 +79,13 @@ class DisorderStudy:
         return s.mean - s.unperturbed
 
 
-def param_statistics(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_sender=4):
-    """Mean and deviation of every line parameter over sampled chains."""
-    if n_chains < 2:
-        raise ValueError(f"need at least 2 chains, got {n_chains}")
-    basis_blocks = build_blocks(base, _basis_for(base))
-    reference = line_params_at(diagonalize(basis_blocks), t0, n_sender)
+def param_statistics(reference, sample):
+    """Mean and deviation of every line parameter over the LineParams in
+    ``sample``; ``reference`` holds those of the unperturbed chain."""
     keys = [(kind, idx) for kind, idx, _ in reference.items()]
     ref_values = np.array([v for _, _, v in reference.items()])
-    samples = np.empty((n_chains, len(keys)), complex)
-    for i in range(n_chains):
-        spec_i = sample_chain(base, epsilon, _chain_rng(seed, i))
-        spectral = diagonalize(build_blocks(spec_i, basis_blocks.basis))
-        params_i = line_params_at(spectral, t0, n_sender)
-        samples[i] = [v for _, _, v in params_i.items()]
+    samples = np.array([[v for _, _, v in params.items()] for params in sample])
+    n_chains = len(sample)
     mean = samples.mean(axis=0)
     centered = samples - mean
     # identical samples (e.g. epsilon = 0) must give exactly zero spread;
@@ -98,15 +108,7 @@ def param_statistics(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_sen
         )
         for j, key in enumerate(keys)
     }
-    return DisorderStudy(
-        epsilon=epsilon, n_chains=n_chains, seed=seed, t0=t0, stats=stats
-    )
-
-
-def _basis_for(spec):
-    from .basis import build_basis
-
-    return build_basis(spec.n_nodes)
+    return DisorderStudy(n_chains=n_chains, t0=reference.t0, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -119,36 +121,28 @@ class RobustnessPoint:
     sem: float
 
 
-def werner_robustness(base, t0, controls, epsilon, n_chains=DEFAULT_N_CHAINS,
-                      seed=0):
-    """Discrepancy of fixed controls evaluated on random chains.
+def werner_robustness(sample, controls):
+    """Discrepancy of fixed controls evaluated on the sampled chains.
 
     ``controls`` maps the Werner parameter p to the SenderState solved on
-    the unperturbed chain.  For each sampled chain the controls are sent
-    as-is and the created state is compared to the exact Werner target.
-    Returns a list of RobustnessPoint ordered like ``controls``.
+    the unperturbed chain.  On each chain of ``sample`` the controls are
+    sent as-is and the created state is compared to the exact Werner
+    target.  Returns a list of RobustnessPoint ordered like ``controls``.
     """
-    if n_chains < 2:
-        raise ValueError(f"need at least 2 chains, got {n_chains}")
     if not controls:
         raise ValueError("controls table is empty")
-    basis = _basis_for(base)
     p_values = list(controls)
     targets = {p: werner_target(p) for p in p_values}
-    deltas = np.empty((n_chains, len(p_values)))
-    for i in range(n_chains):
-        spec_i = sample_chain(base, epsilon, _chain_rng(seed, i))
-        spectral = diagonalize(build_blocks(spec_i, basis))
-        params_i = line_params_at(spectral, t0, next(iter(controls.values())).n_sender)
-        for j, p in enumerate(p_values):
-            rho = assemble_rho(params_i, controls[p])
-            deltas[i, j] = discrepancy(rho, targets[p])
+    deltas = np.array([
+        [discrepancy(assemble_rho(params, controls[p]), targets[p]) for p in p_values]
+        for params in sample
+    ])
     mean = deltas.mean(axis=0)
     std = deltas.std(axis=0, ddof=1)
     return [
         RobustnessPoint(
             p=float(p), mean=float(mean[j]), std=float(std[j]),
-            sem=float(std[j] / np.sqrt(n_chains)),
+            sem=float(std[j] / np.sqrt(len(sample))),
         )
         for j, p in enumerate(p_values)
     ]

@@ -2,34 +2,37 @@
 
 The nearest-neighbour XY chain maps to free fermions (Lieb, Schultz and
 Mattis, Ann. Phys. 16, 407, 1961), so one dense eigendecomposition of the
-N x N one-excitation block determines everything.  The one-excitation
-propagator at any time t is p1 = V exp(-i L t) V^T; the two-excitation
-propagator is its 2x2 minor,
+N x N hopping matrix determines everything.  :func:`diagonalize` takes a
+:class:`~spinline.hamiltonian.ChainSpec` to that spectrum; only the
+boundary grid search (:mod:`chainopt`) diagonalizes stacks of hopping
+matrices itself.  The one-excitation propagator at any time t is
+p1 = V exp(-i L t) V^T; the two-excitation propagator is its 2x2 minor,
 
     p2[(i,j),(n,m)] = p1[i,n] p1[j,m] - p1[i,m] p1[j,n],
 
 so the C(N,2)-dimensional pair block is never built or diagonalized.  A
 single diagonalization serves every registration time and every sender
-state.  The transfer matrices are kept complex; their phases carry
-physical content.
+state.  Only :func:`propagators`, which forms the full pair sector for the
+oracles, enumerates the pair basis.  The transfer matrices are kept
+complex; their phases carry physical content.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import build_basis, sender_pairs
 from .errors import SizeMismatchError, SpinlineError
+from .hamiltonian import hopping_matrix
 
 RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition of the one-excitation block."""
+    """Eigendecomposition of the hopping matrix of ``spec``."""
 
-    basis: object
     spec: object
     evals1: np.ndarray = field(repr=False)
     evecs1: np.ndarray = field(repr=False)
@@ -69,18 +72,19 @@ class EvolvedState:
         )
 
 
-def diagonalize(blocks, check=True):
-    """Eigendecompose the one-excitation block.
+def diagonalize(spec, check=True):
+    """Eigendecompose the hopping matrix of the chain ``spec``.
 
     With ``check`` the reconstruction V L V^T is compared to the input to
     1e-10, which guards against a silently failed eigensolve.
     """
-    evals1, evecs1 = np.linalg.eigh(blocks.h1)
+    h1 = hopping_matrix(spec.couplings())
+    evals1, evecs1 = np.linalg.eigh(h1)
     if check:
-        err = np.max(np.abs((evecs1 * evals1) @ evecs1.T - blocks.h1))
+        err = np.max(np.abs((evecs1 * evals1) @ evecs1.T - h1))
         if err > RECONSTRUCTION_TOL:
             raise SpinlineError(f"eigendecomposition reconstruction error {err:.3e}")
-    return SpectralData(basis=blocks.basis, spec=blocks.spec, evals1=evals1, evecs1=evecs1)
+    return SpectralData(spec=spec, evals1=evals1, evecs1=evecs1)
 
 
 def one_excitation_columns(spectral, t, n_cols=None):
@@ -102,9 +106,9 @@ def pair_minors(p1, row_pairs, col_pairs):
     return p1[np.ix_(i, n)] * p1[np.ix_(j, m)] - p1[np.ix_(i, m)] * p1[np.ix_(j, n)]
 
 
-def propagators(spectral, t, basis=None):
-    """Full transfer-amplitude matrices p1, p2 at time t."""
-    basis = basis or spectral.basis
+def propagators(spectral, t):
+    """Full transfer-amplitude matrices p1, p2 at time t on the pair basis."""
+    basis = build_basis(spectral.evals1.shape[0])
     p1 = one_excitation_columns(spectral, t)
     p2 = pair_minors(p1, basis.pairs, basis.pairs)
     return TransferAmplitudes(t=float(t), p1=p1, p2=p2, basis=basis)
@@ -112,8 +116,6 @@ def propagators(spectral, t, basis=None):
 
 def embed_sender(state, basis):
     """Embed sender amplitudes into full-chain single and pair vectors."""
-    from .basis import sender_pairs
-
     if state.n_sender > basis.n_nodes - 2:
         raise SizeMismatchError(
             f"sender of {state.n_sender} nodes overlaps the receiver on an "
@@ -138,21 +140,3 @@ def evolve(state, amps):
         f_single=amps.p1 @ a1,
         f_double=amps.p2 @ a2,
     )
-
-
-def dump_amplitudes_csv(amps, path):
-    """Write p1 and p2 as rows (row_label, col_label, re, im)."""
-    basis = amps.basis
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row_label", "col_label", "re", "im"])
-        n = amps.p1.shape[0]
-        for i in range(n):
-            for k in range(n):
-                v = amps.p1[i, k]
-                w.writerow([i + 1, k + 1, f"{v.real:.12e}", f"{v.imag:.12e}"])
-        for i, pi in enumerate(basis.pairs):
-            for k, pk in enumerate(basis.pairs):
-                v = amps.p2[i, k]
-                w.writerow([f"({pi[0]},{pi[1]})", f"({pk[0]},{pk[1]})",
-                            f"{v.real:.12e}", f"{v.imag:.12e}"])

@@ -1,18 +1,19 @@
 """XY Hamiltonian of the chain on the one-excitation subspace.
 
 The chain couples nearest neighbors with an XY exchange term, which acts as
-a hopping of strength J/2 between excitation basis states.  The coupling
-profile is uniform (D = 1, dimensionless) except for the two outermost bond
-pairs delta1 and delta2 at each end.
+a hopping of strength J/2 between neighbouring nodes.  The coupling profile
+is uniform (D = 1, dimensionless) except for the two outermost bond pairs
+delta1 and delta2 at each end.  :func:`hopping_matrix` is the one builder of
+the N x N hopping matrix; the chain maps to free fermions, so that matrix
+determines all the dynamics (see :mod:`dynamics`).
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ExcitationBasis
-from .errors import ChainLengthError, SizeMismatchError
+from .errors import ChainLengthError, InputError, SizeMismatchError
 
 MIN_PROFILE_NODES = 7  # below this the [d1, d2, bulk.., d2, d1] layout overlaps
 
@@ -81,43 +82,35 @@ class ChainSpec:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            n_nodes=d["n"],
-            delta1=d["delta1"],
-            delta2=d["delta2"],
-            bulk=np.asarray(d["bulk"], float) if d.get("bulk") is not None else None,
-        )
+        """Spec from :meth:`to_json` text; ``bulk`` may be null (uniform).
+
+        Raises InputError for text that is not JSON, lacks a key or does
+        not describe a valid chain.
+        """
+        try:
+            d = json.loads(text)
+            return cls(
+                n_nodes=d["n"],
+                delta1=d["delta1"],
+                delta2=d["delta2"],
+                bulk=np.asarray(d["bulk"], float) if d.get("bulk") is not None else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"not a chain spec: {type(exc).__name__}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class HamiltonianBlocks:
-    """One-excitation block of the XY Hamiltonian.
+def hopping_matrix(couplings):
+    """Hopping matrices (..., N, N) for bond couplings (..., N-1): J/2 off the diagonal.
 
-    ``h1`` is the N x N tridiagonal hopping matrix (J/2 off-diagonal).  The
-    chain maps to free fermions, so the two-excitation dynamics follows
-    from ``h1`` alone (see :mod:`dynamics`); the vacuum has energy zero and
-    is not represented.
+    A stack of coupling rows gives a stack of matrices.  There is no
+    diagonal, so the spectrum is +-lambda paired.
     """
-
-    spec: ChainSpec
-    basis: ExcitationBasis
-    h1: np.ndarray = field(repr=False)
-
-
-def build_blocks(spec, basis):
-    """Assemble the one-excitation Hamiltonian block for ``spec`` on ``basis``."""
-    if spec.n_nodes != basis.n_nodes:
-        raise SizeMismatchError(
-            f"spec has {spec.n_nodes} nodes but basis has {basis.n_nodes}"
-        )
-    n = spec.n_nodes
-    J = spec.couplings()
-    h1 = np.zeros((n, n))
+    J = np.asarray(couplings, float)
+    n = J.shape[-1] + 1
     rows = np.arange(n - 1)
-    h1[rows, rows + 1] = J / 2
-    h1[rows + 1, rows] = J / 2
-    return HamiltonianBlocks(spec=spec, basis=basis, h1=h1)
+    h = np.zeros(J.shape[:-1] + (n, n))
+    h[..., rows, rows + 1] = h[..., rows + 1, rows] = J / 2
+    return h
 
 
 def apply_disorder(spec, epsilon, deltas):

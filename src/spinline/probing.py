@@ -96,11 +96,12 @@ def simulate_probes(params, n_sender=4):
     ]
 
 
-def extract_params(probe_outputs, n_sender=4):
+def extract_params(probe_outputs, t0, n_sender=4):
     """Invert the probe outputs into the full parameter set.
 
     ``probe_outputs`` is a list of (ProbeState, ReceiverState) covering the
-    full probe set.  Raises ExtractionError listing the undetermined
+    full probe set, registered at time ``t0`` (the outputs do not carry
+    it).  Raises ExtractionError listing the undetermined
     parameter parts when probes are missing, and ConditioningError when an
     inversion step would divide by a vanishing amplitude.
     """
@@ -217,7 +218,7 @@ def extract_params(probe_outputs, n_sender=4):
 
     return LineParams(
         n_sender=n_sender,
-        t0=float("nan"),
+        t0=float(t0),
         p_N=p_N,
         p_Nm1=p_Nm1,
         p_pair=p_pair,
@@ -246,9 +247,19 @@ def probe_outputs_to_json(probe_outputs):
 
 
 def probe_outputs_from_json(text):
+    """Inverse of :func:`probe_outputs_to_json`.
+
+    Raises InputError for text that is not a JSON list of records with a
+    probe kind and indices and a numeric 4x4 ``rho``.
+    """
     outputs = []
-    for rec in json.loads(text):
-        probe = ProbeState(rec["probe"]["kind"], tuple(rec["probe"]["indices"]))
-        rho = np.asarray(rec["rho"]["re"], float) + 1j * np.asarray(rec["rho"]["im"], float)
-        outputs.append((probe, ReceiverState(rho=rho)))
+    try:
+        for rec in json.loads(text):
+            probe = ProbeState(rec["probe"]["kind"], tuple(rec["probe"]["indices"]))
+            rho = np.asarray(rec["rho"]["re"], float) + 1j * np.asarray(rec["rho"]["im"], float)
+            if rho.shape != (4, 4):
+                raise ValueError(f"rho must be 4x4, got {rho.shape}")
+            outputs.append((probe, ReceiverState(rho=rho)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed probe outputs ({type(exc).__name__}: {exc})") from exc
     return outputs

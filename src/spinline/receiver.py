@@ -102,7 +102,7 @@ def line_params_at(spectral, t, n_sender=4):
     nodes i = 1..N-2, and the receiver-pair row p_{(N-1)N;nm} (q), are 2x2
     minors of those columns (free fermions, see :mod:`dynamics`).
     """
-    n = spectral.basis.n_nodes
+    n = spectral.evals1.shape[0]
     if n_sender > n - 2:
         raise SizeMismatchError(
             f"sender of {n_sender} nodes overlaps the receiver on an {n}-node chain"
@@ -183,13 +183,15 @@ def assemble_rho(params, state):
     return ReceiverState(rho=rho)
 
 
-def partial_trace_oracle(state, amps, basis):
+def partial_trace_oracle(state, amps):
     """Receiver state by brute-force partial trace over nodes 1..N-2.
 
     Evolves the full state vector and sums |Psi><Psi| over the environment
-    configurations of the excitation basis.  Independent of the line
-    parameters; this is the correctness oracle for :func:`assemble_rho`.
+    configurations of the excitation basis (``amps.basis``).  Independent
+    of the line parameters; this is the correctness oracle for
+    :func:`assemble_rho`.
     """
+    basis = amps.basis
     n = basis.n_nodes
     f = evolve(state, amps)
     env_pairs = [basis.index_of(i, j) for (i, j) in basis.pairs if j <= n - 2]
@@ -300,8 +302,9 @@ def import_params_csv(path):
     Raises
     ------
     InputError
-        If the ``# t0`` line is missing, a row is malformed, or the table
-        lacks or adds any entry of the index for its sender size.
+        If the ``# t0`` line is missing or not finite, a row is malformed,
+        or the table lacks or adds any entry of the index for its sender
+        size.
     """
     with open(path, newline="") as fh:
         raw = [r for r in csv.reader(fh) if r]
@@ -319,6 +322,8 @@ def import_params_csv(path):
         raise InputError(f"{path}: malformed parameter table ({exc})") from exc
     if t0 is None:
         raise InputError(f"{path}: no '# t0' line")
+    if not np.isfinite(t0):
+        raise InputError(f"{path}: registration time t0 = {t0} is not finite")
     n_sender = max((i[0] for k, i in entries if k == "p_N"), default=0)
     if n_sender < 2:
         raise InputError(f"{path}: no p_N entries to fix the sender size")

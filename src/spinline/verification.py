@@ -13,10 +13,10 @@ import numpy as np
 from . import benchmarks as bm
 from .basis import SenderState, build_basis, sender_pairs
 from .chainopt import optimize_boundary
-from .disorder import param_statistics, sample_chain, werner_robustness
+from .disorder import param_statistics, sample_chain, sample_line_params, werner_robustness
 from .dynamics import diagonalize, propagators
 from .errors import InfeasibleTargetError
-from .hamiltonian import ChainSpec, build_blocks
+from .hamiltonian import ChainSpec
 from .inverse import (
     discrepancy,
     feasibility_scan,
@@ -68,8 +68,7 @@ def tuned_spec(n):
 @functools.lru_cache(maxsize=4)
 def tuned_line_params(n):
     """Parameter set of the tuned n-node chain at its registration time."""
-    spectral = diagonalize(build_blocks(tuned_spec(n), build_basis(n)))
-    return line_params_at(spectral, bm.TUNED_CHAINS[n]["t0"], n_sender=4)
+    return line_params_at(diagonalize(tuned_spec(n)), bm.TUNED_CHAINS[n]["t0"], n_sender=4)
 
 
 # --- criterion 1: boundary optimization -------------------------------------
@@ -257,16 +256,15 @@ def check_oracle_equivalence(seed=2024, n_states=36):
     out = []
     worst = 0.0
     for n in (7, 10, 20):
-        basis = build_basis(n)
         for spec in (ChainSpec.uniform(n), _random_chain(n, rng)):
-            spectral = diagonalize(build_blocks(spec, basis))
+            spectral = diagonalize(spec)
             t = rng.uniform(0.3, 2.0) * n
             amps = propagators(spectral, t)
             params = line_params_at(spectral, t, n_sender=4)
             for _ in range(n_states // 2):
                 state = SenderState.random(rng)
                 direct = assemble_rho(params, state).rho
-                oracle = partial_trace_oracle(state, amps, basis).rho
+                oracle = partial_trace_oracle(state, amps).rho
                 worst = max(worst, float(np.linalg.norm(direct - oracle)))
     n_total = 6 * (n_states // 2)
     out.append(_result(
@@ -276,13 +274,12 @@ def check_oracle_equivalence(seed=2024, n_states=36):
     ))
     worst_full = 0.0
     for n in (8, 10):
-        basis = build_basis(n)
         for k in range(5):
             spec = _random_chain(n, rng) if k % 2 else ChainSpec.uniform(n)
             t = rng.uniform(0.5, 2.5) * n
-            amps = propagators(diagonalize(build_blocks(spec, basis)), t)
+            amps = propagators(diagonalize(spec), t)
             state = SenderState.random(rng)
-            oracle = partial_trace_oracle(state, amps, basis).rho
+            oracle = partial_trace_oracle(state, amps).rho
             dense = full_space_receiver(state, spec, t)
             worst_full = max(worst_full, float(np.max(np.abs(oracle - dense))))
     out.append(_result(
@@ -302,9 +299,8 @@ def check_probe_closure(seed=7):
     cases.append(("disordered eps=0.05", sample_chain(tuned_spec(20), 0.05, rng)))
     t0 = bm.TUNED_CHAINS[20]["t0"]
     for label, spec in cases:
-        spectral = diagonalize(build_blocks(spec, build_basis(spec.n_nodes)))
-        params = line_params_at(spectral, t0, n_sender=4)
-        recovered = extract_params(simulate_probes(params))
+        params = line_params_at(diagonalize(spec), t0, n_sender=4)
+        recovered = extract_params(simulate_probes(params), t0)
         dev = max(
             abs(recovered.get(kind, idx) - value)
             for kind, idx, value in params.items()
@@ -394,8 +390,8 @@ def check_disorder(seed=11, n_chains=100):
     out = []
     results = {}
     for eps in (0.025, 0.05):
-        points = werner_robustness(base, t0, controls, eps,
-                                   n_chains=n_chains, seed=seed)
+        sample = sample_line_params(base, t0, eps, n_chains=n_chains, seed=seed)
+        points = werner_robustness(sample, controls)
         results[eps] = points
         ceiling = bm.ROBUSTNESS_CEILING[eps]
         worst = max(pt.mean - (ceiling + 2 * pt.sem) for pt in points)
@@ -430,11 +426,9 @@ def check_invariants(seed=5):
     rng = np.random.default_rng(seed)
     out = []
     n = 20
-    basis = build_basis(n)
-    spectral = diagonalize(build_blocks(tuned_spec(n), basis))
-    amps = propagators(spectral, bm.TUNED_CHAINS[n]["t0"])
+    amps = propagators(diagonalize(tuned_spec(n)), bm.TUNED_CHAINS[n]["t0"])
     dev1 = np.max(np.abs(amps.p1.conj().T @ amps.p1 - np.eye(n)))
-    dev2 = np.max(np.abs(amps.p2.conj().T @ amps.p2 - np.eye(basis.n_pairs)))
+    dev2 = np.max(np.abs(amps.p2.conj().T @ amps.p2 - np.eye(amps.basis.n_pairs)))
     out.append(_result(
         "propagator unitarity",
         max(dev1, dev2) < 1e-10,
@@ -450,9 +444,8 @@ def check_invariants(seed=5):
     for _ in range(3):
         m = int(rng.integers(7, 9))
         spec = _random_chain(m, rng, epsilon=0.3)
-        basis = build_basis(m)
-        e1 = np.linalg.eigvalsh(build_blocks(spec, basis).h1)
-        e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, basis)))
+        e1 = diagonalize(spec).evals1
+        e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, build_basis(m))))
         sums = np.sort([e1[a] + e1[b] for a in range(m) for b in range(a + 1, m)])
         worst_ff = max(worst_ff, float(np.max(np.abs(e2 - sums))))
     out.append(_result(
@@ -475,8 +468,8 @@ def check_invariants(seed=5):
         "20 random sender states on the tuned chain",
     ))
     base = tuned_spec(20)
-    s1 = param_statistics(base, params.t0, 0.05, n_chains=5, seed=3)
-    s2 = param_statistics(base, params.t0, 0.05, n_chains=5, seed=3)
+    s1 = param_statistics(params, sample_line_params(base, params.t0, 0.05, n_chains=5, seed=3))
+    s2 = param_statistics(params, sample_line_params(base, params.t0, 0.05, n_chains=5, seed=3))
     same = all(
         s1.stats[k].mean == s2.stats[k].mean and s1.stats[k].std == s2.stats[k].std
         for k in s1.stats

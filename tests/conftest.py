@@ -10,7 +10,7 @@ def tuned20():
     """Spectral data of the tuned 20-node chain."""
     ref = bm.TUNED_CHAINS[20]
     spec = sl.ChainSpec(n_nodes=20, delta1=ref["delta1"], delta2=ref["delta2"])
-    return sl.diagonalize(sl.build_blocks(spec, sl.build_basis(20)))
+    return sl.diagonalize(spec)
 
 
 @pytest.fixture(scope="session")
@@ -22,8 +22,7 @@ def tuned20_params(tuned20):
 def tuned60_params():
     ref = bm.TUNED_CHAINS[60]
     spec = sl.ChainSpec(n_nodes=60, delta1=ref["delta1"], delta2=ref["delta2"])
-    spectral = sl.diagonalize(sl.build_blocks(spec, sl.build_basis(60)))
-    return sl.line_params_at(spectral, ref["t0"])
+    return sl.line_params_at(sl.diagonalize(spec), ref["t0"])
 
 
 @pytest.fixture()

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinline as sl
-from spinline.basis import build_basis
 from spinline.chainopt import (
     DEFAULT_DT,
     _coarse_grid,
@@ -13,12 +12,11 @@ from spinline.chainopt import (
     optimize_boundary,
 )
 from spinline.errors import NoArrivalError, SpinlineError
-from spinline.hamiltonian import ChainSpec, build_blocks
+from spinline.hamiltonian import ChainSpec, hopping_matrix
 
 
 def spectral_for(n, d1=1.0, d2=1.0):
-    spec = ChainSpec(n_nodes=n, delta1=d1, delta2=d2)
-    return sl.diagonalize(build_blocks(spec, build_basis(n)))
+    return sl.diagonalize(ChainSpec(n_nodes=n, delta1=d1, delta2=d2))
 
 
 def test_first_maximum_tuned_n20(tuned20):
@@ -79,15 +77,6 @@ def test_optimum_pinned(n):
     assert np.max(np.abs(np.subtract(got, PINNED_OPTIMA[n]))) <= 1e-12
 
 
-def _spectra(couplings):
-    """eigh of a stack of hopping matrices with bonds ``couplings`` (B, N-1)."""
-    n = couplings.shape[1] + 1
-    rows = np.arange(n - 1)
-    H = np.zeros((len(couplings), n, n))
-    H[:, rows, rows + 1] = H[:, rows + 1, rows] = couplings / 2
-    return np.linalg.eigh(H)
-
-
 @st.composite
 def coupling_stacks(draw):
     """[delta1, delta2, disordered bulk..., delta2, delta1] rows, N in 5..12."""
@@ -104,7 +93,7 @@ def coupling_stacks(draw):
 @given(couplings=coupling_stacks(), t_max=st.floats(1.0, 36.0),
        floor=st.floats(0.1, 0.6))
 def test_first_arrival_matches_complex_series(couplings, t_max, floor):
-    lam, V = _spectra(couplings)
+    lam, V = np.linalg.eigh(hopping_matrix(couplings))
     weights = V[:, -1] * V[:, 0]
     ts = np.arange(0.0, t_max + DEFAULT_DT, DEFAULT_DT)
     amp, index = _first_arrival(lam, weights, ts, floor)

@@ -1,14 +1,17 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from spinline import benchmarks as bm
 from spinline import cli
+from spinline import dynamics
 from spinline.cli import EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from spinline.errors import InputError
-from spinline.probing import probe_outputs_to_json, simulate_probes
+from spinline.probing import probe_outputs_to_json, probe_set, simulate_probes
 from spinline.receiver import import_params_csv
+from spinline.verification import tuned_line_params
 
 
 @pytest.fixture()
@@ -65,13 +68,31 @@ def test_probe_params_from_external_outputs(workdir, params_csv):
     (workdir / "outputs.json").write_text(
         probe_outputs_to_json(simulate_probes(params))
     )
-    rc = main(["probe-params", "--outputs", "outputs.json", "--out", "probed.csv"])
+    rc = main(["probe-params", "--outputs", "outputs.json", "--t0", repr(params.t0),
+               "--out", "probed.csv"])
     assert rc == EXIT_OK
     probed = import_params_csv(workdir / "probed.csv")
     dev = max(
         abs(a[2] - b[2]) for a, b in zip(params.items(), probed.items())
     )
     assert dev < 1e-9
+    assert probed.t0 == params.t0
+
+
+def test_probe_params_records_chain_t0(workdir):
+    assert main(["probe-params", "--n", "20", "--tuned", "--out", "probed.csv"]) == EXIT_OK
+    assert "# t0: 26.441" in (workdir / "probed.csv").read_text()
+    assert import_params_csv(workdir / "probed.csv").t0 == bm.TUNED_CHAINS[20]["t0"]
+
+
+def test_nan_t0_params_csv_rejected(workdir, params_csv, capsys):
+    text = params_csv.read_text()
+    t0_line = next(line for line in text.splitlines() if line.startswith("# t0:"))
+    (workdir / "nan.csv").write_text(text.replace(t0_line, "# t0: nan"))
+    with pytest.raises(InputError, match="not finite"):
+        import_params_csv(workdir / "nan.csv")
+    rc = main(["create-state", "--target", "werner", "--p", "0.4", "--params", "nan.csv"])
+    assert rc == EXIT_BAD_CONFIG
 
 
 def test_create_state_werner(workdir, params_csv):
@@ -107,14 +128,22 @@ def test_create_state_general_target(workdir, params_csv):
 
 
 def test_create_state_nonphysical_target_exit_code(workdir, params_csv, capsys):
-    target = np.diag([0.5, 0.5, 0.5, -0.5])
-    (workdir / "target.json").write_text(
-        json.dumps({"re": target.tolist(), "im": np.zeros((4, 4)).tolist()})
-    )
-    rc = main(["create-state", "--target", "file:target.json",
-               "--params", str(params_csv)])
-    assert rc == EXIT_BAD_CONFIG
-    assert "not a density matrix" in capsys.readouterr().err
+    zeros = np.zeros((4, 4)).tolist()
+    targets = {
+        "not a density matrix": json.dumps(
+            {"re": np.diag([0.5, 0.5, 0.5, -0.5]).tolist(), "im": zeros}),
+        "JSONDecodeError": "{'re': [[1]]",
+        "KeyError": json.dumps({"re": np.diag([1.0, 0, 0, 0]).tolist()}),
+        "must be 4x4": json.dumps({"re": [[1.0]], "im": [[0.0]]}),
+        "ValueError": json.dumps({"re": [["a"] * 4] * 4, "im": zeros}),
+        "TypeError": json.dumps([1, 2]),
+    }
+    for message, text in targets.items():
+        (workdir / "target.json").write_text(text)
+        rc = main(["create-state", "--target", "file:target.json",
+                   "--params", str(params_csv)])
+        assert rc == EXIT_BAD_CONFIG, message
+        assert message in capsys.readouterr().err
 
 
 def test_probe_params_unsupported_sender_exit_code(workdir, monkeypatch, capsys):
@@ -161,6 +190,21 @@ def test_incomplete_params_csv_exit_code(workdir, params_csv, drop, capsys):
                "--params", "bad.csv"])
     assert rc == EXIT_BAD_CONFIG
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_disorder_study_diagonalizes_each_chain_once(workdir, monkeypatch):
+    calls, diagonalize = [], dynamics.diagonalize
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec)
+        return diagonalize(spec, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinline") and getattr(module, "diagonalize", None) is not None:
+            monkeypatch.setattr(module, "diagonalize", counted)
+    assert main(["disorder-study", "--n", "20", "--tuned", "--epsilon", "0.05",
+                 "--chains", "5", "--seed", "7", "--out", "study.json"]) == EXIT_OK
+    assert len(calls) == 6  # the five sampled chains and the base chain
 
 
 def test_disorder_study_artifacts(workdir):
@@ -223,6 +267,55 @@ def test_run_config_rejects_unknown_keys(workdir, capsys):
         "command": "compute-params", "n": 20, "tuned": True, "bogus": 1,
     }))
     assert main(["run", "--config", "cfg.json"]) == EXIT_BAD_CONFIG
+
+
+def _probe_outputs(drop_last=False):
+    records = json.loads(probe_outputs_to_json(simulate_probes(tuned_line_params(20))))
+    return json.dumps(records[:-1] if drop_last else records)
+
+
+def _zero_probe_outputs():
+    zero = {"re": np.zeros((4, 4)).tolist(), "im": np.zeros((4, 4)).tolist()}
+    return json.dumps([{"probe": {"kind": p.kind, "indices": list(p.indices)}, "rho": zero}
+                       for p in probe_set()])
+
+
+_CHAIN = ["compute-params", "--chain", "in.json", "--t0", "1", "--out", "out.csv"]
+_OUTPUTS = ["probe-params", "--outputs", "in.json", "--t0", "1", "--out", "out.csv"]
+_SPEC = {"n": 20, "delta1": 0.55, "delta2": 0.817, "bulk": None}
+
+# case -> (content of in.json, or a callable making it; command line; words on stderr)
+OUTSIDE_JSON = {
+    "config-not-json": ("{command: compute-params", ["run", "--config", "in.json"],
+                        "not JSON"),
+    "config-not-object": ("[1]", ["run", "--config", "in.json"], "JSON object"),
+    "chain-not-json": ("n=20", _CHAIN, "JSONDecodeError"),
+    "chain-missing-key": ({"n": 20, "delta2": 0.8}, _CHAIN, "'delta1'"),
+    "chain-nonpositive": ({**_SPEC, "delta1": -0.5}, _CHAIN, "strictly positive"),
+    "chain-too-short": ({**_SPEC, "n": 3}, _CHAIN, "at least 4 nodes"),
+    "outputs-missing-probe": ([{"rho": {"re": [], "im": []}}], _OUTPUTS, "'probe'"),
+    "outputs-not-4x4": ([{"probe": {"kind": "single", "indices": [1]},
+                          "rho": {"re": [[1.0]], "im": [[0.0]]}}], _OUTPUTS, "4x4"),
+    "outputs-incomplete": (lambda: _probe_outputs(drop_last=True), _OUTPUTS,
+                           "incomplete probe set"),
+    "outputs-degenerate": (_zero_probe_outputs, _OUTPUTS, "magnitude 0.0e+00"),
+    "outputs-without-t0": (_probe_outputs,
+                           ["probe-params", "--outputs", "in.json", "--out", "out.csv"],
+                           "--t0 is required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_JSON))
+def test_malformed_outside_json_exit_code(workdir, case, capsys):
+    content, argv, message = OUTSIDE_JSON[case]
+    if callable(content):
+        content = content()
+    elif not isinstance(content, str):
+        content = json.dumps(content)
+    (workdir / "in.json").write_text(content)
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
 
 
 def test_reproduce_fast_n60(capsys):

@@ -8,6 +8,7 @@ from spinline.disorder import (
     export_robustness_csv,
     param_statistics,
     sample_chain,
+    sample_line_params,
     werner_robustness,
 )
 from spinline.hamiltonian import ChainSpec
@@ -38,8 +39,12 @@ def test_sample_chain_deterministic(base20):
     assert np.all(a.bulk == b.bulk)
 
 
+def sample(base, t0, eps, n_chains, seed):
+    return sample_line_params(base, t0, eps, n_chains=n_chains, seed=seed)
+
+
 def test_param_statistics_zero_epsilon(base20, tuned20_params):
-    study = param_statistics(base20, tuned20_params.t0, 0.0, n_chains=3, seed=9)
+    study = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.0, 3, 9))
     for key, s in study.stats.items():
         assert s.std == 0.0
         assert s.mean == s.unperturbed
@@ -48,15 +53,15 @@ def test_param_statistics_zero_epsilon(base20, tuned20_params):
 
 def test_param_statistics_spread_grows_with_epsilon(base20, tuned20_params):
     t0 = tuned20_params.t0
-    lo = param_statistics(base20, t0, 0.025, n_chains=40, seed=5)
-    hi = param_statistics(base20, t0, 0.05, n_chains=40, seed=5)
+    lo = param_statistics(tuned20_params, sample(base20, t0, 0.025, 40, 5))
+    hi = param_statistics(tuned20_params, sample(base20, t0, 0.05, 40, 5))
     keys = list(lo.stats)
     grew = sum(hi.stats[k].std > lo.stats[k].std for k in keys)
     assert grew >= 0.9 * len(keys)
 
 
 def test_family_i_means_shift_down(base20, tuned20_params):
-    study = param_statistics(base20, tuned20_params.t0, 0.05, n_chains=40, seed=5)
+    study = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.05, 40, 5))
     fam1 = [k for k, s in study.stats.items() if s.family == "I"]
     assert all(
         abs(study.stats[k].mean) < abs(study.stats[k].unperturbed) for k in fam1
@@ -64,12 +69,26 @@ def test_family_i_means_shift_down(base20, tuned20_params):
 
 
 def test_study_determinism(base20, tuned20_params):
-    a = param_statistics(base20, tuned20_params.t0, 0.05, n_chains=6, seed=77)
-    b = param_statistics(base20, tuned20_params.t0, 0.05, n_chains=6, seed=77)
+    a = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.05, 6, 77))
+    b = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.05, 6, 77))
     assert all(
         a.stats[k].mean == b.stats[k].mean and a.stats[k].std == b.stats[k].std
         for k in a.stats
     )
+
+
+def test_sample_prefix_is_stable(base20, tuned20_params):
+    # chain i has its own stream: a larger sample starts with the smaller one
+    short = sample(base20, tuned20_params.t0, 0.05, 3, 4)
+    long = sample(base20, tuned20_params.t0, 0.05, 5, 4)
+    assert len(long) == 5
+    for a, b in zip(short, long):
+        assert all(x[2] == y[2] for x, y in zip(a.items(), b.items()))
+
+
+def test_sample_needs_two_chains(base20):
+    with pytest.raises(ValueError):
+        sample_line_params(base20, 26.4, 0.05, n_chains=1)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +100,7 @@ def controls(tuned20_params):
 
 
 def test_robustness_zero_epsilon_matches_unperturbed(base20, tuned20_params, controls):
-    points = werner_robustness(base20, tuned20_params.t0, controls, 0.0,
-                               n_chains=3, seed=1)
+    points = werner_robustness(sample(base20, tuned20_params.t0, 0.0, 3, 1), controls)
     for pt in points:
         rho = sl.assemble_rho(tuned20_params, controls[pt.p])
         exact = sl.discrepancy(rho, sl.werner_target(pt.p))
@@ -92,21 +110,21 @@ def test_robustness_zero_epsilon_matches_unperturbed(base20, tuned20_params, con
 
 def test_robustness_grows_with_epsilon(base20, tuned20_params, controls):
     t0 = tuned20_params.t0
-    lo = werner_robustness(base20, t0, controls, 0.025, n_chains=30, seed=2)
-    hi = werner_robustness(base20, t0, controls, 0.05, n_chains=30, seed=2)
+    lo = werner_robustness(sample(base20, t0, 0.025, 30, 2), controls)
+    hi = werner_robustness(sample(base20, t0, 0.05, 30, 2), controls)
     for a, b in zip(lo, hi):
         assert b.mean > a.mean
 
 
 def test_csv_exports(tmp_path, base20, tuned20_params, controls):
-    study = param_statistics(base20, tuned20_params.t0, 0.05, n_chains=4, seed=3)
+    chains = sample(base20, tuned20_params.t0, 0.05, 4, 3)
+    study = param_statistics(tuned20_params, chains)
     p1 = tmp_path / "stats.csv"
     export_param_stats_csv(study, p1, header_lines=["cfg"])
     lines = p1.read_text().splitlines()
     assert lines[0] == "# cfg"
     assert len(lines) == 2 + 170
-    points = werner_robustness(base20, tuned20_params.t0, controls, 0.05,
-                               n_chains=4, seed=3)
+    points = werner_robustness(chains, controls)
     p2 = tmp_path / "rob.csv"
     export_robustness_csv(points, p2)
     lines = p2.read_text().splitlines()

@@ -4,15 +4,14 @@ from scipy.linalg import expm
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline.basis import SenderState, build_basis
-from spinline.dynamics import dump_amplitudes_csv
-from spinline.hamiltonian import ChainSpec, build_blocks
+from spinline.basis import SenderState
+from spinline.hamiltonian import ChainSpec
 from spinline.verification import pair_block
 
 
 def spectral_for(n, **kwargs):
     spec = ChainSpec(n_nodes=n, **kwargs) if kwargs else ChainSpec.uniform(n)
-    return sl.diagonalize(build_blocks(spec, build_basis(n)))
+    return sl.diagonalize(spec)
 
 
 def test_uniform_n4_spectrum():
@@ -59,7 +58,7 @@ def test_end_to_end_amplitude_n20(tuned20):
 def test_end_to_end_amplitude_n60():
     ref = bm.TUNED_CHAINS[60]
     spec = ChainSpec(n_nodes=60, delta1=ref["delta1"], delta2=ref["delta2"])
-    spectral = sl.diagonalize(build_blocks(spec, build_basis(60)))
+    spectral = sl.diagonalize(spec)
     w = spectral.evecs1[59] * spectral.evecs1[0]
     amp = abs(np.exp(-1j * spectral.evals1 * ref["t0"]) @ w)
     assert amp == pytest.approx(0.99223, abs=5e-4)
@@ -95,7 +94,7 @@ def test_evolve_pair_combination_vs_expm(tuned20):
     a2[0] = a2[5] = 1 / np.sqrt(2)
     out = sl.evolve(SenderState.from_double(a2), amps)
     assert out.norm_squared == pytest.approx(1.0, abs=1e-10)
-    basis = tuned20.basis
+    basis = amps.basis
     u2 = expm(-1j * pair_block(tuned20.spec, basis) * t0)
     expected = (u2[:, basis.index_of(1, 2)] + u2[:, basis.index_of(3, 4)]) / np.sqrt(2)
     assert np.max(np.abs(out.f_double - expected)) < 1e-9
@@ -106,14 +105,3 @@ def test_norm_conservation(tuned20, rng):
     for _ in range(10):
         out = sl.evolve(SenderState.random(rng), amps)
         assert out.norm_squared == pytest.approx(1.0, abs=1e-10)
-
-
-def test_amplitude_dump_format(tmp_path, tuned20):
-    amps = sl.propagators(tuned20, 1.0)
-    path = tmp_path / "amps.csv"
-    dump_amplitudes_csv(amps, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row_label,col_label,re,im"
-    assert len(lines) == 1 + 20 * 20 + 190 * 190
-    assert lines[1].startswith("1,1,")
-    assert lines[1 + 400].startswith('"(1,2)","(1,2)"')

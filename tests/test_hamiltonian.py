@@ -5,19 +5,25 @@ import pytest
 
 from spinline.basis import build_basis
 from spinline.errors import ChainLengthError, SizeMismatchError
-from spinline.hamiltonian import ChainSpec, apply_disorder, build_blocks
+from spinline.hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from spinline.verification import pair_block
 
 
-def uniform_blocks(n):
-    return build_blocks(ChainSpec.uniform(n), build_basis(n))
-
-
 def test_uniform_n4_single_block():
-    h1 = uniform_blocks(4).h1
+    h1 = hopping_matrix(ChainSpec.uniform(4).couplings())
     off = np.diag(h1, 1)
     assert np.allclose(off, 0.5)
     assert np.all(np.diag(h1) == 0.0)
+
+
+def test_hopping_matrix_stacks(rng):
+    couplings = rng.uniform(0.5, 1.5, (2, 3, 8))
+    h = hopping_matrix(couplings)
+    assert h.shape == (2, 3, 9, 9)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(h[idx], hopping_matrix(couplings[idx]))
+        assert np.array_equal(np.diag(h[idx], 1), couplings[idx] / 2)
+        assert np.count_nonzero(h[idx]) == 16
 
 
 def test_pair_block_selection_rule():
@@ -31,7 +37,7 @@ def test_pair_block_selection_rule():
 
 def test_tuned_boundary_entries():
     spec = ChainSpec(n_nodes=20, delta1=0.550, delta2=0.817)
-    h1 = build_blocks(spec, build_basis(20)).h1
+    h1 = hopping_matrix(spec.couplings())
     assert h1[0, 1] == pytest.approx(0.275)
     assert h1[1, 2] == pytest.approx(0.4085)
 
@@ -39,9 +45,8 @@ def test_tuned_boundary_entries():
 def test_blocks_exactly_symmetric(rng):
     spec = ChainSpec(n_nodes=9, delta1=0.7, delta2=1.1,
                      bulk=rng.uniform(0.5, 1.5, 4))
-    basis = build_basis(9)
-    h1 = build_blocks(spec, basis).h1
-    h2 = pair_block(spec, basis)
+    h1 = hopping_matrix(spec.couplings())
+    h2 = pair_block(spec, build_basis(9))
     assert np.max(np.abs(h1 - h1.T)) == 0.0
     assert np.max(np.abs(h2 - h2.T)) == 0.0
 
@@ -57,9 +62,8 @@ def test_free_fermion_spectrum_identity(n, rng):
     spec = ChainSpec(n_nodes=n, delta1=rng.uniform(0.3, 1.2),
                      delta2=rng.uniform(0.3, 1.2),
                      bulk=rng.uniform(0.5, 1.5, n - 5))
-    basis = build_basis(n)
-    e1 = np.linalg.eigvalsh(build_blocks(spec, basis).h1)
-    e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, basis)))
+    e1 = np.linalg.eigvalsh(hopping_matrix(spec.couplings()))
+    e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, build_basis(n))))
     sums = np.sort([e1[a] + e1[b] for a in range(n) for b in range(a + 1, n)])
     assert np.max(np.abs(e2 - sums)) < 1e-10
 
@@ -73,11 +77,6 @@ def test_boundary_profile_needs_seven_nodes():
     with pytest.raises(ChainLengthError):
         ChainSpec(n_nodes=6, delta1=0.5, delta2=0.8, bulk=np.array([1.0]))
     ChainSpec.uniform(5)  # uniform short chains are fine
-
-
-def test_spec_basis_mismatch():
-    with pytest.raises(SizeMismatchError):
-        build_blocks(ChainSpec.uniform(8), build_basis(9))
 
 
 def test_nonpositive_couplings_rejected():

@@ -3,9 +3,9 @@ import pytest
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline.basis import build_basis, sender_pairs
+from spinline.basis import sender_pairs
 from spinline.errors import ConditioningError, ExtractionError
-from spinline.hamiltonian import ChainSpec, apply_disorder, build_blocks
+from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.probing import (
     ProbeState,
     extract_params,
@@ -50,16 +50,16 @@ def test_probe_states_normalized():
 
 
 def test_round_trip_unperturbed(tuned20_params):
-    recovered = extract_params(simulate_probes(tuned20_params))
+    recovered = extract_params(simulate_probes(tuned20_params), tuned20_params.t0)
     assert max_deviation(tuned20_params, recovered) < 1e-9
+    assert recovered.t0 == tuned20_params.t0
 
 
 def test_round_trip_disordered(rng):
     base = ChainSpec(n_nodes=20, delta1=0.55, delta2=0.817)
     spec = apply_disorder(base, 0.05, rng.uniform(-1, 1, 15))
-    spectral = sl.diagonalize(build_blocks(spec, build_basis(20)))
-    params = sl.line_params_at(spectral, bm.TUNED_CHAINS[20]["t0"])
-    recovered = extract_params(simulate_probes(params))
+    params = sl.line_params_at(sl.diagonalize(spec), bm.TUNED_CHAINS[20]["t0"])
+    recovered = extract_params(simulate_probes(params), params.t0)
     assert max_deviation(params, recovered) < 1e-9
 
 
@@ -78,7 +78,7 @@ def test_missing_imag_probes_name_imaginary_parts(tuned20_params):
         if p.kind != "pair-pair-imag"
     ]
     with pytest.raises(ExtractionError) as err:
-        extract_params(outputs)
+        extract_params(outputs, tuned20_params.t0)
     undetermined = set(err.value.undetermined)
     pairs = sender_pairs()
     expected = set()
@@ -97,7 +97,7 @@ def test_missing_single_probe(tuned20_params):
         if not (p.kind == "single" and p.indices == (2,))
     ]
     with pytest.raises(ExtractionError) as err:
-        extract_params(outputs)
+        extract_params(outputs, tuned20_params.t0)
     assert ("p_N", (2,), "full") in err.value.undetermined
     assert ("p_Nm1", (2,), "full") in err.value.undetermined
 
@@ -106,7 +106,7 @@ def test_degenerate_outputs_hit_division_guard():
     zero = ReceiverState(rho=np.zeros((4, 4), complex))
     outputs = [(p, zero) for p in probe_set()]
     with pytest.raises(ConditioningError):
-        extract_params(outputs)
+        extract_params(outputs, 1.0)
 
 
 def test_json_interchange(tuned20_params):
@@ -114,5 +114,5 @@ def test_json_interchange(tuned20_params):
     text = probe_outputs_to_json(outputs)
     loaded = probe_outputs_from_json(text)
     assert [p.kind for p, _ in loaded] == [p.kind for p, _ in outputs]
-    recovered = extract_params(loaded)
+    recovered = extract_params(loaded, tuned20_params.t0)
     assert max_deviation(tuned20_params, recovered) < 1e-9

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import spinline as sl
-from spinline.basis import SenderState, build_basis
+from spinline.basis import SenderState
 from spinline.errors import SizeMismatchError
-from spinline.hamiltonian import ChainSpec, apply_disorder, build_blocks
+from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.receiver import (
     FAMILY_I,
     FAMILY_II,
@@ -42,9 +42,7 @@ def test_spot_values_n20(tuned20_params):
 
 
 def test_sender_receiver_overlap_rejected():
-    basis = build_basis(5)
-    spec = ChainSpec.uniform(5)
-    spectral = sl.diagonalize(build_blocks(spec, basis))
+    spectral = sl.diagonalize(ChainSpec.uniform(5))
     with pytest.raises(SizeMismatchError):
         sl.line_params_at(spectral, 1.0, n_sender=4)
 
@@ -57,7 +55,7 @@ def test_vacuum_receiver_state(tuned20_params):
 def test_receiver_state_before_arrival(tuned20, rng):
     # sender support is disjoint from the receiver, so at t=0 nothing is there
     amps = sl.propagators(tuned20, 0.0)
-    rho = sl.partial_trace_oracle(SenderState.random(rng), amps, tuned20.basis).rho
+    rho = sl.partial_trace_oracle(SenderState.random(rng), amps).rho
     assert np.allclose(rho, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
 
@@ -70,18 +68,17 @@ def test_single_excitation_transfer_population(tuned20, tuned20_params):
 
 @pytest.mark.parametrize("n", [7, 10, 20])
 def test_oracle_equivalence(n, rng):
-    basis = build_basis(n)
     base = ChainSpec.uniform(n)
     specs = [base, apply_disorder(base, 0.1, rng.uniform(-1, 1, base.bulk.size))]
     for spec in specs:
-        spectral = sl.diagonalize(build_blocks(spec, basis))
+        spectral = sl.diagonalize(spec)
         for t in rng.uniform(0.3, 2.5, 2) * n:
             amps = sl.propagators(spectral, t)
             params = sl.line_params_at(spectral, t)
             for _ in range(10):
                 state = SenderState.random(rng)
                 direct = sl.assemble_rho(params, state).rho
-                oracle = sl.partial_trace_oracle(state, amps, basis).rho
+                oracle = sl.partial_trace_oracle(state, amps).rho
                 assert np.linalg.norm(direct - oracle) < 1e-10
 
 
@@ -89,7 +86,7 @@ def test_receiver_state_is_physical(tuned20, rng):
     amps = sl.propagators(tuned20, 19.0)
     for _ in range(10):
         state = SenderState.random(rng)
-        sl.partial_trace_oracle(state, amps, tuned20.basis).validate()
+        sl.partial_trace_oracle(state, amps).validate()
 
 
 def test_family_lists_sizes():
