@@ -12,6 +12,7 @@ target or no transfer arrival.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -174,18 +175,36 @@ SCHEMAS = {
 }
 
 
+# built once: jsonschema.validate would re-check each schema on every call
+_VALIDATORS = {
+    command: jsonschema.validators.validator_for(schema)(schema)
+    for command, schema in SCHEMAS.items()
+}
+
+
 class ConfigError(ValueError):
     pass
 
 
+def _finite(value):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return True
+
+
 def validate_config(config):
+    """Check a config against its command's schema; every number must be finite."""
     command = config.get("command")
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
-    try:
-        jsonschema.validate(config, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(exc.message) from exc
+    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(config))
+    if error is not None:
+        raise ConfigError(error.message)
+    for key, value in config.items():
+        if not _finite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     return config
 
 
@@ -325,6 +344,8 @@ def run_feasibility(config):
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise InputError(f"--grid must be lo:hi:step, got {spec!r}") from exc
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise InputError(f"--grid fields must be finite, got {spec!r}")
     if not step > 0:
         raise InputError(f"--grid step must be positive, got {step}")
     grid = np.arange(lo, hi + step / 2, step)
@@ -531,7 +552,7 @@ def main(argv=None):
     try:
         config = _config_from_args(args)
         return run_config(config)
-    except (ConfigError, jsonschema.ValidationError) as exc:
+    except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (InputError, ExtractionError, ConditioningError) as exc:

@@ -50,8 +50,11 @@ class ChainSpec:
             raise ChainLengthError(
                 f"boundary-tuned profile needs n >= {MIN_PROFILE_NODES}, got {self.n_nodes}"
             )
-        if self.delta1 <= 0 or self.delta2 <= 0 or np.any(bulk <= 0):
-            raise ValueError("all couplings must be strictly positive")
+        couplings = np.array([self.delta1, self.delta2, *bulk], float)
+        if not np.all(np.isfinite(couplings)):
+            raise InputError("all couplings must be finite")
+        if np.any(couplings <= 0):
+            raise InputError("all couplings must be strictly positive")
 
     @classmethod
     def uniform(cls, n_nodes):

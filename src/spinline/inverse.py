@@ -2,11 +2,14 @@
 
 The receiver matrix is quadratic in the controls, so creation amounts to
 solving a system of real quadratic equations under the normalization
-constraint.  Werner targets reduce to 6 real equations in the 6 real
-pair amplitudes; general targets go through projected nonlinear least
-squares over the full 20-parameter control vector.  Both use seeded
-multi-start: solutions are particular, not unique, and reproducibility of
-our chosen solution is what matters.
+constraint.  Werner targets reduce to 6 real quadratic forms in the 6
+real pair amplitudes, solved by MINPACK's Levenberg-Marquardt
+(``least_squares(method="lm")``, compiled code); general targets go
+through projected nonlinear least squares (``trf``) over the full
+20-parameter control vector, which ``lm`` cannot take since it has fewer
+residuals than unknowns.  Both use seeded multi-start: solutions are
+particular, not unique, and reproducibility of our chosen solution is what
+matters.
 """
 
 from dataclasses import dataclass, field, replace
@@ -79,38 +82,30 @@ def discrepancy(rho, target):
 
 
 def _werner_system(params, p):
-    """Equations and Jacobian for the 6 real pair controls."""
+    """Equations and Jacobian for the 6 real pair controls x.
+
+    Every equation is a real quadratic form minus its target value,
+    ``x^T Q[k] x = c[k]``: the receiver-pair population, the two
+    single-excitation populations, the real and imaginary parts of their
+    coherence, and the norm.
+    """
     q = params.p_pair
-    Gmm = params.P_mm.real
-    GNN = params.P_NN.real
-    PmN = params.P_mN
-    PmN_s = PmN + PmN.T
-    target_hi = (1.0 + p) / 4.0
-    target_lo = (1.0 - p) / 4.0
+    Q = np.stack([
+        (np.conj(q)[:, None] * q).real,
+        params.P_mm.real,
+        params.P_NN.real,
+        params.P_mN.real,
+        params.P_mN.imag,
+        np.eye(len(q)),
+    ])
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    c = np.array([(1.0 - p) / 4.0, (1.0 + p) / 4.0, (1.0 + p) / 4.0, -p / 2.0, 0.0, 1.0])
 
     def fun(x):
-        s = q @ x
-        S = x @ PmN @ x
-        return np.array([
-            (s * s.conjugate()).real - target_lo,
-            x @ Gmm @ x - target_hi,
-            x @ GNN @ x - target_hi,
-            S.real + p / 2.0,
-            S.imag,
-            x @ x - 1.0,
-        ])
+        return (Q @ x) @ x - c
 
     def jac(x):
-        s = q @ x
-        g = PmN_s @ x
-        return np.vstack([
-            2.0 * (np.conj(s) * q).real,
-            2.0 * Gmm @ x,
-            2.0 * GNN @ x,
-            g.real,
-            g.imag,
-            2.0 * x,
-        ])
+        return 2.0 * (Q @ x)
 
     return fun, jac
 
@@ -120,12 +115,14 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
 
     Zero entries of the Werner matrix force a0 = a_i = 0, and particular
     solutions exist with real pair amplitudes, leaving 6 real equations in
-    6 unknowns.  Multi-start damped least squares; residuals below
-    ``residual_tol`` count as exact, so ties go to the lowest start index.
-    Start 0 is the neutral equal-amplitude vector: the system is solvable
-    from it throughout the feasible range and, where the solution manifold
-    is degenerate (truncated parameter sets), it selects a reproducible
-    branch instead of an arbitrary manifold point.
+    6 unknowns.  Each start runs MINPACK's Levenberg-Marquardt for at
+    most 400 evaluations; residuals below ``residual_tol`` count as exact,
+    so ties go to the lowest start index.  Start 0 is the neutral
+    equal-amplitude vector, the rest are seeded random unit vectors.  Where
+    the solution manifold is degenerate (truncated parameter sets), start 0
+    selects a reproducible branch instead of an arbitrary manifold point.
+    Start 0 converges across the feasible range of the tuned n=20 line except at
+    p = 0, where start 1 reaches another exact solution.
 
     Raises
     ------
@@ -143,8 +140,9 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
         starts.append(x0 / np.linalg.norm(x0))
     best = None
     for start, x0 in enumerate(starts):
+        # x_scale explicit: scipy 1.16 changed the lm default
         sol = least_squares(
-            fun, x0, jac=jac, method="trf",
+            fun, x0, jac=jac, method="lm", x_scale="jac",
             xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=400,
         )
         res = float(np.max(np.abs(fun(sol.x))))

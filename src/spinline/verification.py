@@ -15,7 +15,6 @@ from .basis import SenderState, build_basis, sender_pairs
 from .chainopt import optimize_boundary
 from .disorder import param_statistics, sample_chain, sample_line_params, werner_robustness
 from .dynamics import diagonalize, propagators
-from .errors import InfeasibleTargetError
 from .hamiltonian import ChainSpec
 from .inverse import (
     discrepancy,
@@ -26,8 +25,6 @@ from .inverse import (
 )
 from .probing import extract_params, simulate_probes
 from .receiver import (
-    FAMILY_I,
-    FAMILY_II,
     assemble_rho,
     classify_families,
     line_params_at,

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -293,6 +294,11 @@ OUTSIDE_JSON = {
     "chain-missing-key": ({"n": 20, "delta2": 0.8}, _CHAIN, "'delta1'"),
     "chain-nonpositive": ({**_SPEC, "delta1": -0.5}, _CHAIN, "strictly positive"),
     "chain-too-short": ({**_SPEC, "n": 3}, _CHAIN, "at least 4 nodes"),
+    "chain-nan": ({**_SPEC, "delta1": float("nan")}, _CHAIN, "must be finite"),
+    "chain-infinity": ({**_SPEC, "delta2": float("inf")}, _CHAIN, "must be finite"),
+    "config-nan": ({"command": "compute-params", "n": 20, "tuned": True,
+                    "t0": float("nan"), "out": "out.csv"},
+                   ["run", "--config", "in.json"], "must be finite"),
     "outputs-missing-probe": ([{"rho": {"re": [], "im": []}}], _OUTPUTS, "'probe'"),
     "outputs-not-4x4": ([{"probe": {"kind": "single", "indices": [1]},
                           "rho": {"re": [[1.0]], "im": [[0.0]]}}], _OUTPUTS, "4x4"),
@@ -316,6 +322,30 @@ def test_malformed_outside_json_exit_code(workdir, case, capsys):
     assert main(argv) == EXIT_BAD_CONFIG
     assert message in capsys.readouterr().err
     assert not (workdir / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute-params", "--n", "20", "--t0", "nan"],
+    ["probe-params", "--n", "20", "--t0", "inf"],
+    ["create-state", "--target", "werner", "--p", "nan", "--params", "PARAMS"],
+    ["feasibility", "--params", "PARAMS", "--grid", "0.8:nan:0.05"],
+    ["optimize-chain", "--n", "7", "--grid-step", "nan"],
+    ["optimize-chain", "--n", "7", "--t-max", "nan"],
+    ["disorder-study", "--n", "20", "--epsilon", "nan", "--seed", "1"],
+    ["disorder-study", "--n", "20", "--epsilon", "inf", "--seed", "1"],
+], ids=["compute-t0-nan", "probe-t0-inf", "create-p-nan", "feasibility-grid-nan",
+        "optimize-grid-step-nan", "optimize-t-max-nan", "disorder-epsilon-nan",
+        "disorder-epsilon-inf"])
+def test_non_finite_flag_exit_code(workdir, params_csv, argv, capsys):
+    argv = [str(params_csv) if a == "PARAMS" else a for a in argv]
+    assert main(argv + ["--out", "out"]) == EXIT_BAD_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_schemas_are_valid():
+    for schema in cli.SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_reproduce_fast_n60(capsys):

@@ -1,0 +1,33 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import spinline
+
+MODULES = sorted(
+    path for path in Path(spinline.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+def _unused_imports(source):
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_detected():
+    source = "import os\nimport numpy as np\nfrom .x import a, b\nnp.zeros(a)\n"
+    assert _unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path.read_text()) == []

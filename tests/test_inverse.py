@@ -58,6 +58,46 @@ def test_solve_werner_infeasible(tuned20_params):
     assert err.value.best_residual > 1e-8
 
 
+def test_werner_forms_match_receiver(tuned20_params):
+    rng = np.random.default_rng(7)
+    p = 0.3
+    fun, jac = inverse._werner_system(tuned20_params, p)
+    for _ in range(5):
+        x = rng.standard_normal(6)
+        d = (sl.assemble_rho(tuned20_params, SenderState.from_double(x, 4)).rho
+             - werner_target(p).matrix)
+        expected = [d[3, 3].real, d[1, 1].real, d[2, 2].real, d[1, 2].real, d[1, 2].imag,
+                    x @ x - 1.0]
+        np.testing.assert_allclose(fun(x), expected, rtol=0, atol=1e-14)
+        h = 1e-6
+        central = np.column_stack([
+            (fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(6)
+        ])
+        np.testing.assert_allclose(jac(x), central, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("p, n_starts, winner", [(0.0, 64, 1), (0.4, 64, 0), (0.9, 3, None)])
+def test_werner_multistart_stops_at_first_exact_start(monkeypatch, tuned20_params,
+                                                      p, n_starts, winner):
+    residuals, least_squares = [], inverse.least_squares
+
+    def counted(*args, **kwargs):
+        assert kwargs["method"] == "lm"
+        sol = least_squares(*args, **kwargs)
+        residuals.append(np.max(np.abs(sol.fun)))
+        return sol
+
+    monkeypatch.setattr(inverse, "least_squares", counted)
+    if winner is None:
+        with pytest.raises(InfeasibleTargetError):
+            sl.solve_werner(tuned20_params, p, n_starts=n_starts)
+    else:
+        sl.solve_werner(tuned20_params, p, n_starts=n_starts)
+    n_calls = n_starts if winner is None else winner + 1
+    exact = [r <= inverse.WERNER_RESIDUAL_TOL for r in residuals]
+    assert exact == [False] * (n_calls - 1) + [winner is not None]
+
+
 def test_solution_self_consistency(tuned20_params):
     sol = sl.solve_werner(tuned20_params, 0.5)
     rho = sl.assemble_rho(tuned20_params, sol.controls).rho
