@@ -94,12 +94,13 @@ class SenderState:
             )
 
     @property
+    def vector(self):
+        """The controls as one complex vector x = (a0, a_single, a_double)."""
+        return np.concatenate(([self.a0], self.a_single, self.a_double))
+
+    @property
     def norm_squared(self):
-        return (
-            abs(self.a0) ** 2
-            + float(np.sum(np.abs(self.a_single) ** 2))
-            + float(np.sum(np.abs(self.a_double) ** 2))
-        )
+        return float(np.vdot(self.vector, self.vector).real)
 
     @classmethod
     def vacuum(cls, n_sender=4):
@@ -109,7 +110,6 @@ class SenderState:
     @classmethod
     def from_double(cls, a_double, n_sender=4):
         """State with support only on pair states (a0 = a_i = 0)."""
-        a_double = np.asarray(a_double, dtype=complex)
         return cls(0.0, np.zeros(n_sender, complex), a_double, n_sender)
 
     @classmethod

@@ -34,6 +34,7 @@ from .errors import (
     InfeasibleTargetError,
     InputError,
     NoArrivalError,
+    SizeMismatchError,
 )
 from .hamiltonian import ChainSpec
 from .inverse import (
@@ -555,7 +556,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (InputError, ExtractionError, ConditioningError) as exc:
+    except (InputError, ExtractionError, ConditioningError, SizeMismatchError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

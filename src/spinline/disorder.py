@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import diagonalize
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
-from .receiver import assemble_rho, classify_families, line_params_at
+from .receiver import classify_families, line_params_at, receiver_operator, receiver_rho
 
 DEFAULT_N_CHAINS = 100
 
@@ -127,14 +127,15 @@ def werner_robustness(sample, controls):
     ``controls`` maps the Werner parameter p to the SenderState solved on
     the unperturbed chain.  On each chain of ``sample`` the controls are
     sent as-is and the created state is compared to the exact Werner
-    target.  Returns a list of RobustnessPoint ordered like ``controls``.
+    target: one receiver operator per chain, contracted with every control
+    at once.  Returns a list of RobustnessPoint ordered like ``controls``.
     """
     if not controls:
         raise ValueError("controls table is empty")
-    p_values = list(controls)
-    targets = {p: werner_target(p) for p in p_values}
+    x = np.array([state.vector for state in controls.values()])
+    targets = np.array([werner_target(p).matrix for p in controls])
     deltas = np.array([
-        [discrepancy(assemble_rho(params, controls[p]), targets[p]) for p in p_values]
+        discrepancy(receiver_rho(receiver_operator(params), x), targets)
         for params in sample
     ])
     mean = deltas.mean(axis=0)
@@ -144,7 +145,7 @@ def werner_robustness(sample, controls):
             p=float(p), mean=float(mean[j]), std=float(std[j]),
             sem=float(std[j] / np.sqrt(len(sample))),
         )
-        for j, p in enumerate(p_values)
+        for j, p in enumerate(controls)
     ]
 
 

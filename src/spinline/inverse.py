@@ -1,13 +1,11 @@
 """Inverse problem: control amplitudes that create a target receiver state.
 
 The receiver matrix is quadratic in the controls, so creation amounts to
-solving a system of real quadratic equations under the normalization
-constraint.  Werner targets reduce to 6 real quadratic forms in the 6
-real pair amplitudes, solved by MINPACK's Levenberg-Marquardt
-(``least_squares(method="lm")``, compiled code); general targets go
-through projected nonlinear least squares (``trf``) over the full
-20-parameter control vector, which ``lm`` cannot take since it has fewer
-residuals than unknowns.  Both use seeded multi-start: solutions are
+solving real quadratic forms, contracted from the receiver operator, under
+the normalization constraint: for Werner targets in the real pair
+amplitudes, for general targets in all real control parts.  Both run one
+seeded multi-start of MINPACK's Levenberg-Marquardt
+(``least_squares(method="lm")``) with the analytic Jacobian: solutions are
 particular, not unique, and reproducibility of our chosen solution is what
 matters.
 """
@@ -19,10 +17,11 @@ from scipy.optimize import least_squares
 
 from .basis import SenderState
 from .errors import InfeasibleTargetError, InputError
-from .receiver import KINDS, assemble_rho, classify_families, param_index
+from .receiver import KINDS, assemble_rho, classify_families, param_index, receiver_operator
 
 WERNER_RESIDUAL_TOL = 1e-10
 FEASIBILITY_RESIDUAL_TOL = 1e-8
+UPPER = np.triu_indices(4)  # receiver-matrix entries a <= b, row by row
 
 
 @dataclass(frozen=True)
@@ -72,42 +71,76 @@ class InverseSolution:
 
 
 def discrepancy(rho, target):
-    """Frobenius-norm distance ||rho - A|| / ||A||."""
+    """Frobenius-norm distance ||rho - A|| / ||A||, over the last two axes."""
     a = target.matrix if isinstance(target, TargetState) else np.asarray(target)
     r = rho.rho if hasattr(rho, "rho") else np.asarray(rho)
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
+    norm_a = np.linalg.norm(a, axis=(-2, -1))
+    if np.any(norm_a == 0.0):
         raise ValueError("target matrix has zero norm")
-    return float(np.linalg.norm(r - a) / norm_a)
+    return np.linalg.norm(r - a, axis=(-2, -1)) / norm_a
+
+
+def _quadratic_system(params, basis, target, rows=slice(None)):
+    """Equations ``y^T Q[k] y = c[k]`` and Jacobian in real controls y, x = basis @ y.
+
+    The forms are the real, then the imaginary parts of
+    ``basis^T K[a, b] conj(basis)`` over the upper triangle a <= b of the
+    receiver operator K, then the norm; ``rows`` picks among them.  Zero
+    forms pad the stack to the number of unknowns, as MINPACK requires.
+    """
+    forms = basis.T @ receiver_operator(params)[UPPER] @ basis.conj()
+    norm = (basis.T @ basis.conj()).real
+    Q = np.concatenate([forms.real, forms.imag, norm[None]])[rows]
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    t = np.asarray(target)[UPPER]
+    c = np.concatenate([t.real, t.imag, [1.0]])[rows]
+    pad = max(basis.shape[1] - len(c), 0)
+    Q = np.concatenate([Q, np.zeros((pad, *Q.shape[1:]))])
+    c = np.concatenate([c, np.zeros(pad)])
+
+    def fun(y):
+        return (Q @ y) @ y - c
+
+    def jac(y):
+        return 2.0 * (Q @ y)
+
+    return fun, jac
 
 
 def _werner_system(params, p):
-    """Equations and Jacobian for the 6 real pair controls x.
+    """The Werner equations in the real pair amplitudes (a0 = a_i = 0): the
+    rows rho33, rho11, rho22, Re rho12, Im rho12 and the norm."""
+    first_pair = 1 + params.n_sender
+    basis = np.eye(first_pair + len(params.pairs))[:, first_pair:]
+    return _quadratic_system(params, basis, werner_target(p).matrix, [9, 4, 7, 5, 15, 20])
 
-    Every equation is a real quadratic form minus its target value,
-    ``x^T Q[k] x = c[k]``: the receiver-pair population, the two
-    single-excitation populations, the real and imaginary parts of their
-    coherence, and the norm.
+
+def _general_basis(params):
+    """Real controls (a0, Re x_1.., Im x_1..) with a0 real: d x (2d - 1)."""
+    eye = np.eye(1 + params.n_sender + len(params.pairs))
+    return np.hstack([eye, 1j * eye[:, 1:]])
+
+
+def _multistart(fun, jac, starts, residual_tol):
+    """Best (residual, y) over the starts, each scaled to unit norm.
+
+    Each start runs MINPACK's Levenberg-Marquardt for at most 400
+    evaluations and the loop stops at the first whose largest equation
+    violation is within ``residual_tol``, so ties go to the lowest start.
     """
-    q = params.p_pair
-    Q = np.stack([
-        (np.conj(q)[:, None] * q).real,
-        params.P_mm.real,
-        params.P_NN.real,
-        params.P_mN.real,
-        params.P_mN.imag,
-        np.eye(len(q)),
-    ])
-    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-    c = np.array([(1.0 - p) / 4.0, (1.0 + p) / 4.0, (1.0 + p) / 4.0, -p / 2.0, 0.0, 1.0])
-
-    def fun(x):
-        return (Q @ x) @ x - c
-
-    def jac(x):
-        return 2.0 * (Q @ x)
-
-    return fun, jac
+    best = None
+    for y0 in starts:
+        # x_scale explicit: scipy 1.16 changed the lm default
+        sol = least_squares(
+            fun, y0 / np.linalg.norm(y0), jac=jac, method="lm", x_scale="jac",
+            xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=400,
+        )
+        res = float(np.max(np.abs(fun(sol.x))))
+        if best is None or res < best[0]:
+            best = (res, sol.x.copy())
+        if res <= residual_tol:
+            break
+    return best
 
 
 def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TOL):
@@ -115,43 +148,26 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
 
     Zero entries of the Werner matrix force a0 = a_i = 0, and particular
     solutions exist with real pair amplitudes, leaving 6 real equations in
-    6 unknowns.  Each start runs MINPACK's Levenberg-Marquardt for at
-    most 400 evaluations; residuals below ``residual_tol`` count as exact,
-    so ties go to the lowest start index.  Start 0 is the neutral
-    equal-amplitude vector, the rest are seeded random unit vectors.  Where
-    the solution manifold is degenerate (truncated parameter sets), start 0
-    selects a reproducible branch instead of an arbitrary manifold point.
-    Start 0 converges across the feasible range of the tuned n=20 line except at
-    p = 0, where start 1 reaches another exact solution.
+    the n_pairs real pair amplitudes (6 for a four-node sender).  Start 0
+    is the neutral equal-amplitude vector, the rest seeded random vectors.
+    Where the solution manifold is degenerate (truncated parameter sets),
+    start 0 selects a reproducible branch instead of an arbitrary manifold
+    point.  Start 0 converges across the feasible range of the tuned n=20
+    line except at p = 0, where start 1 reaches another exact solution.
 
     Raises
     ------
+    ValueError
+        If p lies outside [0, 1] (from :func:`werner_target`).
     InfeasibleTargetError
         If no start reaches ``residual_tol`` (expected for p beyond the
         feasibility boundary).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
     fun, jac = _werner_system(params, p)
+    n_pairs = len(params.pairs)
     rng = np.random.default_rng(seed)
-    starts = [np.full(6, 1.0 / np.sqrt(6.0))]
-    while len(starts) < n_starts:
-        x0 = rng.standard_normal(6)
-        starts.append(x0 / np.linalg.norm(x0))
-    best = None
-    for start, x0 in enumerate(starts):
-        # x_scale explicit: scipy 1.16 changed the lm default
-        sol = least_squares(
-            fun, x0, jac=jac, method="lm", x_scale="jac",
-            xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=400,
-        )
-        res = float(np.max(np.abs(fun(sol.x))))
-        if res <= residual_tol:
-            best = (res, sol.x.copy(), start)
-            break
-        if best is None or res < best[0]:
-            best = (res, sol.x.copy(), start)
-    res, x, _ = best
+    starts = [np.ones(n_pairs), *rng.standard_normal((n_starts - 1, n_pairs))]
+    res, x = _multistart(fun, jac, starts, residual_tol)
     if res > residual_tol:
         raise InfeasibleTargetError(res, best_controls=x)
     state = SenderState.from_double(x, params.n_sender)
@@ -163,52 +179,28 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
     )
 
 
-def _unpack_controls(x, n_sender, n_pairs):
-    x = x / np.linalg.norm(x)
-    a0 = x[0]
-    a1 = x[1 : 1 + n_sender] + 1j * x[1 + n_sender : 1 + 2 * n_sender]
-    rest = x[1 + 2 * n_sender :]
-    a2 = rest[:n_pairs] + 1j * rest[n_pairs:]
-    return SenderState(a0, a1, a2, n_sender)
-
-
 def solve_general(params, target, n_starts=32, seed=0):
     """Best-found controls for an arbitrary 4x4 target.
 
-    Minimizes the summed squared entry mismatch of the assembled receiver
-    matrix over the normalized 21-component control vector (20 free real
-    parameters).  Always returns the best solution found, with its honest
-    residual; no feasibility claim is made.
+    Solves the upper triangle of the receiver matrix (20 real equations)
+    and the norm in the 2d - 1 real controls (a0 real; 21 for a four-node
+    sender) from seeded random starts.  Always returns the best solution
+    found, normalized, with its honest residual; no feasibility claim is
+    made.
     """
     a = target.matrix if isinstance(target, TargetState) else np.asarray(target)
+    basis = _general_basis(params)
+    fun, jac = _quadratic_system(params, basis, a)
+    starts = np.random.default_rng(seed).standard_normal((n_starts, basis.shape[1]))
+    _, y = _multistart(fun, jac, starts, WERNER_RESIDUAL_TOL)
+    x = basis @ (y / np.linalg.norm(y))
     n_sender = params.n_sender
-    n_pairs = len(params.pairs)
-    dim = 1 + 2 * n_sender + 2 * n_pairs
-
-    def residual_vector(x):
-        state = _unpack_controls(x, n_sender, n_pairs)
-        d = assemble_rho(params, state).rho - a
-        iu = np.triu_indices(4)
-        return np.concatenate([d[iu].real, d[iu].imag])
-
-    rng = np.random.default_rng(seed)
-    best = None
-    for start in range(n_starts):
-        x0 = rng.standard_normal(dim)
-        x0 /= np.linalg.norm(x0)
-        sol = least_squares(
-            residual_vector, x0, method="trf",
-            xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=600,
-        )
-        state = _unpack_controls(sol.x, n_sender, n_pairs)
-        res = float(np.max(np.abs(assemble_rho(params, state).rho - a)))
-        if best is None or res < best[0]:
-            best = (res, state, start)
-    res, state, _ = best
+    state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
+    rho = assemble_rho(params, state)
     return InverseSolution(
         controls=state,
-        residual=res,
-        discrepancy=discrepancy(assemble_rho(params, state), TargetState(matrix=a)),
+        residual=float(np.max(np.abs(rho.rho - a))),
+        discrepancy=discrepancy(rho, TargetState(matrix=a)),
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import SenderState, sender_pairs
 from .errors import ConditioningError, ExtractionError, InputError
-from .receiver import LineParams, ReceiverState, assemble_rho
+from .receiver import LineParams, ReceiverState, receiver_operator, receiver_rho
 
 PROBE_KINDS = ("single", "single-pair", "pair-pair-real", "pair-pair-imag")
 SPLIT = 1.0 / math.sqrt(2.0)
@@ -42,30 +42,18 @@ class ProbeState:
     indices: tuple
 
     def to_sender_state(self, n_sender=4):
-        pairs = sender_pairs(n_sender)
-        pidx = {p: i for i, p in enumerate(pairs)}
-        a0 = 0.0
-        a1 = np.zeros(n_sender, complex)
-        a2 = np.zeros(len(pairs), complex)
-        if self.kind == "single":
-            (k,) = self.indices
-            a0 = SPLIT
-            a1[k - 1] = SPLIT
-        elif self.kind == "single-pair":
-            k, n, m = self.indices
-            a1[k - 1] = SPLIT
-            a2[pidx[(n, m)]] = SPLIT
-        elif self.kind == "pair-pair-real":
-            k, l, n, m = self.indices
-            a2[pidx[(k, l)]] = SPLIT
-            a2[pidx[(n, m)]] = SPLIT
-        elif self.kind == "pair-pair-imag":
-            k, l, n, m = self.indices
-            a2[pidx[(k, l)]] = SPLIT
-            a2[pidx[(n, m)]] = 1j * SPLIT
-        else:
+        # position of each term in x = (a0, a_single, a_double); a kind's
+        # indices split into its first and its second term at ``cut``
+        slot = {(): 0, **{(k,): k for k in range(1, n_sender + 1)}}
+        slot.update({nm: 1 + n_sender + s for s, nm in enumerate(sender_pairs(n_sender))})
+        cut = {"single": 0, "single-pair": 1, "pair-pair-real": 2, "pair-pair-imag": 2}
+        if self.kind not in cut:
             raise ValueError(f"unknown probe kind {self.kind!r}")
-        return SenderState(a0, a1, a2, n_sender)
+        first, second = self.indices[: cut[self.kind]], self.indices[cut[self.kind] :]
+        x = np.zeros(len(slot), complex)
+        x[slot[first]] = SPLIT
+        x[slot[second]] = 1j * SPLIT if self.kind == "pair-pair-imag" else SPLIT
+        return SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
 
 
 def probe_set(n_sender=4):
@@ -90,10 +78,10 @@ def probe_set(n_sender=4):
 
 def simulate_probes(params, n_sender=4):
     """Receiver outputs for the full probe set on a line with known params."""
-    return [
-        (probe, assemble_rho(params, probe.to_sender_state(n_sender)))
-        for probe in probe_set(n_sender)
-    ]
+    probes = probe_set(n_sender)
+    x = np.array([probe.to_sender_state(n_sender).vector for probe in probes])
+    rho = receiver_rho(receiver_operator(params), x)
+    return [(probe, ReceiverState(rho=r)) for probe, r in zip(probes, rho)]
 
 
 def extract_params(probe_outputs, t0, n_sender=4):

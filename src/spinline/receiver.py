@@ -4,7 +4,8 @@ The state of the last two nodes depends on the chain only through a finite
 collection of complex constants (170 for a four-node sender): the bare
 transfer amplitudes onto nodes N-1 and N and the environment-summed
 bilinears P.  Once those are known, the receiver density matrix is a
-quadratic form in the sender's control amplitudes.
+quadratic form in the sender's control amplitudes, held as one operator
+(:func:`receiver_operator`) that every receiver matrix is contracted from.
 
 Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 """
@@ -152,6 +153,43 @@ class ReceiverState:
         return self
 
 
+def receiver_operator(params):
+    """The receiver operator K: ``rho[a, b] = sum_ij K[a, b, i, j] x_i conj(x_j)``.
+
+    x = (a0, a_single, a_double) has d = 1 + n_sender + n_pairs entries and
+    K has shape (4, 4, d, d).  The bare amplitudes enter as outer products
+    and the P bilinears as (single, pair) and (pair, pair) blocks;
+    ``K[b, a]`` is the conjugate transpose of ``K[a, b]``, and ``K[0, 0]``
+    is the identity minus the other diagonal blocks.  This is the
+    process-tomography picture of the line (Chuang and Nielsen, 1997).
+    """
+    n_sender = params.n_sender
+    d = 1 + n_sender + len(params.pairs)
+    one, pair = slice(1, 1 + n_sender), slice(1 + n_sender, d)
+    # rows: the vacuum amplitude a0 and the amplitudes f_m, f_N, f_q
+    V = np.zeros((4, d), complex)
+    V[0, 0] = 1.0
+    V[1, one], V[2, one], V[3, pair] = params.p_Nm1, params.p_N, params.p_pair
+    K = V[:, None, :, None] * V.conj()[None, :, None, :]
+    for a, b, rows, P in ((0, 1, one, params.P_Nm1), (0, 2, one, params.P_N),
+                          (1, 2, pair, params.P_mN)):
+        K[a, b, rows, pair] += P
+        K[b, a, pair, rows] += P.conj().T
+    K[1, 1, pair, pair] += params.P_mm
+    K[2, 2, pair, pair] += params.P_NN
+    K[0, 0] = np.eye(d) - K[1, 1] - K[2, 2] - K[3, 3]
+    return K
+
+
+def receiver_rho(K, x):
+    """Receiver matrices ``rho[..., a, b]`` of control vectors x (..., d)."""
+    if x.shape[-1] != K.shape[-1]:
+        raise SizeMismatchError(
+            f"{x.shape[-1]} control amplitudes, the receiver operator takes {K.shape[-1]}"
+        )
+    return np.einsum("abij,...i,...j->...ab", K, x, x.conj())
+
+
 def assemble_rho(params, state):
     """Receiver density matrix as a quadratic form in the control amplitudes.
 
@@ -159,28 +197,7 @@ def assemble_rho(params, state):
     fail to be a physical density matrix; only the exact-chain parameters
     guarantee positivity.
     """
-    if state.n_sender != params.n_sender:
-        raise SizeMismatchError(
-            f"state has {state.n_sender}-node sender, params expect {params.n_sender}"
-        )
-    a0, a1, a2 = state.a0, state.a_single, state.a_double
-    f_m = params.p_Nm1 @ a1
-    f_N = params.p_N @ a1
-    f_q = params.p_pair @ a2
-    rho = np.zeros((4, 4), complex)
-    rho[0, 1] = a0 * np.conj(f_m) + a1 @ params.P_Nm1 @ a2.conj()
-    rho[0, 2] = a0 * np.conj(f_N) + a1 @ params.P_N @ a2.conj()
-    rho[0, 3] = a0 * np.conj(f_q)
-    rho[1, 1] = (abs(f_m) ** 2 + a2 @ params.P_mm @ a2.conj()).real
-    rho[1, 2] = f_m * np.conj(f_N) + a2 @ params.P_mN @ a2.conj()
-    rho[1, 3] = f_m * np.conj(f_q)
-    rho[2, 2] = (abs(f_N) ** 2 + a2 @ params.P_NN @ a2.conj()).real
-    rho[2, 3] = f_N * np.conj(f_q)
-    rho[3, 3] = (abs(f_q) ** 2).real
-    rho[0, 0] = 1.0 - rho[1, 1] - rho[2, 2] - rho[3, 3]
-    iu = np.triu_indices(4, 1)
-    rho[(iu[1], iu[0])] = np.conj(rho[iu])
-    return ReceiverState(rho=rho)
+    return ReceiverState(rho=receiver_rho(receiver_operator(params), state.vector))
 
 
 def partial_trace_oracle(state, amps):

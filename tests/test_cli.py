@@ -8,10 +8,12 @@ import pytest
 from spinline import benchmarks as bm
 from spinline import cli
 from spinline import dynamics
+from spinline.basis import SenderState
 from spinline.cli import EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from spinline.errors import InputError
+from spinline.inverse import werner_target
 from spinline.probing import probe_outputs_to_json, probe_set, simulate_probes
-from spinline.receiver import import_params_csv
+from spinline.receiver import assemble_rho, import_params_csv
 from spinline.verification import tuned_line_params
 
 
@@ -161,6 +163,34 @@ def test_probe_params_unsupported_sender_exit_code(workdir, monkeypatch, capsys)
 def test_create_state_infeasible_exit_code(params_csv):
     rc = main(["create-state", "--target", "werner", "--p", "0.95",
                "--params", str(params_csv)])
+    assert rc == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("argv", [
+    "compute-params --n 4 --t0 1",
+    "compute-params --n 20 --tuned --sender 19",
+    "probe-params --n 5 --t0 1",
+    "disorder-study --n 5 --t0 1 --epsilon 0.1 --chains 2 --seed 1",
+])
+def test_sender_too_long_exit_code(workdir, argv, capsys):
+    assert main(argv.split() + ["--out", "out"]) == EXIT_BAD_CONFIG
+    assert "invalid input" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_create_state_werner_five_node_sender(workdir):
+    assert main(["compute-params", "--n", "20", "--tuned", "--sender", "5",
+                 "--out", "s5.csv"]) == EXIT_OK
+    rc = main(["create-state", "--target", "werner", "--p", "0.4",
+               "--params", "s5.csv", "--out", "sol.json"])
+    assert rc == EXIT_OK
+    result = json.loads((workdir / "sol.json").read_text())["result"]
+    assert result["residual"] <= 1e-10
+    params = import_params_csv(workdir / "s5.csv")
+    controls = [result["controls"][f"a_{n}{m}"] for n, m in params.pairs]
+    rho = assemble_rho(params, SenderState.from_double(controls, 5)).rho
+    assert np.max(np.abs(rho - werner_target(0.4).matrix)) <= 1e-10
+    rc = main(["create-state", "--target", "werner", "--p", "0.9", "--params", "s5.csv"])
     assert rc == EXIT_INFEASIBLE
 
 

@@ -2,8 +2,9 @@
 
 The library forms every two-excitation amplitude as a 2x2 minor of the
 one-excitation propagator.  On random chains these properties hold the
-minors to the pair-block matrix exponential and the assembled receiver
-state to dense evolution in the full 2^N space.
+minors to the pair-block matrix exponential and the receiver state
+assembled from the receiver operator, for senders of 3 to 5 nodes, to
+dense evolution in the full 2^N space.
 """
 
 import numpy as np
@@ -33,10 +34,10 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 
 @PROPERTY_SETTINGS
-@given(spec=chains(), t=times, seed=seeds)
-def test_assembled_state_matches_dense_evolution(spec, t, seed):
-    params = sl.line_params_at(sl.diagonalize(spec), t)
-    state = SenderState.random(np.random.default_rng(seed))
+@given(spec=chains(), t=times, seed=seeds, n_sender=st.integers(3, 5))
+def test_assembled_state_matches_dense_evolution(spec, t, seed, n_sender):
+    params = sl.line_params_at(sl.diagonalize(spec), t, n_sender)
+    state = SenderState.random(np.random.default_rng(seed), n_sender)
     rho = sl.assemble_rho(params, state).rho
     assert np.max(np.abs(rho - full_space_receiver(state, spec, t))) < 1e-9
 

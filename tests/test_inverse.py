@@ -58,27 +58,55 @@ def test_solve_werner_infeasible(tuned20_params):
     assert err.value.best_residual > 1e-8
 
 
-def test_werner_forms_match_receiver(tuned20_params):
+@pytest.fixture(params=[4, 5], ids=lambda n: f"sender{n}")
+def sender_params(request, tuned20):
+    return sl.line_params_at(tuned20, bm.TUNED_CHAINS[20]["t0"], request.param)
+
+
+def _forms_and_expected(kind, params, rng):
+    """A form system, a random real point y and the residuals expected there
+    from assemble_rho: the Werner rows, or every upper-triangle entry.
+
+    y has components of variance 1/len(y), so |y|^2 is near 1, the scale
+    the norm form pins, whatever the number of unknowns.
+    """
+    n_sender = params.n_sender
+    if kind == "werner":
+        fun, jac = inverse._werner_system(params, 0.3)
+        y = rng.standard_normal(len(params.pairs)) / np.sqrt(len(params.pairs))
+        d = (sl.assemble_rho(params, SenderState.from_double(y, n_sender)).rho
+             - werner_target(0.3).matrix)
+        entries = [d[3, 3].real, d[1, 1].real, d[2, 2].real, d[1, 2].real, d[1, 2].imag]
+    else:
+        target = sl.assemble_rho(params, SenderState.random(rng, n_sender)).rho
+        basis = inverse._general_basis(params)
+        fun, jac = inverse._quadratic_system(params, basis, target)
+        y = rng.standard_normal(basis.shape[1]) / np.sqrt(basis.shape[1])
+        x = basis @ y
+        state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
+        upper = (sl.assemble_rho(params, state).rho - target)[np.triu_indices(4)]
+        entries = [*upper.real, *upper.imag]
+    expected = entries + [y @ y - 1.0]
+    # zero forms pad the stack up to the number of unknowns
+    return fun, jac, y, expected + [0.0] * (len(y) - len(expected))
+
+
+@pytest.mark.parametrize("kind", ["werner", "general"])
+def test_forms_match_receiver(sender_params, kind):
     rng = np.random.default_rng(7)
-    p = 0.3
-    fun, jac = inverse._werner_system(tuned20_params, p)
     for _ in range(5):
-        x = rng.standard_normal(6)
-        d = (sl.assemble_rho(tuned20_params, SenderState.from_double(x, 4)).rho
-             - werner_target(p).matrix)
-        expected = [d[3, 3].real, d[1, 1].real, d[2, 2].real, d[1, 2].real, d[1, 2].imag,
-                    x @ x - 1.0]
-        np.testing.assert_allclose(fun(x), expected, rtol=0, atol=1e-14)
+        fun, jac, y, expected = _forms_and_expected(kind, sender_params, rng)
+        np.testing.assert_allclose(fun(y), expected, rtol=0, atol=1e-14)
         h = 1e-6
         central = np.column_stack([
-            (fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(6)
+            (fun(y + h * e) - fun(y - h * e)) / (2 * h) for e in np.eye(len(y))
         ])
-        np.testing.assert_allclose(jac(x), central, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(jac(y), central, rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize("p, n_starts, winner", [(0.0, 64, 1), (0.4, 64, 0), (0.9, 3, None)])
-def test_werner_multistart_stops_at_first_exact_start(monkeypatch, tuned20_params,
-                                                      p, n_starts, winner):
+@pytest.fixture()
+def lm_residuals(monkeypatch):
+    """Largest equation violation of every MINPACK run, in call order."""
     residuals, least_squares = [], inverse.least_squares
 
     def counted(*args, **kwargs):
@@ -88,14 +116,34 @@ def test_werner_multistart_stops_at_first_exact_start(monkeypatch, tuned20_param
         return sol
 
     monkeypatch.setattr(inverse, "least_squares", counted)
+    return residuals
+
+
+def _exact_flags(residuals):
+    return [r <= inverse.WERNER_RESIDUAL_TOL for r in residuals]
+
+
+@pytest.mark.parametrize("p, n_starts, winner", [(0.0, 64, 1), (0.4, 64, 0), (0.9, 3, None)])
+def test_werner_multistart_stops_at_first_exact_start(lm_residuals, tuned20_params,
+                                                      p, n_starts, winner):
     if winner is None:
         with pytest.raises(InfeasibleTargetError):
             sl.solve_werner(tuned20_params, p, n_starts=n_starts)
     else:
         sl.solve_werner(tuned20_params, p, n_starts=n_starts)
     n_calls = n_starts if winner is None else winner + 1
-    exact = [r <= inverse.WERNER_RESIDUAL_TOL for r in residuals]
-    assert exact == [False] * (n_calls - 1) + [winner is not None]
+    assert _exact_flags(lm_residuals) == [False] * (n_calls - 1) + [winner is not None]
+
+
+@pytest.mark.parametrize("p, n_starts, winner", [(0.84, 32, 1), (0.9, 3, None)])
+def test_general_multistart_stops_at_first_exact_start(lm_residuals, tuned20_params,
+                                                       p, n_starts, winner):
+    # the same stop rule as the Werner solve; with no exact start the best
+    # one is returned, not raised
+    sol = sl.solve_general(tuned20_params, werner_target(p), n_starts=n_starts)
+    n_calls = n_starts if winner is None else winner + 1
+    assert _exact_flags(lm_residuals) == [False] * (n_calls - 1) + [winner is not None]
+    assert (sol.residual <= 1e-10) == (winner is not None)
 
 
 def test_solution_self_consistency(tuned20_params):
