@@ -7,17 +7,10 @@ or probe the communication-line parameters (:mod:`receiver`,
 quantify robustness under random coupling errors (:mod:`disorder`).
 """
 
-from .basis import ExcitationBasis, SenderState, build_basis, sender_pairs, validate_sender_state
+from .basis import SenderState, sender_pairs, validate_sender_state
 from .chainopt import BoundaryOptimum, first_maximum, optimize_boundary
 from .disorder import param_statistics, sample_chain, sample_line_params, werner_robustness
-from .dynamics import (
-    EvolvedState,
-    SpectralData,
-    TransferAmplitudes,
-    diagonalize,
-    evolve,
-    propagators,
-)
+from .dynamics import SpectralData, diagonalize
 from .hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from .inverse import (
     InverseSolution,
@@ -36,20 +29,17 @@ from .receiver import (
     assemble_rho,
     classify_families,
     line_params_at,
-    partial_trace_oracle,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExcitationBasis", "SenderState", "build_basis", "sender_pairs",
-    "validate_sender_state",
+    "SenderState", "sender_pairs", "validate_sender_state",
     "ChainSpec", "apply_disorder", "hopping_matrix",
-    "SpectralData", "TransferAmplitudes", "EvolvedState",
-    "diagonalize", "propagators", "evolve",
+    "SpectralData", "diagonalize",
     "BoundaryOptimum", "first_maximum", "optimize_boundary",
     "LineParams", "ReceiverState", "assemble_rho", "classify_families",
-    "line_params_at", "partial_trace_oracle",
+    "line_params_at",
     "ProbeState", "probe_set", "simulate_probes", "extract_params",
     "TargetState", "InverseSolution", "discrepancy", "werner_target",
     "solve_werner", "solve_general", "feasibility_scan", "zero_family_iii",

@@ -1,19 +1,19 @@
-"""Excitation basis of an N-node chain and the sender's control state.
+"""Pair ordering of the two-excitation sector and the sender's control state.
 
 The dynamics conserves the number of excitations, so everything happens in
 the direct sum of the zero-, one- and two-excitation sectors: the vacuum
 |0>, the states |k> with node k excited (k = 1..N) and the states |nm> with
-nodes n < m excited.  Total dimension 1 + N + N(N-1)/2.
+nodes n < m excited.
 
 Node indices are 1-based in every public interface; two-excitation states
-are ordered lexicographically in (n, m).
+are ordered lexicographically in (n, m) (:func:`pair_list`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainLengthError, NormalizationError
+from .errors import NormalizationError
 
 NORM_TOL = 1e-12
 
@@ -21,47 +21,6 @@ NORM_TOL = 1e-12
 def pair_list(n_nodes):
     """Ordered pairs (n, m) with 1 <= n < m <= n_nodes, lexicographic."""
     return [(n, m) for n in range(1, n_nodes) for m in range(n + 1, n_nodes + 1)]
-
-
-@dataclass(frozen=True)
-class ExcitationBasis:
-    """Index maps for the two-excitation subspace of an N-node chain."""
-
-    n_nodes: int
-    pairs: tuple = field(repr=False)
-    pair_index: dict = field(repr=False)
-
-    @property
-    def n_pairs(self):
-        return len(self.pairs)
-
-    @property
-    def dimension(self):
-        """1 + N + C(N,2), the size of the conserved subspace."""
-        return 1 + self.n_nodes + self.n_pairs
-
-    def index_of(self, n, m):
-        """Index of the pair state |nm|, n < m, within the pair sector."""
-        return self.pair_index[(n, m)]
-
-    def pair_of(self, idx):
-        """Inverse of :meth:`index_of`."""
-        return self.pairs[idx]
-
-
-def build_basis(n_nodes):
-    """Enumerate the excitation basis of an ``n_nodes``-node chain.
-
-    Raises
-    ------
-    ChainLengthError
-        If ``n_nodes < 4`` (a four-node sender must fit on the chain).
-    """
-    if n_nodes < 4:
-        raise ChainLengthError(f"chain needs at least 4 nodes, got {n_nodes}")
-    pairs = tuple(pair_list(n_nodes))
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    return ExcitationBasis(n_nodes=n_nodes, pairs=pairs, pair_index=pair_index)
 
 
 def sender_pairs(n_sender=4):

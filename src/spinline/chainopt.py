@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dynamics import diagonalize
-from .errors import InputError, NoArrivalError, SpinlineError
+from .errors import InputError, NoArrivalError, NumericalError
 from .hamiltonian import ChainSpec, hopping_matrix
 
 # detection floor rejecting the tiny ripples that precede the main arrival
@@ -81,14 +81,14 @@ def _first_arrival(evals, weights, ts, floor):
     ``evals`` (B, N) is a stack of one-excitation spectra in ``eigh`` order
     and ``weights`` (B, N) their end-to-end weights W_k = V[N-1, k] V[0, k].
     Returns, per chain, the amplitude at the first hit and its index into
-    ``ts`` (0 and -1 without a hit).  Raises SpinlineError unless every
+    ``ts`` (0 and -1 without a hit).  Raises NumericalError unless every
     spectrum is +-lambda paired.
     """
     n_chains, n = evals.shape
     half = n // 2
     pairing = np.max(np.abs(evals + evals[:, ::-1]))
     if pairing > PAIRING_TOL:
-        raise SpinlineError(f"one-excitation spectrum is not +-paired ({pairing:.1e})")
+        raise NumericalError(f"one-excitation spectrum is not +-paired ({pairing:.1e})")
     lam, w = evals[:, n - half:], 2.0 * weights[:, n - half:]
     wave = np.cos if n % 2 else np.sin
     w0 = weights[:, half] * (n % 2)  # the zero mode of odd N

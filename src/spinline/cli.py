@@ -3,11 +3,11 @@
 Every subcommand builds a plain config dict, validates it against a JSON
 schema, runs, and embeds the config in each artifact it writes, so a run
 is reproducible from its artifacts alone.  Exit codes: 0 success,
-1 failed verification report, 2 invalid config or input (a config, chain,
-target or probe-output file that is not valid JSON of the expected shape,
-a bad scan grid, search box, parameter table, target state or sender size,
-an incomplete or degenerate probe set), 3 file I/O error, 4 infeasible
-target or no transfer arrival.
+1 failed verification report or numerical self-check, 2 invalid config or
+input (a config, chain, target or probe-output file that is not valid JSON
+of the expected shape, a bad scan grid, search box, parameter table,
+target state or sender size, an incomplete or degenerate probe set), 3 file
+I/O error, 4 infeasible target or no transfer arrival.
 """
 
 import argparse
@@ -34,6 +34,7 @@ from .errors import (
     InfeasibleTargetError,
     InputError,
     NoArrivalError,
+    NumericalError,
     SizeMismatchError,
 )
 from .hamiltonian import ChainSpec
@@ -53,6 +54,7 @@ from .probing import (
 )
 from .receiver import export_params_csv, import_params_csv, line_params_at
 from .verification import (
+    WERNER_P,
     check_boundary_optimization,
     check_disorder,
     check_family_i,
@@ -370,6 +372,7 @@ def run_disorder_study(config):
     sample = sample_line_params(spec, params.t0, epsilon, n_chains=n_chains, seed=seed,
                                 n_sender=params.n_sender)
     study = param_statistics(params, sample)
+    # rows stop at the first Werner p the line cannot create; the rest are listed
     controls = {p: sol.controls for p, sol in werner_controls(params, seed=seed).items()}
     points = werner_robustness(sample, controls)
     result = {
@@ -391,6 +394,7 @@ def run_disorder_study(config):
             {"p": pt.p, "mean_delta": pt.mean, "std_delta": pt.std, "sem": pt.sem}
             for pt in points
         ],
+        "werner_skipped_p": [p for p in WERNER_P if p not in controls],
     }
     _emit_json(config, result, config["out"])
     if config.get("params_csv"):
@@ -565,6 +569,9 @@ def main(argv=None):
     except (InfeasibleTargetError, NoArrivalError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except NumericalError as exc:
+        print(f"numerical check failed: {exc}", file=sys.stderr)
+        return EXIT_REPORT_FAILED
 
 
 if __name__ == "__main__":

@@ -139,7 +139,8 @@ def werner_robustness(sample, controls):
         for params in sample
     ])
     mean = deltas.mean(axis=0)
-    std = deltas.std(axis=0, ddof=1)
+    # centred on the first chain, so identical chains give exactly zero spread
+    std = (deltas - deltas[0]).std(axis=0, ddof=1)
     return [
         RobustnessPoint(
             p=float(p), mean=float(mean[j]), std=float(std[j]),

@@ -12,9 +12,11 @@ p1 = V exp(-i L t) V^T; the two-excitation propagator is its 2x2 minor,
 
 so the C(N,2)-dimensional pair block is never built or diagonalized.  A
 single diagonalization serves every registration time and every sender
-state.  Only :func:`propagators`, which forms the full pair sector for the
-oracles, enumerates the pair basis.  The transfer matrices are kept
-complex; their phases carry physical content.
+state.  The library needs only the sender columns of p1
+(:func:`one_excitation_columns`), and of those only the two receiver rows
+(see :func:`~spinline.receiver.line_params_at`); the full p1 and its minors
+are formed only by the oracles in :mod:`verification`.  The transfer
+matrices are kept complex; their phases carry physical content.
 """
 
 import warnings
@@ -22,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import build_basis, sender_pairs
-from .errors import SizeMismatchError, SpinlineError
+from .errors import NumericalError
 from .hamiltonian import hopping_matrix
 
 RECONSTRUCTION_TOL = 1e-10
@@ -38,40 +39,6 @@ class SpectralData:
     evecs1: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class TransferAmplitudes:
-    """Propagator matrix elements between excitation basis states at time t.
-
-    ``p1[i-1, k-1]`` is the amplitude <i|exp(-iHt)|k>; ``p2`` is the
-    analogous matrix on the ordered-pair basis.
-    """
-
-    t: float
-    p1: np.ndarray = field(repr=False)
-    p2: np.ndarray = field(repr=False)
-    basis: object = None
-
-    def single(self, i, k):
-        return self.p1[i - 1, k - 1]
-
-
-@dataclass(frozen=True)
-class EvolvedState:
-    """Amplitudes of an evolved sender state on the full chain."""
-
-    f0: float
-    f_single: np.ndarray = field(repr=False)
-    f_double: np.ndarray = field(repr=False)
-
-    @property
-    def norm_squared(self):
-        return (
-            abs(self.f0) ** 2
-            + float(np.sum(np.abs(self.f_single) ** 2))
-            + float(np.sum(np.abs(self.f_double) ** 2))
-        )
-
-
 def diagonalize(spec, check=True):
     """Eigendecompose the hopping matrix of the chain ``spec``.
 
@@ -83,7 +50,7 @@ def diagonalize(spec, check=True):
     if check:
         err = np.max(np.abs((evecs1 * evals1) @ evecs1.T - h1))
         if err > RECONSTRUCTION_TOL:
-            raise SpinlineError(f"eigendecomposition reconstruction error {err:.3e}")
+            raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
     return SpectralData(spec=spec, evals1=evals1, evecs1=evecs1)
 
 
@@ -93,50 +60,3 @@ def one_excitation_columns(spectral, t, n_cols=None):
         warnings.warn(f"propagating backwards in time (t = {t})", stacklevel=3)
     V = spectral.evecs1
     return (V * np.exp(-1j * spectral.evals1 * t)) @ V[:n_cols].T
-
-
-def pair_minors(p1, row_pairs, col_pairs):
-    """Two-excitation amplitudes <ij|exp(-iHt)|nm> as 2x2 minors of ``p1``.
-
-    ``row_pairs`` and ``col_pairs`` are 1-based node pairs (i < j); the
-    column nodes must lie within the columns of ``p1``.
-    """
-    i, j = np.asarray(row_pairs).T - 1
-    n, m = np.asarray(col_pairs).T - 1
-    return p1[np.ix_(i, n)] * p1[np.ix_(j, m)] - p1[np.ix_(i, m)] * p1[np.ix_(j, n)]
-
-
-def propagators(spectral, t):
-    """Full transfer-amplitude matrices p1, p2 at time t on the pair basis."""
-    basis = build_basis(spectral.evals1.shape[0])
-    p1 = one_excitation_columns(spectral, t)
-    p2 = pair_minors(p1, basis.pairs, basis.pairs)
-    return TransferAmplitudes(t=float(t), p1=p1, p2=p2, basis=basis)
-
-
-def embed_sender(state, basis):
-    """Embed sender amplitudes into full-chain single and pair vectors."""
-    if state.n_sender > basis.n_nodes - 2:
-        raise SizeMismatchError(
-            f"sender of {state.n_sender} nodes overlaps the receiver on an "
-            f"{basis.n_nodes}-node chain"
-        )
-    a1 = np.zeros(basis.n_nodes, complex)
-    a1[: state.n_sender] = state.a_single
-    a2 = np.zeros(basis.n_pairs, complex)
-    for s, pair in enumerate(sender_pairs(state.n_sender)):
-        a2[basis.index_of(*pair)] = state.a_double[s]
-    return a1, a2
-
-
-def evolve(state, amps):
-    """Evolve a sender state with precomputed transfer amplitudes."""
-    basis = amps.basis
-    if amps.p1.shape[0] != basis.n_nodes:
-        raise SizeMismatchError("amplitudes and basis disagree on chain length")
-    a1, a2 = embed_sender(state, basis)
-    return EvolvedState(
-        f0=state.a0,
-        f_single=amps.p1 @ a1,
-        f_double=amps.p2 @ a2,
-    )

@@ -6,11 +6,11 @@ class SpinlineError(Exception):
 
 
 class ChainLengthError(SpinlineError, ValueError):
-    """Chain too short for the requested basis or coupling profile."""
+    """Chain too short for the requested coupling profile."""
 
 
 class SizeMismatchError(SpinlineError, ValueError):
-    """Inconsistent dimensions between chain, basis, state or amplitudes."""
+    """Inconsistent dimensions between chain, sender, controls or couplings."""
 
 
 class InputError(SpinlineError, ValueError):
@@ -27,6 +27,12 @@ class NormalizationError(SpinlineError, ValueError):
     def __init__(self, deviation, message=None):
         self.deviation = float(deviation)
         super().__init__(message or f"state norm deviates from 1 by {deviation:.3e}")
+
+
+class NumericalError(SpinlineError):
+    """A numerical self-check failed: an eigendecomposition that does not
+    reconstruct its matrix, a spectrum that is not +-paired, or a parameter
+    set or receiver matrix that breaks its Hermiticity, trace or positivity."""
 
 
 class NoArrivalError(SpinlineError):

@@ -3,9 +3,12 @@
 The state of the last two nodes depends on the chain only through a finite
 collection of complex constants (170 for a four-node sender): the bare
 transfer amplitudes onto nodes N-1 and N and the environment-summed
-bilinears P.  Once those are known, the receiver density matrix is a
-quadratic form in the sender's control amplitudes, held as one operator
-(:func:`receiver_operator`) that every receiver matrix is contracted from.
+bilinears P.  All of them follow in closed form from the 2 x n_sender
+block R of the one-excitation propagator from the sender to the receiver
+(:func:`line_params_at`).  Once they are known, the receiver density
+matrix is a quadratic form in the sender's control amplitudes, held as one
+operator (:func:`receiver_operator`) that every receiver matrix is
+contracted from.
 
 Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 """
@@ -17,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import sender_pairs
-from .dynamics import evolve, one_excitation_columns, pair_minors
-from .errors import InputError, SizeMismatchError
+from .dynamics import one_excitation_columns
+from .errors import InputError, NumericalError, SizeMismatchError
 
 SYMMETRY_TOL = 1e-12
 
@@ -96,41 +99,60 @@ class LineParams:
 
 
 def line_params_at(spectral, t, n_sender=4):
-    """Evaluate the full parameter set at time t.
+    """Evaluate the full parameter set at time t from the receiver block R.
 
-    Only the sender columns of the one-excitation propagator are formed.
-    The pair amplitudes p_{i(N-1);nm} (A) and p_{iN;nm} (B) for environment
-    nodes i = 1..N-2, and the receiver-pair row p_{(N-1)N;nm} (q), are 2x2
-    minors of those columns (free fermions, see :mod:`dynamics`).
+    R = p1[{N-1, N}, 1..n_sender] is the block of the one-excitation
+    propagator from the sender to the receiver, with rows R1 (node N-1)
+    and R2 (node N).  Every parameter sums, over the environment nodes
+    1..N-2, products of one-excitation amplitudes and their 2x2 minors (the
+    two-excitation amplitudes, see :mod:`dynamics`).  p1 is unitary, so
+    each such sum closes on G = I - R^T conj(R):
+
+        p_Nm1 = R1, p_N = R2, p_pair[(nm)] = R1[n] R2[m] - R1[m] R2[n],
+        P_a[k,(nm)] = G[k,n] conj(Ra[m]) - G[k,m] conj(Ra[n])
+            (P_Nm1 with R1, P_N with R2),
+        P_ab[(kl),(nm)] = G[k,n] Ra[l] conj(Rb[m]) - G[k,m] Ra[l] conj(Rb[n])
+                        - G[l,n] Ra[k] conj(Rb[m]) + G[l,m] Ra[k] conj(Rb[n])
+            (P_mm, P_mN, P_NN with ab = 11, 12, 22).
+
+    The single-particle transfer block thus fixes the whole channel
+    (Terhal and DiVincenzo, PRA 65, 032325, 2002).
     """
     n = spectral.evals1.shape[0]
     if n_sender > n - 2:
         raise SizeMismatchError(
             f"sender of {n_sender} nodes overlaps the receiver on an {n}-node chain"
         )
-    p1 = one_excitation_columns(spectral, t, n_sender)
-    env = range(1, n - 1)
-    rows = [(i, n - 1) for i in env] + [(i, n) for i in env] + [(n - 1, n)]
-    p2 = pair_minors(p1, rows, sender_pairs(n_sender))
-    A, B, q = p2[: n - 2], p2[n - 2 : -1], p2[-1]
-    C1 = p1[: n - 2]
+    R = one_excitation_columns(spectral, t, n_sender)[-2:]
+    G = np.eye(n_sender) - R.T @ R.conj()
+    # nodes[x, s] is node x of sender pair s = (n, m); the antisymmetrised
+    # terms are stacked along x, each pairing G at nodes[x] with R at nodes[1-x]
+    nodes = np.array(sender_pairs(n_sender)).T - 1
+    i, j = nodes
+    Rn, Rcn = R[:, nodes[::-1]], R.conj()[:, nodes[::-1]]
+    terms = G[:, nodes] * Rcn[:, None]
+    P = terms[:, :, 0] - terms[:, :, 1]
+    # (Ra, Rb) = (R1, R1), (R1, R2), (R2, R2) for P_mm, P_mN, P_NN
+    terms = (G[nodes[:, None, :, None], nodes[None, :, None, :]]
+             * Rn[[0, 0, 1], :, None, :, None] * Rcn[[0, 1, 1], None, :, None, :])
+    PP = terms[:, 0, 0] - terms[:, 0, 1] - terms[:, 1, 0] + terms[:, 1, 1]
     params = LineParams(
         n_sender=n_sender,
         t0=float(t),
-        p_N=p1[n - 1],
-        p_Nm1=p1[n - 2],
-        p_pair=q,
-        P_Nm1=C1.T @ A.conj(),
-        P_N=C1.T @ B.conj(),
-        P_mm=A.T @ A.conj(),
-        P_mN=A.T @ B.conj(),
-        P_NN=B.T @ B.conj(),
+        p_N=R[1],
+        p_Nm1=R[0],
+        p_pair=R[0, i] * R[1, j] - R[0, j] * R[1, i],
+        P_Nm1=P[0],
+        P_N=P[1],
+        P_mm=PP[0],
+        P_mN=PP[1],
+        P_NN=PP[2],
     )
     for name in ("P_mm", "P_NN"):
         M = getattr(params, name)
         dev = np.max(np.abs(M - M.conj().T))
         if dev > SYMMETRY_TOL:
-            raise AssertionError(f"{name} Hermitian symmetry violated by {dev:.3e}")
+            raise NumericalError(f"{name} Hermitian symmetry violated by {dev:.3e}")
     return params
 
 
@@ -143,13 +165,13 @@ class ReceiverState:
     def validate(self, tol=1e-10, psd_tol=1e-9):
         herm = np.max(np.abs(self.rho - self.rho.conj().T))
         if herm > tol:
-            raise AssertionError(f"receiver matrix not Hermitian: {herm:.3e}")
+            raise NumericalError(f"receiver matrix not Hermitian: {herm:.3e}")
         tr = abs(np.trace(self.rho) - 1.0)
         if tr > tol:
-            raise AssertionError(f"receiver trace off by {tr:.3e}")
+            raise NumericalError(f"receiver trace off by {tr:.3e}")
         lo = np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)))
         if lo < -psd_tol:
-            raise AssertionError(f"receiver matrix not PSD: min eigenvalue {lo:.3e}")
+            raise NumericalError(f"receiver matrix not PSD: min eigenvalue {lo:.3e}")
         return self
 
 
@@ -198,31 +220,6 @@ def assemble_rho(params, state):
     guarantee positivity.
     """
     return ReceiverState(rho=receiver_rho(receiver_operator(params), state.vector))
-
-
-def partial_trace_oracle(state, amps):
-    """Receiver state by brute-force partial trace over nodes 1..N-2.
-
-    Evolves the full state vector and sums |Psi><Psi| over the environment
-    configurations of the excitation basis (``amps.basis``).  Independent
-    of the line parameters; this is the correctness oracle for
-    :func:`assemble_rho`.
-    """
-    basis = amps.basis
-    n = basis.n_nodes
-    f = evolve(state, amps)
-    env_pairs = [basis.index_of(i, j) for (i, j) in basis.pairs if j <= n - 2]
-    dim_env = 1 + (n - 2) + len(env_pairs)
-    C = np.zeros((4, dim_env), complex)
-    C[0, 0] = f.f0
-    C[0, 1 : n - 1] = f.f_single[: n - 2]
-    C[0, n - 1 :] = f.f_double[env_pairs]
-    C[1, 0] = f.f_single[n - 2]
-    C[2, 0] = f.f_single[n - 1]
-    C[1, 1 : n - 1] = f.f_double[[basis.index_of(i, n - 1) for i in range(1, n - 1)]]
-    C[2, 1 : n - 1] = f.f_double[[basis.index_of(i, n) for i in range(1, n - 1)]]
-    C[3, 0] = f.f_double[basis.index_of(n - 1, n)]
-    return ReceiverState(rho=C @ C.conj().T)
 
 
 # --- family classification -------------------------------------------------

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks as bm
-from .basis import SenderState, build_basis, sender_pairs
+from .basis import SenderState, pair_list, sender_pairs
 from .chainopt import optimize_boundary
 from .disorder import param_statistics, sample_chain, sample_line_params, werner_robustness
-from .dynamics import diagonalize, propagators
+from .dynamics import diagonalize, one_excitation_columns
+from .errors import InfeasibleTargetError, NumericalError
 from .hamiltonian import ChainSpec
 from .inverse import (
     discrepancy,
@@ -24,12 +25,7 @@ from .inverse import (
     zero_family_iii,
 )
 from .probing import extract_params, simulate_probes
-from .receiver import (
-    assemble_rho,
-    classify_families,
-    line_params_at,
-    partial_trace_oracle,
-)
+from .receiver import ReceiverState, assemble_rho, classify_families, line_params_at
 
 TABLE_TOL = 1e-4
 APPENDIX_TOL = 2e-5
@@ -178,20 +174,21 @@ def _random_chain(n, rng, epsilon=0.1):
     return sample_chain(base, epsilon, rng)
 
 
-def pair_block(spec, basis):
+def pair_block(spec):
     """Two-excitation block h2 of the XY Hamiltonian on the ordered-pair basis.
 
     Connects pairs that differ by moving one excitation across a single
     bond; moves onto an occupied node are excluded (no double occupancy).
-    The library never builds it: it is the oracle for the free-fermion
-    identities (spectrum of pairwise sums, p2 as minors of p1).
+    Rows and columns follow :func:`~spinline.basis.pair_list`.  The library
+    never builds it: it is the oracle for the free-fermion identities
+    (spectrum of pairwise sums, p2 as minors of p1).
     """
     n = spec.n_nodes
     J = spec.couplings()
-    idx = basis.pair_index
-    h2 = np.zeros((basis.n_pairs, basis.n_pairs))
-    for (a, b) in basis.pairs:
-        i = idx[(a, b)]
+    pairs = pair_list(n)
+    idx = {pair: k for k, pair in enumerate(pairs)}
+    h2 = np.zeros((len(pairs), len(pairs)))
+    for i, (a, b) in enumerate(pairs):
         if a + 1 < b:
             h2[i, idx[(a + 1, b)]] = J[a - 1] / 2
         if a > 1:
@@ -201,6 +198,45 @@ def pair_block(spec, basis):
         if b - 1 > a:
             h2[i, idx[(a, b - 1)]] = J[b - 2] / 2
     return h2
+
+
+def propagators(spectral, t):
+    """The full one- and two-excitation propagators (p1, p2) at time t.
+
+    p1 is N x N; p2 is on the pair basis :func:`~spinline.basis.pair_list`,
+    formed as the 2x2 minors p1[i,n] p1[j,m] - p1[i,m] p1[j,n].  Oracle
+    only: the library needs just the receiver block of p1.
+    """
+    p1 = one_excitation_columns(spectral, t)
+    i, j = np.array(pair_list(p1.shape[0])).T - 1
+    p2 = p1[np.ix_(i, i)] * p1[np.ix_(j, j)] - p1[np.ix_(i, j)] * p1[np.ix_(j, i)]
+    return p1, p2
+
+
+def partial_trace_oracle(state, spectral, t):
+    """Receiver state by brute-force partial trace over nodes 1..N-2.
+
+    Evolves the full state vector in the excitation basis with
+    :func:`propagators` and sums |Psi><Psi| over the environment
+    configurations.  Independent of the line parameters; this is the
+    correctness oracle for :func:`~spinline.receiver.assemble_rho`.
+    """
+    p1, p2 = propagators(spectral, t)
+    n = p1.shape[0]
+    idx = {pair: k for k, pair in enumerate(pair_list(n))}
+    f1 = p1[:, : state.n_sender] @ state.a_single
+    f2 = p2[:, [idx[pair] for pair in sender_pairs(state.n_sender)]] @ state.a_double
+    env_pairs = [k for (i, j), k in idx.items() if j <= n - 2]
+    C = np.zeros((4, n - 1 + len(env_pairs)), complex)
+    C[0, 0] = state.a0
+    C[0, 1 : n - 1] = f1[: n - 2]
+    C[0, n - 1 :] = f2[env_pairs]
+    C[1, 0] = f1[n - 2]
+    C[2, 0] = f1[n - 1]
+    C[1, 1 : n - 1] = f2[[idx[(i, n - 1)] for i in range(1, n - 1)]]
+    C[2, 1 : n - 1] = f2[[idx[(i, n)] for i in range(1, n - 1)]]
+    C[3, 0] = f2[idx[(n - 1, n)]]
+    return ReceiverState(rho=C @ C.conj().T)
 
 
 def full_space_receiver(state, spec, t):
@@ -256,12 +292,11 @@ def check_oracle_equivalence(seed=2024, n_states=36):
         for spec in (ChainSpec.uniform(n), _random_chain(n, rng)):
             spectral = diagonalize(spec)
             t = rng.uniform(0.3, 2.0) * n
-            amps = propagators(spectral, t)
             params = line_params_at(spectral, t, n_sender=4)
             for _ in range(n_states // 2):
                 state = SenderState.random(rng)
                 direct = assemble_rho(params, state).rho
-                oracle = partial_trace_oracle(state, amps).rho
+                oracle = partial_trace_oracle(state, spectral, t).rho
                 worst = max(worst, float(np.linalg.norm(direct - oracle)))
     n_total = 6 * (n_states // 2)
     out.append(_result(
@@ -274,9 +309,8 @@ def check_oracle_equivalence(seed=2024, n_states=36):
         for k in range(5):
             spec = _random_chain(n, rng) if k % 2 else ChainSpec.uniform(n)
             t = rng.uniform(0.5, 2.5) * n
-            amps = propagators(diagonalize(spec), t)
             state = SenderState.random(rng)
-            oracle = partial_trace_oracle(state, amps).rho
+            oracle = partial_trace_oracle(state, diagonalize(spec), t).rho
             dense = full_space_receiver(state, spec, t)
             worst_full = max(worst_full, float(np.max(np.abs(oracle - dense))))
     out.append(_result(
@@ -312,12 +346,25 @@ def check_probe_closure(seed=7):
 
 # --- criterion 7: Werner creation -------------------------------------------
 
+WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))
+
+
 def werner_controls(params, seed=0):
-    """Solved controls for p = 0, 0.1, ..., 0.8 on the given line."""
-    return {
-        round(0.1 * k, 1): solve_werner(params, round(0.1 * k, 1), seed=seed)
-        for k in range(9)
-    }
+    """Solved controls for p = 0, 0.1, ..., 0.8 on the given line.
+
+    The solves stop at the first p that is infeasible on the line, so the
+    result may hold fewer p than :data:`WERNER_P`; it is never empty, since
+    an infeasible p = 0 raises InfeasibleTargetError.
+    """
+    solutions = {}
+    for p in WERNER_P:
+        try:
+            solutions[p] = solve_werner(params, p, seed=seed)
+        except InfeasibleTargetError:
+            if not solutions:
+                raise
+            break
+    return solutions
 
 
 def check_werner(seed=0):
@@ -327,8 +374,8 @@ def check_werner(seed=0):
     worst_res = max(s.residual for s in solutions.values())
     out.append(_result(
         "werner solve residuals (p=0..0.8)",
-        worst_res < 1e-10,
-        f"worst residual {worst_res:.2e}",
+        len(solutions) == len(WERNER_P) and worst_res < 1e-10,
+        f"{len(solutions)} of {len(WERNER_P)} p solved, worst residual {worst_res:.2e}",
     ))
     worst_margin = 0.0
     for p, sol in solutions.items():
@@ -423,15 +470,15 @@ def check_invariants(seed=5):
     rng = np.random.default_rng(seed)
     out = []
     n = 20
-    amps = propagators(diagonalize(tuned_spec(n)), bm.TUNED_CHAINS[n]["t0"])
-    dev1 = np.max(np.abs(amps.p1.conj().T @ amps.p1 - np.eye(n)))
-    dev2 = np.max(np.abs(amps.p2.conj().T @ amps.p2 - np.eye(amps.basis.n_pairs)))
+    p1, p2 = propagators(diagonalize(tuned_spec(n)), bm.TUNED_CHAINS[n]["t0"])
+    dev1 = np.max(np.abs(p1.conj().T @ p1 - np.eye(n)))
+    dev2 = np.max(np.abs(p2.conj().T @ p2 - np.eye(p2.shape[0])))
     out.append(_result(
         "propagator unitarity",
         max(dev1, dev2) < 1e-10,
         f"one-excitation {dev1:.2e}, two-excitation {dev2:.2e}",
     ))
-    absdev = np.max(np.abs(np.abs(amps.p1) - np.abs(amps.p1[::-1, ::-1])))
+    absdev = np.max(np.abs(np.abs(p1) - np.abs(p1[::-1, ::-1])))
     out.append(_result(
         "mirror symmetry of |p1|",
         absdev < 1e-10,
@@ -442,7 +489,7 @@ def check_invariants(seed=5):
         m = int(rng.integers(7, 9))
         spec = _random_chain(m, rng, epsilon=0.3)
         e1 = diagonalize(spec).evals1
-        e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, build_basis(m))))
+        e2 = np.sort(np.linalg.eigvalsh(pair_block(spec)))
         sums = np.sort([e1[a] + e1[b] for a in range(m) for b in range(a + 1, m)])
         worst_ff = max(worst_ff, float(np.max(np.abs(e2 - sums))))
     out.append(_result(
@@ -456,7 +503,7 @@ def check_invariants(seed=5):
         state = SenderState.random(rng)
         try:
             assemble_rho(params, state).validate()
-        except AssertionError:
+        except NumericalError:
             ok = False
             break
     out.append(_result(

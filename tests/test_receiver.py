@@ -3,14 +3,16 @@ import pytest
 
 import spinline as sl
 from spinline.basis import SenderState
-from spinline.errors import SizeMismatchError
+from spinline.errors import NumericalError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.receiver import (
     FAMILY_I,
     FAMILY_II,
+    ReceiverState,
     export_params_csv,
     import_params_csv,
 )
+from spinline.verification import partial_trace_oracle
 
 
 def test_entry_census(tuned20_params):
@@ -54,8 +56,7 @@ def test_vacuum_receiver_state(tuned20_params):
 
 def test_receiver_state_before_arrival(tuned20, rng):
     # sender support is disjoint from the receiver, so at t=0 nothing is there
-    amps = sl.propagators(tuned20, 0.0)
-    rho = sl.partial_trace_oracle(SenderState.random(rng), amps).rho
+    rho = partial_trace_oracle(SenderState.random(rng), tuned20, 0.0).rho
     assert np.allclose(rho, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
 
@@ -73,20 +74,25 @@ def test_oracle_equivalence(n, rng):
     for spec in specs:
         spectral = sl.diagonalize(spec)
         for t in rng.uniform(0.3, 2.5, 2) * n:
-            amps = sl.propagators(spectral, t)
             params = sl.line_params_at(spectral, t)
             for _ in range(10):
                 state = SenderState.random(rng)
                 direct = sl.assemble_rho(params, state).rho
-                oracle = sl.partial_trace_oracle(state, amps).rho
+                oracle = partial_trace_oracle(state, spectral, t).rho
                 assert np.linalg.norm(direct - oracle) < 1e-10
 
 
 def test_receiver_state_is_physical(tuned20, rng):
-    amps = sl.propagators(tuned20, 19.0)
     for _ in range(10):
         state = SenderState.random(rng)
-        sl.partial_trace_oracle(state, amps).validate()
+        partial_trace_oracle(state, tuned20, 19.0).validate()
+
+
+def test_unphysical_receiver_state_rejected():
+    rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+    rho[0, 1] = 0.1
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        ReceiverState(rho=rho).validate()
 
 
 def test_family_lists_sizes():
