@@ -351,7 +351,11 @@ def run_feasibility(config):
         raise InputError(f"--grid fields must be finite, got {spec!r}")
     if not step > 0:
         raise InputError(f"--grid step must be positive, got {step}")
-    grid = np.arange(lo, hi + step / 2, step)
+    if lo < 0 or hi > 1:
+        raise InputError(f"--grid must lie in [0, 1], got {spec!r}")
+    # the last point may pass hi by up to step / 2 (0.8:1.0:0.01 ends at
+    # 1 + 2e-16); above 1 there is no Werner state
+    grid = np.minimum(np.arange(lo, hi + step / 2, step), 1.0)
     boundary, resolution = feasibility_scan(
         params, grid,
         n_starts=config.get("starts", 64),

@@ -4,16 +4,15 @@ The receiver matrix is quadratic in the controls, so creation amounts to
 solving real quadratic forms, contracted from the receiver operator, under
 the normalization constraint: for Werner targets in the real pair
 amplitudes, for general targets in all real control parts.  Both run one
-seeded multi-start of MINPACK's Levenberg-Marquardt
-(``least_squares(method="lm")``) with the analytic Jacobian: solutions are
-particular, not unique, and reproducibility of our chosen solution is what
-matters.
+seeded multi-start of MINPACK's Levenberg-Marquardt ``lmder``, called
+through ``leastsq`` with the analytic Jacobian: solutions are particular,
+not unique, and reproducibility of our chosen solution is what matters.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .basis import SenderState
 from .errors import InfeasibleTargetError, InputError
@@ -124,20 +123,22 @@ def _general_basis(params):
 def _multistart(fun, jac, starts, residual_tol):
     """Best (residual, y) over the starts, each scaled to unit norm.
 
-    Each start runs MINPACK's Levenberg-Marquardt for at most 400
-    evaluations and the loop stops at the first whose largest equation
+    Each start runs MINPACK's ``lmder`` with its defaults (step bound
+    factor 100, variables scaled by the Jacobian's column norms) for at most
+    400 evaluations, and the loop stops at the first whose largest equation
     violation is within ``residual_tol``, so ties go to the lowest start.
+    ``leastsq`` passes ``fun`` and ``jac`` to ``lmder`` unwrapped;
+    ``full_output`` keeps it from warning when a start reaches the cap.
     """
     best = None
     for y0 in starts:
-        # x_scale explicit: scipy 1.16 changed the lm default
-        sol = least_squares(
-            fun, y0 / np.linalg.norm(y0), jac=jac, method="lm", x_scale="jac",
-            xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=400,
+        y, _, info, _, _ = leastsq(
+            fun, y0 / np.linalg.norm(y0), Dfun=jac, full_output=True,
+            xtol=5e-16, ftol=5e-16, gtol=5e-16, maxfev=400,
         )
-        res = float(np.max(np.abs(fun(sol.x))))
+        res = float(np.max(np.abs(info["fvec"])))
         if best is None or res < best[0]:
-            best = (res, sol.x.copy())
+            best = (res, y)
         if res <= residual_tol:
             break
     return best
@@ -215,13 +216,16 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0,
     Raises
     ------
     InputError
-        If the grid has fewer than two points or is not strictly increasing.
+        If the grid has fewer than two points, is not strictly increasing or
+        leaves [0, 1].
     """
     p_grid = np.asarray(p_grid, float)
     if p_grid.ndim != 1 or p_grid.size < 2:
         raise InputError(f"p_grid needs at least two points, got {p_grid.size}")
     if np.any(np.diff(p_grid) <= 0):
         raise InputError("p_grid must be strictly increasing")
+    if p_grid[0] < 0.0 or p_grid[-1] > 1.0:
+        raise InputError(f"p_grid must lie in [0, 1], got {p_grid[0]}..{p_grid[-1]}")
 
     def feasible(p):
         try:

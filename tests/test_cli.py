@@ -202,11 +202,22 @@ def test_feasibility_smoke(workdir, params_csv, capsys):
     assert 0.85 < artifact["result"]["boundary"] < 0.92
 
 
-@pytest.mark.parametrize("grid", ["0.5:0.5:0.1", "0.5:x:0.1", "0.9:0.8:-0.1"])
+@pytest.mark.parametrize("grid", ["0.5:0.5:0.1", "0.5:x:0.1", "0.9:0.8:-0.1",
+                                  "1.1:1.2:0.05", "-0.2:0.1:0.1", "0.95:1.05:0.05"])
 def test_feasibility_bad_grid_exit_code(params_csv, grid, capsys):
-    rc = main(["feasibility", "--params", str(params_csv), "--grid", grid])
+    rc = main(["feasibility", "--params", str(params_csv), f"--grid={grid}"])
     assert rc == EXIT_BAD_CONFIG
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_feasibility_grid_ending_at_one(workdir, params_csv):
+    # np.arange puts the last point of 0.8:1.0:0.01 at 1 + 2e-16
+    rc = main(["feasibility", "--params", str(params_csv),
+               "--grid", "0.8:1.0:0.01", "--out", "f.json"])
+    assert rc == EXIT_OK
+    result = json.loads((workdir / "f.json").read_text())["result"]
+    assert result["boundary"] == pytest.approx(bm.WERNER_FEASIBLE_MAX, abs=0.002)
+    assert result["resolution"] <= 5e-4
 
 
 @pytest.mark.parametrize("drop", ["P_mm,", "# t0:"])

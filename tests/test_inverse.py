@@ -1,5 +1,9 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 import spinline as sl
 from spinline import benchmarks as bm
@@ -105,26 +109,29 @@ def test_forms_match_receiver(sender_params, kind):
 
 
 @pytest.fixture()
-def lm_residuals(monkeypatch):
-    """Largest equation violation of every MINPACK run, in call order."""
-    residuals, least_squares = [], inverse.least_squares
+def lm_runs(monkeypatch):
+    """Every MINPACK run of a solve, in call order: its callbacks, start,
+    end point, evaluation count and largest equation violation there."""
+    runs, leastsq = [], inverse.leastsq
 
-    def counted(*args, **kwargs):
-        assert kwargs["method"] == "lm"
-        sol = least_squares(*args, **kwargs)
-        residuals.append(np.max(np.abs(sol.fun)))
-        return sol
+    def recorded(fun, y0, Dfun, **kwargs):
+        assert kwargs["full_output"]
+        out = leastsq(fun, y0, Dfun=Dfun, **kwargs)
+        info = out[2]
+        runs.append(SimpleNamespace(fun=fun, jac=Dfun, y0=y0, x=out[0], nfev=info["nfev"],
+                                    residual=np.max(np.abs(info["fvec"]))))
+        return out
 
-    monkeypatch.setattr(inverse, "least_squares", counted)
-    return residuals
+    monkeypatch.setattr(inverse, "leastsq", recorded)
+    return runs
 
 
-def _exact_flags(residuals):
-    return [r <= inverse.WERNER_RESIDUAL_TOL for r in residuals]
+def _exact_flags(runs):
+    return [run.residual <= inverse.WERNER_RESIDUAL_TOL for run in runs]
 
 
 @pytest.mark.parametrize("p, n_starts, winner", [(0.0, 64, 1), (0.4, 64, 0), (0.9, 3, None)])
-def test_werner_multistart_stops_at_first_exact_start(lm_residuals, tuned20_params,
+def test_werner_multistart_stops_at_first_exact_start(lm_runs, tuned20_params,
                                                       p, n_starts, winner):
     if winner is None:
         with pytest.raises(InfeasibleTargetError):
@@ -132,18 +139,56 @@ def test_werner_multistart_stops_at_first_exact_start(lm_residuals, tuned20_para
     else:
         sl.solve_werner(tuned20_params, p, n_starts=n_starts)
     n_calls = n_starts if winner is None else winner + 1
-    assert _exact_flags(lm_residuals) == [False] * (n_calls - 1) + [winner is not None]
+    assert _exact_flags(lm_runs) == [False] * (n_calls - 1) + [winner is not None]
 
 
-@pytest.mark.parametrize("p, n_starts, winner", [(0.84, 32, 1), (0.9, 3, None)])
-def test_general_multistart_stops_at_first_exact_start(lm_residuals, tuned20_params,
-                                                       p, n_starts, winner):
+@pytest.mark.parametrize("p, n_starts, feasible", [(0.84, 32, True), (0.9, 3, False)])
+def test_general_multistart_stops_at_first_exact_start(lm_runs, tuned20_params,
+                                                       p, n_starts, feasible):
     # the same stop rule as the Werner solve; with no exact start the best
-    # one is returned, not raised
+    # one is returned, not raised.  Which start is exact first is not pinned:
+    # it moves with last-bit changes of the line parameters
     sol = sl.solve_general(tuned20_params, werner_target(p), n_starts=n_starts)
-    n_calls = n_starts if winner is None else winner + 1
-    assert _exact_flags(lm_residuals) == [False] * (n_calls - 1) + [winner is not None]
-    assert (sol.residual <= 1e-10) == (winner is not None)
+    flags = _exact_flags(lm_runs)
+    if feasible:
+        assert flags[-1] and not any(flags[:-1])
+    else:
+        assert flags == [False] * n_starts
+    assert (sol.residual <= 1e-10) == feasible
+
+
+@pytest.mark.parametrize("kind, p", [("werner", 0.4), ("werner", 0.9),
+                                     ("general", 0.2), ("general", 0.9)])
+def test_multistart_matches_least_squares_lm(lm_runs, sender_params, kind, p):
+    # leastsq and least_squares(method="lm") drive the same MINPACK lmder;
+    # with the same tolerances and cap every start ends on the same bits
+    if kind == "werner" and p == 0.9:
+        with pytest.raises(InfeasibleTargetError):
+            sl.solve_werner(sender_params, p, n_starts=2)
+    elif kind == "werner":
+        sl.solve_werner(sender_params, p, n_starts=2)
+    else:
+        sl.solve_general(sender_params, werner_target(p), n_starts=2)
+    assert lm_runs
+    for run in lm_runs:
+        ref = least_squares(run.fun, run.y0, jac=run.jac, method="lm", x_scale="jac",
+                            xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=400)
+        assert run.x.tobytes() == ref.x.tobytes()
+        assert run.nfev == ref.nfev
+        assert run.residual == np.max(np.abs(ref.fun))
+    if kind == "werner" and p == 0.9:
+        assert [run.nfev for run in lm_runs] == [400, 400]
+
+
+def test_capped_starts_warn_nothing(tuned20_params):
+    # an infeasible Werner start stops at the evaluation cap, which bare
+    # leastsq reports as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleTargetError):
+            sl.solve_werner(tuned20_params, 0.9, n_starts=2)
+        sol = sl.solve_general(tuned20_params, werner_target(0.9), n_starts=2)
+    assert sol.residual > 1e-8
 
 
 def test_solution_self_consistency(tuned20_params):
@@ -232,7 +277,12 @@ def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, edge, n_f
     assert got == _scan_every_point(lambda p: p <= edge, grid, 5e-4)
 
 
-@pytest.mark.parametrize("grid", [[0.5], [0.9, 0.8]])
-def test_feasibility_scan_rejects_bad_grid(tuned20_params, grid):
+@pytest.mark.parametrize("grid", [[0.5], [0.9, 0.8], [1.1, 1.15, 1.2],
+                                  [-0.2, -0.1, 0.0, 0.1], [0.95, 1.0, 1.05]])
+def test_feasibility_scan_rejects_bad_grid(monkeypatch, tuned20_params, grid):
+    def solve_stub(*args, **kwargs):
+        raise AssertionError("a bad grid must be rejected before any solve")
+
+    monkeypatch.setattr(inverse, "solve_werner", solve_stub)
     with pytest.raises(InputError):
         sl.feasibility_scan(tuned20_params, grid)
