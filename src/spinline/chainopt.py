@@ -20,7 +20,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import diagonalize
 from .errors import InputError, NoArrivalError, NumericalError
@@ -175,6 +174,9 @@ def optimize_boundary(
     couplings).  Deterministic: grid ties are broken by lexicographic
     (delta1, delta2); grid points without an arrival score zero.
     """
+    # imported here: scipy.optimize doubles the start-up time of the CLI
+    from scipy.optimize import minimize
+
     if not (0 < delta1_range[0] < delta1_range[1] <= 1.5):
         raise InputError(f"delta1 range {delta1_range} outside (0, 1.5]")
     if not (0 < delta2_range[0] < delta2_range[1] <= 1.5):

@@ -152,7 +152,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "command": {"const": "disorder-study"},
-            "epsilon": {"type": "number", "minimum": 0},
+            "epsilon": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
             "chains": {"type": "integer", "minimum": 2},
             "seed": {"type": "integer", "minimum": 0},
             "out": {"type": "string"},
@@ -202,12 +202,13 @@ def validate_config(config):
     command = config.get("command")
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
-    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(config))
-    if error is not None:
-        raise ConfigError(error.message)
+    # before the schema, whose bounds would report an infinite number as too large
     for key, value in config.items():
         if not _finite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
+    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(config))
+    if error is not None:
+        raise ConfigError(error.message)
     return config
 
 

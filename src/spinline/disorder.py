@@ -5,9 +5,14 @@ draws independent uniform perturbations on [-1, 1] per bulk bond while the
 boundary pairs and the registration time stay fixed at their unperturbed
 values.  Statistics are collected over N_p independent chains.
 
-:func:`sample_line_params` diagonalizes each sampled chain once; the
-statistics (:func:`param_statistics`, :func:`werner_robustness`) are
-reductions over the parameter sets it returns.
+:func:`sample_line_params` diagonalizes each sampled chain once and
+returns the whole sample as one stacked LineParams: the chains are
+processed in blocks of ``CHAIN_BLOCK``, each block one stacked ``eigh``,
+one stacked receiver block R and one stacked parameter evaluation, so
+memory stays flat in the number of chains.  The statistics
+(:func:`param_statistics`, :func:`werner_robustness`) are reductions over
+that stack; the robustness contracts one stacked receiver operator per
+block.
 
 Standard deviation of a complex parameter is defined through |P - <P>|^2,
 the only convention that keeps sigma real; per-component (re, im) spreads
@@ -15,22 +20,39 @@ are stored alongside for error-bar plots.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import diagonalize
+from .errors import NumericalError
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
-from .receiver import classify_families, line_params_at, receiver_operator, receiver_rho
+from .receiver import (
+    KINDS,
+    classify_families,
+    line_params_at,
+    param_index,
+    receiver_operator,
+    receiver_rho,
+)
 
 DEFAULT_N_CHAINS = 100
+# chains per stacked eigh and per stacked receiver operator.  A stacked eigh
+# is still one LAPACK call per chain, so larger blocks save nothing
+# measurable; at 32, a block's operators (11x11, ~1 MB) and n=60
+# eigenvectors (~1 MB) leave a 100-chain study's peak memory where the
+# per-chain loop had it
+CHAIN_BLOCK = 32
+
+
+def _bond_draws(base, rng):
+    return rng.uniform(-1.0, 1.0, base.bulk.shape[-1])
 
 
 def sample_chain(base, epsilon, rng):
-    """One chain with bulk couplings 1 + epsilon * uniform(-1, 1)."""
-    deltas = rng.uniform(-1.0, 1.0, base.bulk.shape[0])
-    return apply_disorder(base, epsilon, deltas)
+    """One chain with bulk couplings 1 + epsilon * uniform(-1, 1), 0 <= epsilon < 1."""
+    return apply_disorder(base, epsilon, _bond_draws(base, rng))
 
 
 def _chain_rng(seed, index):
@@ -38,19 +60,32 @@ def _chain_rng(seed, index):
     return np.random.default_rng([seed, index])
 
 
+def _blocks(n_chains):
+    return [slice(start, start + CHAIN_BLOCK) for start in range(0, n_chains, CHAIN_BLOCK)]
+
+
 def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_sender=4):
-    """LineParams at t0 of ``n_chains`` chains sampled around ``base``, a tuple.
+    """LineParams at t0 of ``n_chains`` chains sampled around ``base``, stacked
+    along a leading axis of length ``n_chains``.
 
     Chain i draws from its own stream seeded by (seed, i), so a chain's
-    parameters do not depend on how many chains the sample holds.
+    parameters do not depend on how many chains the sample holds, nor on
+    the block it is computed in.  A failed numerical check names the chain.
     """
     if n_chains < 2:
         raise ValueError(f"need at least 2 chains, got {n_chains}")
-    return tuple(
-        line_params_at(diagonalize(sample_chain(base, epsilon, _chain_rng(seed, i))),
-                       t0, n_sender)
-        for i in range(n_chains)
-    )
+    blocks = []
+    for block in _blocks(n_chains):
+        deltas = np.array([_bond_draws(base, _chain_rng(seed, i))
+                           for i in range(n_chains)[block]])
+        try:
+            blocks.append(line_params_at(diagonalize(apply_disorder(base, epsilon, deltas)),
+                                         t0, n_sender))
+        except NumericalError as exc:
+            exc.chain += block.start
+            raise
+    return replace(blocks[0], **{kind: np.concatenate([getattr(b, kind) for b in blocks])
+                                 for kind in KINDS})
 
 
 @dataclass(frozen=True)
@@ -80,12 +115,12 @@ class DisorderStudy:
 
 
 def param_statistics(reference, sample):
-    """Mean and deviation of every line parameter over the LineParams in
-    ``sample``; ``reference`` holds those of the unperturbed chain."""
-    keys = [(kind, idx) for kind, idx, _ in reference.items()]
-    ref_values = np.array([v for _, _, v in reference.items()])
-    samples = np.array([[v for _, _, v in params.items()] for params in sample])
-    n_chains = len(sample)
+    """Mean and deviation of every line parameter over the chains of the
+    stacked ``sample``; ``reference`` holds those of the unperturbed chain."""
+    keys = [(kind, idx) for kind, idx, _ in param_index(reference.n_sender)]
+    ref_values = reference.values()
+    samples = sample.values()  # (n_chains, n_entries)
+    n_chains = samples.shape[0]
     mean = samples.mean(axis=0)
     centered = samples - mean
     # identical samples (e.g. epsilon = 0) must give exactly zero spread;
@@ -125,18 +160,20 @@ def werner_robustness(sample, controls):
     """Discrepancy of fixed controls evaluated on the sampled chains.
 
     ``controls`` maps the Werner parameter p to the SenderState solved on
-    the unperturbed chain.  On each chain of ``sample`` the controls are
-    sent as-is and the created state is compared to the exact Werner
-    target: one receiver operator per chain, contracted with every control
-    at once.  Returns a list of RobustnessPoint ordered like ``controls``.
+    the unperturbed chain.  On each chain of the stacked ``sample`` the
+    controls are sent as-is and the created state is compared to the exact
+    Werner target: one stacked receiver operator per block of chains,
+    contracted with every control at once.  Returns a list of
+    RobustnessPoint ordered like ``controls``.
     """
     if not controls:
         raise ValueError("controls table is empty")
     x = np.array([state.vector for state in controls.values()])
     targets = np.array([werner_target(p).matrix for p in controls])
-    deltas = np.array([
-        discrepancy(receiver_rho(receiver_operator(params), x), targets)
-        for params in sample
+    n_chains = sample.shape[0]
+    deltas = np.concatenate([
+        discrepancy(receiver_rho(receiver_operator(sample[block])[:, None], x), targets)
+        for block in _blocks(n_chains)
     ])
     mean = deltas.mean(axis=0)
     # centred on the first chain, so identical chains give exactly zero spread
@@ -144,7 +181,7 @@ def werner_robustness(sample, controls):
     return [
         RobustnessPoint(
             p=float(p), mean=float(mean[j]), std=float(std[j]),
-            sem=float(std[j] / np.sqrt(len(sample))),
+            sem=float(std[j] / np.sqrt(n_chains)),
         )
         for j, p in enumerate(controls)
     ]

@@ -3,9 +3,12 @@
 The nearest-neighbour XY chain maps to free fermions (Lieb, Schultz and
 Mattis, Ann. Phys. 16, 407, 1961), so one dense eigendecomposition of the
 N x N hopping matrix determines everything.  :func:`diagonalize` takes a
-:class:`~spinline.hamiltonian.ChainSpec` to that spectrum; only the
-boundary grid search (:mod:`chainopt`) diagonalizes stacks of hopping
-matrices itself.  The one-excitation propagator at any time t is
+:class:`~spinline.hamiltonian.ChainSpec`, a single chain or a stack of
+chains, to that spectrum in one stacked ``eigh``; a single chain is the
+stack without leading axes, and everything downstream
+(:func:`one_excitation_columns`, :func:`~spinline.receiver.line_params_at`,
+:func:`~spinline.receiver.receiver_operator`) carries the leading axes
+along.  The one-excitation propagator at any time t is
 p1 = V exp(-i L t) V^T; the two-excitation propagator is its 2x2 minor,
 
     p2[(i,j),(n,m)] = p1[i,n] p1[j,m] - p1[i,m] p1[j,n],
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import check_tolerance
 from .hamiltonian import hopping_matrix
 
 RECONSTRUCTION_TOL = 1e-10
@@ -32,7 +35,11 @@ RECONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition of the hopping matrix of ``spec``."""
+    """Eigendecomposition of the hopping matrices of ``spec``.
+
+    ``evals1`` has shape (..., N) and ``evecs1`` (..., N, N), with the
+    stack axes of ``spec`` in front.
+    """
 
     spec: object
     evals1: np.ndarray = field(repr=False)
@@ -40,23 +47,28 @@ class SpectralData:
 
 
 def diagonalize(spec, check=True):
-    """Eigendecompose the hopping matrix of the chain ``spec``.
+    """Eigendecompose the hopping matrices of the chain or stack ``spec``.
 
-    With ``check`` the reconstruction V L V^T is compared to the input to
-    1e-10, which guards against a silently failed eigensolve.
+    With ``check`` the reconstruction V L V^T of every chain is compared to
+    its input to 1e-10, which guards against a silently failed eigensolve;
+    a failure names the chain.
     """
     h1 = hopping_matrix(spec.couplings())
     evals1, evecs1 = np.linalg.eigh(h1)
     if check:
-        err = np.max(np.abs((evecs1 * evals1) @ evecs1.T - h1))
-        if err > RECONSTRUCTION_TOL:
-            raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
+        rebuilt = (evecs1 * evals1[..., None, :]) @ evecs1.swapaxes(-1, -2)
+        check_tolerance(np.abs(rebuilt - h1).max(axis=(-2, -1)), RECONSTRUCTION_TOL,
+                        "eigendecomposition reconstruction error")
     return SpectralData(spec=spec, evals1=evals1, evecs1=evecs1)
 
 
 def one_excitation_columns(spectral, t, n_cols=None):
-    """The first ``n_cols`` columns of p1 = V exp(-i L t) V^T (all by default)."""
+    """The first ``n_cols`` columns of p1 = V exp(-i L t) V^T (all by default).
+
+    Shape (..., N, n_cols), with the leading axes of ``spectral``.
+    """
     if t < 0:
         warnings.warn(f"propagating backwards in time (t = {t})", stacklevel=3)
     V = spectral.evecs1
-    return (V * np.exp(-1j * spectral.evals1 * t)) @ V[:n_cols].T
+    phases = np.exp(-1j * spectral.evals1[..., None, :] * t)
+    return (V * phases) @ V[..., :n_cols, :].swapaxes(-1, -2)

@@ -1,5 +1,7 @@
 """Exception types raised by the spinline package."""
 
+import numpy as np
+
 
 class SpinlineError(Exception):
     """Base class for all spinline-specific errors."""
@@ -32,7 +34,32 @@ class NormalizationError(SpinlineError, ValueError):
 class NumericalError(SpinlineError):
     """A numerical self-check failed: an eigendecomposition that does not
     reconstruct its matrix, a spectrum that is not +-paired, or a parameter
-    set or receiver matrix that breaks its Hermiticity, trace or positivity."""
+    set or receiver matrix that breaks its Hermiticity, trace or positivity.
+
+    A check on a stack of chains names the first failing one in ``chain``
+    (its flat index over the leading axes); it is None for a single chain.
+    """
+
+    def __init__(self, message, chain=None):
+        self.message = message
+        self.chain = chain
+        super().__init__(message)
+
+    def __str__(self):
+        return self.message if self.chain is None else f"chain {self.chain}: {self.message}"
+
+
+def check_tolerance(dev, tol, what):
+    """Raise NumericalError if a deviation exceeds ``tol``.
+
+    ``dev`` is one number, or one per chain of a stack; the error names
+    the first chain that fails.
+    """
+    exceeds = dev > tol
+    if exceeds.any():
+        first = int(np.argmax(exceeds))
+        chain = first if exceeds.ndim else None
+        raise NumericalError(f"{what} {np.ravel(dev)[first]:.3e}", chain=chain)
 
 
 class NoArrivalError(SpinlineError):

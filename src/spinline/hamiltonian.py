@@ -26,6 +26,10 @@ class ChainSpec:
     bonds 2 and N-2 carry ``delta2`` and bonds 3..N-3 carry the bulk values
     (nominally 1.0).  Non-uniform profiles need n_nodes >= 7; shorter
     chains are supported only with the fully uniform profile.
+
+    A ``bulk`` of shape (..., N-5) describes a stack of chains that share
+    their boundary pairs, as the chains of a disorder sample do; a single
+    chain is the stack without leading axes.
     """
 
     n_nodes: int
@@ -38,7 +42,7 @@ class ChainSpec:
             raise ChainLengthError(f"chain needs at least 4 nodes, got {self.n_nodes}")
         n_bulk = max(0, self.n_nodes - 5)
         bulk = np.ones(n_bulk) if self.bulk is None else np.asarray(self.bulk, float)
-        if bulk.shape != (n_bulk,):
+        if bulk.shape[-1:] != (n_bulk,):
             raise SizeMismatchError(
                 f"expected {n_bulk} bulk couplings for n={self.n_nodes}, got {bulk.shape}"
             )
@@ -50,7 +54,7 @@ class ChainSpec:
             raise ChainLengthError(
                 f"boundary-tuned profile needs n >= {MIN_PROFILE_NODES}, got {self.n_nodes}"
             )
-        couplings = np.array([self.delta1, self.delta2, *bulk], float)
+        couplings = self.couplings()
         if not np.all(np.isfinite(couplings)):
             raise InputError("all couplings must be finite")
         if np.any(couplings <= 0):
@@ -61,16 +65,17 @@ class ChainSpec:
         return cls(n_nodes=n_nodes)
 
     def couplings(self):
-        """The N-1 bond couplings [delta1, delta2, bulk..., delta2, delta1]."""
+        """The N-1 bond couplings [delta1, delta2, bulk..., delta2, delta1],
+        shape (..., N-1) for a stack."""
         n = self.n_nodes
-        J = np.empty(n - 1)
-        J[0] = J[-1] = self.delta1
+        J = np.empty(self.bulk.shape[:-1] + (n - 1,))
+        J[..., 0] = J[..., -1] = self.delta1
         if n >= 5:
-            J[1] = J[-2] = self.delta2
+            J[..., 1] = J[..., -2] = self.delta2
         else:  # n == 4: the two second-bond slots coincide
-            J[1] = self.delta2
+            J[..., 1] = self.delta2
         if n >= 6:
-            J[2 : n - 3] = self.bulk
+            J[..., 2 : n - 3] = self.bulk
         return J
 
     def to_json(self):
@@ -120,13 +125,16 @@ def apply_disorder(spec, epsilon, deltas):
     """Replace the bulk couplings by 1 + epsilon * deltas.
 
     Only bonds 3..N-3 are perturbed; the boundary pairs delta1, delta2 are
-    assumed perfectly manufactured and stay untouched.
+    assumed perfectly manufactured and stay untouched.  With deltas in
+    [-1, 1], 0 <= epsilon < 1 keeps every coupling positive; any other
+    epsilon raises InputError, whatever the deltas.  Deltas of shape
+    (..., N-5) give a stack of chains.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < 1:
+        raise InputError(f"epsilon must lie in [0, 1), got {epsilon}")
     deltas = np.asarray(deltas, float)
-    n_bulk = spec.bulk.shape[0]
-    if deltas.shape != (n_bulk,):
+    n_bulk = spec.bulk.shape[-1]
+    if deltas.shape[-1:] != (n_bulk,):
         raise SizeMismatchError(
             f"expected {n_bulk} bond perturbations, got {deltas.shape}"
         )

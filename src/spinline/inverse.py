@@ -12,7 +12,6 @@ not unique, and reproducibility of our chosen solution is what matters.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .basis import SenderState
 from .errors import InfeasibleTargetError, InputError
@@ -130,6 +129,9 @@ def _multistart(fun, jac, starts, residual_tol):
     ``leastsq`` passes ``fun`` and ``jac`` to ``lmder`` unwrapped;
     ``full_output`` keeps it from warning when a start reaches the cap.
     """
+    # imported here: scipy.optimize doubles the start-up time of the CLI
+    from scipy.optimize import leastsq
+
     best = None
     for y0 in starts:
         y, _, info, _, _ = leastsq(

@@ -10,18 +10,24 @@ matrix is a quadratic form in the sender's control amplitudes, held as one
 operator (:func:`receiver_operator`) that every receiver matrix is
 contracted from.
 
+Every function here broadcasts over leading axes: a stack of spectra (see
+:func:`~spinline.dynamics.diagonalize`) gives one :class:`LineParams`
+whose arrays carry the stack axes in front, and a stack of parameter sets
+gives a stack of receiver operators.  A single chain is the case without
+leading axes.
+
 Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 """
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .basis import sender_pairs
 from .dynamics import one_excitation_columns
-from .errors import InputError, NumericalError, SizeMismatchError
+from .errors import InputError, NumericalError, SizeMismatchError, check_tolerance
 
 SYMMETRY_TOL = 1e-12
 
@@ -66,6 +72,8 @@ class LineParams:
     Vectors are indexed by sender node (k = 1..n_sender) or sender pair in
     the order of :func:`sender_pairs`; matrices by (pair, pair) or
     (node, pair).  ``P_mm`` and ``P_NN`` are Hermitian in the pair indices.
+    A stack of chains puts its axes in front of every array (``shape``);
+    ``params[i]`` selects chains of the stack.
     """
 
     n_sender: int
@@ -83,15 +91,33 @@ class LineParams:
     def pairs(self):
         return sender_pairs(self.n_sender)
 
+    @property
+    def shape(self):
+        """The stack axes: () for a single chain, (B,) for B chains."""
+        return self.p_N.shape[:-1]
+
+    def __getitem__(self, chains):
+        """The parameter sets of ``chains``, an index into the stack axes."""
+        return replace(self, **{kind: getattr(self, kind)[chains] for kind in KINDS})
+
+    def _entry(self, kind, pos):
+        # a scalar for a single chain, one value per chain for a stack
+        array = getattr(self, kind)
+        return array[pos] if array.ndim == len(pos) else array[(..., *pos)]
+
     def items(self):
         """Yield (kind, indices, value) over all entries, canonical order."""
         for kind, idx, pos in param_index(self.n_sender):
-            yield kind, idx, getattr(self, kind)[pos]
+            yield kind, idx, self._entry(kind, pos)
+
+    def values(self):
+        """Every entry in the order of :func:`param_index`, shape (..., n_entries)."""
+        return np.stack([self._entry(kind, pos) for kind, _, pos in param_index(self.n_sender)],
+                        axis=-1)
 
     def get(self, kind, indices):
         """Single entry lookup by (kind, 1-based index tuple)."""
-        pos = _positions(self.n_sender)[(kind, tuple(indices))]
-        return getattr(self, kind)[pos]
+        return self._entry(kind, _positions(self.n_sender)[(kind, tuple(indices))])
 
     @property
     def n_entries(self):
@@ -117,42 +143,46 @@ def line_params_at(spectral, t, n_sender=4):
 
     The single-particle transfer block thus fixes the whole channel
     (Terhal and DiVincenzo, PRA 65, 032325, 2002).
+
+    A stacked ``spectral`` gives a stacked LineParams; the Hermitian check
+    of ``P_mm`` and ``P_NN`` applies to every chain and names the first
+    that fails.
     """
-    n = spectral.evals1.shape[0]
+    n = spectral.evals1.shape[-1]
     if n_sender > n - 2:
         raise SizeMismatchError(
             f"sender of {n_sender} nodes overlaps the receiver on an {n}-node chain"
         )
-    R = one_excitation_columns(spectral, t, n_sender)[-2:]
-    G = np.eye(n_sender) - R.T @ R.conj()
+    R = one_excitation_columns(spectral, t, n_sender)[..., -2:, :]
+    G = np.eye(n_sender) - R.swapaxes(-1, -2) @ R.conj()
     # nodes[x, s] is node x of sender pair s = (n, m); the antisymmetrised
     # terms are stacked along x, each pairing G at nodes[x] with R at nodes[1-x]
     nodes = np.array(sender_pairs(n_sender)).T - 1
     i, j = nodes
-    Rn, Rcn = R[:, nodes[::-1]], R.conj()[:, nodes[::-1]]
-    terms = G[:, nodes] * Rcn[:, None]
-    P = terms[:, :, 0] - terms[:, :, 1]
+    Rn, Rcn = R[..., nodes[::-1]], R.conj()[..., nodes[::-1]]
+    terms = G[..., None, :, nodes] * Rcn[..., None, :, :]
+    P = terms[..., 0, :] - terms[..., 1, :]
     # (Ra, Rb) = (R1, R1), (R1, R2), (R2, R2) for P_mm, P_mN, P_NN
-    terms = (G[nodes[:, None, :, None], nodes[None, :, None, :]]
-             * Rn[[0, 0, 1], :, None, :, None] * Rcn[[0, 1, 1], None, :, None, :])
-    PP = terms[:, 0, 0] - terms[:, 0, 1] - terms[:, 1, 0] + terms[:, 1, 1]
+    terms = (G[..., None, nodes[:, None, :, None], nodes[None, :, None, :]]
+             * Rn[..., [0, 0, 1], :, None, :, None] * Rcn[..., [0, 1, 1], None, :, None, :])
+    PP = (terms[..., 0, 0, :, :] - terms[..., 0, 1, :, :]
+          - terms[..., 1, 0, :, :] + terms[..., 1, 1, :, :])
     params = LineParams(
         n_sender=n_sender,
         t0=float(t),
-        p_N=R[1],
-        p_Nm1=R[0],
-        p_pair=R[0, i] * R[1, j] - R[0, j] * R[1, i],
-        P_Nm1=P[0],
-        P_N=P[1],
-        P_mm=PP[0],
-        P_mN=PP[1],
-        P_NN=PP[2],
+        p_N=R[..., 1, :],
+        p_Nm1=R[..., 0, :],
+        p_pair=R[..., 0, i] * R[..., 1, j] - R[..., 0, j] * R[..., 1, i],
+        P_Nm1=P[..., 0, :, :],
+        P_N=P[..., 1, :, :],
+        P_mm=PP[..., 0, :, :],
+        P_mN=PP[..., 1, :, :],
+        P_NN=PP[..., 2, :, :],
     )
     for name in ("P_mm", "P_NN"):
         M = getattr(params, name)
-        dev = np.max(np.abs(M - M.conj().T))
-        if dev > SYMMETRY_TOL:
-            raise NumericalError(f"{name} Hermitian symmetry violated by {dev:.3e}")
+        dev = np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        check_tolerance(dev, SYMMETRY_TOL, f"{name} Hermitian symmetry violated by")
     return params
 
 
@@ -184,32 +214,36 @@ def receiver_operator(params):
     ``K[b, a]`` is the conjugate transpose of ``K[a, b]``, and ``K[0, 0]``
     is the identity minus the other diagonal blocks.  This is the
     process-tomography picture of the line (Chuang and Nielsen, 1997).
+    A stacked ``params`` gives K of shape (..., 4, 4, d, d).
     """
     n_sender = params.n_sender
     d = 1 + n_sender + len(params.pairs)
     one, pair = slice(1, 1 + n_sender), slice(1 + n_sender, d)
     # rows: the vacuum amplitude a0 and the amplitudes f_m, f_N, f_q
-    V = np.zeros((4, d), complex)
-    V[0, 0] = 1.0
-    V[1, one], V[2, one], V[3, pair] = params.p_Nm1, params.p_N, params.p_pair
-    K = V[:, None, :, None] * V.conj()[None, :, None, :]
+    V = np.zeros(params.shape + (4, d), complex)
+    V[..., 0, 0] = 1.0
+    V[..., 1, one], V[..., 2, one], V[..., 3, pair] = params.p_Nm1, params.p_N, params.p_pair
+    K = V[..., :, None, :, None] * V.conj()[..., None, :, None, :]
     for a, b, rows, P in ((0, 1, one, params.P_Nm1), (0, 2, one, params.P_N),
                           (1, 2, pair, params.P_mN)):
-        K[a, b, rows, pair] += P
-        K[b, a, pair, rows] += P.conj().T
-    K[1, 1, pair, pair] += params.P_mm
-    K[2, 2, pair, pair] += params.P_NN
-    K[0, 0] = np.eye(d) - K[1, 1] - K[2, 2] - K[3, 3]
+        K[..., a, b, rows, pair] += P
+        K[..., b, a, pair, rows] += P.conj().swapaxes(-1, -2)
+    K[..., 1, 1, pair, pair] += params.P_mm
+    K[..., 2, 2, pair, pair] += params.P_NN
+    K[..., 0, 0, :, :] = np.eye(d) - K[..., 1, 1, :, :] - K[..., 2, 2, :, :] - K[..., 3, 3, :, :]
     return K
 
 
 def receiver_rho(K, x):
-    """Receiver matrices ``rho[..., a, b]`` of control vectors x (..., d)."""
+    """Receiver matrices ``rho[..., a, b]`` of control vectors x (..., d).
+
+    K (..., 4, 4, d, d) and x broadcast over their leading axes.
+    """
     if x.shape[-1] != K.shape[-1]:
         raise SizeMismatchError(
             f"{x.shape[-1]} control amplitudes, the receiver operator takes {K.shape[-1]}"
         )
-    return np.einsum("abij,...i,...j->...ab", K, x, x.conj())
+    return np.einsum("...abij,...i,...j->...ab", K, x, x.conj())
 
 
 def assemble_rho(params, state):

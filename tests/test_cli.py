@@ -238,7 +238,7 @@ def test_disorder_study_diagonalizes_each_chain_once(workdir, monkeypatch):
     calls, diagonalize = [], dynamics.diagonalize
 
     def counted(spec, *args, **kwargs):
-        calls.append(spec)
+        calls.append(int(np.prod(spec.bulk.shape[:-1])))  # chains in the stack
         return diagonalize(spec, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -246,7 +246,7 @@ def test_disorder_study_diagonalizes_each_chain_once(workdir, monkeypatch):
             monkeypatch.setattr(module, "diagonalize", counted)
     assert main(["disorder-study", "--n", "20", "--tuned", "--epsilon", "0.05",
                  "--chains", "5", "--seed", "7", "--out", "study.json"]) == EXIT_OK
-    assert len(calls) == 6  # the five sampled chains and the base chain
+    assert sorted(calls) == [1, 5]  # the base chain and one stack of five sampled chains
 
 
 def test_disorder_study_artifacts(workdir):
@@ -287,6 +287,45 @@ def test_numerical_check_exit_code(workdir, monkeypatch, capsys):
     assert err.startswith("numerical check failed: P_mm Hermitian symmetry")
     assert "Traceback" not in err
     assert not (workdir / "params.csv").exists()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("symmetry", "P_mm Hermitian symmetry"),
+    ("stacked eigh", "chain 1: eigendecomposition reconstruction error"),
+])
+def test_disorder_study_numerical_check_exit_code(workdir, monkeypatch, capsys, fault, message):
+    if fault == "symmetry":
+        monkeypatch.setattr(receiver, "SYMMETRY_TOL", -1.0)
+    else:
+        eigh = np.linalg.eigh
+
+        def faulty(h):
+            w, v = eigh(h)
+            if h.ndim == 3:  # the sampled stack fails, the base chain passes
+                w[1, 0] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+    rc = main(["disorder-study", "--n", "20", "--tuned", "--epsilon", "0.05",
+               "--chains", "3", "--seed", "7", "--out", "study.json",
+               "--params-csv", "stats.csv", "--robustness-csv", "rob.csv"])
+    assert rc == EXIT_REPORT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical check failed: {message}")
+    assert "Traceback" not in err
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_disorder_study_epsilon_of_one_or_more_exit_code(workdir, seed, capsys):
+    # seed 2 draws couplings that all stay positive at eps 1.05, seed 1 does
+    # not; both are refused before any chain is sampled
+    for eps in ("1.05", "1"):
+        rc = main(["disorder-study", "--n", "20", "--tuned", "--epsilon", eps,
+                   "--chains", "2", "--seed", seed, "--out", "study.json"])
+        assert rc == EXIT_BAD_CONFIG
+        assert "maximum of 1" in capsys.readouterr().err
+    assert not (workdir / "study.json").exists()
 
 
 def test_zero_valued_options_survive(workdir, params_csv):

@@ -3,7 +3,9 @@ import pytest
 
 import spinline as sl
 from spinline import benchmarks as bm
+from spinline import disorder
 from spinline.disorder import (
+    _chain_rng,
     export_param_stats_csv,
     export_robustness_csv,
     param_statistics,
@@ -11,7 +13,9 @@ from spinline.disorder import (
     sample_line_params,
     werner_robustness,
 )
+from spinline.errors import InputError, NumericalError
 from spinline.hamiltonian import ChainSpec
+from spinline.receiver import KINDS, receiver_operator, receiver_rho
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +85,83 @@ def test_sample_prefix_is_stable(base20, tuned20_params):
     # chain i has its own stream: a larger sample starts with the smaller one
     short = sample(base20, tuned20_params.t0, 0.05, 3, 4)
     long = sample(base20, tuned20_params.t0, 0.05, 5, 4)
-    assert len(long) == 5
-    for a, b in zip(short, long):
-        assert all(x[2] == y[2] for x, y in zip(a.items(), b.items()))
+    assert long.shape == (5,)
+    assert np.array_equal(long.values()[:3], short.values())
+
+
+@pytest.mark.parametrize("n, n_sender, n_chains", [
+    (7, 3, 5), (7, 5, disorder.CHAIN_BLOCK + 3), (12, 4, 6), (20, 4, 7), (20, 5, 4),
+])
+def test_stacked_sample_matches_per_chain_oracle(n, n_sender, n_chains):
+    # the oracle diagonalizes and evaluates each chain on its own; the
+    # stack must give the same bits, across a block boundary too
+    base = ChainSpec(n_nodes=n, delta1=0.6, delta2=0.85)
+    t0, eps, seed = 1.3 * n, 0.05, 11
+    stacked = sample_line_params(base, t0, eps, n_chains=n_chains, seed=seed, n_sender=n_sender)
+    assert stacked.shape == (n_chains,) and stacked.n_sender == n_sender
+    for i in range(n_chains):
+        chain = sample_chain(base, eps, _chain_rng(seed, i))
+        oracle = sl.line_params_at(sl.diagonalize(chain), t0, n_sender)
+        for kind in KINDS:
+            assert np.array_equal(getattr(stacked, kind)[i], getattr(oracle, kind)), (i, kind)
+        assert np.array_equal(stacked[i].values(), oracle.values())
+
+
+def test_values_follow_param_index(tuned20_params):
+    values = tuned20_params.values()
+    assert values.shape == (tuned20_params.n_entries,)
+    assert list(values) == [v for _, _, v in tuned20_params.items()]
+
+
+def test_stacked_robustness_matches_per_chain_oracle(monkeypatch, base20, tuned20_params,
+                                                     controls):
+    monkeypatch.setattr(disorder, "CHAIN_BLOCK", 4)  # three blocks for ten chains
+    chains = sample(base20, tuned20_params.t0, 0.05, 10, 6)
+    x = np.array([state.vector for state in controls.values()])
+    targets = np.array([sl.werner_target(p).matrix for p in controls])
+    deltas = np.array([
+        sl.discrepancy(receiver_rho(receiver_operator(chains[i]), x), targets)
+        for i in range(10)
+    ])
+    points = werner_robustness(chains, controls)
+    assert [pt.p for pt in points] == list(controls)
+    std = (deltas - deltas[0]).std(axis=0, ddof=1)
+    for j, pt in enumerate(points):
+        assert pt.mean == pytest.approx(deltas[:, j].mean(), rel=0, abs=1e-14)
+        assert pt.std == pytest.approx(std[j], rel=0, abs=1e-14)
+        assert pt.sem == pytest.approx(std[j] / np.sqrt(10), rel=0, abs=1e-14)
+
+
+def test_sample_epsilon_must_stay_below_one(base20):
+    # 1 + eps * u with u in [-1, 1) reaches zero or below for eps >= 1
+    for eps in (1.0, 1.05, -0.01):
+        with pytest.raises(InputError, match="epsilon"):
+            sample_line_params(base20, 26.4, eps, n_chains=2, seed=1)
+
+
+def test_stack_failure_names_the_chain(monkeypatch, base20):
+    eigh, calls = np.linalg.eigh, []
+
+    def faulty(h):
+        w, v = eigh(h)
+        calls.append(h.shape)
+        if len(calls) == 2:
+            w[1, 0] += 1e-6  # chain 1 of the second block
+        return w, v
+
+    monkeypatch.setattr(disorder, "CHAIN_BLOCK", 2)
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    with pytest.raises(NumericalError, match="^chain 3: eigendecomposition reconstruction") \
+            as err:
+        sample_line_params(base20, 26.4, 0.05, n_chains=5, seed=1)
+    assert err.value.chain == 3
+    assert calls == [(2, 20, 20)] * 2
+
+
+def test_stack_hermitian_check_names_the_chain(monkeypatch, base20):
+    monkeypatch.setattr(sl.receiver, "SYMMETRY_TOL", -1.0)
+    with pytest.raises(NumericalError, match="^chain 0: P_mm Hermitian symmetry"):
+        sample_line_params(base20, 26.4, 0.05, n_chains=3, seed=1)
 
 
 def test_sample_needs_two_chains(base20):

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,12 @@ def test_unused_import_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the CLI's start-up time; only the commands
+    # that solve import it
+    code = "import sys, spinline.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import least_squares
 
 import spinline as sl
@@ -112,7 +113,7 @@ def test_forms_match_receiver(sender_params, kind):
 def lm_runs(monkeypatch):
     """Every MINPACK run of a solve, in call order: its callbacks, start,
     end point, evaluation count and largest equation violation there."""
-    runs, leastsq = [], inverse.leastsq
+    runs, leastsq = [], scipy.optimize.leastsq
 
     def recorded(fun, y0, Dfun, **kwargs):
         assert kwargs["full_output"]
@@ -122,7 +123,7 @@ def lm_runs(monkeypatch):
                                     residual=np.max(np.abs(info["fvec"]))))
         return out
 
-    monkeypatch.setattr(inverse, "leastsq", recorded)
+    monkeypatch.setattr(scipy.optimize, "leastsq", recorded)
     return runs
 
 
