@@ -19,7 +19,7 @@ import numpy as np
 import jsonschema
 
 from . import benchmarks as bm
-from .chainopt import optimize_boundary
+from .chainopt import COUPLING_TOL, optimize_boundary
 from .disorder import (
     export_param_stats_csv,
     export_robustness_csv,
@@ -90,7 +90,8 @@ SCHEMAS = {
         "properties": {
             "command": {"const": "optimize-chain"},
             "n": {"type": "integer", "minimum": 7},
-            "grid_step": {"type": "number", "exclusiveMinimum": 0},
+            # a finer lattice than the Nelder-Mead tolerance only costs memory
+            "grid_step": {"type": "number", "minimum": COUPLING_TOL},
             "t_max": {"type": "number", "exclusiveMinimum": 0},
             "delta1_range": _RANGE,
             "delta2_range": _RANGE,

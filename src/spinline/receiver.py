@@ -365,7 +365,7 @@ def import_params_csv(path):
                 t0 = float(r[0].split(":", 1)[1])
         for kind, idx, re, im, _fam in rows[1:]:
             indices = tuple(int(i) for i in idx.split(";"))
-            entries[(kind, indices)] = float(re) + 1j * float(im)
+            entries[(kind, indices)] = complex(float(re), float(im))  # keeps a -0.0 imaginary part
     except ValueError as exc:
         raise InputError(f"{path}: malformed parameter table ({exc})") from exc
     if t0 is None:

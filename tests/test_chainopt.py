@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinline as sl
+from spinline import benchmarks as bm
+from spinline import chainopt
 from spinline.chainopt import (
     DEFAULT_DT,
-    _coarse_grid,
     _first_arrival,
+    _score_points,
     first_maximum,
     optimize_boundary,
 )
-from spinline.errors import NoArrivalError, NumericalError
+from spinline.errors import InputError, NoArrivalError, NumericalError
 from spinline.hamiltonian import ChainSpec, hopping_matrix
 from spinline.verification import propagators
 
@@ -61,6 +63,9 @@ def test_search_box_validation():
         optimize_boundary(8, delta1_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         optimize_boundary(8, delta2_range=(0.5, 1.8))
+    # refused before np.arange asks for ~9 GiB of lattice
+    with pytest.raises(InputError, match="coupling tolerance"):
+        optimize_boundary(20, grid_step=1e-9, delta1_range=(0.5, 0.5000001))
 
 
 # optimize_boundary(n, grid_step=0.05) as computed with the complex
@@ -124,14 +129,110 @@ def test_first_arrival_hits_at_every_block_edge(tuned20):
 
 def test_coarse_grid_matches_single_chains():
     d1s, d2s = np.array([0.3, 0.55, 0.8]), np.array([0.6, 0.82])
-    combos, best = _coarse_grid(20, d1s, d2s, DEFAULT_DT, 60.0, 0.2)
-    assert [tuple(c) for c in combos] == [(a, b) for a in d1s for b in d2s]
+    d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
     ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
-    for (d1, d2), grid_amp in zip(combos, best):
-        spectral = spectral_for(20, d1, d2)
+    best = _score_points(20, d1, d2, ts, 0.2)
+    for a, b, grid_amp in zip(d1, d2, best):
+        spectral = spectral_for(20, a, b)
         weights = spectral.evecs1[-1] * spectral.evecs1[0]
         amp, _ = _first_arrival(spectral.evals1[None], weights[None], ts, 0.2)
         assert grid_amp == amp[0] > 0.2
+
+
+def test_point_scoring_does_not_depend_on_the_block(monkeypatch):
+    rng = np.random.default_rng(3)
+    d1, d2 = rng.uniform(0.05, 1.25, (2, 40))
+    ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
+    whole = _score_points(20, d1, d2, ts, 0.2)
+    monkeypatch.setattr(chainopt, "_POINT_BLOCK", 7)
+    assert np.array_equal(_score_points(20, d1, d2, ts, 0.2), whole)
+
+
+def full_scan(n_nodes, d1s, d2s, ts, floor):
+    """Oracle for the grid stage: every lattice point scored by _first_arrival,
+    the best one picked by amplitude, then lexicographic (delta1, delta2)."""
+    d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
+    J = np.ones((d1.size, n_nodes - 1))
+    J[:, 1] = J[:, -2] = d2
+    J[:, 0] = J[:, -1] = d1
+    lam, V = np.linalg.eigh(hopping_matrix(J))
+    amp, _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, floor)
+    top = np.lexsort((d2, d1, -amp))[0]
+    return np.array([d1[top], d2[top]]), amp[top]
+
+
+def assert_search_matches_full_scan(monkeypatch, n, delta1_range, delta2_range):
+    """The two-level search starts Nelder-Mead from the full scan's best point
+    with its amplitude, so the optimum is the same bit for bit."""
+    lattice_search, seen = chainopt._lattice_search, []
+
+    def spy(*args):
+        seen.append((args, lattice_search(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(chainopt, "_lattice_search", spy)
+    got = optimize_boundary(n, delta1_range, delta2_range)
+    (n_nodes, d1s, d2s, stride, ts, floor), (x0, amp) = seen[0]
+    assert stride == 5
+    want = full_scan(n_nodes, d1s, d2s, ts, floor)
+    assert (x0.tolist(), amp) == (want[0].tolist(), want[1])
+    assert got.coarse_amplitude == want[1]
+    monkeypatch.setattr(chainopt, "_lattice_search", lambda *args: want)
+    assert optimize_boundary(n, delta1_range, delta2_range) == got
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_search_matches_full_scan_on_default_box(monkeypatch, n):
+    assert_search_matches_full_scan(monkeypatch, n, (0.05, 1.25), (0.05, 1.25))
+
+
+def tune_boxes(count, seed=11, width=24, margin=4):
+    """Seeded 0.24-wide sub-boxes of the default 0.01 lattice holding the
+    tuned n=20 optimum at least ``margin`` steps inside."""
+    ref = bm.TUNED_CHAINS[20]
+    centre = [round((ref[k] - 0.05) / 0.01) for k in ("delta1", "delta2")]
+    corners = np.random.default_rng(seed).integers(
+        np.subtract(centre, width - margin), np.subtract(centre, margin) + 1, (count, 2))
+    return [tuple((round(0.05 + 0.01 * c, 2), round(0.05 + 0.01 * (c + width), 2))
+                  for c in corner) for corner in corners]
+
+
+@pytest.mark.parametrize("box", tune_boxes(16))
+def test_search_matches_full_scan_on_sub_boxes(monkeypatch, box):
+    assert_search_matches_full_scan(monkeypatch, 20, *box)
+
+
+# synthetic landscapes on a 23 x 19 lattice, whose last first-level points
+# (index 20 and 15 at stride 5) are 2 and 3 steps short of the upper edges
+LANDSCAPES = {
+    "peak at the upper corner": lambda d1, d2: 2.0 - (d1 - 1.0) ** 2 - 2.0 * (d2 - 0.96) ** 2,
+    "flat: ties go to the lower corner": lambda d1, d2: np.ones_like(d1),
+}
+
+
+@pytest.mark.parametrize("landscape", sorted(LANDSCAPES))
+def test_search_scores_the_patches_of_the_top_three_first_level_points(monkeypatch, landscape):
+    amplitude, scored = LANDSCAPES[landscape], []
+
+    def fake_scores(n_nodes, d1, d2, ts, floor):
+        scored.extend(zip(d1.tolist(), d2.tolist()))
+        return amplitude(d1, d2)
+
+    monkeypatch.setattr(chainopt, "_score_points", fake_scores)
+    d1s, d2s = np.round(0.78 + 0.01 * np.arange(23), 12), np.round(0.78 + 0.01 * np.arange(19), 12)
+    x0, amp = chainopt._lattice_search(20, d1s, d2s, 5, None, 0.2)
+
+    first = [(i, j) for i in range(0, 23, 5) for j in range(0, 19, 5)]
+    top = sorted(first, key=lambda ij: (-amplitude(d1s[ij[0]], d2s[ij[1]]), ij))[:3]
+    patches = {(i, j) for ci, cj in top for i in range(23) for j in range(19)
+               if abs(i - ci) <= 5 and abs(j - cj) <= 5}
+    assert sorted(scored) == sorted((d1s[i], d2s[j]) for i, j in set(first) | patches)
+    best = max(sorted(set(first) | patches),
+               key=lambda ij: amplitude(d1s[ij[0]], d2s[ij[1]]))  # first of equals
+    assert (x0.tolist(), amp) == ([d1s[best[0]], d2s[best[1]]],
+                                  amplitude(d1s[best[0]], d2s[best[1]]))
+    if landscape.startswith("peak"):
+        assert best == (22, 18)
 
 
 def test_first_arrival_rejects_unpaired_spectrum():

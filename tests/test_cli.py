@@ -43,11 +43,18 @@ def test_optimize_chain_artifact(workdir, capsys):
     assert result["amplitude"] >= result["coarse_amplitude"] > 0.9
 
 
-@pytest.mark.parametrize("box", ["0.9,0.5", "0.5", "0.5,x"])
-def test_optimize_chain_bad_search_box_exit_code(workdir, box, capsys):
-    rc = main(["optimize-chain", "--n", "7", "--delta1-range", box, "--out", "opt.json"])
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--delta1-range", box], "invalid input", id=box)
+    for box in ("0.9,0.5", "0.5", "0.5,x")
+] + [
+    # refused before np.arange asks for ~9 GiB of lattice
+    pytest.param(["--grid-step", "1e-9", "--delta1-range", "0.5,0.5000001"],
+                 "less than the minimum of 0.0001", id="grid-step-1e-9"),
+])
+def test_optimize_chain_bad_search_box_exit_code(workdir, args, message, capsys):
+    rc = main(["optimize-chain", "--n", "7", *args, "--out", "opt.json"])
     assert rc == EXIT_BAD_CONFIG
-    assert "invalid input" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (workdir / "opt.json").exists()
 
 

@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import spinline as sl
 from spinline.basis import SenderState
@@ -8,6 +13,7 @@ from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.receiver import (
     FAMILY_I,
     FAMILY_II,
+    KINDS,
     ReceiverState,
     export_params_csv,
     import_params_csv,
@@ -142,3 +148,33 @@ def test_csv_round_trip(tmp_path, tuned20_params):
     text = path.read_text()
     assert text.startswith("# demo")
     assert "kind,indices,re,im,family" in text
+
+
+@st.composite
+def random_line_params(draw):
+    """A LineParams of a 3- to 5-node sender with arbitrary finite entries."""
+    n_sender = draw(st.integers(3, 5))
+    shaped = sl.line_params_at(sl.diagonalize(ChainSpec.uniform(7)), 1.0, n_sender)
+    entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    return replace(
+        shaped,
+        t0=draw(st.floats(0.0, 1e3)),
+        **{kind: draw(arrays(complex, getattr(shaped, kind).shape, elements=entries))
+           for kind in KINDS},
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(params=random_line_params())
+def test_csv_round_trip_of_random_params(tmp_path_factory, params):
+    first, second = (tmp_path_factory.mktemp("csv") / "params.csv" for _ in range(2))
+    export_params_csv(params, first, header_lines=["random"])
+    loaded = import_params_csv(first)
+    export_params_csv(loaded, second, header_lines=["random"])
+    assert second.read_bytes() == first.read_bytes()
+    assert (loaded.n_sender, loaded.t0) == (params.n_sender, params.t0)
+    # .12e keeps 13 significant digits: half a unit of the 13th, plus the
+    # rounding of the decimal back to binary
+    want, got = params.values(), loaded.values()
+    for part in (np.real, np.imag):
+        np.testing.assert_allclose(part(got), part(want), rtol=5.01e-13, atol=0)
