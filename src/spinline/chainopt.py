@@ -19,11 +19,19 @@ mode N-1-k has eigenvalue -lambda_k and weight W_{N-1-k} = (-1)^(N-1) W_k, where
 W_k = V[N-1, k] V[0, k].  So p_{N;1}(t) = sum_k W_k exp(-i lambda_k t) equals
 -2i sum_{lambda>0} W sin(lambda t) for even N and W_0 + 2 sum_{lambda>0} W cos(lambda t)
 for odd N (W_0: the zero mode), a real sum over half the modes.  The kernel scans
-the time grid in blocks of 64 steps, each with one neighbour on either side for
-the local-maximum test, and drops a chain at its first hit: tuned chains arrive
-near t = 1.3N, well short of the default 3N window.
+the time grid in a fixed partition of blocks of ``_BLOCK`` (128) steps, each with
+one neighbour on either side for the local-maximum test, and drops a chain at its
+first hit: tuned chains arrive near t = 1.3N, well short of the default 3N window.
+The grid must be uniform (``np.arange(0, t_max + dt, dt)``), so that every block
+has the same offsets tau_j = ts[j] - ts[0]: one table of cos(lambda tau_j) and
+sin(lambda tau_j) per chain serves every block, which then costs one sin and one
+cos of lambda t_start per mode and one matrix-vector product by angle addition,
+sin(a + tau) = sin a cos tau + cos a sin tau and cos(a + tau) = cos a cos tau -
+sin a sin tau.  The partition depends on the grid alone, never on the stack, so
+a chain's amplitudes do not depend on the chains it is scored with.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -39,10 +47,11 @@ DEFAULT_DT = 0.05
 TIME_TOL = 1e-4
 COUPLING_TOL = 1e-4
 PAIRING_TOL = 1e-10
-_BLOCK = 64  # candidate time steps per scan block
+_BLOCK = 128  # candidate time steps per scan block
+MAX_STEPS = 10**6  # largest time grid a scan allocates
 COARSE_STEP = 0.05  # first-level lattice step of the boundary search
 TOP_COARSE = 3  # first-level points whose neighbourhoods are scored on the fine lattice
-_POINT_BLOCK = 256  # chains per stacked eigh and arrival scan of the grid search
+_POINT_BLOCK = 64  # chains per stacked eigh and arrival scan of the grid search
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -85,14 +94,26 @@ def _golden_max(f, a, b, tol):
     return t, f(t)
 
 
+def _time_grid(t_max, dt):
+    """The uniform scan grid 0, dt, 2 dt, ... up to t_max, checked before it is allocated."""
+    if not (dt > 0 and t_max > dt):
+        raise InputError(f"need dt > 0 and t_max > dt, got dt={dt:g}, t_max={t_max:g}")
+    if t_max / dt > MAX_STEPS:
+        raise InputError(f"time window t_max={t_max:g} at dt={dt:g} "
+                         f"holds more than {MAX_STEPS} steps")
+    return np.arange(0.0, t_max + dt, dt)
+
+
 def _first_arrival(evals, weights, ts, floor):
     """First local maximum of |p_{N;1}(t)| above ``floor`` on the grid ``ts``.
 
     ``evals`` (B, N) is a stack of one-excitation spectra in ``eigh`` order
     and ``weights`` (B, N) their end-to-end weights W_k = V[N-1, k] V[0, k].
-    Returns, per chain, the amplitude at the first hit and its index into
-    ``ts`` (0 and -1 without a hit).  Raises NumericalError unless every
-    spectrum is +-lambda paired.
+    ``ts`` is a uniform grid of at most ``MAX_STEPS`` steps (see
+    :func:`_time_grid`); every block of it reuses one table of the first
+    block's offsets.  Returns, per chain, the amplitude at the first hit and
+    its index into ``ts`` (0 and -1 without a hit).  Raises NumericalError
+    unless every spectrum is +-lambda paired.
     """
     n_chains, n = evals.shape
     half = n // 2
@@ -100,22 +121,31 @@ def _first_arrival(evals, weights, ts, floor):
     if pairing > PAIRING_TOL:
         raise NumericalError(f"one-excitation spectrum is not +-paired ({pairing:.1e})")
     lam, w = evals[:, n - half:], 2.0 * weights[:, n - half:]
-    wave = np.cos if n % 2 else np.sin
     w0 = weights[:, half] * (n % 2)  # the zero mode of odd N
+    # table[:, :half] = cos(lambda tau), table[:, half:] = sin(lambda tau)
+    table = np.empty((n_chains, 2 * half, min(_BLOCK + 2, ts.size)))
+    np.multiply(lam[:, :, None], ts[: table.shape[2]] - ts[0], out=table[:, :half])
+    np.sin(table[:, :half], out=table[:, half:])
+    np.cos(table[:, :half], out=table[:, :half])
     amplitude, index, live = np.zeros(n_chains), np.full(n_chains, -1), np.arange(n_chains)
     for start in range(1, ts.size - 1, _BLOCK):  # candidates start .. start+_BLOCK-1
-        phase = lam[live, :, None] * ts[start - 1 : start + _BLOCK + 1]
-        amp = np.abs(w0[live, None] + (w[live, None, :] @ wave(phase, out=phase))[:, 0])
-        del phase  # free the largest array before the next block allocates its own
+        phase = lam * ts[start - 1]
+        ws, wc = w * np.sin(phase), w * np.cos(phase)
+        coeff = np.concatenate((wc, -ws) if n % 2 else (ws, wc), axis=1)
+        width = min(table.shape[2], ts.size - start + 1)
+        amp = np.abs(w0[:, None] + (coeff[:, None, :] @ table[:, :, :width])[:, 0])
         inner = amp[:, 1:-1]
         local = (inner >= amp[:, :-2]) & (inner >= amp[:, 2:]) & (inner > floor)
         hit = local.any(axis=1)
+        if not hit.any():
+            continue
         first = local.argmax(axis=1)[hit]
         amplitude[live[hit]] = inner[hit, first]
         index[live[hit]] = start + first
-        live = live[~hit]
-        if live.size == 0:
+        if hit.all():
             break
+        keep = ~hit
+        lam, w, w0, table, live = lam[keep], w[keep], w0[keep], table[keep], live[keep]
     return amplitude, index
 
 
@@ -127,22 +157,24 @@ def first_maximum(spectral, t_max=None, dt=DEFAULT_DT, floor=AMPLITUDE_FLOOR):
 
     Raises
     ------
+    InputError
+        Unless dt > 0 and t_max > dt, or if the window holds more than
+        ``MAX_STEPS`` (10^6) grid steps.
     NoArrivalError
         If no local maximum above the floor occurs in the window.
     """
     n = spectral.evals1.shape[0]
     if t_max is None:
         t_max = default_t_max(n)
-    if dt <= 0 or t_max <= dt:
-        raise ValueError("need dt > 0 and t_max > dt")
-    ts = np.arange(0.0, t_max + dt, dt)
+    ts = _time_grid(t_max, dt)
     lam, w = spectral.evals1, spectral.evecs1[n - 1] * spectral.evecs1[0]
     _, (k,) = _first_arrival(lam[None], w[None], ts, floor)
     if k < 0:
         raise NoArrivalError(f"no transfer maximum above {floor} within t <= {t_max:g}")
+    rate = -1j * lam
 
     def f(t):
-        return abs(np.exp(-1j * lam * t) @ w)
+        return abs(np.exp(rate * t) @ w)
 
     t0, value = _golden_max(f, ts[k - 1], ts[k + 1], TIME_TOL)
     return t0, value
@@ -218,10 +250,15 @@ def optimize_boundary(
     Deterministic: grid ties are broken by lexicographic (delta1, delta2);
     grid points without an arrival score zero.
 
+    Nelder-Mead's points are scored once each: the final comparison of the
+    start and the end point reuses their scores.
+
     Raises
     ------
     InputError
-        If the box leaves (0, 1.5] or ``grid_step`` is below ``COUPLING_TOL``.
+        If the box leaves (0, 1.5], ``grid_step`` is below ``COUPLING_TOL``,
+        or the time window is empty or holds more than ``MAX_STEPS`` (10^6)
+        steps of ``dt``.
     """
     # imported here: scipy.optimize doubles the start-up time of the CLI
     from scipy.optimize import minimize
@@ -234,15 +271,16 @@ def optimize_boundary(
         raise InputError(f"grid step {grid_step} below the coupling tolerance {COUPLING_TOL}")
     if t_max is None:
         t_max = default_t_max(n_nodes)
+    ts = _time_grid(t_max, dt)
     d1s = np.round(np.arange(delta1_range[0], delta1_range[1] + grid_step / 2, grid_step), 12)
     d2s = np.round(np.arange(delta2_range[0], delta2_range[1] + grid_step / 2, grid_step), 12)
     # rounded first: a step that divides COARSE_STEP must not lose a stride to 4.999...
     stride = max(1, math.floor(round(COARSE_STEP / grid_step, 9)))
-    ts = np.arange(0.0, t_max + dt, dt)
     x0, coarse_amp = _lattice_search(n_nodes, d1s, d2s, stride, ts, floor)
     if coarse_amp <= 0.0:
         raise NoArrivalError("no grid point produced an arrival above the floor")
 
+    @functools.cache  # per search, on the exact (d1, d2)
     def evaluate(d1, d2):
         try:
             spec = ChainSpec(n_nodes=n_nodes, delta1=d1, delta2=d2)

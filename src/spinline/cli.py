@@ -11,6 +11,7 @@ I/O error, 4 infeasible target or no transfer arrival.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -469,6 +470,7 @@ def _chain_arguments(sub):
     sub.add_argument("--sender", type=int, default=4, help="sender size")
 
 
+@functools.cache  # every default is a literal, so one parser serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinline",

@@ -95,13 +95,11 @@ def coupling_stacks(draw):
     return np.array(rows)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(couplings=coupling_stacks(), t_max=st.floats(1.0, 36.0),
-       floor=st.floats(0.1, 0.6))
-def test_first_arrival_matches_complex_series(couplings, t_max, floor):
+def assert_matches_complex_series(couplings, ts, floor):
+    """_first_arrival on a stack of chains against the direct series
+    exp(-i lambda t) @ W over all modes, chain by chain and alone."""
     lam, V = np.linalg.eigh(hopping_matrix(couplings))
     weights = V[:, -1] * V[:, 0]
-    ts = np.arange(0.0, t_max + DEFAULT_DT, DEFAULT_DT)
     amp, index = _first_arrival(lam, weights, ts, floor)
     for j in range(len(couplings)):
         series = np.abs(np.exp(-1j * np.outer(ts, lam[j])) @ weights[j])
@@ -114,6 +112,30 @@ def test_first_arrival_matches_complex_series(couplings, t_max, floor):
             assert (index[j], amp[j]) == (-1, 0.0)
         alone = _first_arrival(lam[j : j + 1], weights[j : j + 1], ts, floor)
         assert (alone[0][0], alone[1][0]) == (amp[j], index[j])
+    return index
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(couplings=coupling_stacks(), t_max=st.floats(1.0, 36.0),
+       floor=st.floats(0.1, 0.6))
+def test_first_arrival_matches_complex_series(couplings, t_max, floor):
+    ts = np.arange(0.0, t_max + DEFAULT_DT, DEFAULT_DT)
+    assert_matches_complex_series(couplings, ts, floor)
+
+
+@pytest.mark.parametrize("n", [20, 21, 59, 60])
+def test_first_arrival_matches_complex_series_on_long_windows(n):
+    # disordered bulks over the default 3N window: late hits, and chains
+    # that never reach a high floor, cross the far block starts (up to
+    # t = 180 at N = 60); odd N takes the cos branch with its zero mode
+    rng = np.random.default_rng(n)
+    d1, d2 = rng.uniform(0.05, 1.25, (2, 12))
+    bulk = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, (12, n - 5))
+    couplings = np.column_stack([d1, d2, bulk, d2, d1])
+    ts = np.arange(0.0, chainopt.default_t_max(n) + DEFAULT_DT, DEFAULT_DT)
+    hits = np.concatenate([assert_matches_complex_series(couplings, ts, floor)
+                           for floor in (0.3, 0.6, 0.9)])
+    assert hits.max() > ts.size // 2 and (hits < 0).any()
 
 
 def test_first_arrival_hits_at_every_block_edge(tuned20):
@@ -148,15 +170,27 @@ def test_point_scoring_does_not_depend_on_the_block(monkeypatch):
     assert np.array_equal(_score_points(20, d1, d2, ts, 0.2), whole)
 
 
+def test_point_scoring_one_chain_per_block(monkeypatch):
+    rng = np.random.default_rng(4)
+    d1, d2 = rng.uniform(0.05, 1.25, (2, 9))
+    ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
+    whole = _score_points(20, d1, d2, ts, 0.2)
+    monkeypatch.setattr(chainopt, "_POINT_BLOCK", 1)
+    assert np.array_equal(_score_points(20, d1, d2, ts, 0.2), whole)
+
+
 def full_scan(n_nodes, d1s, d2s, ts, floor):
-    """Oracle for the grid stage: every lattice point scored by _first_arrival,
-    the best one picked by amplitude, then lexicographic (delta1, delta2)."""
+    """Oracle for the grid stage: every lattice point scored by _first_arrival
+    (in stacks of 1024, to bound memory), the best one picked by amplitude,
+    then lexicographic (delta1, delta2)."""
     d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
     J = np.ones((d1.size, n_nodes - 1))
     J[:, 1] = J[:, -2] = d2
     J[:, 0] = J[:, -1] = d1
-    lam, V = np.linalg.eigh(hopping_matrix(J))
-    amp, _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, floor)
+    amp = np.zeros(d1.size)
+    for lo in range(0, d1.size, 1024):
+        lam, V = np.linalg.eigh(hopping_matrix(J[lo : lo + 1024]))
+        amp[lo : lo + 1024], _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, floor)
     top = np.lexsort((d2, d1, -amp))[0]
     return np.array([d1[top], d2[top]]), amp[top]
 
@@ -179,6 +213,7 @@ def assert_search_matches_full_scan(monkeypatch, n, delta1_range, delta2_range):
     assert got.coarse_amplitude == want[1]
     monkeypatch.setattr(chainopt, "_lattice_search", lambda *args: want)
     assert optimize_boundary(n, delta1_range, delta2_range) == got
+    return got
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
@@ -195,6 +230,37 @@ def tune_boxes(count, seed=11, width=24, margin=4):
         np.subtract(centre, width - margin), np.subtract(centre, margin) + 1, (count, 2))
     return [tuple((round(0.05 + 0.01 * c, 2), round(0.05 + 0.01 * (c + width), 2))
                   for c in corner) for corner in corners]
+
+
+def test_refinement_scores_each_point_once(monkeypatch):
+    first_max, scored = chainopt.first_maximum, []
+
+    def spy(spectral, **kwargs):
+        scored.append((spectral.spec.delta1, spectral.spec.delta2))
+        return first_max(spectral, **kwargs)
+
+    monkeypatch.setattr(chainopt, "first_maximum", spy)
+    got = assert_search_matches_full_scan(monkeypatch, 20, (0.05, 1.25), (0.05, 1.25))
+    # two searches from the same start, each scoring every point once
+    half = len(scored) // 2
+    assert half > 0 and scored[:half] == scored[half:]
+    assert len(set(scored[:half])) == half
+    assert (got.delta1, got.delta2) in scored
+    # the scores it reused are those a fresh evaluation gives
+    spectral = spectral_for(20, got.delta1, got.delta2)
+    assert first_max(spectral) == (got.t0, got.amplitude)
+
+
+def test_time_window_is_bounded():
+    spectral = spectral_for(20)
+    with pytest.raises(InputError, match="more than 1000000 steps"):
+        first_maximum(spectral, t_max=1e12)
+    with pytest.raises(InputError, match="more than 1000000 steps"):
+        optimize_boundary(20, t_max=1e12)
+    with pytest.raises(InputError, match=r"t_max > dt"):
+        first_maximum(spectral, t_max=0.04)
+    with pytest.raises(InputError, match=r"dt > 0"):
+        first_maximum(spectral, dt=0.0)
 
 
 @pytest.mark.parametrize("box", tune_boxes(16))

@@ -50,6 +50,9 @@ def test_optimize_chain_artifact(workdir, capsys):
     # refused before np.arange asks for ~9 GiB of lattice
     pytest.param(["--grid-step", "1e-9", "--delta1-range", "0.5,0.5000001"],
                  "less than the minimum of 0.0001", id="grid-step-1e-9"),
+    # refused before np.arange asks for ~146 TiB of time grid
+    pytest.param(["--t-max", "1e12"], "more than 1000000 steps", id="t-max-1e12"),
+    pytest.param(["--t-max", "0.04"], "t_max > dt", id="t-max-below-dt"),
 ])
 def test_optimize_chain_bad_search_box_exit_code(workdir, args, message, capsys):
     rc = main(["optimize-chain", "--n", "7", *args, "--out", "opt.json"])
@@ -165,6 +168,30 @@ def test_probe_params_unsupported_sender_exit_code(workdir, monkeypatch, capsys)
     assert rc == EXIT_BAD_CONFIG
     assert "n_sender=4" in capsys.readouterr().err
     assert not (workdir / "p.csv").exists()
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    runs = [["optimize-chain", "--n", "7", "--grid-step", "0.2", "--out", "opt.json"],
+            ["compute-params", "--n", "20", "--tuned", "--out", "params.csv"]]
+
+    def artifacts_and_help(folder):
+        monkeypatch.chdir(tmp_path / folder)
+        for argv in runs:  # back to back, in this one process
+            assert main(argv) == EXIT_OK
+        helps = []
+        for argv in (["--help"], ["optimize-chain", "--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            helps.append(capsys.readouterr().out)
+        return [(tmp_path / folder / argv[-1]).read_bytes() for argv in runs], helps
+
+    for folder in ("cached", "fresh"):
+        (tmp_path / folder).mkdir()
+    assert cli.build_parser() is cli.build_parser()
+    cached = artifacts_and_help("cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert artifacts_and_help("fresh") == cached
 
 
 def test_create_state_infeasible_exit_code(params_csv):
