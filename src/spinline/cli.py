@@ -91,7 +91,7 @@ SCHEMAS = {
         "properties": {
             "command": {"const": "optimize-chain"},
             "n": {"type": "integer", "minimum": 7},
-            # a finer lattice than the Nelder-Mead tolerance only costs memory
+            # a finer lattice only costs memory: the refinement resolves far below it
             "grid_step": {"type": "number", "minimum": COUPLING_TOL},
             "t_max": {"type": "number", "exclusiveMinimum": 0},
             "delta1_range": _RANGE,

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import spinline as sl
 from spinline import benchmarks as bm
 from spinline import chainopt
 from spinline.chainopt import (
     DEFAULT_DT,
+    _amplitude_gradient,
     _first_arrival,
     _score_points,
     first_maximum,
     optimize_boundary,
 )
-from spinline.errors import InputError, NoArrivalError, NumericalError
+from spinline.errors import ChainLengthError, InputError, NoArrivalError, NumericalError
 from spinline.hamiltonian import ChainSpec, hopping_matrix
 from spinline.verification import propagators
 
@@ -68,11 +70,81 @@ def test_search_box_validation():
         optimize_boundary(20, grid_step=1e-9, delta1_range=(0.5, 0.5000001))
 
 
-# optimize_boundary(n, grid_step=0.05) as computed with the complex
-# exponential series over all modes: (delta1, delta2, t0, amplitude)
+def expm_peak(n, d1, d2, t_lo, t_hi, step=1e-5):
+    """Oracle for the first maximum: |<N|exp(-i H t)|1>| sampled every ``step``
+    on [t_lo, t_hi] from scipy's expm of the hopping matrix (one expm for the
+    start, one for the step), then the vertex of the parabola through the
+    best sample and its neighbours.  Returns (t, amplitude) at the vertex and
+    whether the best sample lies inside the window."""
+    H = hopping_matrix(ChainSpec(n_nodes=n, delta1=d1, delta2=d2).couplings())
+    ts = t_lo + step * np.arange(round((t_hi - t_lo) / step) + 1)
+    column, hop = expm(-1j * H * t_lo)[:, 0], expm(-1j * H * step)
+    amps = np.empty(ts.size)
+    for j in range(ts.size):
+        amps[j] = abs(column[-1])
+        column = hop @ column
+    j = int(np.argmax(amps))
+    if not 0 < j < ts.size - 1:
+        return ts[j], amps[j], False
+    before, top, after = amps[j - 1 : j + 2]
+    bend = before - 2.0 * top + after
+    return (ts[j] + 0.5 * step * (before - after) / bend,
+            top - (before - after) ** 2 / (8.0 * bend), True)
+
+
+@pytest.mark.parametrize("n", [7, 8, 13, 20, 31, 60])
+def test_peak_time_matches_expm_oracle(n):
+    rng = np.random.default_rng(n)
+    ts = np.arange(0.0, chainopt.default_t_max(n) + DEFAULT_DT, DEFAULT_DT)
+    for d1, d2 in [(1.0, 1.0), *rng.uniform(0.3, 1.2, (2, 2))]:
+        spectral = spectral_for(n, d1, d2)
+        t0, amp = first_maximum(spectral)
+        weights = spectral.evecs1[-1] * spectral.evecs1[0]
+        _, (k,) = _first_arrival(spectral.evals1[None], weights[None], ts, 0.2)
+        t_want, amp_want, inside = expm_peak(n, d1, d2, ts[k - 1], ts[k + 1])
+        assert inside
+        assert abs(t0 - t_want) <= 1e-8
+        assert abs(amp - amp_want) <= 1e-11
+
+
+def arriving_points(n, count):
+    """Seeded (delta1, delta2) whose chains arrive above the floor."""
+    rng, points = np.random.default_rng(100 + n), []
+    while len(points) < count:
+        d1, d2 = rng.uniform(0.1, 1.4, 2)
+        try:
+            first_maximum(spectral_for(n, d1, d2))
+        except NoArrivalError:
+            continue
+        points.append((d1, d2))
+    return points
+
+
+@pytest.mark.parametrize("n", [7, 8, 13, 20, 31, 60])
+def test_amplitude_gradient_matches_central_differences(n):
+    h = 1e-5
+    for d1, d2 in arriving_points(n, 3):
+        spectral = spectral_for(n, d1, d2)
+        t0, _ = first_maximum(spectral)
+        grad = _amplitude_gradient(spectral, t0)
+        fd = [(first_maximum(spectral_for(n, d1 + a, d2 + b))[1]
+               - first_maximum(spectral_for(n, d1 - a, d2 - b))[1]) / (2 * h)
+              for a, b in ((h, 0.0), (0.0, h))]
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_search_refuses_short_chains(monkeypatch, n):
+    monkeypatch.setattr(chainopt, "_lattice_search", None)  # refused before the grid
+    with pytest.raises(ChainLengthError, match="n >= 7"):
+        optimize_boundary(n)
+
+
+# optimize_boundary(n, grid_step=0.05): (delta1, delta2, t0, amplitude); N = 7
+# is the perfectly transferring chain delta1 = 1/sqrt(2), delta2 = sqrt(5/6)
 PINNED_OPTIMA = {
-    7: (0.7071045169358995, 0.9128688286035629, 10.882824383511064, 0.9999999999958933),
-    8: (0.6887683929056245, 0.9053400304006677, 12.125698764503408, 0.9994765199807263),
+    7: (0.7071067811867104, 0.912870929175449, 10.882796185403514, 1.0000000000000002),
+    8: (0.6887685484627878, 0.9053400055220081, 12.125699301835152, 0.9994765199809454),
 }
 
 
@@ -81,6 +153,16 @@ def test_optimum_pinned(n):
     opt = optimize_boundary(n, grid_step=0.05)
     got = (opt.delta1, opt.delta2, opt.t0, opt.amplitude)
     assert np.max(np.abs(np.subtract(got, PINNED_OPTIMA[n]))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_OPTIMA))
+def test_pinned_optimum_is_a_maximum_under_expm(n):
+    d1, d2, t0, amp = PINNED_OPTIMA[n]
+    t, peak, inside = expm_peak(n, d1, d2, t0 - 0.01, t0 + 0.01)
+    assert inside and abs(t - t0) <= 1e-8 and abs(peak - amp) <= 1e-12
+    for a, b in ((1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)):
+        _, peak, inside = expm_peak(n, d1 + a, d2 + b, t0 - 0.01, t0 + 0.01)
+        assert inside and peak < amp
 
 
 @st.composite
@@ -196,8 +278,8 @@ def full_scan(n_nodes, d1s, d2s, ts, floor):
 
 
 def assert_search_matches_full_scan(monkeypatch, n, delta1_range, delta2_range):
-    """The two-level search starts Nelder-Mead from the full scan's best point
-    with its amplitude, so the optimum is the same bit for bit."""
+    """The two-level search starts the refinement from the full scan's best
+    point with its amplitude, so the optimum is the same bit for bit."""
     lattice_search, seen = chainopt._lattice_search, []
 
     def spy(*args):
@@ -232,7 +314,7 @@ def tune_boxes(count, seed=11, width=24, margin=4):
                   for c in corner) for corner in corners]
 
 
-def test_refinement_scores_each_point_once(monkeypatch):
+def test_refinement_takes_few_evaluations(monkeypatch):
     first_max, scored = chainopt.first_maximum, []
 
     def spy(spectral, **kwargs):
@@ -240,15 +322,27 @@ def test_refinement_scores_each_point_once(monkeypatch):
         return first_max(spectral, **kwargs)
 
     monkeypatch.setattr(chainopt, "first_maximum", spy)
-    got = assert_search_matches_full_scan(monkeypatch, 20, (0.05, 1.25), (0.05, 1.25))
-    # two searches from the same start, each scoring every point once
-    half = len(scored) // 2
-    assert half > 0 and scored[:half] == scored[half:]
-    assert len(set(scored[:half])) == half
+    got = optimize_boundary(20)
+    assert 0 < len(scored) <= 20
     assert (got.delta1, got.delta2) in scored
-    # the scores it reused are those a fresh evaluation gives
+    # the result is a fresh evaluation of the returned couplings
     spectral = spectral_for(20, got.delta1, got.delta2)
     assert first_max(spectral) == (got.t0, got.amplitude)
+
+
+@pytest.fixture(scope="module")
+def default_optimum20():
+    return optimize_boundary(20)
+
+
+@pytest.mark.parametrize("box", [((0.05, 0.3), (0.05, 0.3)), ((1.0, 1.25), (1.0, 1.25)),
+                                 ((0.05, 0.3), (1.0, 1.25))])
+def test_refinement_leaves_boxes_that_miss_the_optimum(default_optimum20, box):
+    got = optimize_boundary(20, *box)
+    assert got.amplitude >= got.coarse_amplitude
+    assert abs(got.delta1 - default_optimum20.delta1) <= 1e-6
+    assert abs(got.delta2 - default_optimum20.delta2) <= 1e-6
+    assert abs(got.amplitude - default_optimum20.amplitude) <= 1e-12
 
 
 def test_time_window_is_bounded():

@@ -42,3 +42,13 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_optimize_chain_leaves_scipy_optimize_unloaded():
+    # the boundary search refines by its own trust-region Newton
+    code = ("import sys\nfrom spinline.cli import main\n"
+            "rc = main(['optimize-chain', '--n', '8', '--grid-step', '0.2'])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
