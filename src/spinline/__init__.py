@@ -9,7 +9,7 @@ quantify robustness under random coupling errors (:mod:`disorder`).
 
 from .basis import SenderState, sender_pairs, validate_sender_state
 from .chainopt import BoundaryOptimum, first_maximum, optimize_boundary
-from .disorder import param_statistics, sample_chain, sample_line_params, werner_robustness
+from .disorder import param_statistics, sample_line_params, werner_robustness
 from .dynamics import SpectralData, diagonalize
 from .hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from .inverse import (
@@ -43,6 +43,6 @@ __all__ = [
     "ProbeState", "probe_set", "simulate_probes", "extract_params",
     "TargetState", "InverseSolution", "discrepancy", "werner_target",
     "solve_werner", "solve_general", "feasibility_scan", "zero_family_iii",
-    "param_statistics", "sample_chain", "sample_line_params", "werner_robustness",
+    "param_statistics", "sample_line_params", "werner_robustness",
     "__version__",
 ]

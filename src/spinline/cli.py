@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Every subcommand builds a plain config dict, validates it against a JSON
-schema, runs, and embeds the config in each artifact it writes, so a run
-is reproducible from its artifacts alone.  Exit codes: 0 success,
+``SCHEMAS`` declares every option once: the subcommand flags, their help
+and the defaults come from it.  A subcommand's flags, or a ``run --config``
+file, give a plain config dict; ``validate_config`` checks it against the
+command's JSON schema and fills in the defaults, and the runner embeds that
+resolved config in each artifact it writes, so both entry paths write the
+same artifacts and a run is reproducible from them alone.  Exit codes: 0 success,
 1 failed verification report or numerical self-check, 2 invalid config or
 input (a config, chain, target or probe-output file that is not valid JSON
 of the expected shape, a bad scan grid, search box, parameter table,
@@ -22,6 +25,7 @@ import jsonschema
 from . import benchmarks as bm
 from .chainopt import COUPLING_TOL, optimize_boundary
 from .disorder import (
+    DEFAULT_N_CHAINS,
     export_param_stats_csv,
     export_robustness_csv,
     param_statistics,
@@ -76,113 +80,115 @@ EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 
 _CHAIN_FIELDS = {
-    "n": {"type": "integer", "minimum": 4},
-    "tuned": {"type": "boolean"},
-    "chain": {"type": "string"},
-    "t0": {"type": "number"},
-    "sender": {"type": "integer", "minimum": 2},
+    "n": {"type": "integer", "minimum": 4,
+          "description": "chain length (uniform unless --tuned)"},
+    "tuned": {"type": "boolean", "description": "use the benchmark boundary couplings and t0"},
+    "chain": {"type": "string", "description": "JSON chain-spec file"},
+    "t0": {"type": "number", "description": "registration time"},
+    "sender": {"type": "integer", "minimum": 2, "default": 4, "description": "sender size"},
 }
 
-_RANGE = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-
-SCHEMAS = {
-    "optimize-chain": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "optimize-chain"},
-            "n": {"type": "integer", "minimum": 7},
-            # a finer lattice only costs memory: the refinement resolves far below it
-            "grid_step": {"type": "number", "minimum": COUPLING_TOL},
-            "t_max": {"type": "number", "exclusiveMinimum": 0},
-            "delta1_range": _RANGE,
-            "delta2_range": _RANGE,
-            "out": {"type": ["string", "null"]},
-        },
-        "required": ["command", "n"],
-        "additionalProperties": False,
-    },
-    "compute-params": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "compute-params"},
-            "out": {"type": ["string", "null"]},
-            **_CHAIN_FIELDS,
-        },
-        "required": ["command"],
-        "additionalProperties": False,
-    },
-    "probe-params": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "probe-params"},
-            "outputs": {"type": "string"},
-            "dump_outputs": {"type": ["string", "null"]},
-            "out": {"type": ["string", "null"]},
-            **_CHAIN_FIELDS,
-        },
-        "required": ["command"],
-        "additionalProperties": False,
-    },
-    "create-state": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "create-state"},
-            "target": {"type": "string"},
-            "p": {"type": "number", "minimum": 0, "maximum": 1},
-            "params": {"type": "string"},
-            "starts": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-            "out": {"type": ["string", "null"]},
-        },
-        "required": ["command", "target", "params"],
-        "additionalProperties": False,
-    },
-    "feasibility": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "feasibility"},
-            "params": {"type": "string"},
-            "grid": {"type": "string"},
-            "starts": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-            "out": {"type": ["string", "null"]},
-        },
-        "required": ["command", "params"],
-        "additionalProperties": False,
-    },
-    "disorder-study": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "disorder-study"},
-            "epsilon": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            "chains": {"type": "integer", "minimum": 2},
-            "seed": {"type": "integer", "minimum": 0},
-            "out": {"type": "string"},
-            "params_csv": {"type": ["string", "null"]},
-            "robustness_csv": {"type": ["string", "null"]},
-            **_CHAIN_FIELDS,
-        },
-        "required": ["command", "epsilon", "seed", "out"],
-        "additionalProperties": False,
-    },
-    "reproduce-paper": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "reproduce-paper"},
-            "n": {"enum": [20, 60]},
-            "seed": {"type": "integer", "minimum": 0},
-            "chains": {"type": "integer", "minimum": 2},
-            "fast": {"type": "boolean"},
-        },
-        "required": ["command", "n"],
-        "additionalProperties": False,
-    },
-}
+_RANGE = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
+          "description": "lo,hi"}
+_SEED = {"type": "integer", "minimum": 0, "default": 0, "description": "random seed"}
+_JSON_OUT = {"type": ["string", "null"], "description": "JSON artifact (default: stdout)"}
+_PARAMS_CSV = "params.csv"
+_CSV_OUT = {"type": ["string", "null"], "description": f"parameter CSV (default: {_PARAMS_CSV})"}
+_PARAMS_IN = {"type": "string", "description": "line-parameter CSV"}
 
 
+def _command(name, description, required=(), **properties):
+    return name, {
+        "type": "object",
+        "description": description,
+        "properties": {"command": {"const": name}, **properties},
+        "required": ["command", *required],
+        "additionalProperties": False,
+    }
+
+
+# the only definition of each option: build_parser makes the flags from it
+# and validate_config fills in its defaults
+SCHEMAS = dict([
+    _command(
+        "optimize-chain", "tune the boundary couplings", required=["n"],
+        n={"type": "integer", "minimum": 7, "description": "chain length"},
+        # a finer lattice only costs memory: the refinement resolves far below it
+        grid_step={"type": "number", "minimum": COUPLING_TOL,
+                   "description": "coupling lattice step"},
+        t_max={"type": "number", "exclusiveMinimum": 0,
+               "description": "end of the arrival scan"},
+        delta1_range=_RANGE,
+        delta2_range=_RANGE,
+        out=_JSON_OUT,
+    ),
+    _command("compute-params", "line parameters from the Hamiltonian",
+             **_CHAIN_FIELDS, out=_CSV_OUT),
+    _command(
+        "probe-params", "line parameters from probe outputs",
+        **_CHAIN_FIELDS,
+        outputs={"type": "string", "description": "probe-output JSON (external data)"},
+        dump_outputs={"type": ["string", "null"],
+                      "description": "write the simulated probe outputs here"},
+        out=_CSV_OUT,
+    ),
+    _command(
+        "create-state", "solve for sender controls", required=["target", "params"],
+        target={"type": "string", "description": "'werner' or 'file:target.json'"},
+        p={"type": "number", "minimum": 0, "maximum": 1,
+           "description": "werner mixing parameter"},
+        params=_PARAMS_IN,
+        starts={"type": "integer", "minimum": 1, "description": "solver starts"},
+        seed=_SEED,
+        out=_JSON_OUT,
+    ),
+    _command(
+        "feasibility", "largest creatable werner parameter", required=["params"],
+        params=_PARAMS_IN,
+        grid={"type": "string", "default": "0:1:0.02", "description": "lo:hi:step"},
+        starts={"type": "integer", "minimum": 1, "default": 64,
+                "description": "solver starts per werner parameter"},
+        seed=_SEED,
+        out=_JSON_OUT,
+    ),
+    _command(
+        "disorder-study", "Monte-Carlo over random chains",
+        required=["epsilon", "seed", "out"],
+        **_CHAIN_FIELDS,
+        epsilon={"type": "number", "minimum": 0, "exclusiveMaximum": 1,
+                 "description": "relative bulk-coupling error"},
+        chains={"type": "integer", "minimum": 2, "default": DEFAULT_N_CHAINS,
+                "description": "sampled chains"},
+        seed={"type": "integer", "minimum": 0, "description": "random seed"},
+        out={"type": "string", "description": "JSON artifact"},
+        params_csv={"type": ["string", "null"],
+                    "description": "write the parameter statistics here"},
+        robustness_csv={"type": ["string", "null"],
+                        "description": "write the werner robustness here"},
+    ),
+    _command(
+        "reproduce-paper", "run the verification report against the references",
+        n={"type": "integer", "enum": [20, 60], "default": 20, "description": "chain length"},
+        seed=_SEED,
+        chains={"type": "integer", "minimum": 2, "default": DEFAULT_N_CHAINS,
+                "description": "sampled chains of the disorder check"},
+        fast={"type": "boolean", "description": "skip the boundary-coupling optimization"},
+    ),
+])
+
+
+# JSON Schema counts 20.0 as an integer, but chain lengths, counts and seeds
+# must reach the library as ints
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _checker, value: type(value) is int),
+)
 # built once: jsonschema.validate would re-check each schema on every call
-_VALIDATORS = {
-    command: jsonschema.validators.validator_for(schema)(schema)
+_VALIDATORS = {command: _Validator(schema) for command, schema in SCHEMAS.items()}
+_DEFAULTS = {
+    command: {key: field["default"] for key, field in schema["properties"].items()
+              if "default" in field}
     for command, schema in SCHEMAS.items()
 }
 
@@ -200,9 +206,10 @@ def _finite(value):
 
 
 def validate_config(config):
-    """Check a config against its command's schema; every number must be finite."""
+    """Check a config against its command's schema, every number finite, and
+    return it with the schema defaults of its unset options filled in."""
     command = config.get("command")
-    if command not in SCHEMAS:
+    if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
     # before the schema, whose bounds would report an infinite number as too large
     for key, value in config.items():
@@ -211,12 +218,12 @@ def validate_config(config):
     error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(config))
     if error is not None:
         raise ConfigError(error.message)
-    return config
+    return {**_DEFAULTS[command], **config}
 
 
 def _resolve_chain(config, default_tuned=False):
     """(spec, t0, n_sender) from the chain-selection part of a config."""
-    sender = config.get("sender", 4)
+    sender = config["sender"]
     if config.get("chain"):
         with open(config["chain"]) as fh:
             spec = ChainSpec.from_json(fh.read())
@@ -267,14 +274,14 @@ def _line_params_for(config, default_tuned=False):
 
 def run_compute_params(config):
     params, _spec = _line_params_for(config)
-    out = config.get("out") or "params.csv"
+    out = config.get("out") or _PARAMS_CSV
     export_params_csv(params, out, header_lines=_provenance(config))
     print(f"wrote {params.n_entries} parameters to {out}")
     return EXIT_OK
 
 
 def run_probe_params(config):
-    probe_set(config.get("sender", 4))  # rejects an unsupported sender before any work
+    probe_set(config["sender"])  # rejects an unsupported sender before any work
     if config.get("outputs"):
         if config.get("t0") is None:
             raise ConfigError("--t0 is required with --outputs")
@@ -289,7 +296,7 @@ def run_probe_params(config):
             with open(config["dump_outputs"], "w") as fh:
                 fh.write(probe_outputs_to_json(outputs) + "\n")
     params = extract_params(outputs, t0)
-    out = config.get("out") or "params.csv"
+    out = config.get("out") or _PARAMS_CSV
     export_params_csv(params, out, header_lines=_provenance(config))
     print(f"extracted {params.n_entries} parameters to {out}")
     return EXIT_OK
@@ -318,17 +325,17 @@ def _load_target(config):
 def run_create_state(config):
     params = import_params_csv(config["params"])
     target, is_werner = _load_target(config)
-    seed = config.get("seed", 0)
-    starts = config.get("starts", 64 if is_werner else 32)
+    # unset, the solver's own default applies: it depends on the target
+    starts = {"n_starts": config["starts"]} if "starts" in config else {}
     if is_werner:
-        sol = solve_werner(params, config["p"], n_starts=starts, seed=seed)
+        sol = solve_werner(params, config["p"], seed=config["seed"], **starts)
         pair_labels = [f"a_{n}{m}" for (n, m) in params.pairs]
         controls = {
             lab: sol.controls.a_double[i].real
             for i, lab in enumerate(pair_labels)
         }
     else:
-        sol = solve_general(params, target, n_starts=starts, seed=seed)
+        sol = solve_general(params, target, seed=config["seed"], **starts)
         controls = {
             "a0": sol.controls.a0,
             "a_single": [[z.real, z.imag] for z in sol.controls.a_single],
@@ -345,7 +352,7 @@ def run_create_state(config):
 
 def run_feasibility(config):
     params = import_params_csv(config["params"])
-    spec = config.get("grid", "0:1:0.02")
+    spec = config["grid"]
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
@@ -359,11 +366,8 @@ def run_feasibility(config):
     # the last point may pass hi by up to step / 2 (0.8:1.0:0.01 ends at
     # 1 + 2e-16); above 1 there is no Werner state
     grid = np.minimum(np.arange(lo, hi + step / 2, step), 1.0)
-    boundary, resolution = feasibility_scan(
-        params, grid,
-        n_starts=config.get("starts", 64),
-        seed=config.get("seed", 0),
-    )
+    boundary, resolution = feasibility_scan(params, grid, n_starts=config["starts"],
+                                            seed=config["seed"])
     _emit_json(config, {"boundary": boundary, "resolution": resolution},
                config.get("out"))
     return EXIT_OK
@@ -374,7 +378,7 @@ def run_disorder_study(config):
     # makes sense at a fixed registration time
     params, spec = _line_params_for(config, default_tuned=True)
     epsilon = config["epsilon"]
-    n_chains = config.get("chains", 100)
+    n_chains = config["chains"]
     seed = config["seed"]
     sample = sample_line_params(spec, params.t0, epsilon, n_chains=n_chains, seed=seed,
                                 n_sender=params.n_sender)
@@ -416,8 +420,8 @@ def run_disorder_study(config):
 
 def run_reproduce(config):
     n = config["n"]
-    seed = config.get("seed", 0)
-    chains = config.get("chains", 100)
+    seed = config["seed"]
+    chains = config["chains"]
     sections = []
     if not config.get("fast"):
         sections.append((f"boundary optimization (n={n})",
@@ -457,77 +461,42 @@ RUNNERS = {
 
 def run_config(config):
     """Validate and execute a config dict; returns the exit code."""
-    validate_config(config)
+    config = validate_config(config)
     return RUNNERS[config["command"]](config)
 
 
-def _chain_arguments(sub):
-    sub.add_argument("--n", type=int, help="chain length (uniform unless --tuned)")
-    sub.add_argument("--tuned", action="store_true",
-                     help="use the benchmark boundary couplings and t0")
-    sub.add_argument("--chain", help="JSON chain-spec file")
-    sub.add_argument("--t0", type=float, help="registration time")
-    sub.add_argument("--sender", type=int, default=4, help="sender size")
+def _add_flag(sub, key, field, required):
+    """The flag of one schema option: --key, with _ written as -."""
+    flag = "--" + key.replace("_", "-")
+    text = field["description"]
+    if "default" in field:
+        text += f" (default: {field['default']})"
+    if field.get("type") == "boolean":
+        sub.add_argument(flag, action="store_true", help=text)
+    elif "enum" in field:
+        sub.add_argument(flag, type=type(field["enum"][0]), choices=field["enum"],
+                         required=required, help=text)
+    else:
+        kind = field["type"]
+        # a range is read as "lo,hi" and split by _config_from_args
+        sub.add_argument(flag, type=int if kind == "integer" else float if kind == "number"
+                         else str, required=required, help=text)
 
 
-@functools.cache  # every default is a literal, so one parser serves every call
+@functools.cache  # the parser depends only on SCHEMAS, so one serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinline",
         description="Remote two-qubit state creation through boundary-tuned XY chains",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("optimize-chain", help="tune the boundary couplings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--delta1-range", default=None, help="lo,hi")
-    p.add_argument("--delta2-range", default=None, help="lo,hi")
-    p.add_argument("--out")
-
-    p = subs.add_parser("compute-params", help="line parameters from the Hamiltonian")
-    _chain_arguments(p)
-    p.add_argument("--out")
-
-    p = subs.add_parser("probe-params", help="line parameters from probe outputs")
-    _chain_arguments(p)
-    p.add_argument("--outputs", help="probe-output JSON (external data)")
-    p.add_argument("--dump-outputs", help="write the simulated probe outputs here")
-    p.add_argument("--out")
-
-    p = subs.add_parser("create-state", help="solve for sender controls")
-    p.add_argument("--target", required=True, help="'werner' or 'file:target.json'")
-    p.add_argument("--p", type=float, help="werner mixing parameter")
-    p.add_argument("--params", required=True, help="line-parameter CSV")
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-
-    p = subs.add_parser("feasibility", help="largest creatable werner parameter")
-    p.add_argument("--params", required=True)
-    p.add_argument("--grid", default="0:1:0.02", help="lo:hi:step")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-
-    p = subs.add_parser("disorder-study", help="Monte-Carlo over random chains")
-    _chain_arguments(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--chains", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--params-csv")
-    p.add_argument("--robustness-csv")
-
-    p = subs.add_parser("reproduce-paper",
-                        help="run the verification report against the references")
-    p.add_argument("--n", type=int, default=20, choices=(20, 60))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chains", type=int, default=100)
-    p.add_argument("--fast", action="store_true",
-                   help="skip the boundary-coupling optimization")
-
+    for command, schema in SCHEMAS.items():
+        # an unset flag stays out of the namespace; validate_config fills in its default
+        sub = subs.add_parser(command, help=schema["description"],
+                              argument_default=argparse.SUPPRESS)
+        for key, field in schema["properties"].items():
+            if key != "command":
+                _add_flag(sub, key, field, key in schema["required"])
     p = subs.add_parser("run", help="execute a saved config file")
     p.add_argument("--config", required=True)
     return parser
@@ -543,12 +512,7 @@ def _config_from_args(args):
         if not isinstance(config, dict):
             raise InputError(f"{args.config} must hold a JSON object")
         return config
-    config = {"command": args.command}
-    for key, value in vars(args).items():
-        # drop unset flags; 0 and 0.0 are real values, False is an unset flag
-        if key == "command" or value is None or value is False:
-            continue
-        config[key] = value
+    config = vars(args)
     for key in ("delta1_range", "delta2_range"):
         if key in config:
             try:

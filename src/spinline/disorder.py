@@ -50,11 +50,6 @@ def _bond_draws(base, rng):
     return rng.uniform(-1.0, 1.0, base.bulk.shape[-1])
 
 
-def sample_chain(base, epsilon, rng):
-    """One chain with bulk couplings 1 + epsilon * uniform(-1, 1), 0 <= epsilon < 1."""
-    return apply_disorder(base, epsilon, _bond_draws(base, rng))
-
-
 def _chain_rng(seed, index):
     # independent per-chain streams so evaluation order cannot matter
     return np.random.default_rng([seed, index])

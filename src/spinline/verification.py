@@ -13,10 +13,10 @@ import numpy as np
 from . import benchmarks as bm
 from .basis import SenderState, pair_list, sender_pairs
 from .chainopt import optimize_boundary
-from .disorder import param_statistics, sample_chain, sample_line_params, werner_robustness
+from .disorder import DEFAULT_N_CHAINS, param_statistics, sample_line_params, werner_robustness
 from .dynamics import diagonalize, one_excitation_columns
 from .errors import InfeasibleTargetError, NumericalError
-from .hamiltonian import ChainSpec
+from .hamiltonian import ChainSpec, apply_disorder
 from .inverse import (
     discrepancy,
     feasibility_scan,
@@ -164,6 +164,12 @@ def check_family_iii():
 
 
 # --- criterion 5: oracle equivalence ----------------------------------------
+
+def sample_chain(base, epsilon, rng):
+    """One chain with bulk couplings 1 + epsilon * uniform(-1, 1), 0 <= epsilon < 1,
+    drawn on its own: the per-chain oracle of ``disorder.sample_line_params``."""
+    return apply_disorder(base, epsilon, rng.uniform(-1.0, 1.0, base.bulk.shape[-1]))
+
 
 def _random_chain(n, rng, epsilon=0.1):
     base = ChainSpec(
@@ -426,7 +432,7 @@ def check_werner(seed=0):
 
 # --- criterion 8: disorder robustness ---------------------------------------
 
-def check_disorder(seed=11, n_chains=100):
+def check_disorder(seed=11, n_chains=DEFAULT_N_CHAINS):
     params = tuned_line_params(20)
     base = tuned_spec(20)
     t0 = bm.TUNED_CHAINS[20]["t0"]

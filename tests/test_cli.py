@@ -4,6 +4,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinline import benchmarks as bm
 from spinline import cli
@@ -11,6 +13,7 @@ from spinline import dynamics, receiver
 from spinline.basis import SenderState
 from spinline.cli import EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_REPORT_FAILED, main
 from spinline.errors import InputError
+from spinline.disorder import DEFAULT_N_CHAINS
 from spinline.inverse import werner_target
 from spinline.probing import probe_outputs_to_json, probe_set, simulate_probes
 from spinline.receiver import assemble_rho, import_params_csv
@@ -437,6 +440,9 @@ OUTSIDE_JSON = {
     "config-nan": ({"command": "compute-params", "n": 20, "tuned": True,
                     "t0": float("nan"), "out": "out.csv"},
                    ["run", "--config", "in.json"], "must be finite"),
+    "config-float-n": ({"command": "compute-params", "n": 20.0, "tuned": True,
+                        "out": "out.csv"},
+                       ["run", "--config", "in.json"], "is not of type 'integer'"),
     "outputs-missing-probe": ([{"rho": {"re": [], "im": []}}], _OUTPUTS, "'probe'"),
     "outputs-not-4x4": ([{"probe": {"kind": "single", "indices": [1]},
                           "rho": {"re": [[1.0]], "im": [[0.0]]}}], _OUTPUTS, "4x4"),
@@ -492,3 +498,137 @@ def test_reproduce_fast_n60(capsys):
     assert rc == EXIT_OK
     assert "ALL CHECKS PASSED" in out
     assert "family I values (n=60)" in out
+
+
+def test_config_file_takes_the_schema_defaults(workdir, monkeypatch):
+    # a config file may leave out what a flag may leave out, and the runner
+    # sees the same resolved config either way
+    seen = []
+    monkeypatch.setitem(cli.RUNNERS, "reproduce-paper",
+                        lambda config: seen.append(config) or EXIT_OK)
+    (workdir / "cfg.json").write_text(json.dumps({"command": "reproduce-paper", "fast": True}))
+    assert main(["run", "--config", "cfg.json"]) == EXIT_OK
+    assert main(["reproduce-paper", "--fast"]) == EXIT_OK
+    assert seen == 2 * [{"command": "reproduce-paper", "fast": True, "n": 20, "seed": 0,
+                         "chains": DEFAULT_N_CHAINS}]
+
+
+def _argv(config):
+    """The command line of a config: --key=value per option, a bare flag per true one."""
+    argv = [config["command"]]
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv.append(f"{flag}={value[0]!r},{value[1]!r}")
+        elif key != "command":
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+# per command, options at small sizes; "PARAMS" stands for a parameter table
+PARITY = {
+    "optimize-chain": {"n": 7, "grid_step": 0.2, "delta1_range": [0.4, 1.0], "out": "a.json"},
+    "compute-params": {"n": 20, "tuned": True, "out": "a.csv"},
+    "probe-params": {"n": 20, "tuned": True, "dump_outputs": "probes.json", "out": "a.csv"},
+    "create-state": {"target": "werner", "p": 0.4, "params": "PARAMS", "out": "a.json"},
+    "feasibility": {"params": "PARAMS", "grid": "0.8:0.92:0.04", "starts": 4,
+                    "out": "a.json"},
+    "disorder-study": {"n": 20, "tuned": True, "epsilon": 0.05, "chains": 3, "seed": 7,
+                       "out": "a.json", "params_csv": "s.csv", "robustness_csv": "r.csv"},
+    "reproduce-paper": {"n": 60, "fast": True},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARITY))
+def test_flags_and_config_file_write_the_same_artifacts(tmp_path, monkeypatch, params_csv,
+                                                        command, capsys):
+    config = {"command": command, **{key: str(params_csv) if value == "PARAMS" else value
+                                     for key, value in PARITY[command].items()}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    written = {}
+    for way, argv in (("flags", _argv(config)),
+                      ("config", ["run", "--config", str(tmp_path / "cfg.json")])):
+        (tmp_path / way).mkdir()
+        monkeypatch.chdir(tmp_path / way)
+        assert main(argv) == EXIT_OK
+        written[way] = {path.name: path.read_bytes() for path in (tmp_path / way).iterdir()}
+        written[way]["stdout"] = capsys.readouterr().out
+    assert written["config"] == written["flags"]
+    assert len(written["flags"]) == 1 + sum(key in config for key in
+                                            ("out", "dump_outputs", "params_csv",
+                                             "robustness_csv"))
+    if command == "feasibility":
+        recorded = json.loads(written["config"]["a.json"])["config"]
+        assert (recorded["seed"], recorded["starts"]) == (0, 4)
+
+
+def _option_values(field):
+    """Values of one schema option that have a command-line form."""
+    if "enum" in field:
+        return st.sampled_from(field["enum"])
+    kind = field["type"]
+    if kind == "boolean":
+        return st.just(True)  # false is the unset flag
+    if kind == "integer":
+        return st.integers(min_value=field.get("minimum"))
+    if kind == "number":
+        bounds = {}
+        for bound, inclusive, exclusive in (("min", "minimum", "exclusiveMinimum"),
+                                            ("max", "maximum", "exclusiveMaximum")):
+            if inclusive in field or exclusive in field:
+                bounds[f"{bound}_value"] = field.get(inclusive, field.get(exclusive))
+                bounds[f"exclude_{bound}"] = exclusive in field
+        return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+    if kind == "array":
+        return st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=field["minItems"], max_size=field["maxItems"])
+    return st.text()  # a string, or a string or null, whose null has no flag
+
+
+@st.composite
+def _flag_configs(draw):
+    command = draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    schema = cli.SCHEMAS[command]
+    config = {"command": command}
+    for key, field in schema["properties"].items():
+        if key != "command" and (key in schema["required"] or draw(st.booleans())):
+            config[key] = draw(_option_values(field))
+    return config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_flag_configs())
+def test_schema_valid_config_survives_the_command_line(config):
+    parsed = cli._config_from_args(cli.build_parser().parse_args(_argv(config)))
+    expected = cli.validate_config(config)
+    assert json.dumps(cli.validate_config(parsed), sort_keys=True) == json.dumps(
+        expected, sort_keys=True)
+    assert expected == {**{key: field["default"]
+                           for key, field in cli.SCHEMAS[config["command"]]["properties"].items()
+                           if "default" in field}, **config}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+_KEYS = sorted({key for schema in cli.SCHEMAS.values() for key in schema["properties"]})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(_KEYS), _JSON),
+       st.none() | st.sampled_from(sorted(cli.SCHEMAS)))
+def test_any_json_config_is_accepted_or_refused_as_config_error(config, command):
+    if command is not None:
+        config["command"] = command
+    try:
+        resolved = cli.validate_config(config)
+    except cli.ConfigError:
+        return
+    assert resolved.items() >= config.items()
+    for key, field in cli.SCHEMAS[resolved["command"]]["properties"].items():
+        if field.get("type") == "integer" and key in resolved:
+            assert type(resolved[key]) is int, key

@@ -9,13 +9,13 @@ from spinline.disorder import (
     export_param_stats_csv,
     export_robustness_csv,
     param_statistics,
-    sample_chain,
     sample_line_params,
     werner_robustness,
 )
 from spinline.errors import InputError, NumericalError
 from spinline.hamiltonian import ChainSpec
 from spinline.receiver import KINDS, receiver_operator, receiver_rho
+from spinline.verification import sample_chain
 
 
 @pytest.fixture(scope="module")
