@@ -167,7 +167,7 @@ def werner_robustness(sample, controls):
     targets = np.array([werner_target(p).matrix for p in controls])
     n_chains = sample.shape[0]
     deltas = np.concatenate([
-        discrepancy(receiver_rho(receiver_operator(sample[block])[:, None], x), targets)
+        discrepancy(receiver_rho(receiver_operator(sample[block]), x), targets)
         for block in _blocks(n_chains)
     ])
     mean = deltas.mean(axis=0)

@@ -4,11 +4,14 @@ The receiver matrix is quadratic in the controls, so creation amounts to
 solving real quadratic forms, contracted from the receiver operator, under
 the normalization constraint: for Werner targets in the real pair
 amplitudes, for general targets in all real control parts.  Both run one
-seeded multi-start of MINPACK's Levenberg-Marquardt ``lmder``, called
-through ``leastsq`` with the analytic Jacobian: solutions are particular,
+seeded multi-start of a Levenberg-Marquardt that advances a stack of
+starts in numpy (:func:`_levenberg_marquardt`): solutions are particular,
 not unique, and reproducibility of our chosen solution is what matters.
+The solver takes the same steps in any process, so a seeded solve gives
+the same bits wherever it runs.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,30 +82,26 @@ def discrepancy(rho, target):
 
 
 def _quadratic_system(params, basis, target, rows=slice(None)):
-    """Equations ``y^T Q[k] y = c[k]`` and Jacobian in real controls y, x = basis @ y.
+    """Forms Q (m, n, n) and values c (m,) of the equations ``y^T Q[k] y = c[k]``
+    in real controls y, x = basis @ y.
 
     The forms are the real, then the imaginary parts of
     ``basis^T K[a, b] conj(basis)`` over the upper triangle a <= b of the
-    receiver operator K, then the norm; ``rows`` picks among them.  Zero
-    forms pad the stack to the number of unknowns, as MINPACK requires.
+    receiver operator K, then the norm; ``rows`` picks among them.
     """
     forms = basis.T @ receiver_operator(params)[UPPER] @ basis.conj()
     norm = (basis.T @ basis.conj()).real
     Q = np.concatenate([forms.real, forms.imag, norm[None]])[rows]
-    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
     t = np.asarray(target)[UPPER]
     c = np.concatenate([t.real, t.imag, [1.0]])[rows]
-    pad = max(basis.shape[1] - len(c), 0)
-    Q = np.concatenate([Q, np.zeros((pad, *Q.shape[1:]))])
-    c = np.concatenate([c, np.zeros(pad)])
+    return 0.5 * (Q + Q.transpose(0, 2, 1)), c
 
-    def fun(y):
-        return (Q @ y) @ y - c
 
-    def jac(y):
-        return 2.0 * (Q @ y)
-
-    return fun, jac
+def _forms(Q, y):
+    """Q_k y (S, m, n) and the form values y^T Q_k y (S, m) at the stacked points y (S, n)."""
+    m, n, _ = Q.shape
+    Qy = (y @ Q.reshape(m * n, n).T).reshape(len(y), m, n)
+    return Qy, (Qy @ y[..., None])[..., 0]
 
 
 def _werner_system(params, p):
@@ -119,31 +118,190 @@ def _general_basis(params):
     return np.hstack([eye, 1j * eye[:, 1:]])
 
 
-def _multistart(fun, jac, starts, residual_tol):
+MAX_EVALUATIONS = 400  # per start
+STEP_BOUND = 100.0  # initial trust radius over |D y0|, as in MINPACK
+XTOL = 5e-16  # trust radius, relative to |D y|, at which a start has converged
+STALL_STEPS = 5  # accepted steps without progress that freeze a start
+STALL_GAIN = 1e-3  # relative fall of the best violation that counts as progress
+ACCELERATION_BOUND = 0.75  # largest |a| / |v| of an accepted geodesic correction
+EPS = np.finfo(float).eps
+ROUNDING = 16 * EPS  # a violation of the O(1) form values no step can lower
+
+
+def _levenberg_parameter(w, b, delta):
+    """More's damping lam >= 0 for one start, and the diagonal of (A + lam)^-1.
+
+    A = V diag(w) V^T is the scaled J^T J and b = V^T J_s^T r; the step is
+    u = b / (w + lam) in that eigenbasis, and eigenvalues at rounding level
+    of the largest take no step.  lam = 0 when the Gauss-Newton step is at
+    most 1.1 delta long; otherwise up to ten Newton steps on 1/|u(lam)| -
+    1/delta from lam = 0 bring |u| within 10% of delta (More 1978).
+    Returns lam, 1 / (w + lam), |u|^2 and b . u.
+    """
+    cutoff = len(w) * EPS * max(w)
+    ranked = [(wi, bi * bi) for wi, bi in zip(w, b) if wi > cutoff]
+    lam, newton = 0.0, 0
+    while True:
+        uu = curve = slope = 0.0
+        for wi, bb in ranked:
+            t = 1.0 / (wi + lam)
+            slope += bb * t
+            uu += bb * t * t
+            curve += bb * t * t * t
+        if uu <= 1.21 * delta * delta or newton == 10:
+            return lam, [1.0 / (wi + lam) if wi > cutoff else 0.0 for wi in w], uu, slope
+        lam += (math.sqrt(uu) - delta) / delta * uu / curve
+        newton += 1
+
+
+@dataclass
+class _Start:
+    """Scalar state of one start: More's trust radius, |r|^2 at the current
+    point, and the best largest violation with the stall bookkeeping."""
+
+    index: int
+    delta: float
+    xnorm: float  # |D y| at the start, the scale of XTOL
+    f2: float
+    best: float
+    ref: float  # best violation when the start last made progress
+    stale: int = 0  # steps since then
+
+    def step(self, f2_new, viol, lam, uu, slope, first, residual_tol):
+        """Take or reject a trial point; returns (accepted, new best, done).
+
+        More's update, with reductions in units of |r|^2: the actual one,
+        and the one the linear model predicts for the velocity, slope +
+        lam |u|^2 with slope = b . u.
+        """
+        exact = self.best <= residual_tol
+        pnorm = math.sqrt(uu)
+        if first:
+            self.delta = min(self.delta, pnorm)
+        actual = self.f2 - f2_new
+        ratio = actual / (slope + lam * uu) if slope > 0.0 else 0.0
+        if ratio <= 0.25:
+            shrink = 0.5 if actual >= 0.0 else 0.5 * slope / (slope - 0.5 * actual)
+            self.delta = max(shrink, 0.1) * min(self.delta, 10.0 * pnorm)
+        elif lam == 0.0 or ratio >= 0.75:
+            self.delta = 2.0 * pnorm
+        accepted = ratio >= 1e-4
+        better = accepted and viol < self.best
+        if accepted:
+            self.f2 = f2_new
+        if better:
+            self.best = viol
+        if self.best < (1.0 - STALL_GAIN) * self.ref:
+            self.ref, self.stale = self.best, 0
+        elif accepted or exact:
+            self.stale += 1
+        done = (self.best <= ROUNDING or self.stale >= (1 if exact else STALL_STEPS)
+                or self.delta <= XTOL * self.xnorm)
+        return accepted, better, done
+
+
+def _levenberg_marquardt(Q, c, y, residual_tol):
+    """Best largest violation (S,) and its point (S, n) for each start of y.
+
+    All starts advance together as one stack.  Each step follows More's
+    Levenberg-Marquardt: variables scaled by D, the running maximum of the
+    Jacobian's column norms, and a trust radius that grows or shrinks with
+    the ratio of actual to predicted reduction.  The residuals are exactly
+    quadratic, r(y + v) = r + J v + q(v) with q_k(v) = v^T Q_k v, so the
+    geodesic acceleration a = -(J^T J + lam D^2)^-1 J^T 2q(v) of a
+    velocity step v is exact and costs one more product with Q; the step
+    taken is v + a/2 whenever |D a| <= 0.75 |D v| (Transtrum and Sethna
+    2012).  The linear algebra runs on the stack; the trust radius of each
+    start is scalar bookkeeping in Python (:class:`_Start`), as a numpy
+    call on a handful of numbers costs more than the arithmetic.
+
+    A start stops at the evaluation cap; when its best violation has not
+    fallen by a relative ``STALL_GAIN`` over ``STALL_STEPS`` accepted steps,
+    which a stuck infeasible start meets within a few dozen evaluations and
+    a start crawling along a valley does not; within ``residual_tol``, at
+    its first step, accepted or not, without that gain, as it has then
+    converged quadratically; at a violation of ``ROUNDING``; or when its
+    trust radius falls below ``XTOL`` times its first |D y| (D only grows,
+    and the norm equation holds |y| near 1).  Once a start is within
+    ``residual_tol`` the starts after it stop, as they cannot win.
+    """
+    out_res, out_y = np.empty(len(y)), np.empty_like(y)
+    y = y.copy()
+    Qy, r = _forms(Q, y)
+    r -= c
+    J = 2.0 * Qy
+    D = np.sqrt((J * J).sum(axis=1))
+    D[D == 0.0] = 1.0
+    best_y = y.copy()
+    starts = [_Start(k, STEP_BOUND * (dy or 1.0), dy, f2, best, best) for k, (dy, f2, best) in
+              enumerate(zip(np.sqrt(((D * y) ** 2).sum(axis=1)).tolist(),
+                            (r * r).sum(axis=1).tolist(), np.abs(r).max(axis=1).tolist()))]
+    done = [False] * len(y)
+    for evaluation in range(1, MAX_EVALUATIONS):
+        first_exact = next((k for k, s in enumerate(starts) if s.best <= residual_tol), None)
+        if first_exact is not None:
+            done[first_exact + 1:] = [True] * (len(starts) - first_exact - 1)
+        if any(done):
+            for s, d, yk in zip(starts, done, best_y):
+                if d:
+                    out_res[s.index], out_y[s.index] = s.best, yk
+            keep = np.logical_not(done)
+            y, r, J, D, best_y = y[keep], r[keep], J[keep], D[keep], best_y[keep]
+            starts = [s for s, d in zip(starts, done) if not d]
+            if not starts:
+                return out_res, out_y
+        Js = J / D[:, None, :]
+        JsT = Js.transpose(0, 2, 1)
+        w, V = np.linalg.eigh(JsT @ Js)
+        G = V.transpose(0, 2, 1) @ JsT  # rows of V^T Js^T
+        b = (G @ r[..., None])[..., 0]
+        lam, inv, uu, slope = zip(*map(_levenberg_parameter, w.tolist(), b.tolist(),
+                                       [s.delta for s in starts]))
+        inv = np.array(inv)
+        u = inv * b
+        x = (V @ u[..., None])[..., 0] / D  # the velocity is v = -x, and q(v) = q(x)
+        ua = inv * (G @ _forms(Q, x)[1][..., None])[..., 0]  # a/2 = -V ua / D
+        for k, aa in enumerate((ua * ua).sum(axis=1).tolist()):
+            if aa > (0.5 * ACCELERATION_BOUND) ** 2 * uu[k]:
+                ua[k] = 0.0
+        y_new = y - x - (V @ ua[..., None])[..., 0] / D
+        Qy, r_new = _forms(Q, y_new)
+        r_new -= c
+        accepted, better, done = map(list, zip(*(
+            s.step(f2_new, viol, lam[k], uu[k], slope[k], evaluation == 1, residual_tol)
+            for k, (s, f2_new, viol) in enumerate(zip(
+                starts, (r_new * r_new).sum(axis=1).tolist(), np.abs(r_new).max(axis=1).tolist())))))
+        if all(accepted):
+            y, r, J = y_new, r_new, 2.0 * Qy
+        elif any(accepted):
+            mask = np.array(accepted)[:, None]
+            np.copyto(y, y_new, where=mask)
+            np.copyto(r, r_new, where=mask)
+            np.copyto(J, 2.0 * Qy, where=mask[..., None])
+        if any(accepted):
+            D = np.maximum(D, np.sqrt((J * J).sum(axis=1)))
+        if any(better):
+            np.copyto(best_y, y, where=np.array(better)[:, None])
+    for s, yk in zip(starts, best_y):
+        out_res[s.index], out_y[s.index] = s.best, yk
+    return out_res, out_y
+
+
+def _multistart(Q, c, starts, residual_tol):
     """Best (residual, y) over the starts, each scaled to unit norm.
 
-    Each start runs MINPACK's ``lmder`` with its defaults (step bound
-    factor 100, variables scaled by the Jacobian's column norms) for at most
-    400 evaluations, and the loop stops at the first whose largest equation
-    violation is within ``residual_tol``, so ties go to the lowest start.
-    ``leastsq`` passes ``fun`` and ``jac`` to ``lmder`` unwrapped;
-    ``full_output`` keeps it from warning when a start reaches the cap.
+    Start 0 runs alone first, so a solve it settles costs one start; the
+    others then run as one batch.  The winner is the lowest-index start
+    within ``residual_tol``, else the start of least violation.
     """
-    # imported here: scipy.optimize doubles the start-up time of the CLI
-    from scipy.optimize import leastsq
-
-    best = None
-    for y0 in starts:
-        y, _, info, _, _ = leastsq(
-            fun, y0 / np.linalg.norm(y0), Dfun=jac, full_output=True,
-            xtol=5e-16, ftol=5e-16, gtol=5e-16, maxfev=400,
-        )
-        res = float(np.max(np.abs(info["fvec"])))
-        if best is None or res < best[0]:
-            best = (res, y)
-        if res <= residual_tol:
-            break
-    return best
+    y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    res, ys = _levenberg_marquardt(Q, c, y[:1], residual_tol)
+    if res[0] > residual_tol and len(y) > 1:
+        rest = _levenberg_marquardt(Q, c, y[1:], residual_tol)
+        res, ys = np.concatenate([res, rest[0]]), np.concatenate([ys, rest[1]])
+    exact = res <= residual_tol
+    k = int(np.argmax(exact)) if exact.any() else int(np.argmin(res))
+    return float(res[k]), ys[k]
 
 
 def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TOL):
@@ -156,7 +314,7 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
     Where the solution manifold is degenerate (truncated parameter sets),
     start 0 selects a reproducible branch instead of an arbitrary manifold
     point.  Start 0 converges across the feasible range of the tuned n=20
-    line except at p = 0, where start 1 reaches another exact solution.
+    line, so those solutions do not depend on the seed.
 
     Raises
     ------
@@ -166,11 +324,10 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
         If no start reaches ``residual_tol`` (expected for p beyond the
         feasibility boundary).
     """
-    fun, jac = _werner_system(params, p)
     n_pairs = len(params.pairs)
     rng = np.random.default_rng(seed)
-    starts = [np.ones(n_pairs), *rng.standard_normal((n_starts - 1, n_pairs))]
-    res, x = _multistart(fun, jac, starts, residual_tol)
+    starts = np.vstack([np.ones(n_pairs), rng.standard_normal((n_starts - 1, n_pairs))])
+    res, x = _multistart(*_werner_system(params, p), starts, residual_tol)
     if res > residual_tol:
         raise InfeasibleTargetError(res, best_controls=x)
     state = SenderState.from_double(x, params.n_sender)
@@ -193,9 +350,8 @@ def solve_general(params, target, n_starts=32, seed=0):
     """
     a = target.matrix if isinstance(target, TargetState) else np.asarray(target)
     basis = _general_basis(params)
-    fun, jac = _quadratic_system(params, basis, a)
     starts = np.random.default_rng(seed).standard_normal((n_starts, basis.shape[1]))
-    _, y = _multistart(fun, jac, starts, WERNER_RESIDUAL_TOL)
+    _, y = _multistart(*_quadratic_system(params, basis, a), starts, WERNER_RESIDUAL_TOL)
     x = basis @ (y / np.linalg.norm(y))
     n_sender = params.n_sender
     state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)

@@ -235,15 +235,22 @@ def receiver_operator(params):
 
 
 def receiver_rho(K, x):
-    """Receiver matrices ``rho[..., a, b]`` of control vectors x (..., d).
+    """Receiver matrices ``rho[..., a, b]`` of every control vector x (..., d)
+    under every receiver operator K (..., 4, 4, d, d).
 
-    K (..., 4, 4, d, d) and x broadcast over their leading axes.
+    rho has the leading axes of K, then those of x.  One matmul contracts K
+    over (i, j) with the outer products x_i conj(x_j), so no intermediate
+    grows beyond K.
     """
-    if x.shape[-1] != K.shape[-1]:
+    d = K.shape[-1]
+    if x.shape[-1] != d:
         raise SizeMismatchError(
-            f"{x.shape[-1]} control amplitudes, the receiver operator takes {K.shape[-1]}"
+            f"{x.shape[-1]} control amplitudes, the receiver operator takes {d}"
         )
-    return np.einsum("...abij,...i,...j->...ab", K, x, x.conj())
+    xs = x.reshape(-1, d)
+    outer = (xs[:, :, None] * xs.conj()[:, None, :]).reshape(len(xs), d * d)
+    rho = (K.reshape(-1, d * d) @ outer.T).reshape(-1, 4, 4, len(xs))
+    return np.moveaxis(rho, -1, 1).reshape(*K.shape[:-4], *x.shape[:-1], 4, 4)
 
 
 def assemble_rho(params, state):

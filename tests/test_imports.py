@@ -35,9 +35,25 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _imported_modules(path):
+    """Top-level names of every module the source imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_scipy(path):
+    # scipy is a test dependency only: the oracles in tests/ use it
+    assert "scipy" not in _imported_modules(path)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the CLI's start-up time; only the commands
-    # that solve import it
+    # scipy.optimize would be most of the CLI's start-up time
     code = "import sys, spinline.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
@@ -52,3 +68,18 @@ def test_optimize_chain_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_solving_commands_leave_scipy_unloaded(tmp_path):
+    # the control solves run their own Levenberg-Marquardt
+    params, out = tmp_path / "line.csv", tmp_path / "out.json"
+    code = ("import sys\nfrom spinline.cli import main\n"
+            f"main(['compute-params', '--n', '20', '--tuned', '--out', {str(params)!r}])\n"
+            f"rc = [main(['create-state', '--target', 'werner', '--p', '0.5', '--params', "
+            f"{str(params)!r}, '--out', {str(out)!r}]),\n"
+            f"      main(['feasibility', '--params', {str(params)!r}, '--grid', '0.86:0.9:0.02', "
+            f"'--starts', '4', '--out', {str(out)!r}])]\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0] []"

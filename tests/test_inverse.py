@@ -1,9 +1,10 @@
+import json
+import subprocess
+import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import least_squares
 
 import spinline as sl
@@ -69,15 +70,16 @@ def sender_params(request, tuned20):
 
 
 def _forms_and_expected(kind, params, rng):
-    """A form system, a random real point y and the residuals expected there
-    from assemble_rho: the Werner rows, or every upper-triangle entry.
+    """Forms Q and values c of a system, a random real point y and the
+    residuals expected there from assemble_rho: the Werner rows, or every
+    upper-triangle entry.
 
     y has components of variance 1/len(y), so |y|^2 is near 1, the scale
     the norm form pins, whatever the number of unknowns.
     """
     n_sender = params.n_sender
     if kind == "werner":
-        fun, jac = inverse._werner_system(params, 0.3)
+        Q, c = inverse._werner_system(params, 0.3)
         y = rng.standard_normal(len(params.pairs)) / np.sqrt(len(params.pairs))
         d = (sl.assemble_rho(params, SenderState.from_double(y, n_sender)).rho
              - werner_target(0.3).matrix)
@@ -85,105 +87,214 @@ def _forms_and_expected(kind, params, rng):
     else:
         target = sl.assemble_rho(params, SenderState.random(rng, n_sender)).rho
         basis = inverse._general_basis(params)
-        fun, jac = inverse._quadratic_system(params, basis, target)
+        Q, c = inverse._quadratic_system(params, basis, target)
         y = rng.standard_normal(basis.shape[1]) / np.sqrt(basis.shape[1])
         x = basis @ y
         state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
         upper = (sl.assemble_rho(params, state).rho - target)[np.triu_indices(4)]
         entries = [*upper.real, *upper.imag]
-    expected = entries + [y @ y - 1.0]
-    # zero forms pad the stack up to the number of unknowns
-    return fun, jac, y, expected + [0.0] * (len(y) - len(expected))
+    return Q, c, y, entries + [y @ y - 1.0]
 
 
 @pytest.mark.parametrize("kind", ["werner", "general"])
 def test_forms_match_receiver(sender_params, kind):
     rng = np.random.default_rng(7)
     for _ in range(5):
-        fun, jac, y, expected = _forms_and_expected(kind, sender_params, rng)
+        Q, c, y, expected = _forms_and_expected(kind, sender_params, rng)
+
+        def fun(y):
+            return inverse._forms(Q, y[None])[1][0] - c
+
         np.testing.assert_allclose(fun(y), expected, rtol=0, atol=1e-14)
+        # the solver's Jacobian, 2 Q_k y, against central differences
         h = 1e-6
         central = np.column_stack([
             (fun(y + h * e) - fun(y - h * e)) / (2 * h) for e in np.eye(len(y))
         ])
-        np.testing.assert_allclose(jac(y), central, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(2.0 * inverse._forms(Q, y[None])[0][0], central,
+                                   rtol=0, atol=1e-8)
 
 
 @pytest.fixture()
-def lm_runs(monkeypatch):
-    """Every MINPACK run of a solve, in call order: its callbacks, start,
-    end point, evaluation count and largest equation violation there."""
-    runs, leastsq = [], scipy.optimize.leastsq
+def constructed(monkeypatch):
+    """Runs a solve with the values of its equations moved onto one start.
 
-    def recorded(fun, y0, Dfun, **kwargs):
-        assert kwargs["full_output"]
-        out = leastsq(fun, y0, Dfun=Dfun, **kwargs)
-        info = out[2]
-        runs.append(SimpleNamespace(fun=fun, jac=Dfun, y0=y0, x=out[0], nfev=info["nfev"],
-                                    residual=np.max(np.abs(info["fvec"]))))
-        return out
+    The values become the forms at that start, evaluated in the stack the
+    solver evaluates it in (start 0 alone, the others as one batch), so its
+    residual is exactly 0 at its first evaluation.  With a zero residual
+    tolerance no other start can be exact: they reach rounding level at
+    best.  ``None`` keeps the solve's own values.  Returns the record of
+    the runs: the unit starts, the result, and the start count of each
+    solver run.
+    """
+    record = {"batches": []}
+    multistart, marquardt = inverse._multistart, inverse._levenberg_marquardt
 
-    monkeypatch.setattr(scipy.optimize, "leastsq", recorded)
-    return runs
+    def counted(Q, c, y, residual_tol):
+        record["batches"].append(len(y))
+        return marquardt(Q, c, y, residual_tol)
+
+    def run(solve, exact_start):
+        def moved(Q, c, starts, residual_tol):
+            y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+            if exact_start == 0:
+                c = inverse._forms(Q, y[:1])[1][0]
+            elif exact_start is not None:
+                c = inverse._forms(Q, y[1:])[1][exact_start - 1]
+            record["y"] = y
+            record["result"] = multistart(Q, c, starts, residual_tol)
+            return record["result"]
+
+        monkeypatch.setattr(inverse, "_multistart", moved)
+        monkeypatch.setattr(inverse, "_levenberg_marquardt", counted)
+        monkeypatch.setattr(inverse, "WERNER_RESIDUAL_TOL", 0.0)
+        return solve()
+
+    return record, run
 
 
-def _exact_flags(runs):
-    return [run.residual <= inverse.WERNER_RESIDUAL_TOL for run in runs]
+@pytest.mark.parametrize("exact_start, n_starts", [(0, 64), (1, 64), (None, 3)])
+def test_werner_multistart_stops_at_first_exact_start(constructed, tuned20_params,
+                                                      exact_start, n_starts):
+    # the Werner equations at p = 0.9, where no start is exact, with their
+    # values moved onto one start: it alone is exact, it wins with its own
+    # point, and nothing runs after it.  Without the move the start of
+    # least violation is raised with
+    record, run = constructed
+    if exact_start is None:
+        with pytest.raises(InfeasibleTargetError) as err:
+            run(lambda: sl.solve_werner(tuned20_params, 0.9, n_starts=n_starts), None)
+        assert record["batches"] == [1, n_starts - 1]
+        assert err.value.best_residual == record["result"][0] > 1e-8
+        assert err.value.best_controls is record["result"][1]
+        return
+    sol = run(lambda: sl.solve_werner(tuned20_params, 0.9, n_starts=n_starts,
+                                      residual_tol=0.0), exact_start)
+    residual, y = record["result"]
+    assert residual == 0.0 and sol.residual == 0.0
+    assert y.tobytes() == record["y"][exact_start].tobytes()
+    assert record["batches"] == ([1] if exact_start == 0 else [1, n_starts - 1])
 
 
-@pytest.mark.parametrize("p, n_starts, winner", [(0.0, 64, 1), (0.4, 64, 0), (0.9, 3, None)])
-def test_werner_multistart_stops_at_first_exact_start(lm_runs, tuned20_params,
-                                                      p, n_starts, winner):
-    if winner is None:
-        with pytest.raises(InfeasibleTargetError):
-            sl.solve_werner(tuned20_params, p, n_starts=n_starts)
+def test_werner_starts_are_seeded(monkeypatch, tuned20_params):
+    # start 0 is the neutral equal-amplitude vector, the rest standard
+    # normal draws of the seed
+    seen = []
+    monkeypatch.setattr(inverse, "_multistart",
+                        lambda Q, c, starts, tol: seen.append(starts) or (0.0, starts[0]))
+    sl.solve_werner(tuned20_params, 0.4, n_starts=5, seed=3)
+    draws = np.random.default_rng(3).standard_normal((4, 6))
+    assert seen[0].tobytes() == np.vstack([np.ones(6), draws]).tobytes()
+
+
+@pytest.mark.parametrize("exact_start, n_starts", [(0, 32), (3, 32), (None, 3)])
+def test_general_multistart_stops_at_first_exact_start(constructed, tuned20_params,
+                                                       exact_start, n_starts):
+    # the same stop rule as the Werner solve; with no exact start the one of
+    # least violation is returned, not raised
+    record, run = constructed
+    basis = inverse._general_basis(tuned20_params)
+    sol = run(lambda: sl.solve_general(tuned20_params, werner_target(0.9), n_starts=n_starts),
+              exact_start)
+    residual, y = record["result"]
+    if exact_start is None:
+        assert record["batches"] == [1, n_starts - 1]
+        assert residual > 1e-8 and sol.residual > 1e-8
+        return
+    assert residual == 0.0
+    assert y.tobytes() == record["y"][exact_start].tobytes()
+    assert record["batches"] == ([1] if exact_start == 0 else [1, n_starts - 1])
+    np.testing.assert_array_equal(sol.controls.vector, basis @ record["y"][exact_start])
+
+
+@pytest.fixture(scope="module")
+def verdict_tables(tuned20, tuned20_params):
+    return {"sender4": tuned20_params,
+            "sender5": sl.line_params_at(tuned20, bm.TUNED_CHAINS[20]["t0"], 5),
+            "zeroed": zero_family_iii(tuned20_params)}
+
+
+def _minpack_exact(Q, c, starts):
+    """MINPACK oracle: lmder through least_squares(method="lm") from each
+    unit start in turn, to 400 evaluations; True once one is exact.
+
+    lmder needs at least as many residuals as unknowns, so zero residuals
+    pad the equations of a sender with more unknowns.
+    """
+    n = Q.shape[1]
+    pad = np.zeros(max(n - len(c), 0))
+
+    def fun(y):
+        return np.concatenate([(Q @ y) @ y - c, pad])
+
+    def jac(y):
+        return np.vstack([2.0 * (Q @ y), np.zeros((len(pad), n))])
+
+    for y0 in starts:
+        fit = least_squares(fun, y0 / np.linalg.norm(y0), jac=jac, method="lm",
+                            x_scale="jac", xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=400)
+        if np.max(np.abs(fit.fun)) <= inverse.WERNER_RESIDUAL_TOL:
+            return True
+    return False
+
+
+VERDICT_CASES = [(table, "werner", p) for table in ("sender4", "sender5", "zeroed")
+                 for p in (0.0, 0.4, 0.8, 0.9, 0.95)]
+VERDICT_CASES += [(table, "general", p) for table in ("sender4", "sender5") for p in (0.2, 0.9)]
+
+
+@pytest.mark.parametrize("table, kind, p", VERDICT_CASES,
+                         ids=[f"{t}-{k}-{p}" for t, k, p in VERDICT_CASES])
+def test_multistart_matches_least_squares_lm(verdict_tables, table, kind, p):
+    # MINPACK from the same seeded starts and the library agree on which
+    # targets are feasible; the boundaries of the three tables lie at
+    # 0.873-0.877
+    params, n_starts = verdict_tables[table], 8
+    if kind == "werner":
+        n = len(params.pairs)
+        starts = [np.ones(n), *np.random.default_rng(0).standard_normal((n_starts - 1, n))]
+        system = inverse._werner_system(params, p)
+        try:
+            sl.solve_werner(params, p, n_starts=n_starts)
+            feasible = True
+        except InfeasibleTargetError:
+            feasible = False
     else:
-        sl.solve_werner(tuned20_params, p, n_starts=n_starts)
-    n_calls = n_starts if winner is None else winner + 1
-    assert _exact_flags(lm_runs) == [False] * (n_calls - 1) + [winner is not None]
+        basis = inverse._general_basis(params)
+        starts = np.random.default_rng(0).standard_normal((n_starts, basis.shape[1]))
+        system = inverse._quadratic_system(params, basis, werner_target(p).matrix)
+        sol = sl.solve_general(params, werner_target(p), n_starts=n_starts)
+        feasible = sol.residual <= inverse.WERNER_RESIDUAL_TOL
+    assert feasible == _minpack_exact(*system, starts) == (p < 0.85)
 
 
-@pytest.mark.parametrize("p, n_starts, feasible", [(0.84, 32, True), (0.9, 3, False)])
-def test_general_multistart_stops_at_first_exact_start(lm_runs, tuned20_params,
-                                                       p, n_starts, feasible):
-    # the same stop rule as the Werner solve; with no exact start the best
-    # one is returned, not raised.  Which start is exact first is not pinned:
-    # it moves with last-bit changes of the line parameters
-    sol = sl.solve_general(tuned20_params, werner_target(p), n_starts=n_starts)
-    flags = _exact_flags(lm_runs)
-    if feasible:
-        assert flags[-1] and not any(flags[:-1])
-    else:
-        assert flags == [False] * n_starts
-    assert (sol.residual <= 1e-10) == feasible
+DETERMINISM_SCRIPT = """
+import json, sys
+import numpy as np
+junk = [np.ones(int(size)) for size in sys.argv[1:]]  # a different heap layout
+from spinline.errors import InfeasibleTargetError
+from spinline.inverse import solve_werner
+from spinline.verification import tuned_line_params
+params = tuned_line_params(20)
+try:
+    solve_werner(params, 0.9, n_starts=4)
+except InfeasibleTargetError as err:
+    infeasible = [err.best_residual.hex(), err.best_controls.tobytes().hex()]
+sol = solve_werner(params, 0.8)
+print(json.dumps(infeasible + [sol.residual.hex(), sol.controls.vector.tobytes().hex()]))
+"""
 
 
-@pytest.mark.parametrize("kind, p", [("werner", 0.4), ("werner", 0.9),
-                                     ("general", 0.2), ("general", 0.9)])
-def test_multistart_matches_least_squares_lm(lm_runs, sender_params, kind, p):
-    # leastsq and least_squares(method="lm") drive the same MINPACK lmder;
-    # with the same tolerances and cap every start ends on the same bits
-    if kind == "werner" and p == 0.9:
-        with pytest.raises(InfeasibleTargetError):
-            sl.solve_werner(sender_params, p, n_starts=2)
-    elif kind == "werner":
-        sl.solve_werner(sender_params, p, n_starts=2)
-    else:
-        sl.solve_general(sender_params, werner_target(p), n_starts=2)
-    assert lm_runs
-    for run in lm_runs:
-        ref = least_squares(run.fun, run.y0, jac=run.jac, method="lm", x_scale="jac",
-                            xtol=5e-16, ftol=5e-16, gtol=5e-16, max_nfev=400)
-        assert run.x.tobytes() == ref.x.tobytes()
-        assert run.nfev == ref.nfev
-        assert run.residual == np.max(np.abs(ref.fun))
-    if kind == "werner" and p == 0.9:
-        assert [run.nfev for run in lm_runs] == [400, 400]
+def test_seeded_solves_repeat_bit_for_bit_across_processes():
+    runs = [subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT, *sizes],
+                           capture_output=True, text=True, check=True).stdout
+            for sizes in (["1"], ["3", "1001", "77", "5"])]
+    assert json.loads(runs[0]) == json.loads(runs[1])
 
 
 def test_capped_starts_warn_nothing(tuned20_params):
-    # an infeasible Werner start stops at the evaluation cap, which bare
-    # leastsq reports as a RuntimeWarning
+    # infeasible starts stall at nonzero residuals; no step of the solver
+    # may divide by zero or overflow on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InfeasibleTargetError):
