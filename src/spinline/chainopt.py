@@ -5,13 +5,12 @@ first maximum of the end-to-end single-excitation amplitude |p_{N;1}(t)|;
 the time of that maximum is the registration time t0 at which the receiver
 state is read out.
 
-:func:`optimize_boundary` searches the lattice of step ``grid_step`` on two
-levels: a sub-lattice of step ``COARSE_STEP`` (0.05), then the fine lattice on
-patches of +-``COARSE_STEP`` around its ``TOP_COARSE`` (3) best points, and
-refines the best scored point by trust-region Newton.  Every scored point is a
-lattice point with the amplitude a full scan would give it, so the search starts
-from the best point of the whole lattice whenever that lies in a patch.  At the
-default 0.01 step it scores under a thousand of the box's 14,641 points.
+:func:`optimize_boundary` scores every point of the lattice of step ``grid_step``
+(0.05 by default) inside the search box and refines the best one by
+trust-region Newton, which resolves the optimum far below the lattice step
+from any point in its basin.  The default box holds 625 points at the default
+step; a finer step costs time in proportion to its points, up to
+``MAX_POINTS`` (10^6).
 
 The refinement works on the first-maximum amplitude A(delta1, delta2) =
 |p_{N;1}(t0)|.  By the envelope theorem (d|p|/dt = 0 at t0) its gradient is
@@ -59,8 +58,7 @@ COUPLING_TOL = 1e-4  # finest lattice step of the boundary search
 PAIRING_TOL = 1e-10
 _BLOCK = 128  # candidate time steps per scan block
 MAX_STEPS = 10**6  # largest time grid a scan allocates
-COARSE_STEP = 0.05  # first-level lattice step of the boundary search
-TOP_COARSE = 3  # first-level points whose neighbourhoods are scored on the fine lattice
+MAX_POINTS = 10**6  # largest coupling lattice a boundary search scores
 _POINT_BLOCK = 64  # chains per stacked eigh and arrival scan of the grid search
 _NEWTON_ITERATIONS = 100  # bound on the Newton-bisection steps of a peak time
 _HESSIAN_STEP = 1e-6  # forward-difference step of the amplitude Hessian
@@ -188,7 +186,7 @@ def first_maximum(spectral, t_max=None, dt=DEFAULT_DT, floor=AMPLITUDE_FLOOR):
                          f"in {_NEWTON_ITERATIONS} Newton steps")
 
 
-def _score_points(n_nodes, delta1, delta2, ts, floor):
+def _score_points(n_nodes, delta1, delta2, ts):
     """Grid first-maximum amplitudes of the chains with boundary pairs (delta1, delta2).
 
     One stacked eigh and one arrival scan per block of ``_POINT_BLOCK`` chains,
@@ -203,37 +201,17 @@ def _score_points(n_nodes, delta1, delta2, ts, floor):
         J[:, 1] = J[:, -2] = delta2[block]
         J[:, 0] = J[:, -1] = delta1[block]
         lam, V = np.linalg.eigh(hopping_matrix(J))
-        amplitude[block], _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, floor)
+        amplitude[block], _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, AMPLITUDE_FLOOR)
     return amplitude
 
 
-def _ranked(i, j, amplitude):
-    """Order of lattice points (i, j): amplitude down, then lexicographic (i, j)."""
-    return np.lexsort((j, i, -amplitude))
+def _lattice(lo, hi, step):
+    """The points lo + step k of [lo, hi], k = 0, 1, ..., rounded to 12 digits.
 
-
-def _lattice_search(n_nodes, d1s, d2s, stride, ts, floor):
-    """Best point of the d1s x d2s lattice and its grid amplitude, on two levels.
-
-    Scores the sub-lattice of every ``stride``-th point from the lower corner,
-    then every point within ``stride`` steps of its ``TOP_COARSE`` best points.
-    With ``stride`` 1 the first level is the whole lattice.
+    The 1e-9 of slack keeps a hi that lies a whole number of steps from lo
+    when (hi - lo) / step rounds below that number.
     """
-    ci, cj = (a.ravel() for a in np.meshgrid(
-        np.arange(0, d1s.size, stride), np.arange(0, d2s.size, stride), indexing="ij"))
-    amplitude = _score_points(n_nodes, d1s[ci], d2s[cj], ts, floor)
-    patches = []
-    for k in _ranked(ci, cj, amplitude)[:TOP_COARSE]:
-        rows = np.arange(max(ci[k] - stride, 0), min(ci[k] + stride + 1, d1s.size))
-        cols = np.arange(max(cj[k] - stride, 0), min(cj[k] + stride + 1, d2s.size))
-        patches.append(np.stack(np.meshgrid(rows, cols, indexing="ij"), -1).reshape(-1, 2))
-    pi, pj = np.unique(np.concatenate(patches), axis=0).T
-    fresh = (pi % stride != 0) | (pj % stride != 0)  # the rest are first-level points
-    pi, pj = pi[fresh], pj[fresh]
-    i, j = np.concatenate([ci, pi]), np.concatenate([cj, pj])
-    amplitude = np.concatenate([amplitude, _score_points(n_nodes, d1s[pi], d2s[pj], ts, floor)])
-    top = _ranked(i, j, amplitude)[0]
-    return np.array([d1s[i[top]], d2s[j[top]]]), amplitude[top]
+    return np.round(lo + step * np.arange(math.floor((hi - lo) / step + 1e-9) + 1), 12)
 
 
 def _amplitude_gradient(spectral, t0):
@@ -332,27 +310,19 @@ def optimize_boundary(
     n_nodes,
     delta1_range=(0.05, 1.25),
     delta2_range=(0.05, 1.25),
-    grid_step=0.01,
+    grid_step=0.05,
     t_max=None,
-    dt=DEFAULT_DT,
-    floor=AMPLITUDE_FLOOR,
 ):
     """Search (delta1, delta2) maximizing the first-maximum amplitude.
 
-    Grid search on the lattice of step ``grid_step`` over the search box, in
-    two levels: the sub-lattice of step ``COARSE_STEP`` (every s-th point,
-    s = floor(COARSE_STEP / grid_step), from the lower corner), then every
-    lattice point within s steps of its ``TOP_COARSE`` best points.  A
-    trust-region Newton refinement (see :func:`_refine`; first radius
-    ``grid_step``) starts from the best scored point, whose amplitude is
-    ``coarse_amplitude``.  This is the best point of the whole lattice unless
-    that lies outside every patch.  With s = 1 (``grid_step`` above
-    ``COARSE_STEP`` / 2) the whole lattice is scored.  Deterministic: grid ties
-    are broken by lexicographic (delta1, delta2); grid points without an
-    arrival score zero.
-
-    Each refinement evaluation builds the chain's :class:`ChainSpec`, runs
-    :func:`diagonalize` with its reconstruction check and
+    Scores every point lo + k ``grid_step`` of the search box (per axis, from
+    the lower edge, none beyond the upper one) by its grid first maximum on
+    steps of ``DEFAULT_DT``, then refines the best one by trust-region Newton
+    (see :func:`_refine`; first radius ``grid_step``).  The best point has the
+    highest amplitude, ``coarse_amplitude``; ties go to the least (delta1,
+    delta2), and points without an arrival above ``AMPLITUDE_FLOOR`` score
+    zero.  Each refinement evaluation builds the chain's :class:`ChainSpec`,
+    runs :func:`diagonalize` with its reconstruction check and
     :func:`first_maximum`; about ten of them reach the optimum from the best
     lattice point of a box that holds it.
 
@@ -362,8 +332,8 @@ def optimize_boundary(
         If ``n_nodes`` is below ``MIN_PROFILE_NODES`` (7).
     InputError
         If the box leaves (0, 1.5], ``grid_step`` is below ``COUPLING_TOL``,
-        or the time window is empty or holds more than ``MAX_STEPS`` (10^6)
-        steps of ``dt``.
+        the lattice holds more than ``MAX_POINTS`` (10^6) points, or the time
+        window is empty or holds more than ``MAX_STEPS`` (10^6) steps.
     """
     if n_nodes < MIN_PROFILE_NODES:
         raise ChainLengthError(
@@ -374,15 +344,17 @@ def optimize_boundary(
         raise InputError(f"delta2 range {delta2_range} outside (0, 1.5]")
     if not grid_step >= COUPLING_TOL:
         raise InputError(f"grid step {grid_step} below the coupling tolerance {COUPLING_TOL}")
+    d1s, d2s = _lattice(*delta1_range, grid_step), _lattice(*delta2_range, grid_step)
+    if d1s.size * d2s.size > MAX_POINTS:
+        raise InputError(f"grid step {grid_step:g} gives {d1s.size} x {d2s.size} "
+                         f"lattice points, more than {MAX_POINTS}")
     if t_max is None:
         t_max = default_t_max(n_nodes)
-    ts = _time_grid(t_max, dt)
-    d1s = np.round(np.arange(delta1_range[0], delta1_range[1] + grid_step / 2, grid_step), 12)
-    d2s = np.round(np.arange(delta2_range[0], delta2_range[1] + grid_step / 2, grid_step), 12)
-    # rounded first: a step that divides COARSE_STEP must not lose a stride to 4.999...
-    stride = max(1, math.floor(round(COARSE_STEP / grid_step, 9)))
-    x0, coarse_amp = _lattice_search(n_nodes, d1s, d2s, stride, ts, floor)
-    if coarse_amp <= 0.0:
+    ts = _time_grid(t_max, DEFAULT_DT)
+    d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
+    amplitude = _score_points(n_nodes, d1, d2, ts)
+    best = np.argmax(amplitude)  # the first maximum in (delta1, delta2) order
+    if amplitude[best] <= 0.0:
         raise NoArrivalError("no grid point produced an arrival above the floor")
 
     def evaluate(x):
@@ -392,17 +364,17 @@ def optimize_boundary(
             return None
         spectral = diagonalize(spec)
         try:
-            t0, amp = first_maximum(spectral, t_max=t_max, dt=dt, floor=floor)
+            t0, amp = first_maximum(spectral, t_max=t_max)
         except NoArrivalError:
             return None
         return t0, amp, _amplitude_gradient(spectral, t0)
 
-    xbest, (t0, amp, _) = _refine(evaluate, x0, grid_step)
+    xbest, (t0, amp, _) = _refine(evaluate, np.array([d1[best], d2[best]]), grid_step)
     return BoundaryOptimum(
         n_nodes=n_nodes,
         delta1=float(xbest[0]),
         delta2=float(xbest[1]),
         t0=float(t0),
         amplitude=float(amp),
-        coarse_amplitude=float(coarse_amp),
+        coarse_amplitude=float(amplitude[best]),
     )

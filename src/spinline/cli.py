@@ -113,7 +113,8 @@ SCHEMAS = dict([
     _command(
         "optimize-chain", "tune the boundary couplings", required=["n"],
         n={"type": "integer", "minimum": 7, "description": "chain length"},
-        # a finer lattice only costs memory: the refinement resolves far below it
+        # the whole lattice is scored, so a finer step costs time in proportion
+        # to its points; the refinement resolves far below any step
         grid_step={"type": "number", "minimum": COUPLING_TOL,
                    "description": "coupling lattice step"},
         t_max={"type": "number", "exclusiveMinimum": 0,

@@ -46,19 +46,18 @@ class SpectralData:
     evecs1: np.ndarray = field(repr=False)
 
 
-def diagonalize(spec, check=True):
+def diagonalize(spec):
     """Eigendecompose the hopping matrices of the chain or stack ``spec``.
 
-    With ``check`` the reconstruction V L V^T of every chain is compared to
-    its input to 1e-10, which guards against a silently failed eigensolve;
-    a failure names the chain.
+    The reconstruction V L V^T of every chain is compared to its input to
+    1e-10, which guards against a silently failed eigensolve; a failure
+    names the chain.
     """
     h1 = hopping_matrix(spec.couplings())
     evals1, evecs1 = np.linalg.eigh(h1)
-    if check:
-        rebuilt = (evecs1 * evals1[..., None, :]) @ evecs1.swapaxes(-1, -2)
-        check_tolerance(np.abs(rebuilt - h1).max(axis=(-2, -1)), RECONSTRUCTION_TOL,
-                        "eigendecomposition reconstruction error")
+    rebuilt = (evecs1 * evals1[..., None, :]) @ evecs1.swapaxes(-1, -2)
+    check_tolerance(np.abs(rebuilt - h1).max(axis=(-2, -1)), RECONSTRUCTION_TOL,
+                    "eigendecomposition reconstruction error")
     return SpectralData(spec=spec, evals1=evals1, evecs1=evecs1)
 
 

@@ -66,9 +66,9 @@ def tuned_line_params(n):
 
 # --- criterion 1: boundary optimization -------------------------------------
 
-def check_boundary_optimization(n, grid_step=0.01, t_max=None):
+def check_boundary_optimization(n):
     ref = bm.TUNED_CHAINS[n]
-    opt = optimize_boundary(n, grid_step=grid_step, t_max=t_max)
+    opt = optimize_boundary(n)
     checks = [
         ("delta1", opt.delta1, ref["delta1"], BOUNDARY_COUPLING_TOL),
         ("delta2", opt.delta2, ref["delta2"], BOUNDARY_COUPLING_TOL),

@@ -8,6 +8,7 @@ import spinline as sl
 from spinline import benchmarks as bm
 from spinline import chainopt
 from spinline.chainopt import (
+    AMPLITUDE_FLOOR,
     DEFAULT_DT,
     _amplitude_gradient,
     _first_arrival,
@@ -135,13 +136,14 @@ def test_amplitude_gradient_matches_central_differences(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_search_refuses_short_chains(monkeypatch, n):
-    monkeypatch.setattr(chainopt, "_lattice_search", None)  # refused before the grid
+    monkeypatch.setattr(chainopt, "_score_points", None)  # refused before the grid
     with pytest.raises(ChainLengthError, match="n >= 7"):
         optimize_boundary(n)
 
 
-# optimize_boundary(n, grid_step=0.05): (delta1, delta2, t0, amplitude); N = 7
-# is the perfectly transferring chain delta1 = 1/sqrt(2), delta2 = sqrt(5/6)
+# optimize_boundary(n) on the default box and 0.05 lattice: (delta1, delta2,
+# t0, amplitude); N = 7 is the perfectly transferring chain delta1 =
+# 1/sqrt(2), delta2 = sqrt(5/6)
 PINNED_OPTIMA = {
     7: (0.7071067811867104, 0.912870929175449, 10.882796185403514, 1.0000000000000002),
     8: (0.6887685484627878, 0.9053400055220081, 12.125699301835152, 0.9994765199809454),
@@ -150,7 +152,7 @@ PINNED_OPTIMA = {
 
 @pytest.mark.parametrize("n", sorted(PINNED_OPTIMA))
 def test_optimum_pinned(n):
-    opt = optimize_boundary(n, grid_step=0.05)
+    opt = optimize_boundary(n)
     got = (opt.delta1, opt.delta2, opt.t0, opt.amplitude)
     assert np.max(np.abs(np.subtract(got, PINNED_OPTIMA[n]))) <= 1e-12
 
@@ -235,7 +237,7 @@ def test_coarse_grid_matches_single_chains():
     d1s, d2s = np.array([0.3, 0.55, 0.8]), np.array([0.6, 0.82])
     d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
     ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
-    best = _score_points(20, d1, d2, ts, 0.2)
+    best = _score_points(20, d1, d2, ts)
     for a, b, grid_amp in zip(d1, d2, best):
         spectral = spectral_for(20, a, b)
         weights = spectral.evecs1[-1] * spectral.evecs1[0]
@@ -247,18 +249,18 @@ def test_point_scoring_does_not_depend_on_the_block(monkeypatch):
     rng = np.random.default_rng(3)
     d1, d2 = rng.uniform(0.05, 1.25, (2, 40))
     ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
-    whole = _score_points(20, d1, d2, ts, 0.2)
+    whole = _score_points(20, d1, d2, ts)
     monkeypatch.setattr(chainopt, "_POINT_BLOCK", 7)
-    assert np.array_equal(_score_points(20, d1, d2, ts, 0.2), whole)
+    assert np.array_equal(_score_points(20, d1, d2, ts), whole)
 
 
 def test_point_scoring_one_chain_per_block(monkeypatch):
     rng = np.random.default_rng(4)
     d1, d2 = rng.uniform(0.05, 1.25, (2, 9))
     ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
-    whole = _score_points(20, d1, d2, ts, 0.2)
+    whole = _score_points(20, d1, d2, ts)
     monkeypatch.setattr(chainopt, "_POINT_BLOCK", 1)
-    assert np.array_equal(_score_points(20, d1, d2, ts, 0.2), whole)
+    assert np.array_equal(_score_points(20, d1, d2, ts), whole)
 
 
 def full_scan(n_nodes, d1s, d2s, ts, floor):
@@ -277,24 +279,40 @@ def full_scan(n_nodes, d1s, d2s, ts, floor):
     return np.array([d1[top], d2[top]]), amp[top]
 
 
-def assert_search_matches_full_scan(monkeypatch, n, delta1_range, delta2_range):
-    """The two-level search starts the refinement from the full scan's best
-    point with its amplitude, so the optimum is the same bit for bit."""
-    lattice_search, seen = chainopt._lattice_search, []
+def in_box_lattice(lo, hi, step):
+    """Oracle for the lattice of a search box: lo + step k, rounded to 12
+    digits, for k = 0, 1, ... while the point does not pass hi."""
+    points = []
+    while lo + step * len(points) <= hi + 1e-12:
+        points.append(round(lo + step * len(points), 12))
+    return np.array(points)
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments of every call of chainopt.<name>, then make it."""
+    real, calls = getattr(chainopt, name), []
 
     def spy(*args):
-        seen.append((args, lattice_search(*args)))
-        return seen[-1][1]
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(chainopt, "_lattice_search", spy)
+    monkeypatch.setattr(chainopt, name, spy)
+    return calls
+
+
+def assert_search_matches_full_scan(monkeypatch, n, delta1_range, delta2_range):
+    """The search scores every in-box point of the default 0.05 lattice once,
+    in one call, and refines from the full scan's best point, whose amplitude
+    it reports."""
+    scored, refined = spy_on(monkeypatch, "_score_points"), spy_on(monkeypatch, "_refine")
     got = optimize_boundary(n, delta1_range, delta2_range)
-    (n_nodes, d1s, d2s, stride, ts, floor), (x0, amp) = seen[0]
-    assert stride == 5
-    want = full_scan(n_nodes, d1s, d2s, ts, floor)
-    assert (x0.tolist(), amp) == (want[0].tolist(), want[1])
-    assert got.coarse_amplitude == want[1]
-    monkeypatch.setattr(chainopt, "_lattice_search", lambda *args: want)
-    assert optimize_boundary(n, delta1_range, delta2_range) == got
+    [(n_nodes, d1, d2, ts)] = scored
+    d1s, d2s = (in_box_lattice(*box, 0.05) for box in (delta1_range, delta2_range))
+    assert sorted(zip(d1.tolist(), d2.tolist())) == [(a, b) for a in d1s for b in d2s]
+    x0, amp = full_scan(n_nodes, d1s, d2s, ts, AMPLITUDE_FLOOR)
+    [(_, start, _)] = refined
+    assert start.tolist() == x0.tolist()
+    assert got.coarse_amplitude == amp
     return got
 
 
@@ -362,8 +380,7 @@ def test_search_matches_full_scan_on_sub_boxes(monkeypatch, box):
     assert_search_matches_full_scan(monkeypatch, 20, *box)
 
 
-# synthetic landscapes on a 23 x 19 lattice, whose last first-level points
-# (index 20 and 15 at stride 5) are 2 and 3 steps short of the upper edges
+# synthetic landscapes on the 23 x 19 lattice of step 0.01 on (0.78, 1.0) x (0.78, 0.96)
 LANDSCAPES = {
     "peak at the upper corner": lambda d1, d2: 2.0 - (d1 - 1.0) ** 2 - 2.0 * (d2 - 0.96) ** 2,
     "flat: ties go to the lower corner": lambda d1, d2: np.ones_like(d1),
@@ -371,28 +388,65 @@ LANDSCAPES = {
 
 
 @pytest.mark.parametrize("landscape", sorted(LANDSCAPES))
-def test_search_scores_the_patches_of_the_top_three_first_level_points(monkeypatch, landscape):
-    amplitude, scored = LANDSCAPES[landscape], []
+def test_search_starts_at_the_first_best_point(monkeypatch, landscape):
+    amplitude, scored, starts = LANDSCAPES[landscape], [], []
 
-    def fake_scores(n_nodes, d1, d2, ts, floor):
+    def fake_scores(n_nodes, d1, d2, ts):
         scored.extend(zip(d1.tolist(), d2.tolist()))
         return amplitude(d1, d2)
 
-    monkeypatch.setattr(chainopt, "_score_points", fake_scores)
-    d1s, d2s = np.round(0.78 + 0.01 * np.arange(23), 12), np.round(0.78 + 0.01 * np.arange(19), 12)
-    x0, amp = chainopt._lattice_search(20, d1s, d2s, 5, None, 0.2)
+    def fake_refine(evaluate, x, radius):
+        starts.append(x.tolist())
+        return x, (1.0, 2.0, None)
 
-    first = [(i, j) for i in range(0, 23, 5) for j in range(0, 19, 5)]
-    top = sorted(first, key=lambda ij: (-amplitude(d1s[ij[0]], d2s[ij[1]]), ij))[:3]
-    patches = {(i, j) for ci, cj in top for i in range(23) for j in range(19)
-               if abs(i - ci) <= 5 and abs(j - cj) <= 5}
-    assert sorted(scored) == sorted((d1s[i], d2s[j]) for i, j in set(first) | patches)
-    best = max(sorted(set(first) | patches),
-               key=lambda ij: amplitude(d1s[ij[0]], d2s[ij[1]]))  # first of equals
-    assert (x0.tolist(), amp) == ([d1s[best[0]], d2s[best[1]]],
-                                  amplitude(d1s[best[0]], d2s[best[1]]))
-    if landscape.startswith("peak"):
-        assert best == (22, 18)
+    monkeypatch.setattr(chainopt, "_score_points", fake_scores)
+    monkeypatch.setattr(chainopt, "_refine", fake_refine)
+    got = optimize_boundary(20, (0.78, 1.0), (0.78, 0.96), grid_step=0.01)
+
+    d1s, d2s = np.round(0.78 + 0.01 * np.arange(23), 12), np.round(0.78 + 0.01 * np.arange(19), 12)
+    lattice = [(a, b) for a in d1s.tolist() for b in d2s.tolist()]
+    assert sorted(scored) == lattice
+    best = max(lattice, key=lambda ab: amplitude(*ab))  # first of equals
+    assert starts == [list(best)]
+    assert got.coarse_amplitude == amplitude(*best)
+    assert best == ((1.0, 0.96) if landscape.startswith("peak") else (0.78, 0.78))
+
+
+@pytest.mark.parametrize("lo, hi, step, count, last", [
+    (0.05, 1.25, 0.05, 25, 1.25),
+    (0.05, 1.25, 0.01, 121, 1.25),
+    (0.41, 0.65, 0.05, 5, 0.61),  # a 0.24-wide sub-box: no sixth point at 0.66
+    (1.3, 1.5, 0.12, 2, 1.42),  # no point at 1.54, beyond the validated (0, 1.5]
+])
+def test_lattice_stays_in_the_box(lo, hi, step, count, last):
+    got = chainopt._lattice(lo, hi, step)
+    assert got.tolist() == in_box_lattice(lo, hi, step).tolist()
+    assert (got.size, got[0], got[-1]) == (count, lo, last)
+
+
+def test_search_scores_no_point_outside_the_box(monkeypatch):
+    scored = spy_on(monkeypatch, "_score_points")
+    optimize_boundary(8, (1.3, 1.5), (0.5, 1.0), grid_step=0.12)
+    [(_, d1, d2, _)] = scored
+    assert sorted(set(d1.tolist())) == [1.3, 1.42]
+    assert sorted(set(d2.tolist())) == [0.5, 0.62, 0.74, 0.86, 0.98]
+
+
+class Scored(Exception):
+    pass
+
+
+def test_search_refuses_a_lattice_over_the_bound(monkeypatch):
+    def score(*args):
+        raise Scored
+
+    monkeypatch.setattr(chainopt, "_score_points", score)
+    with pytest.raises(Scored):  # 1000 x 1000 points: at the bound
+        optimize_boundary(20, (0.05, 1.049), (0.05, 1.049), grid_step=0.001)
+    with pytest.raises(InputError, match="1001 x 1000 lattice points, more than 1000000"):
+        optimize_boundary(20, (0.05, 1.05), (0.05, 1.049), grid_step=0.001)
+    with pytest.raises(InputError, match="12001 x 12001 lattice points"):
+        optimize_boundary(20, grid_step=1e-4)
 
 
 def test_first_arrival_rejects_unpaired_spectrum():

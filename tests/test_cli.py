@@ -53,6 +53,9 @@ def test_optimize_chain_artifact(workdir, capsys):
     # refused before np.arange asks for ~9 GiB of lattice
     pytest.param(["--grid-step", "1e-9", "--delta1-range", "0.5,0.5000001"],
                  "less than the minimum of 0.0001", id="grid-step-1e-9"),
+    # refused before scoring 1.44e8 lattice points, about three hours
+    pytest.param(["--grid-step", "0.0001"], "lattice points, more than 1000000",
+                 id="grid-step-1e-4"),
     # refused before np.arange asks for ~146 TiB of time grid
     pytest.param(["--t-max", "1e12"], "more than 1000000 steps", id="t-max-1e12"),
     pytest.param(["--t-max", "0.04"], "t_max > dt", id="t-max-below-dt"),
