@@ -22,6 +22,7 @@ from .receiver import KINDS, assemble_rho, classify_families, param_index, recei
 
 WERNER_RESIDUAL_TOL = 1e-10
 FEASIBILITY_RESIDUAL_TOL = 1e-8
+TARGET_TOL = 1e-8  # Hermiticity, trace and positivity of a target matrix
 UPPER = np.triu_indices(4)  # receiver-matrix entries a <= b, row by row
 
 
@@ -31,14 +32,16 @@ class TargetState:
 
     matrix: np.ndarray = field(repr=False)
 
-    def validate(self, tol=1e-8, allow_nonphysical=False):
+    def validate(self):
         m = self.matrix
         if m.shape != (4, 4):
             raise InputError(f"target must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise InputError("target has a non-finite entry")
         herm = np.max(np.abs(m - m.conj().T))
         tr = abs(np.trace(m) - 1.0)
         lo = np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
-        if not allow_nonphysical and (herm > tol or tr > tol or lo < -tol):
+        if herm > TARGET_TOL or tr > TARGET_TOL or lo < -TARGET_TOL:
             raise InputError(
                 f"not a density matrix (hermiticity {herm:.1e}, trace dev {tr:.1e}, "
                 f"min eigenvalue {lo:.1e})"
@@ -363,8 +366,7 @@ def solve_general(params, target, n_starts=32, seed=0):
     )
 
 
-def feasibility_scan(params, p_grid, n_starts=64, seed=0,
-                     residual_tol=FEASIBILITY_RESIDUAL_TOL, refine_tol=5e-4):
+def feasibility_scan(params, p_grid, n_starts=64, seed=0, refine_tol=5e-4):
     """Largest Werner parameter p for which controls exist.
 
     Walks the monotone grid up to its first infeasible point to bracket the
@@ -388,7 +390,7 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0,
     def feasible(p):
         try:
             solve_werner(params, p, n_starts=n_starts, seed=seed,
-                         residual_tol=residual_tol)
+                         residual_tol=FEASIBILITY_RESIDUAL_TOL)
             return True
         except InfeasibleTargetError:
             return False

@@ -1,19 +1,23 @@
 """Probe-state protocol: measure the line parameters from receiver outputs.
 
-A prescribed family of two-term sender states is sent through the line and
-the resulting receiver density matrices are inverted stage by stage:
+A prescribed family of two-term sender states, :func:`probe_set`, is sent
+through the line; its order is the one probe layout.  The receiver
+matrices are stacked in that order and inverted stage by stage, each
+stage as array expressions over its block:
 
   1. vacuum+single probes give the bare amplitudes onto nodes N-1 and N;
-  2. single+pair probes give the receiver-pair amplitude, the diagonal
-     environment bilinears and the mixed P parameters;
+  2. single+pair probes give the mixed P parameters, and those of the
+     best-conditioned node the receiver-pair amplitude and the diagonal
+     environment bilinears;
   3. pair+pair probes with real and with imaginary relative phase give the
      real and imaginary parts of the off-diagonal bilinears.
 
-The protocol is exactly determined: one amplitude split (equal weights)
-per probe suffices, and extraction reproduces the directly computed
-parameter set to solver precision.
+The protocol is exactly determined: each equal-weight probe fixes its own
+parameter parts (:func:`_determines`), and extraction reproduces the
+directly computed parameter set to solver precision.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -57,23 +61,29 @@ class ProbeState:
 
 
 def probe_set(n_sender=4):
-    """The complete probe enumeration for a four-node sender (58 states)."""
+    """The complete probe enumeration for a four-node sender (58 states): the
+    4 singles, the 4 x 6 single-pair probes in (node, pair) order, then the
+    15 real and the 15 imaginary pair-pair probes over the pairs a < b."""
     if n_sender != 4:
         raise InputError(f"probe protocol is enumerated for n_sender=4, got {n_sender}")
     pairs = sender_pairs(n_sender)
-    probes = [ProbeState("single", (k,)) for k in range(1, n_sender + 1)]
-    probes += [
-        ProbeState("single-pair", (k, n, m))
-        for k in range(1, n_sender + 1)
-        for (n, m) in pairs
-    ]
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            probes.append(ProbeState("pair-pair-real", pairs[a] + pairs[b]))
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            probes.append(ProbeState("pair-pair-imag", pairs[a] + pairs[b]))
+    nodes = range(1, n_sender + 1)
+    probes = [ProbeState("single", (k,)) for k in nodes]
+    probes += [ProbeState("single-pair", (k, *nm)) for k in nodes for nm in pairs]
+    probes += [ProbeState(kind, kl + nm) for kind in PROBE_KINDS[2:]
+               for kl, nm in itertools.combinations(pairs, 2)]
     return probes
+
+
+def _determines(probe):
+    """The parameter parts (kind, indices, part) that only ``probe`` fixes."""
+    i = probe.indices
+    if probe.kind == "single":
+        return [("p_N", i, "full"), ("p_Nm1", i, "full")]
+    if probe.kind == "single-pair":
+        return [("P_Nm1", i, "full"), ("P_N", i, "full")]
+    part = "re" if probe.kind == "pair-pair-real" else "im"
+    return [(kind, i, part) for kind in ("P_mm", "P_NN", "P_mN")] + [("P_mN", i[2:] + i[:2], part)]
 
 
 def simulate_probes(params, n_sender=4):
@@ -87,135 +97,68 @@ def simulate_probes(params, n_sender=4):
 def extract_params(probe_outputs, t0, n_sender=4):
     """Invert the probe outputs into the full parameter set.
 
-    ``probe_outputs`` is a list of (ProbeState, ReceiverState) covering the
-    full probe set, registered at time ``t0`` (the outputs do not carry
-    it).  Raises ExtractionError listing the undetermined
-    parameter parts when probes are missing, and ConditioningError when an
-    inversion step would divide by a vanishing amplitude.
+    ``probe_outputs`` is a list of (ProbeState, ReceiverState) covering
+    :func:`probe_set` in any order, registered at time ``t0`` (the outputs
+    do not carry it).  The receiver matrices are stacked in ``probe_set``
+    order, and each stage reads its block of that stack as arrays.  Raises
+    InputError unless ``n_sender`` is 4, ExtractionError listing the parts
+    that the missing probes would fix, in ``probe_set`` order, and
+    ConditioningError when the reference amplitude of stage 2 vanishes.
     """
-    pairs = sender_pairs(n_sender)
-    pidx = {p: i for i, p in enumerate(pairs)}
-    n_pairs = len(pairs)
-    by_probe = {(p.kind, p.indices): r.rho for p, r in probe_outputs}
-    s2 = SPLIT * SPLIT  # product of the two probe amplitudes
-
-    undetermined = []
-    for k in range(1, n_sender + 1):
-        if ("single", (k,)) not in by_probe:
-            undetermined += [("p_N", (k,), "full"), ("p_Nm1", (k,), "full")]
-    for k in range(1, n_sender + 1):
-        for nm in pairs:
-            if ("single-pair", (k,) + nm) not in by_probe:
-                undetermined += [
-                    ("P_Nm1", (k,) + nm, "full"),
-                    ("P_N", (k,) + nm, "full"),
-                ]
-    for a in range(n_pairs):
-        for b in range(a + 1, n_pairs):
-            key = pairs[a] + pairs[b]
-            if ("pair-pair-real", key) not in by_probe:
-                undetermined += [
-                    ("P_mm", key, "re"),
-                    ("P_NN", key, "re"),
-                    ("P_mN", key, "re"),
-                    ("P_mN", pairs[b] + pairs[a], "re"),
-                ]
-            if ("pair-pair-imag", key) not in by_probe:
-                undetermined += [
-                    ("P_mm", key, "im"),
-                    ("P_NN", key, "im"),
-                    ("P_mN", key, "im"),
-                    ("P_mN", pairs[b] + pairs[a], "im"),
-                ]
+    probes = probe_set(n_sender)
+    by_probe = {p: r.rho for p, r in probe_outputs}
+    undetermined = [part for p in probes if p not in by_probe for part in _determines(p)]
     if undetermined:
         raise ExtractionError(undetermined)
-
-    def guard(value, what):
-        if abs(value) < DIVISION_GUARD:
-            raise ConditioningError(f"{what} has magnitude {abs(value):.1e}")
-        return value
+    n_pairs = len(sender_pairs(n_sender))
+    rho = np.array([by_probe[p] for p in probes], dtype=complex)
+    m = n_sender * (1 + n_pairs)
+    single, single_pair = rho[:n_sender], rho[n_sender:m].reshape(n_sender, n_pairs, 4, 4)
+    rho_r, rho_i = rho[m:].reshape(2, -1, 4, 4)
+    s2 = SPLIT * SPLIT  # product of the two probe amplitudes
 
     # stage 1: vacuum+single probes -> bare single-node amplitudes
-    p_N = np.zeros(n_sender, complex)
-    p_Nm1 = np.zeros(n_sender, complex)
-    for k in range(1, n_sender + 1):
-        rho = by_probe[("single", (k,))]
-        p_Nm1[k - 1] = np.conj(rho[0, 1]) / s2
-        p_N[k - 1] = np.conj(rho[0, 2]) / s2
+    p_Nm1 = np.conj(single[:, 0, 1]) / s2
+    p_N = np.conj(single[:, 0, 2]) / s2
 
     # best-conditioned reference node for the pair-related divisions
-    k_ref = int(np.argmax(np.abs(p_N) ** 2 + np.abs(p_Nm1) ** 2)) + 1
-    use_N = abs(p_N[k_ref - 1]) >= abs(p_Nm1[k_ref - 1])
-    ref = guard(
-        p_N[k_ref - 1] if use_N else p_Nm1[k_ref - 1],
-        f"reference amplitude for node {k_ref}",
-    )
+    k = int(np.argmax(np.abs(p_N) ** 2 + np.abs(p_Nm1) ** 2))
+    use_N = abs(p_N[k]) >= abs(p_Nm1[k])
+    ref = p_N[k] if use_N else p_Nm1[k]
+    if abs(ref) < DIVISION_GUARD:
+        raise ConditioningError(f"reference amplitude for node {k + 1} has magnitude {abs(ref):.1e}")
 
-    # stage 2: single+pair probes
-    p_pair = np.zeros(n_pairs, complex)
-    P_Nm1 = np.zeros((n_sender, n_pairs), complex)
-    P_N = np.zeros((n_sender, n_pairs), complex)
-    mm_diag = np.zeros(n_pairs)
-    NN_diag = np.zeros(n_pairs)
-    mN_diag = np.zeros(n_pairs, complex)
-    for k in range(1, n_sender + 1):
-        for s, nm in enumerate(pairs):
-            rho = by_probe[("single-pair", (k,) + nm)]
-            P_Nm1[k - 1, s] = rho[0, 1] / s2
-            P_N[k - 1, s] = rho[0, 2] / s2
-    for s, nm in enumerate(pairs):
-        rho = by_probe[("single-pair", (k_ref,) + nm)]
-        # cross term rho_{N or N-1, (N-1)N} = p_ref * conj(p_pair) * a_k a_nm
-        cross = rho[2, 3] if use_N else rho[1, 3]
-        p_pair[s] = np.conj(cross / (ref * s2))
-        mm_diag[s] = (rho[1, 1].real - abs(p_Nm1[k_ref - 1]) ** 2 * s2) / s2
-        NN_diag[s] = (rho[2, 2].real - abs(p_N[k_ref - 1]) ** 2 * s2) / s2
-        mN_diag[s] = (
-            rho[1, 2] - p_Nm1[k_ref - 1] * np.conj(p_N[k_ref - 1]) * s2
-        ) / s2
+    # stage 2: single+pair probes, and the row of the reference node
+    P_Nm1 = single_pair[:, :, 0, 1] / s2
+    P_N = single_pair[:, :, 0, 2] / s2
+    row = single_pair[k]
+    # cross term rho_{N or N-1, (N-1)N} = p_ref * conj(p_pair) * a_k a_nm
+    cross = row[:, 2, 3] if use_N else row[:, 1, 3]
+    p_pair = np.conj(cross / (ref * s2))
+    mN_diag = (row[:, 1, 2] - p_Nm1[k] * np.conj(p_N[k]) * s2) / s2
 
-    # stage 3: pair+pair probes -> off-diagonal bilinears
-    P_mm = np.zeros((n_pairs, n_pairs), complex)
-    P_NN = np.zeros((n_pairs, n_pairs), complex)
-    P_mN = np.zeros((n_pairs, n_pairs), complex)
-    np.fill_diagonal(P_mm, mm_diag)
-    np.fill_diagonal(P_NN, NN_diag)
-    np.fill_diagonal(P_mN, mN_diag)
-    for a in range(n_pairs):
-        for b in range(a + 1, n_pairs):
-            key = pairs[a] + pairs[b]
-            rho_r = by_probe[("pair-pair-real", key)]
-            rho_i = by_probe[("pair-pair-imag", key)]
-            diag_mm = (mm_diag[a] + mm_diag[b]) * s2
-            diag_NN = (NN_diag[a] + NN_diag[b]) * s2
-            diag_mN = (mN_diag[a] + mN_diag[b]) * s2
-            re_mm = (rho_r[1, 1].real - diag_mm) / (2 * s2)
-            im_mm = (rho_i[1, 1].real - diag_mm) / (2 * s2)
-            re_NN = (rho_r[2, 2].real - diag_NN) / (2 * s2)
-            im_NN = (rho_i[2, 2].real - diag_NN) / (2 * s2)
-            P_mm[a, b] = re_mm + 1j * im_mm
-            P_mm[b, a] = re_mm - 1j * im_mm
-            P_NN[a, b] = re_NN + 1j * im_NN
-            P_NN[b, a] = re_NN - 1j * im_NN
-            # P_mN has no exchange symmetry: the real probe measures the sum
-            # of the two orderings, the imaginary probe their difference
-            s_plus = (rho_r[1, 2] - diag_mN) / s2
-            s_minus = (rho_i[1, 2] - diag_mN) / (1j * s2)
-            P_mN[a, b] = (s_plus - s_minus) / 2
-            P_mN[b, a] = (s_plus + s_minus) / 2
+    # stage 3: pair+pair probes over the pairs a < b -> off-diagonal bilinears
+    a, b = np.triu_indices(n_pairs, 1)
+    P = {}
+    for name, r, amp in (("P_mm", 1, p_Nm1[k]), ("P_NN", 2, p_N[k])):
+        diag = (row[:, r, r].real - abs(amp) ** 2 * s2) / s2
+        pair_diag = (diag[a] + diag[b]) * s2
+        re = (rho_r[:, r, r].real - pair_diag) / (2 * s2)
+        im = (rho_i[:, r, r].real - pair_diag) / (2 * s2)
+        P[name] = np.diag(diag).astype(complex)
+        P[name][a, b] = re + 1j * im
+        P[name][b, a] = re - 1j * im
+    # P_mN has no exchange symmetry: the real probe measures the sum of the
+    # two orderings, the imaginary probe their difference
+    pair_diag = (mN_diag[a] + mN_diag[b]) * s2
+    s_plus = (rho_r[:, 1, 2] - pair_diag) / s2
+    s_minus = (rho_i[:, 1, 2] - pair_diag) / (1j * s2)
+    P["P_mN"] = np.diag(mN_diag)
+    P["P_mN"][a, b] = (s_plus - s_minus) / 2
+    P["P_mN"][b, a] = (s_plus + s_minus) / 2
 
-    return LineParams(
-        n_sender=n_sender,
-        t0=float(t0),
-        p_N=p_N,
-        p_Nm1=p_Nm1,
-        p_pair=p_pair,
-        P_Nm1=P_Nm1,
-        P_N=P_N,
-        P_mm=P_mm,
-        P_mN=P_mN,
-        P_NN=P_NN,
-    )
+    return LineParams(n_sender=n_sender, t0=float(t0), p_N=p_N, p_Nm1=p_Nm1, p_pair=p_pair,
+                      P_Nm1=P_Nm1, P_N=P_N, **P)
 
 
 def probe_outputs_to_json(probe_outputs):
@@ -238,7 +181,8 @@ def probe_outputs_from_json(text):
     """Inverse of :func:`probe_outputs_to_json`.
 
     Raises InputError for text that is not a JSON list of records with a
-    probe kind and indices and a numeric 4x4 ``rho``.
+    probe kind and indices and a numeric 4x4 ``rho``, and for a ``rho``
+    with a non-finite entry (JSON readers accept NaN and Infinity).
     """
     outputs = []
     try:
@@ -250,4 +194,7 @@ def probe_outputs_from_json(text):
             outputs.append((probe, ReceiverState(rho=rho)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed probe outputs ({type(exc).__name__}: {exc})") from exc
+    bad = next((p for p, r in outputs if not np.isfinite(r.rho).all()), None)
+    if bad is not None:
+        raise InputError(f"probe {bad.kind} {bad.indices}: rho has a non-finite entry")
     return outputs

@@ -19,6 +19,7 @@ leading axes.
 Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 """
 
+import cmath
 import csv
 import functools
 from dataclasses import dataclass, field, replace
@@ -30,6 +31,8 @@ from .dynamics import one_excitation_columns
 from .errors import InputError, NumericalError, SizeMismatchError, check_tolerance
 
 SYMMETRY_TOL = 1e-12
+RECEIVER_TOL = 1e-10  # Hermiticity and trace of a receiver matrix
+RECEIVER_PSD_TOL = 1e-9  # its least eigenvalue
 
 # parameter kinds, in canonical export order
 KINDS = ("p_N", "p_Nm1", "p_pair", "P_Nm1", "P_N", "P_mm", "P_mN", "P_NN")
@@ -192,15 +195,15 @@ class ReceiverState:
 
     rho: np.ndarray = field(repr=False)
 
-    def validate(self, tol=1e-10, psd_tol=1e-9):
+    def validate(self):
         herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > tol:
+        if herm > RECEIVER_TOL:
             raise NumericalError(f"receiver matrix not Hermitian: {herm:.3e}")
         tr = abs(np.trace(self.rho) - 1.0)
-        if tr > tol:
+        if tr > RECEIVER_TOL:
             raise NumericalError(f"receiver trace off by {tr:.3e}")
         lo = np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)))
-        if lo < -psd_tol:
+        if lo < -RECEIVER_PSD_TOL:
             raise NumericalError(f"receiver matrix not PSD: min eigenvalue {lo:.3e}")
         return self
 
@@ -358,8 +361,8 @@ def import_params_csv(path):
     ------
     InputError
         If the ``# t0`` line is missing or not finite, a row is malformed,
-        or the table lacks or adds any entry of the index for its sender
-        size.
+        an entry is not finite, or the table lacks or adds any entry of the
+        index for its sender size.
     """
     with open(path, newline="") as fh:
         raw = [r for r in csv.reader(fh) if r]
@@ -379,6 +382,9 @@ def import_params_csv(path):
         raise InputError(f"{path}: no '# t0' line")
     if not np.isfinite(t0):
         raise InputError(f"{path}: registration time t0 = {t0} is not finite")
+    bad = next((key for key, v in entries.items() if not cmath.isfinite(v)), None)
+    if bad is not None:
+        raise InputError(f"{path}: entry {bad[0]};{';'.join(map(str, bad[1]))} is not finite")
     n_sender = max((i[0] for k, i in entries if k == "p_N"), default=0)
     if n_sender < 2:
         raise InputError(f"{path}: no p_N entries to fix the sender size")

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,12 @@ def tuned60_params():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """``os.environ`` with the directory holding the imported spinline first on
+    PYTHONPATH, so child interpreters import the same package."""
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, path] if path else [src])}

@@ -114,6 +114,19 @@ def test_nan_t0_params_csv_rejected(workdir, params_csv, capsys):
     assert rc == EXIT_BAD_CONFIG
 
 
+def test_nan_entry_params_csv_rejected(workdir, params_csv, capsys):
+    # a nan entry would reach the solver's eigh and end in a LinAlgError
+    lines = params_csv.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("p_Nm1,3,"))
+    lines[row] = "p_Nm1,3,nan,0.0,III"
+    (workdir / "nan.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="entry p_Nm1;3 is not finite"):
+        import_params_csv(workdir / "nan.csv")
+    rc = main(["create-state", "--target", "werner", "--p", "0.5", "--params", "nan.csv"])
+    assert rc == EXIT_BAD_CONFIG
+    assert "p_Nm1;3 is not finite" in capsys.readouterr().err
+
+
 def test_create_state_werner(workdir, params_csv):
     rc = main(["create-state", "--target", "werner", "--p", "0.4",
                "--params", str(params_csv), "--out", "sol.json"])
@@ -156,6 +169,9 @@ def test_create_state_nonphysical_target_exit_code(workdir, params_csv, capsys):
         "must be 4x4": json.dumps({"re": [[1.0]], "im": [[0.0]]}),
         "ValueError": json.dumps({"re": [["a"] * 4] * 4, "im": zeros}),
         "TypeError": json.dumps([1, 2]),
+        # nan compares false, so only an explicit check refuses it
+        "non-finite": json.dumps({"re": np.diag([float("nan"), 0.5, 0.5, 0.0]).tolist(),
+                                  "im": zeros}),
     }
     for message, text in targets.items():
         (workdir / "target.json").write_text(text)
@@ -419,6 +435,13 @@ def _probe_outputs(drop_last=False):
     return json.dumps(records[:-1] if drop_last else records)
 
 
+def _nan_probe_outputs():
+    # JSON readers take NaN; one would spread to 79 of the 170 extracted entries
+    records = json.loads(_probe_outputs())
+    records[0]["rho"]["re"][0][1] = float("nan")
+    return json.dumps(records)
+
+
 def _zero_probe_outputs():
     zero = {"re": np.zeros((4, 4)).tolist(), "im": np.zeros((4, 4)).tolist()}
     return json.dumps([{"probe": {"kind": p.kind, "indices": list(p.indices)}, "rho": zero}
@@ -452,6 +475,8 @@ OUTSIDE_JSON = {
     "outputs-incomplete": (lambda: _probe_outputs(drop_last=True), _OUTPUTS,
                            "incomplete probe set"),
     "outputs-degenerate": (_zero_probe_outputs, _OUTPUTS, "magnitude 0.0e+00"),
+    "outputs-nan": (_nan_probe_outputs, _OUTPUTS,
+                    "probe single (1,): rho has a non-finite entry"),
     "outputs-without-t0": (_probe_outputs,
                            ["probe-params", "--outputs", "in.json", "--out", "out.csv"],
                            "--t0 is required"),

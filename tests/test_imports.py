@@ -52,25 +52,25 @@ def test_no_module_imports_scipy(path):
     assert "scipy" not in _imported_modules(path)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(child_env):
     # scipy.optimize would be most of the CLI's start-up time
     code = "import sys, spinline.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=child_env)
     assert out.stdout.strip() == "False"
 
 
-def test_optimize_chain_leaves_scipy_optimize_unloaded():
+def test_optimize_chain_leaves_scipy_optimize_unloaded(child_env):
     # the boundary search refines by its own trust-region Newton
     code = ("import sys\nfrom spinline.cli import main\n"
             "rc = main(['optimize-chain', '--n', '8', '--grid-step', '0.2'])\n"
             "print(rc, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=child_env)
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
-def test_solving_commands_leave_scipy_unloaded(tmp_path):
+def test_solving_commands_leave_scipy_unloaded(tmp_path, child_env):
     # the control solves run their own Levenberg-Marquardt
     params, out = tmp_path / "line.csv", tmp_path / "out.json"
     code = ("import sys\nfrom spinline.cli import main\n"
@@ -81,5 +81,5 @@ def test_solving_commands_leave_scipy_unloaded(tmp_path):
             f"'--starts', '4', '--out', {str(out)!r}])]\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=child_env)
     assert out.stdout.splitlines()[-1] == "[0, 0] []"

@@ -42,7 +42,9 @@ def test_nonphysical_target_rejected():
     bad = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         TargetState(bad).validate()
-    TargetState(bad).validate(allow_nonphysical=True)
+    bad = np.diag([np.nan, 0.5, 0.5, 0.0]).astype(complex)
+    with pytest.raises(InputError, match="non-finite"):
+        TargetState(bad).validate()
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4, 0.8])
@@ -285,9 +287,9 @@ print(json.dumps(infeasible + [sol.residual.hex(), sol.controls.vector.tobytes()
 """
 
 
-def test_seeded_solves_repeat_bit_for_bit_across_processes():
+def test_seeded_solves_repeat_bit_for_bit_across_processes(child_env):
     runs = [subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT, *sizes],
-                           capture_output=True, text=True, check=True).stdout
+                           capture_output=True, text=True, check=True, env=child_env).stdout
             for sizes in (["1"], ["3", "1001", "77", "5"])]
     assert json.loads(runs[0]) == json.loads(runs[1])
 

@@ -4,7 +4,7 @@ import pytest
 import spinline as sl
 from spinline import benchmarks as bm
 from spinline.basis import sender_pairs
-from spinline.errors import ConditioningError, ExtractionError
+from spinline.errors import ConditioningError, ExtractionError, InputError
 from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.probing import (
     ProbeState,
@@ -14,7 +14,7 @@ from spinline.probing import (
     probe_set,
     simulate_probes,
 )
-from spinline.receiver import ReceiverState
+from spinline.receiver import ReceiverState, param_index
 
 
 def max_deviation(a, b):
@@ -91,15 +91,44 @@ def test_missing_imag_probes_name_imaginary_parts(tuned20_params):
     assert undetermined == expected
 
 
-def test_missing_single_probe(tuned20_params):
-    outputs = [
-        (p, r) for p, r in simulate_probes(tuned20_params)
-        if not (p.kind == "single" and p.indices == (2,))
-    ]
+def parts_fixed_by(probe):
+    """The parameter parts only ``probe`` fixes, written out per kind."""
+    i = probe.indices
+    if probe.kind == "single":
+        return {("p_N", i, "full"), ("p_Nm1", i, "full")}
+    if probe.kind == "single-pair":
+        return {("P_Nm1", i, "full"), ("P_N", i, "full")}
+    part = {"pair-pair-real": "re", "pair-pair-imag": "im"}[probe.kind]
+    kl, nm = i[:2], i[2:]
+    return {("P_mm", kl + nm, part), ("P_NN", kl + nm, part),
+            ("P_mN", kl + nm, part), ("P_mN", nm + kl, part)}
+
+
+@pytest.mark.parametrize("dropped", probe_set(),
+                         ids=lambda p: f"{p.kind}-{''.join(map(str, p.indices))}")
+def test_missing_single_probe(tuned20_params, dropped):
+    outputs = [(p, r) for p, r in simulate_probes(tuned20_params) if p != dropped]
     with pytest.raises(ExtractionError) as err:
         extract_params(outputs, tuned20_params.t0)
-    assert ("p_N", (2,), "full") in err.value.undetermined
-    assert ("p_Nm1", (2,), "full") in err.value.undetermined
+    undetermined = err.value.undetermined
+    assert len(undetermined) == len(parts_fixed_by(dropped))
+    assert set(undetermined) == parts_fixed_by(dropped)
+    assert str(err.value) == f"incomplete probe set: {len(undetermined)} parameter parts undetermined"
+
+
+def test_no_probes_leave_every_part_undetermined():
+    # 4 x 2 + 24 x 2 + 30 x 4 parts, each named once, each a real entry
+    with pytest.raises(ExtractionError) as err:
+        extract_params([], 1.0)
+    undetermined = err.value.undetermined
+    assert len(set(undetermined)) == len(undetermined) == 176
+    entries = {(kind, idx) for kind, idx, _ in param_index(4)}
+    assert {(kind, idx) for kind, idx, _ in undetermined} <= entries
+
+
+def test_extraction_refuses_unsupported_sender(tuned20_params):
+    with pytest.raises(InputError, match="n_sender=4"):
+        extract_params(simulate_probes(tuned20_params), tuned20_params.t0, n_sender=3)
 
 
 def test_degenerate_outputs_hit_division_guard():
