@@ -5,12 +5,12 @@ first maximum of the end-to-end single-excitation amplitude |p_{N;1}(t)|;
 the time of that maximum is the registration time t0 at which the receiver
 state is read out.
 
-:func:`optimize_boundary` scores every point of the lattice of step ``grid_step``
-(0.05 by default) inside the search box and refines the best one by
-trust-region Newton, which resolves the optimum far below the lattice step
-from any point in its basin.  The default box holds 625 points at the default
-step; a finer step costs time in proportion to its points, up to
-``MAX_POINTS`` (10^6).
+:func:`optimize_boundary` scores every point of the :func:`lattice` of step
+``grid_step`` (0.05 by default) inside the search box, as stacked chains
+through :func:`diagonalize`, and refines the best one by trust-region Newton,
+which resolves the optimum far below the lattice step from any point in its
+basin.  The default box holds 625 points at the default step; a finer step
+costs time in proportion to its points, up to ``MAX_POINTS`` (10^6).
 
 The refinement works on the first-maximum amplitude A(delta1, delta2) =
 |p_{N;1}(t0)|.  By the envelope theorem (d|p|/dt = 0 at t0) its gradient is
@@ -48,7 +48,7 @@ import numpy as np
 
 from .dynamics import diagonalize
 from .errors import ChainLengthError, InputError, NoArrivalError, NumericalError
-from .hamiltonian import MIN_PROFILE_NODES, ChainSpec, hopping_matrix
+from .hamiltonian import MIN_PROFILE_NODES, ChainSpec
 
 # detection floor rejecting the tiny ripples that precede the main arrival
 AMPLITUDE_FLOOR = 0.2
@@ -58,7 +58,7 @@ COUPLING_TOL = 1e-4  # finest lattice step of the boundary search
 PAIRING_TOL = 1e-10
 _BLOCK = 128  # candidate time steps per scan block
 MAX_STEPS = 10**6  # largest time grid a scan allocates
-MAX_POINTS = 10**6  # largest coupling lattice a boundary search scores
+MAX_POINTS = 10**6  # largest stepped scan, and largest boundary search box
 _POINT_BLOCK = 64  # chains per stacked eigh and arrival scan of the grid search
 _NEWTON_ITERATIONS = 100  # bound on the Newton-bisection steps of a peak time
 _HESSIAN_STEP = 1e-6  # forward-difference step of the amplitude Hessian
@@ -87,14 +87,17 @@ def default_t_max(n_nodes):
     return 3.0 * n_nodes
 
 
-def _time_grid(t_max, dt):
-    """The uniform scan grid 0, dt, 2 dt, ... up to t_max, checked before it is allocated."""
-    if not (dt > 0 and t_max > dt):
-        raise InputError(f"need dt > 0 and t_max > dt, got dt={dt:g}, t_max={t_max:g}")
-    if t_max / dt > MAX_STEPS:
-        raise InputError(f"time window t_max={t_max:g} at dt={dt:g} "
+def _time_grid(t_max):
+    """The grid 0, dt, ... up to t_max at dt = ``DEFAULT_DT``, checked before it is allocated.
+
+    An exact ``np.arange``, not a :func:`lattice`: :func:`_first_arrival`
+    reuses the first block's offsets ts[j] - ts[0] for every block."""
+    if not t_max > DEFAULT_DT:
+        raise InputError(f"need t_max > dt = {DEFAULT_DT:g}, got t_max={t_max:g}")
+    if t_max / DEFAULT_DT > MAX_STEPS:
+        raise InputError(f"time window t_max={t_max:g} at dt={DEFAULT_DT:g} "
                          f"holds more than {MAX_STEPS} steps")
-    return np.arange(0.0, t_max + dt, dt)
+    return np.arange(0.0, t_max + DEFAULT_DT, DEFAULT_DT)
 
 
 def _first_arrival(evals, weights, ts, floor):
@@ -142,19 +145,19 @@ def _first_arrival(evals, weights, ts, floor):
     return amplitude, index
 
 
-def first_maximum(spectral, t_max=None, dt=DEFAULT_DT, floor=AMPLITUDE_FLOOR):
-    """Locate the first local maximum of |p_{N;1}(t)| above ``floor``.
+def first_maximum(spectral, t_max=None):
+    """Locate the first local maximum of |p_{N;1}(t)| above ``AMPLITUDE_FLOOR``.
 
-    Scans [0, t_max] on a grid of step ``dt`` for the first grid peak k,
-    then solves d|p|^2/dt = 2 Re(conj(p) p') = 0 by Newton's method inside
-    [ts[k-1], ts[k+1]], bisecting the bracket where a Newton step would leave
-    it, until the step falls below ``TIME_TOL`` (1e-12).  p, p' and p'' share
-    one exp(-i lambda t) per step.  Returns (t0, amplitude).
+    Scans [0, t_max] (3N by default) at steps of ``DEFAULT_DT`` for the first
+    grid peak k, then solves d|p|^2/dt = 2 Re(conj(p) p') = 0 by Newton's
+    method inside [ts[k-1], ts[k+1]], bisecting the bracket where a Newton step
+    would leave it, until the step falls below ``TIME_TOL`` (1e-12).  p, p'
+    and p'' share one exp(-i lambda t) per step.  Returns (t0, amplitude).
 
     Raises
     ------
     InputError
-        Unless dt > 0 and t_max > dt, or if the window holds more than
+        Unless t_max > ``DEFAULT_DT``, or if the window holds more than
         ``MAX_STEPS`` (10^6) grid steps.
     NoArrivalError
         If no local maximum above the floor occurs in the window.
@@ -162,11 +165,11 @@ def first_maximum(spectral, t_max=None, dt=DEFAULT_DT, floor=AMPLITUDE_FLOOR):
     n = spectral.evals1.shape[0]
     if t_max is None:
         t_max = default_t_max(n)
-    ts = _time_grid(t_max, dt)
+    ts = _time_grid(t_max)
     lam, w = spectral.evals1, spectral.evecs1[n - 1] * spectral.evecs1[0]
-    _, (k,) = _first_arrival(lam[None], w[None], ts, floor)
+    _, (k,) = _first_arrival(lam[None], w[None], ts, AMPLITUDE_FLOOR)
     if k < 0:
-        raise NoArrivalError(f"no transfer maximum above {floor} within t <= {t_max:g}")
+        raise NoArrivalError(f"no transfer maximum above {AMPLITUDE_FLOOR} within t <= {t_max:g}")
     rate = -1j * lam
     series = np.stack([w, rate * w, rate**2 * w], axis=1)  # p, p' and p'' at once
     lo, hi, t = ts[k - 1], ts[k + 1], ts[k]
@@ -189,29 +192,32 @@ def first_maximum(spectral, t_max=None, dt=DEFAULT_DT, floor=AMPLITUDE_FLOOR):
 def _score_points(n_nodes, delta1, delta2, ts):
     """Grid first-maximum amplitudes of the chains with boundary pairs (delta1, delta2).
 
-    One stacked eigh and one arrival scan per block of ``_POINT_BLOCK`` chains,
-    so memory stays bounded however many points are scored; a chain's
-    amplitude does not depend on the block it is scored in.  Grid peaks
-    underestimate the true maxima, which is fine for ranking candidates.
+    One stacked :class:`ChainSpec`, :func:`diagonalize` and arrival scan per
+    block of ``_POINT_BLOCK`` chains, so memory stays bounded however many
+    points are scored; a chain's amplitude does not depend on its block.  Grid
+    peaks underestimate the true maxima, which is fine for ranking candidates.
     """
     amplitude = np.zeros(delta1.size)
     for lo in range(0, delta1.size, _POINT_BLOCK):
         block = slice(lo, lo + _POINT_BLOCK)
-        J = np.ones((delta1[block].size, n_nodes - 1))
-        J[:, 1] = J[:, -2] = delta2[block]
-        J[:, 0] = J[:, -1] = delta1[block]
-        lam, V = np.linalg.eigh(hopping_matrix(J))
+        spectral = diagonalize(ChainSpec(n_nodes, delta1[block], delta2[block]))
+        lam, V = spectral.evals1, spectral.evecs1
         amplitude[block], _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, AMPLITUDE_FLOOR)
     return amplitude
 
 
-def _lattice(lo, hi, step):
+def lattice(lo, hi, step):
     """The points lo + step k of [lo, hi], k = 0, 1, ..., rounded to 12 digits.
 
-    The 1e-9 of slack keeps a hi that lies a whole number of steps from lo
-    when (hi - lo) / step rounds below that number.
+    The one builder of a stepped scan (search box axes, Werner p grids).  A hi
+    within 1e-9 steps of a lattice point is the last point, so (hi - lo) / step
+    rounding below a whole number loses no point, and no point passes hi.
+    Raises InputError, before allocating, above ``MAX_POINTS`` (10^6) points.
     """
-    return np.round(lo + step * np.arange(math.floor((hi - lo) / step + 1e-9) + 1), 12)
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_POINTS:
+        raise InputError(f"scan {lo:g}:{hi:g}:{step:g} holds more than {MAX_POINTS} points")
+    return np.minimum(np.round(lo + step * np.arange(math.floor(span) + 1), 12), hi)
 
 
 def _amplitude_gradient(spectral, t0):
@@ -344,13 +350,13 @@ def optimize_boundary(
         raise InputError(f"delta2 range {delta2_range} outside (0, 1.5]")
     if not grid_step >= COUPLING_TOL:
         raise InputError(f"grid step {grid_step} below the coupling tolerance {COUPLING_TOL}")
-    d1s, d2s = _lattice(*delta1_range, grid_step), _lattice(*delta2_range, grid_step)
+    d1s, d2s = lattice(*delta1_range, grid_step), lattice(*delta2_range, grid_step)
     if d1s.size * d2s.size > MAX_POINTS:
         raise InputError(f"grid step {grid_step:g} gives {d1s.size} x {d2s.size} "
                          f"lattice points, more than {MAX_POINTS}")
     if t_max is None:
         t_max = default_t_max(n_nodes)
-    ts = _time_grid(t_max, DEFAULT_DT)
+    ts = _time_grid(t_max)
     d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
     amplitude = _score_points(n_nodes, d1, d2, ts)
     best = np.argmax(amplitude)  # the first maximum in (delta1, delta2) order

@@ -23,7 +23,7 @@ import numpy as np
 import jsonschema
 
 from . import benchmarks as bm
-from .chainopt import COUPLING_TOL, optimize_boundary
+from .chainopt import COUPLING_TOL, lattice, optimize_boundary
 from .disorder import (
     DEFAULT_N_CHAINS,
     export_param_stats_csv,
@@ -364,11 +364,8 @@ def run_feasibility(config):
         raise InputError(f"--grid step must be positive, got {step}")
     if lo < 0 or hi > 1:
         raise InputError(f"--grid must lie in [0, 1], got {spec!r}")
-    # the last point may pass hi by up to step / 2 (0.8:1.0:0.01 ends at
-    # 1 + 2e-16); above 1 there is no Werner state
-    grid = np.minimum(np.arange(lo, hi + step / 2, step), 1.0)
-    boundary, resolution = feasibility_scan(params, grid, n_starts=config["starts"],
-                                            seed=config["seed"])
+    boundary, resolution = feasibility_scan(params, lattice(lo, hi, step),
+                                            n_starts=config["starts"], seed=config["seed"])
     _emit_json(config, {"boundary": boundary, "resolution": resolution},
                config.get("out"))
     return EXIT_OK

@@ -19,7 +19,6 @@ the only convention that keeps sigma real; per-component (re, im) spreads
 are stored alongside for error-bar plots.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +34,7 @@ from .receiver import (
     param_index,
     receiver_operator,
     receiver_rho,
+    write_table,
 )
 
 DEFAULT_N_CHAINS = 100
@@ -184,33 +184,17 @@ def werner_robustness(sample, controls):
 
 def export_param_stats_csv(study, path, header_lines=()):
     """Fig-data export: (param_index, kind, indices, family, mean, shift, std)."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow([
-            "index", "kind", "indices", "family",
-            "mean_re", "mean_im", "std", "std_re", "std_im",
-            "shift_re", "shift_im", "shift_abs",
-        ])
-        for j, (key, s) in enumerate(study.stats.items()):
-            shift = s.mean - s.unperturbed
-            w.writerow([
-                j, key[0], ";".join(str(i) for i in key[1]), s.family,
-                f"{s.mean.real:.12e}", f"{s.mean.imag:.12e}",
-                f"{s.std:.12e}", f"{s.std_re:.12e}", f"{s.std_im:.12e}",
-                f"{shift.real:.12e}", f"{shift.imag:.12e}", f"{abs(shift):.12e}",
-            ])
+    rows = []
+    for j, ((kind, idx), s) in enumerate(study.stats.items()):
+        shift = s.mean - s.unperturbed
+        rows.append([j, kind, ";".join(map(str, idx)), s.family, s.mean.real, s.mean.imag,
+                     s.std, s.std_re, s.std_im, shift.real, shift.imag, abs(shift)])
+    write_table(path, header_lines,
+                ["index", "kind", "indices", "family", "mean_re", "mean_im", "std", "std_re",
+                 "std_im", "shift_re", "shift_im", "shift_abs"], rows)
 
 
 def export_robustness_csv(points, path, header_lines=()):
     """Fig-data export: (p, mean_delta, std_delta, sem_delta)."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["p", "mean_delta", "std_delta", "sem_delta"])
-        for pt in points:
-            w.writerow([
-                f"{pt.p:.12e}", f"{pt.mean:.12e}", f"{pt.std:.12e}", f"{pt.sem:.12e}",
-            ])
+    write_table(path, header_lines, ["p", "mean_delta", "std_delta", "sem_delta"],
+                ([pt.p, pt.mean, pt.std, pt.sem] for pt in points))

@@ -28,8 +28,9 @@ class ChainSpec:
     chains are supported only with the fully uniform profile.
 
     A ``bulk`` of shape (..., N-5) describes a stack of chains that share
-    their boundary pairs, as the chains of a disorder sample do; a single
-    chain is the stack without leading axes.
+    their boundary pairs, as a disorder sample does, and ``delta1`` and
+    ``delta2`` of shape (B,) a stack that shares its bulk, as the points of a
+    boundary search do.  The stack shape is the broadcast of the three.
     """
 
     n_nodes: int
@@ -47,9 +48,7 @@ class ChainSpec:
                 f"expected {n_bulk} bulk couplings for n={self.n_nodes}, got {bulk.shape}"
             )
         object.__setattr__(self, "bulk", bulk)
-        uniform = (
-            self.delta1 == 1.0 and self.delta2 == 1.0 and np.all(bulk == 1.0)
-        )
+        uniform = np.all(self.delta1 == 1.0) & np.all(self.delta2 == 1.0) & np.all(bulk == 1.0)
         if self.n_nodes < MIN_PROFILE_NODES and not uniform:
             raise ChainLengthError(
                 f"boundary-tuned profile needs n >= {MIN_PROFILE_NODES}, got {self.n_nodes}"
@@ -68,7 +67,9 @@ class ChainSpec:
         """The N-1 bond couplings [delta1, delta2, bulk..., delta2, delta1],
         shape (..., N-1) for a stack."""
         n = self.n_nodes
-        J = np.empty(self.bulk.shape[:-1] + (n - 1,))
+        stack = np.broadcast_shapes(np.shape(self.delta1), np.shape(self.delta2),
+                                    self.bulk.shape[:-1])
+        J = np.empty(stack + (n - 1,))
         J[..., 0] = J[..., -1] = self.delta1
         if n >= 5:
             J[..., 1] = J[..., -2] = self.delta2
@@ -93,11 +94,11 @@ class ChainSpec:
         """Spec from :meth:`to_json` text; ``bulk`` may be null (uniform).
 
         Raises InputError for text that is not JSON, lacks a key or does
-        not describe a valid chain.
+        not describe one valid chain.
         """
         try:
             d = json.loads(text)
-            return cls(
+            spec = cls(
                 n_nodes=d["n"],
                 delta1=d["delta1"],
                 delta2=d["delta2"],
@@ -105,6 +106,9 @@ class ChainSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"not a chain spec: {type(exc).__name__}: {exc}") from exc
+        if spec.couplings().ndim != 1:
+            raise InputError("not a chain spec: it describes a stack of chains")
+        return spec
 
 
 def hopping_matrix(couplings):

@@ -101,12 +101,18 @@ def extract_params(probe_outputs, t0, n_sender=4):
     :func:`probe_set` in any order, registered at time ``t0`` (the outputs
     do not carry it).  The receiver matrices are stacked in ``probe_set``
     order, and each stage reads its block of that stack as arrays.  Raises
-    InputError unless ``n_sender`` is 4, ExtractionError listing the parts
-    that the missing probes would fix, in ``probe_set`` order, and
+    InputError unless ``n_sender`` is 4 or naming the first probe that is
+    not in :func:`probe_set` or appears twice, ExtractionError listing the
+    parts that the missing probes would fix, in ``probe_set`` order, and
     ConditioningError when the reference amplitude of stage 2 vanishes.
     """
     probes = probe_set(n_sender)
-    by_probe = {p: r.rho for p, r in probe_outputs}
+    known, by_probe = set(probes), {}
+    for p, r in probe_outputs:
+        if p not in known or p in by_probe:
+            what = "appears twice" if p in by_probe else "is not in the probe set"
+            raise InputError(f"probe {p.kind} {p.indices} {what}")
+        by_probe[p] = r.rho
     undetermined = [part for p in probes if p not in by_probe for part in _determines(p)]
     if undetermined:
         raise ExtractionError(undetermined)
@@ -181,13 +187,15 @@ def probe_outputs_from_json(text):
     """Inverse of :func:`probe_outputs_to_json`.
 
     Raises InputError for text that is not a JSON list of records with a
-    probe kind and indices and a numeric 4x4 ``rho``, and for a ``rho``
+    probe kind, integer indices and a numeric 4x4 ``rho``, and for a ``rho``
     with a non-finite entry (JSON readers accept NaN and Infinity).
     """
     outputs = []
     try:
         for rec in json.loads(text):
             probe = ProbeState(rec["probe"]["kind"], tuple(rec["probe"]["indices"]))
+            if not all(type(i) is int for i in probe.indices):
+                raise ValueError(f"probe indices must be integers, got {list(probe.indices)}")
             rho = np.asarray(rec["rho"]["re"], float) + 1j * np.asarray(rec["rho"]["im"], float)
             if rho.shape != (4, 4):
                 raise ValueError(f"rho must be 4x4, got {rho.shape}")

@@ -335,23 +335,25 @@ def classify_families(params):
     return FamilyClassification(tags=tags, magnitude_ranges=ranges)
 
 
-def export_params_csv(params, path, header_lines=()):
-    """Write the parameter table as (kind, indices, re, im, family) rows."""
-    cls = classify_families(params)
+def write_table(path, comments, columns, rows):
+    """Write a CSV artifact: a ``# `` line per comment, the header ``columns``, the rows.
+
+    The one CSV writer.  Floats (numpy's too) are written as ``.12e``, 13
+    significant digits; ints and strings as given."""
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# t0: {params.t0!r}\n")
+        fh.writelines(f"# {line}\n" for line in comments)
         w = csv.writer(fh)
-        w.writerow(["kind", "indices", "re", "im", "family"])
-        for kind, idx, value in params.items():
-            w.writerow([
-                kind,
-                ";".join(str(i) for i in idx),
-                f"{value.real:.12e}",
-                f"{value.imag:.12e}",
-                cls.tags[(kind, idx)],
-            ])
+        w.writerow(columns)
+        w.writerows([f"{v:.12e}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def export_params_csv(params, path, header_lines=()):
+    """Write the (kind, indices, re, im, family) rows after a last ``# t0`` comment line."""
+    tags = classify_families(params).tags
+    write_table(path, [*header_lines, f"t0: {params.t0!r}"],
+                ["kind", "indices", "re", "im", "family"],
+                ([kind, ";".join(map(str, idx)), value.real, value.imag, tags[(kind, idx)]]
+                 for kind, idx, value in params.items()))
 
 
 def import_params_csv(path):

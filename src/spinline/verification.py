@@ -12,7 +12,7 @@ import numpy as np
 
 from . import benchmarks as bm
 from .basis import SenderState, pair_list, sender_pairs
-from .chainopt import optimize_boundary
+from .chainopt import lattice, optimize_boundary
 from .disorder import DEFAULT_N_CHAINS, param_statistics, sample_line_params, werner_robustness
 from .dynamics import diagonalize, one_excitation_columns
 from .errors import InfeasibleTargetError, NumericalError
@@ -400,9 +400,7 @@ def check_werner(seed=0):
         worst_margin <= 1.0,
         f"worst ratio to limit {worst_margin:.2e}",
     ))
-    boundary, res = feasibility_scan(
-        params, np.round(np.arange(0.80, 1.0001, 0.01), 10), seed=seed
-    )
+    boundary, res = feasibility_scan(params, lattice(0.80, 1.0, 0.01), seed=seed)
     out.append(_result(
         "werner feasibility boundary",
         abs(boundary - bm.WERNER_FEASIBLE_MAX) <= 0.002,

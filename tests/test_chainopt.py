@@ -371,8 +371,6 @@ def test_time_window_is_bounded():
         optimize_boundary(20, t_max=1e12)
     with pytest.raises(InputError, match=r"t_max > dt"):
         first_maximum(spectral, t_max=0.04)
-    with pytest.raises(InputError, match=r"dt > 0"):
-        first_maximum(spectral, dt=0.0)
 
 
 @pytest.mark.parametrize("box", tune_boxes(16))
@@ -419,9 +417,23 @@ def test_search_starts_at_the_first_best_point(monkeypatch, landscape):
     (1.3, 1.5, 0.12, 2, 1.42),  # no point at 1.54, beyond the validated (0, 1.5]
 ])
 def test_lattice_stays_in_the_box(lo, hi, step, count, last):
-    got = chainopt._lattice(lo, hi, step)
+    got = chainopt.lattice(lo, hi, step)
     assert got.tolist() == in_box_lattice(lo, hi, step).tolist()
     assert (got.size, got[0], got[-1]) == (count, lo, last)
+
+
+def test_lattice_never_passes_hi():
+    # lo + 20 step is 1 + 2.5e-11, within the slack: the last point, at hi
+    got = chainopt.lattice(0.0, 1.0, 1 / (20 - 5e-10))
+    assert (got.size, got[-2], got[-1]) == (21, 0.950000000024, 1.0)
+
+
+def test_lattice_refuses_a_scan_over_the_bound():
+    assert chainopt.lattice(0.0, 0.999999, 1e-6).size == chainopt.MAX_POINTS
+    # refused before np.arange asks for the points: 72.8 TiB at step 1e-13
+    for step in (1e-6, 1e-13, 1e-300):
+        with pytest.raises(InputError, match="more than 1000000 points"):
+            chainopt.lattice(0.0, 1.0, step)
 
 
 def test_search_scores_no_point_outside_the_box(monkeypatch):

@@ -259,15 +259,27 @@ def test_feasibility_smoke(workdir, params_csv, capsys):
 
 
 @pytest.mark.parametrize("grid", ["0.5:0.5:0.1", "0.5:x:0.1", "0.9:0.8:-0.1",
-                                  "1.1:1.2:0.05", "-0.2:0.1:0.1", "0.95:1.05:0.05"])
+                                  "1.1:1.2:0.05", "-0.2:0.1:0.1", "0.95:1.05:0.05",
+                                  # refused before np.arange asks for ~73 TiB of grid
+                                  "0:1:1e-13", "0:1:1e-300"])
 def test_feasibility_bad_grid_exit_code(params_csv, grid, capsys):
     rc = main(["feasibility", "--params", str(params_csv), f"--grid={grid}"])
     assert rc == EXIT_BAD_CONFIG
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_feasibility_grid_stops_at_hi(workdir, params_csv):
+    # the grid is 0.2, 0.6: the next point, 1.0, lies past hi
+    rc = main(["feasibility", "--params", str(params_csv),
+               "--grid", "0.2:0.86:0.4", "--out", "f.json"])
+    assert rc == EXIT_OK
+    result = json.loads((workdir / "f.json").read_text())["result"]
+    assert result["boundary"] == 0.6
+    assert result["resolution"] == pytest.approx(0.4, abs=1e-15)
+
+
 def test_feasibility_grid_ending_at_one(workdir, params_csv):
-    # np.arange puts the last point of 0.8:1.0:0.01 at 1 + 2e-16
+    # lo + 20 step of 0.8:1.0:0.01 is 1 + 2e-16 before rounding
     rc = main(["feasibility", "--params", str(params_csv),
                "--grid", "0.8:1.0:0.01", "--out", "f.json"])
     assert rc == EXIT_OK
@@ -442,6 +454,13 @@ def _nan_probe_outputs():
     return json.dumps(records)
 
 
+def _probe_outputs_with(kind, indices):
+    # the full probe set and one more record, which carries the first record's rho
+    records = json.loads(_probe_outputs())
+    records.append({"probe": {"kind": kind, "indices": indices}, "rho": records[0]["rho"]})
+    return json.dumps(records)
+
+
 def _zero_probe_outputs():
     zero = {"re": np.zeros((4, 4)).tolist(), "im": np.zeros((4, 4)).tolist()}
     return json.dumps([{"probe": {"kind": p.kind, "indices": list(p.indices)}, "rho": zero}
@@ -463,6 +482,8 @@ OUTSIDE_JSON = {
     "chain-too-short": ({**_SPEC, "n": 3}, _CHAIN, "at least 4 nodes"),
     "chain-nan": ({**_SPEC, "delta1": float("nan")}, _CHAIN, "must be finite"),
     "chain-infinity": ({**_SPEC, "delta2": float("inf")}, _CHAIN, "must be finite"),
+    "chain-stacked-delta": ({**_SPEC, "delta1": [0.55, 0.6]}, _CHAIN, "stack of chains"),
+    "chain-stacked-bulk": ({**_SPEC, "bulk": [[1.0] * 15] * 2}, _CHAIN, "stack of chains"),
     "config-nan": ({"command": "compute-params", "n": 20, "tuned": True,
                     "t0": float("nan"), "out": "out.csv"},
                    ["run", "--config", "in.json"], "must be finite"),
@@ -477,6 +498,14 @@ OUTSIDE_JSON = {
     "outputs-degenerate": (_zero_probe_outputs, _OUTPUTS, "magnitude 0.0e+00"),
     "outputs-nan": (_nan_probe_outputs, _OUTPUTS,
                     "probe single (1,): rho has a non-finite entry"),
+    "outputs-duplicate": (lambda: _probe_outputs_with("single", [1]), _OUTPUTS,
+                          "probe single (1,) appears twice"),
+    "outputs-unknown-kind": (lambda: _probe_outputs_with("bogus", [1]), _OUTPUTS,
+                             "probe bogus (1,) is not in the probe set"),
+    "outputs-index-out-of-range": (lambda: _probe_outputs_with("single", [9]), _OUTPUTS,
+                                   "probe single (9,) is not in the probe set"),
+    "outputs-index-not-integer": (lambda: _probe_outputs_with("single", [[1]]), _OUTPUTS,
+                                  "probe indices must be integers"),
     "outputs-without-t0": (_probe_outputs,
                            ["probe-params", "--outputs", "in.json", "--out", "out.csv"],
                            "--t0 is required"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinline.basis import pair_list
-from spinline.errors import ChainLengthError, SizeMismatchError
+from spinline.errors import ChainLengthError, InputError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from spinline.verification import pair_block
 
@@ -82,6 +82,14 @@ def test_boundary_profile_needs_seven_nodes():
 def test_nonpositive_couplings_rejected():
     with pytest.raises(ValueError):
         ChainSpec(n_nodes=8, delta1=-0.1, delta2=0.8)
+
+
+def test_stacked_boundary_pairs():
+    d1, d2 = np.array([0.5, 0.6, 0.7]), np.array([0.8, 0.9, 1.0])
+    rows = [ChainSpec(n_nodes=9, delta1=a, delta2=b).couplings() for a, b in zip(d1, d2)]
+    assert np.array_equal(ChainSpec(n_nodes=9, delta1=d1, delta2=d2).couplings(), rows)
+    with pytest.raises(InputError, match="strictly positive"):
+        ChainSpec(n_nodes=9, delta1=d1, delta2=np.array([0.8, -0.1, 1.0]))
 
 
 def test_apply_disorder_zero_epsilon():

@@ -131,6 +131,20 @@ def test_extraction_refuses_unsupported_sender(tuned20_params):
         extract_params(simulate_probes(tuned20_params), tuned20_params.t0, n_sender=3)
 
 
+def test_extraction_refuses_records_outside_the_probe_set(tuned20_params):
+    outputs = simulate_probes(tuned20_params)
+    state = outputs[0][1]
+    # checked before completeness: each case but the last also lacks probe single (1,)
+    for records, message in (
+        (outputs[1:] + [outputs[1]], r"probe single \(2,\) appears twice"),
+        (outputs[1:] + [(ProbeState("bogus", (1,)), state)], "bogus .* not in the probe set"),
+        (outputs[1:] + [(ProbeState("single", (9,)), state)], r"\(9,\) is not in the probe set"),
+        (outputs + [(ProbeState("single-pair", (1, 2, 1)), state)], "not in the probe set"),
+    ):
+        with pytest.raises(InputError, match=message):
+            extract_params(records, tuned20_params.t0)
+
+
 def test_degenerate_outputs_hit_division_guard():
     zero = ReceiverState(rho=np.zeros((4, 4), complex))
     outputs = [(p, zero) for p in probe_set()]

@@ -17,6 +17,7 @@ from spinline.receiver import (
     ReceiverState,
     export_params_csv,
     import_params_csv,
+    write_table,
 )
 from spinline.verification import partial_trace_oracle
 
@@ -148,6 +149,14 @@ def test_csv_round_trip(tmp_path, tuned20_params):
     text = path.read_text()
     assert text.startswith("# demo")
     assert "kind,indices,re,im,family" in text
+
+
+def test_write_table_formats_every_float_and_nothing_else(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ["config: {}", "t0: 1.5"], ["index", "kind", "np", "py"],
+                [[7, "P_mN", np.float64(-0.1), 2.5]])
+    assert path.read_bytes() == (b"# config: {}\n# t0: 1.5\nindex,kind,np,py\r\n"
+                                 b"7,P_mN,-1.000000000000e-01,2.500000000000e+00\r\n")
 
 
 @st.composite
