@@ -44,10 +44,12 @@ from .errors import (
 )
 from .hamiltonian import ChainSpec
 from .inverse import (
+    WERNER_P,
     TargetState,
     feasibility_scan,
     solve_general,
     solve_werner,
+    werner_controls,
     werner_target,
 )
 from .probing import (
@@ -59,7 +61,6 @@ from .probing import (
 )
 from .receiver import export_params_csv, import_params_csv, line_params_at
 from .verification import (
-    WERNER_P,
     check_boundary_optimization,
     check_disorder,
     check_family_i,
@@ -70,7 +71,6 @@ from .verification import (
     check_probe_closure,
     check_werner,
     tuned_spec,
-    werner_controls,
 )
 
 EXIT_OK = 0

@@ -9,6 +9,11 @@ starts in numpy (:func:`_levenberg_marquardt`): solutions are particular,
 not unique, and reproducibility of our chosen solution is what matters.
 The solver takes the same steps in any process, so a seeded solve gives
 the same bits wherever it runs.
+
+The Werner equations of different p share their forms and differ only in
+their values, so a list of p is one stacked solve (:func:`werner_controls`
+for the p of the paper's imperfection study); :func:`solve_werner` is its
+one-p case.
 """
 
 import math
@@ -18,7 +23,14 @@ import numpy as np
 
 from .basis import SenderState
 from .errors import InfeasibleTargetError, InputError
-from .receiver import KINDS, assemble_rho, classify_families, param_index, receiver_operator
+from .receiver import (
+    KINDS,
+    assemble_rho,
+    classify_families,
+    param_index,
+    receiver_operator,
+    receiver_rho,
+)
 
 WERNER_RESIDUAL_TOL = 1e-10
 FEASIBILITY_RESIDUAL_TOL = 1e-8
@@ -85,8 +97,9 @@ def discrepancy(rho, target):
 
 
 def _quadratic_system(params, basis, target, rows=slice(None)):
-    """Forms Q (m, n, n) and values c (m,) of the equations ``y^T Q[k] y = c[k]``
-    in real controls y, x = basis @ y.
+    """Forms Q (m, n, n) and values c (..., m) of the equations
+    ``y^T Q[k] y = c[k]`` in real controls y, x = basis @ y, for targets
+    (..., 4, 4).
 
     The forms are the real, then the imaginary parts of
     ``basis^T K[a, b] conj(basis)`` over the upper triangle a <= b of the
@@ -95,8 +108,8 @@ def _quadratic_system(params, basis, target, rows=slice(None)):
     forms = basis.T @ receiver_operator(params)[UPPER] @ basis.conj()
     norm = (basis.T @ basis.conj()).real
     Q = np.concatenate([forms.real, forms.imag, norm[None]])[rows]
-    t = np.asarray(target)[UPPER]
-    c = np.concatenate([t.real, t.imag, [1.0]])[rows]
+    t = np.asarray(target)[..., UPPER[0], UPPER[1]]
+    c = np.concatenate([t.real, t.imag, np.ones(t.shape[:-1] + (1,))], axis=-1)[..., rows]
     return 0.5 * (Q + Q.transpose(0, 2, 1)), c
 
 
@@ -107,12 +120,14 @@ def _forms(Q, y):
     return Qy, (Qy @ y[..., None])[..., 0]
 
 
-def _werner_system(params, p):
-    """The Werner equations in the real pair amplitudes (a0 = a_i = 0): the
-    rows rho33, rho11, rho22, Re rho12, Im rho12 and the norm."""
+def _werner_system(params, targets):
+    """The Werner equations in the real pair amplitudes (a0 = a_i = 0) for
+    the target matrices (P, 4, 4): the forms Q shared by all P, and one row
+    of values c (P, 6) each, for rho33, rho11, rho22, Re rho12, Im rho12 and
+    the norm."""
     first_pair = 1 + params.n_sender
     basis = np.eye(first_pair + len(params.pairs))[:, first_pair:]
-    return _quadratic_system(params, basis, werner_target(p).matrix, [9, 4, 7, 5, 15, 20])
+    return _quadratic_system(params, basis, targets, [9, 4, 7, 5, 15, 20])
 
 
 def _general_basis(params):
@@ -159,10 +174,12 @@ def _levenberg_parameter(w, b, delta):
 
 @dataclass
 class _Start:
-    """Scalar state of one start: More's trust radius, |r|^2 at the current
-    point, and the best largest violation with the stall bookkeeping."""
+    """Scalar state of one start: the problem it solves, More's trust radius,
+    |r|^2 at the current point, and the best largest violation with the
+    stall bookkeeping."""
 
     index: int
+    problem: int
     delta: float
     xnorm: float  # |D y| at the start, the scale of XTOL
     f2: float
@@ -203,9 +220,12 @@ class _Start:
         return accepted, better, done
 
 
-def _levenberg_marquardt(Q, c, y, residual_tol):
+def _levenberg_marquardt(Q, c, y, problem, residual_tol):
     """Best largest violation (S,) and its point (S, n) for each start of y.
 
+    Start k solves ``y^T Q[i] y = c[k, i]``: the starts share the forms Q
+    and each has its own row of values in c (S, m).  ``problem`` (S,) names
+    the problem of each start; starts of one problem share their values.
     All starts advance together as one stack.  Each step follows More's
     Levenberg-Marquardt: variables scaled by D, the running maximum of the
     Jacobian's column norms, and a trust radius that grows or shrinks with
@@ -226,7 +246,8 @@ def _levenberg_marquardt(Q, c, y, residual_tol):
     converged quadratically; at a violation of ``ROUNDING``; or when its
     trust radius falls below ``XTOL`` times its first |D y| (D only grows,
     and the norm equation holds |y| near 1).  Once a start is within
-    ``residual_tol`` the starts after it stop, as they cannot win.
+    ``residual_tol`` the later starts of its problem stop, as they cannot
+    win; starts of other problems run on.
     """
     out_res, out_y = np.empty(len(y)), np.empty_like(y)
     y = y.copy()
@@ -236,20 +257,24 @@ def _levenberg_marquardt(Q, c, y, residual_tol):
     D = np.sqrt((J * J).sum(axis=1))
     D[D == 0.0] = 1.0
     best_y = y.copy()
-    starts = [_Start(k, STEP_BOUND * (dy or 1.0), dy, f2, best, best) for k, (dy, f2, best) in
-              enumerate(zip(np.sqrt(((D * y) ** 2).sum(axis=1)).tolist(),
-                            (r * r).sum(axis=1).tolist(), np.abs(r).max(axis=1).tolist()))]
+    starts = [_Start(k, g, STEP_BOUND * (dy or 1.0), dy, f2, best, best)
+              for k, (g, dy, f2, best) in enumerate(zip(
+                  np.asarray(problem).tolist(), np.sqrt(((D * y) ** 2).sum(axis=1)).tolist(),
+                  (r * r).sum(axis=1).tolist(), np.abs(r).max(axis=1).tolist()))]
     done = [False] * len(y)
     for evaluation in range(1, MAX_EVALUATIONS):
-        first_exact = next((k for k, s in enumerate(starts) if s.best <= residual_tol), None)
-        if first_exact is not None:
-            done[first_exact + 1:] = [True] * (len(starts) - first_exact - 1)
+        solved = set()
+        for k, s in enumerate(starts):
+            if s.problem in solved:
+                done[k] = True
+            elif s.best <= residual_tol:
+                solved.add(s.problem)
         if any(done):
             for s, d, yk in zip(starts, done, best_y):
                 if d:
                     out_res[s.index], out_y[s.index] = s.best, yk
             keep = np.logical_not(done)
-            y, r, J, D, best_y = y[keep], r[keep], J[keep], D[keep], best_y[keep]
+            y, r, J, D, best_y, c = y[keep], r[keep], J[keep], D[keep], best_y[keep], c[keep]
             starts = [s for s, d in zip(starts, done) if not d]
             if not starts:
                 return out_res, out_y
@@ -291,20 +316,56 @@ def _levenberg_marquardt(Q, c, y, residual_tol):
 
 
 def _multistart(Q, c, starts, residual_tol):
-    """Best (residual, y) over the starts, each scaled to unit norm.
+    """Best residuals (P,) and points (P, n) of the P problems ``y^T Q[i] y =
+    c[p, i]`` (c is (P, m)), each solved from the same starts, scaled to
+    unit norm.
 
-    Start 0 runs alone first, so a solve it settles costs one start; the
-    others then run as one batch.  The winner is the lowest-index start
-    within ``residual_tol``, else the start of least violation.
+    Start 0 of every problem runs first, as one stack, so a problem it
+    settles costs one start; the other starts of the problems it leaves
+    open then run as one batch.  The winner of a problem is its
+    lowest-index start within ``residual_tol``, else its start of least
+    violation.
     """
     y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    res, ys = _levenberg_marquardt(Q, c, y[:1], residual_tol)
-    if res[0] > residual_tol and len(y) > 1:
-        rest = _levenberg_marquardt(Q, c, y[1:], residual_tol)
-        res, ys = np.concatenate([res, rest[0]]), np.concatenate([ys, rest[1]])
-    exact = res <= residual_tol
-    k = int(np.argmax(exact)) if exact.any() else int(np.argmin(res))
-    return float(res[k]), ys[k]
+    every = np.arange(len(c))
+    res, ys = _levenberg_marquardt(Q, c, np.repeat(y[:1], len(c), axis=0), every, residual_tol)
+    open_ = every[res > residual_tol]
+    if open_.size and len(y) > 1:
+        problem = np.repeat(open_, len(y) - 1)
+        rest_res, rest_y = _levenberg_marquardt(Q, c[problem], np.tile(y[1:], (open_.size, 1)),
+                                                problem, residual_tol)
+        for p, r, yp in zip(open_.tolist(), rest_res.reshape(open_.size, -1),
+                            rest_y.reshape(open_.size, len(y) - 1, -1)):
+            exact = r <= residual_tol
+            k = int(np.argmax(exact)) if exact.any() else int(np.argmin(r))
+            if exact[k] or r[k] < res[p]:  # start 0 wins ties
+                res[p], ys[p] = r[k], yp[k]
+    return res, ys
+
+
+def _werner_solutions(params, ps, n_starts, seed, residual_tol):
+    """One stacked multi-start over the Werner parameters ps: for each p an
+    InverseSolution, or the InfeasibleTargetError it raises when no start
+    reaches ``residual_tol``.
+
+    Every p runs the same starts: the equal-amplitude vector, then
+    ``n_starts - 1`` standard normal draws of ``seed``.  The discrepancies
+    of all solved p come from one receiver operator.
+    """
+    n_pairs = len(params.pairs)
+    rng = np.random.default_rng(seed)
+    starts = np.vstack([np.ones(n_pairs), rng.standard_normal((n_starts - 1, n_pairs))])
+    targets = np.array([werner_target(p).matrix for p in ps])
+    res, ys = _multistart(*_werner_system(params, targets), starts, residual_tol)
+    out = [None if r <= residual_tol else InfeasibleTargetError(r, best_controls=y)
+           for r, y in zip(res.tolist(), ys)]
+    solved = [k for k, sol in enumerate(out) if sol is None]
+    if solved:
+        controls = [SenderState.from_double(ys[k], params.n_sender) for k in solved]
+        rho = receiver_rho(receiver_operator(params), np.array([s.vector for s in controls]))
+        for k, state, delta in zip(solved, controls, discrepancy(rho, targets[solved]).tolist()):
+            out[k] = InverseSolution(controls=state, residual=float(res[k]), discrepancy=delta)
+    return out
 
 
 def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TOL):
@@ -317,7 +378,8 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
     Where the solution manifold is degenerate (truncated parameter sets),
     start 0 selects a reproducible branch instead of an arbitrary manifold
     point.  Start 0 converges across the feasible range of the tuned n=20
-    line, so those solutions do not depend on the seed.
+    line, so those solutions do not depend on the seed.  This is the one-p
+    case of the stacked solve of :func:`werner_controls`.
 
     Raises
     ------
@@ -327,19 +389,36 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
         If no start reaches ``residual_tol`` (expected for p beyond the
         feasibility boundary).
     """
-    n_pairs = len(params.pairs)
-    rng = np.random.default_rng(seed)
-    starts = np.vstack([np.ones(n_pairs), rng.standard_normal((n_starts - 1, n_pairs))])
-    res, x = _multistart(*_werner_system(params, p), starts, residual_tol)
-    if res > residual_tol:
-        raise InfeasibleTargetError(res, best_controls=x)
-    state = SenderState.from_double(x, params.n_sender)
-    rho = assemble_rho(params, state)
-    return InverseSolution(
-        controls=state,
-        residual=res,
-        discrepancy=discrepancy(rho, werner_target(p)),
-    )
+    (solution,) = _werner_solutions(params, [p], n_starts, seed, residual_tol)
+    if isinstance(solution, InfeasibleTargetError):
+        raise solution
+    return solution
+
+
+WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))
+
+
+def werner_controls(params, seed=0):
+    """Solved controls for p = 0, 0.1, ..., 0.8 (:data:`WERNER_P`) on the
+    given line, as {p: InverseSolution}.
+
+    The nine p are one stacked solve: start 0 of every p advances in one
+    stack, and only the p it leaves open run their other 63 starts, each p
+    from the same seeded starts as ``solve_werner(params, p, seed=seed)``.
+    The result stops at the first p that is infeasible on the line, so it
+    may hold fewer p than :data:`WERNER_P`; it is never empty, since an
+    infeasible p = 0 raises InfeasibleTargetError.
+    """
+    solutions = {}
+    stacked = _werner_solutions(params, WERNER_P, n_starts=64, seed=seed,
+                                residual_tol=WERNER_RESIDUAL_TOL)
+    for p, solution in zip(WERNER_P, stacked):
+        if isinstance(solution, InfeasibleTargetError):
+            if not solutions:
+                raise solution
+            break
+        solutions[p] = solution
+    return solutions
 
 
 def solve_general(params, target, n_starts=32, seed=0):
@@ -354,7 +433,8 @@ def solve_general(params, target, n_starts=32, seed=0):
     a = target.matrix if isinstance(target, TargetState) else np.asarray(target)
     basis = _general_basis(params)
     starts = np.random.default_rng(seed).standard_normal((n_starts, basis.shape[1]))
-    _, y = _multistart(*_quadratic_system(params, basis, a), starts, WERNER_RESIDUAL_TOL)
+    Q, c = _quadratic_system(params, basis, a)
+    _, (y,) = _multistart(Q, c[None], starts, WERNER_RESIDUAL_TOL)
     x = basis @ (y / np.linalg.norm(y))
     n_sender = params.n_sender
     state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)

@@ -15,12 +15,13 @@ from .basis import SenderState, pair_list, sender_pairs
 from .chainopt import lattice, optimize_boundary
 from .disorder import DEFAULT_N_CHAINS, param_statistics, sample_line_params, werner_robustness
 from .dynamics import diagonalize, one_excitation_columns
-from .errors import InfeasibleTargetError, NumericalError
+from .errors import NumericalError
 from .hamiltonian import ChainSpec, apply_disorder
 from .inverse import (
+    WERNER_P,
     discrepancy,
     feasibility_scan,
-    solve_werner,
+    werner_controls,
     werner_target,
     zero_family_iii,
 )
@@ -352,27 +353,6 @@ def check_probe_closure(seed=7):
 
 # --- criterion 7: Werner creation -------------------------------------------
 
-WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))
-
-
-def werner_controls(params, seed=0):
-    """Solved controls for p = 0, 0.1, ..., 0.8 on the given line.
-
-    The solves stop at the first p that is infeasible on the line, so the
-    result may hold fewer p than :data:`WERNER_P`; it is never empty, since
-    an infeasible p = 0 raises InfeasibleTargetError.
-    """
-    solutions = {}
-    for p in WERNER_P:
-        try:
-            solutions[p] = solve_werner(params, p, seed=seed)
-        except InfeasibleTargetError:
-            if not solutions:
-                raise
-            break
-    return solutions
-
-
 def check_werner(seed=0):
     params = tuned_line_params(20)
     out = []
@@ -407,19 +387,17 @@ def check_werner(seed=0):
         f"got {boundary:.4f} +- {res:.1e}, reference {bm.WERNER_FEASIBLE_MAX}",
     ))
     truncated = zero_family_iii(params)
-    worst = 0.0
-    p8_delta = None
-    for p in bm.WERNER_TRUNCATED_DISCREPANCY:
-        sol = solve_werner(truncated, p, seed=seed)
-        delta = discrepancy(assemble_rho(params, sol.controls), werner_target(p))
-        worst = max(worst, delta)
-        if p == 0.8:
-            p8_delta = delta
+    solutions = werner_controls(truncated, seed=seed)
+    deltas = {p: float(discrepancy(assemble_rho(params, sol.controls), werner_target(p)))
+              for p, sol in solutions.items()}
+    unsolved = [p for p in bm.WERNER_TRUNCATED_DISCREPANCY if p not in deltas]
+    worst = max(deltas.values())
     out.append(_result(
         "family-III-zeroed solving, true-chain discrepancy < 0.03",
-        worst < 0.03,
-        f"worst over p grid {worst:.3e}",
+        not unsolved and worst < 0.03,
+        f"worst over p grid {worst:.3e}" + (f", p={unsolved} not solved" if unsolved else ""),
     ))
+    p8_delta = deltas.get(0.8, np.nan)
     out.append(_result(
         "family-III-zeroed discrepancy bracket at p=0.8",
         5e-3 <= p8_delta <= 2e-2,

@@ -9,7 +9,7 @@ from scipy.optimize import least_squares
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline import inverse
+from spinline import inverse, verification
 from spinline.basis import SenderState
 from spinline.errors import InfeasibleTargetError, InputError
 from spinline.inverse import TargetState, discrepancy, werner_target, zero_family_iii
@@ -81,7 +81,7 @@ def _forms_and_expected(kind, params, rng):
     """
     n_sender = params.n_sender
     if kind == "werner":
-        Q, c = inverse._werner_system(params, 0.3)
+        Q, c = inverse._werner_system(params, werner_target(0.3).matrix)
         y = rng.standard_normal(len(params.pairs)) / np.sqrt(len(params.pairs))
         d = (sl.assemble_rho(params, SenderState.from_double(y, n_sender)).rho
              - werner_target(0.3).matrix)
@@ -132,17 +132,17 @@ def constructed(monkeypatch):
     record = {"batches": []}
     multistart, marquardt = inverse._multistart, inverse._levenberg_marquardt
 
-    def counted(Q, c, y, residual_tol):
+    def counted(Q, c, y, problem, residual_tol):
         record["batches"].append(len(y))
-        return marquardt(Q, c, y, residual_tol)
+        return marquardt(Q, c, y, problem, residual_tol)
 
     def run(solve, exact_start):
         def moved(Q, c, starts, residual_tol):
             y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
             if exact_start == 0:
-                c = inverse._forms(Q, y[:1])[1][0]
+                c = inverse._forms(Q, y[:1])[1]
             elif exact_start is not None:
-                c = inverse._forms(Q, y[1:])[1][exact_start - 1]
+                c = inverse._forms(Q, y[1:])[1][exact_start - 1 : exact_start]
             record["y"] = y
             record["result"] = multistart(Q, c, starts, residual_tol)
             return record["result"]
@@ -167,12 +167,12 @@ def test_werner_multistart_stops_at_first_exact_start(constructed, tuned20_param
         with pytest.raises(InfeasibleTargetError) as err:
             run(lambda: sl.solve_werner(tuned20_params, 0.9, n_starts=n_starts), None)
         assert record["batches"] == [1, n_starts - 1]
-        assert err.value.best_residual == record["result"][0] > 1e-8
-        assert err.value.best_controls is record["result"][1]
+        assert err.value.best_residual == record["result"][0][0] > 1e-8
+        assert err.value.best_controls.tobytes() == record["result"][1][0].tobytes()
         return
     sol = run(lambda: sl.solve_werner(tuned20_params, 0.9, n_starts=n_starts,
                                       residual_tol=0.0), exact_start)
-    residual, y = record["result"]
+    (residual,), (y,) = record["result"]
     assert residual == 0.0 and sol.residual == 0.0
     assert y.tobytes() == record["y"][exact_start].tobytes()
     assert record["batches"] == ([1] if exact_start == 0 else [1, n_starts - 1])
@@ -180,13 +180,22 @@ def test_werner_multistart_stops_at_first_exact_start(constructed, tuned20_param
 
 def test_werner_starts_are_seeded(monkeypatch, tuned20_params):
     # start 0 is the neutral equal-amplitude vector, the rest standard
-    # normal draws of the seed
+    # normal draws of the seed; the stacked solve of the nine p gives every
+    # p the starts of its lone solve
     seen = []
-    monkeypatch.setattr(inverse, "_multistart",
-                        lambda Q, c, starts, tol: seen.append(starts) or (0.0, starts[0]))
+
+    def spy(Q, c, starts, tol):
+        seen.append((c, starts))
+        return np.zeros(len(c)), np.repeat(starts[:1], len(c), axis=0)
+
+    monkeypatch.setattr(inverse, "_multistart", spy)
     sl.solve_werner(tuned20_params, 0.4, n_starts=5, seed=3)
     draws = np.random.default_rng(3).standard_normal((4, 6))
-    assert seen[0].tobytes() == np.vstack([np.ones(6), draws]).tobytes()
+    assert seen[0][1].tobytes() == np.vstack([np.ones(6), draws]).tobytes()
+    inverse.werner_controls(tuned20_params, seed=3)
+    draws = np.random.default_rng(3).standard_normal((63, 6))
+    assert seen[1][1].tobytes() == np.vstack([np.ones(6), draws]).tobytes()
+    assert len(seen[1][0]) == len(inverse.WERNER_P) == 9
 
 
 @pytest.mark.parametrize("exact_start, n_starts", [(0, 32), (3, 32), (None, 3)])
@@ -198,7 +207,7 @@ def test_general_multistart_stops_at_first_exact_start(constructed, tuned20_para
     basis = inverse._general_basis(tuned20_params)
     sol = run(lambda: sl.solve_general(tuned20_params, werner_target(0.9), n_starts=n_starts),
               exact_start)
-    residual, y = record["result"]
+    (residual,), (y,) = record["result"]
     if exact_start is None:
         assert record["batches"] == [1, n_starts - 1]
         assert residual > 1e-8 and sol.residual > 1e-8
@@ -255,7 +264,7 @@ def test_multistart_matches_least_squares_lm(verdict_tables, table, kind, p):
     if kind == "werner":
         n = len(params.pairs)
         starts = [np.ones(n), *np.random.default_rng(0).standard_normal((n_starts - 1, n))]
-        system = inverse._werner_system(params, p)
+        system = inverse._werner_system(params, werner_target(p).matrix)
         try:
             sl.solve_werner(params, p, n_starts=n_starts)
             feasible = True
@@ -268,6 +277,106 @@ def test_multistart_matches_least_squares_lm(verdict_tables, table, kind, p):
         sol = sl.solve_general(params, werner_target(p), n_starts=n_starts)
         feasible = sol.residual <= inverse.WERNER_RESIDUAL_TOL
     assert feasible == _minpack_exact(*system, starts) == (p < 0.85)
+
+
+def _lone_werner_controls(params, seed):
+    """The p of WERNER_P solved one at a time, up to the first infeasible one."""
+    solutions = {}
+    for p in inverse.WERNER_P:
+        try:
+            solutions[p] = sl.solve_werner(params, p, seed=seed)
+        except InfeasibleTargetError:
+            break
+    return solutions
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("table", ["sender4", "sender5", "zeroed", "n60"])
+def test_werner_controls_match_lone_solves(verdict_tables, tuned60_params, table, seed):
+    # the stacked solve of the nine p finds each p's lone solution, and stops
+    # where the lone solves stop: after p = 0.7 on the tuned 60-node line
+    params = tuned60_params if table == "n60" else verdict_tables[table]
+    stacked = inverse.werner_controls(params, seed=seed)
+    lone = _lone_werner_controls(params, seed)
+    assert list(stacked) == list(lone)
+    assert list(stacked) == [p for p in inverse.WERNER_P if table != "n60" or p < 0.75]
+    for p, sol in stacked.items():
+        np.testing.assert_allclose(sol.controls.vector, lone[p].controls.vector,
+                                   rtol=0, atol=1e-12)
+        assert sol.residual <= inverse.WERNER_RESIDUAL_TOL
+        assert abs(sol.residual - lone[p].residual) <= 1e-14
+        assert abs(sol.discrepancy - lone[p].discrepancy) <= 1e-14
+
+
+def test_check_werner_fails_when_a_zeroed_p_is_unsolved(monkeypatch):
+    # the family-III-zeroed line stops solving at p = 0.7 here: the check
+    # names the unsolved p and fails, it does not judge the rest alone
+    calls = []
+
+    def truncated_line_stops(params, seed=0):
+        calls.append(params)
+        solutions = inverse.werner_controls(params, seed=seed)
+        return solutions if len(calls) == 1 else {p: s for p, s in solutions.items() if p < 0.65}
+
+    monkeypatch.setattr(verification, "werner_controls", truncated_line_stops)
+    monkeypatch.setattr(verification, "feasibility_scan",
+                        lambda *args, **kwargs: (bm.WERNER_FEASIBLE_MAX, 1e-4))
+    results = {r.name: r for r in verification.check_werner()}
+    zeroed = results["family-III-zeroed solving, true-chain discrepancy < 0.03"]
+    assert not zeroed.passed and "p=[0.7, 0.8] not solved" in zeroed.detail
+    assert not results["family-III-zeroed discrepancy bracket at p=0.8"].passed
+    assert results["werner solve residuals (p=0..0.8)"].passed
+
+
+def test_exact_problem_leaves_the_others_running(tuned20_params):
+    # problem 0 is exact at its first evaluation; problem 1 of the same
+    # stack still runs to the point it reaches alone, not to its start
+    Q, c = inverse._werner_system(tuned20_params, werner_target(0.4).matrix)
+    y = np.full((2, Q.shape[1]), 1.0 / np.sqrt(Q.shape[1]))
+    c = np.vstack([inverse._forms(Q, y)[1][0], c])  # the values at start 0, in this stack
+    res, ys = inverse._levenberg_marquardt(Q, c, y, [0, 1], inverse.WERNER_RESIDUAL_TOL)
+    alone = inverse._levenberg_marquardt(Q, c[1:], y[1:], [1], inverse.WERNER_RESIDUAL_TOL)
+    assert res[0] == 0.0 and ys[0].tobytes() == y[0].tobytes()
+    assert res[1] <= inverse.WERNER_RESIDUAL_TOL and alone[0][0] <= inverse.WERNER_RESIDUAL_TOL
+    np.testing.assert_allclose(ys[1], alone[1][0], rtol=0, atol=1e-12)
+    # within one problem the rule stands: an exact start stops the later ones
+    res, ys = inverse._levenberg_marquardt(Q, c[[0, 0]], y, [0, 0], inverse.WERNER_RESIDUAL_TOL)
+    assert res[0] == 0.0 and ys[1].tobytes() == y[1].tobytes()
+
+
+def test_open_problem_falls_back_to_its_other_starts(monkeypatch):
+    # (y1 + i y2)^2 = c in three unknowns: start 0 is the third axis, where
+    # the forms and their Jacobian vanish, so it solves problem 0 (c = 0)
+    # at once and cannot move for problem 1.  Only problem 1 runs starts
+    # 1.., start 0 is not run again, and it wins with the start a lone
+    # solve picks
+    Q = np.array([np.diag([1.0, -1.0, 0.0]),
+                  [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    c = np.array([[0.0, 0.0], [0.3, 0.4]])
+    starts = np.vstack([[0.0, 0.0, 1.0], np.random.default_rng(0).standard_normal((7, 3))])
+    runs = []
+    marquardt = inverse._levenberg_marquardt
+
+    def recorded(Q, c, y, problem, residual_tol):
+        out = marquardt(Q, c, y, problem, residual_tol)
+        runs.append((y.copy(), list(problem), tuple(a.copy() for a in out)))
+        return out
+
+    monkeypatch.setattr(inverse, "_levenberg_marquardt", recorded)
+    tol = inverse.WERNER_RESIDUAL_TOL
+    res, ys = inverse._multistart(Q, c, starts, tol)
+    (y0, problems0, out0), (y1, problems1, out1) = runs
+    assert problems0 == [0, 1] and np.all(y0 == [0.0, 0.0, 1.0])
+    assert out0[0][0] == 0.0 and out0[0][1] > tol
+    assert problems1 == [1] * 7
+    unit = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    assert y1.tobytes() == unit[1:].tobytes()
+    winner = 1 + int(np.flatnonzero(out1[0] <= tol)[0])
+    assert ys[1].tobytes() == out1[1][winner - 1].tobytes() and res[1] <= tol
+    runs.clear()
+    lone = inverse._multistart(Q, c[1:], starts, tol)
+    assert lone[0][0] == res[1] and lone[1][0].tobytes() == ys[1].tobytes()
+    assert 1 + int(np.flatnonzero(runs[1][2][0] <= tol)[0]) == winner
 
 
 DETERMINISM_SCRIPT = """
