@@ -5,12 +5,17 @@ and the defaults come from it.  A subcommand's flags, or a ``run --config``
 file, give a plain config dict; ``validate_config`` checks it against the
 command's JSON schema and fills in the defaults, and the runner embeds that
 resolved config in each artifact it writes, so both entry paths write the
-same artifacts and a run is reproducible from them alone.  Exit codes: 0 success,
-1 failed verification report or numerical self-check, 2 invalid config or
-input (a config, chain, target or probe-output file that is not valid JSON
-of the expected shape, a bad scan grid, search box, parameter table,
-target state or sender size, an incomplete or degenerate probe set), 3 file
-I/O error, 4 infeasible target or no transfer arrival.
+same artifacts and a run is reproducible from them alone.  The check is
+spinline's own, of the JSON Schema keywords in :data:`KEYWORDS`, the ones
+``SCHEMAS`` uses: it reports the first error in a fixed order, in the
+usual JSON Schema wording, and needs no package beyond numpy.
+
+Exit codes: 0 success, 1 failed verification report or numerical
+self-check, 2 invalid config or input (a config, chain, target or
+probe-output file that is not valid JSON of the expected shape, a bad scan
+grid, search box, parameter table, target state or sender size, an
+incomplete or degenerate probe set, a chain too short for its coupling
+profile), 3 file I/O error, 4 infeasible target or no transfer arrival.
 """
 
 import argparse
@@ -20,7 +25,6 @@ import math
 import sys
 
 import numpy as np
-import jsonschema
 
 from . import benchmarks as bm
 from .chainopt import COUPLING_TOL, lattice, optimize_boundary
@@ -34,6 +38,7 @@ from .disorder import (
 )
 from .dynamics import diagonalize
 from .errors import (
+    ChainLengthError,
     ConditioningError,
     ExtractionError,
     InfeasibleTargetError,
@@ -178,47 +183,95 @@ SCHEMAS = dict([
 ])
 
 
-# JSON Schema counts 20.0 as an integer, but chain lengths, counts and seeds
-# must reach the library as ints
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _checker, value: type(value) is int),
-)
-# built once: jsonschema.validate would re-check each schema on every call
-_VALIDATORS = {command: _Validator(schema) for command, schema in SCHEMAS.items()}
 _DEFAULTS = {
     command: {key: field["default"] for key, field in schema["properties"].items()
               if "default" in field}
     for command, schema in SCHEMAS.items()
 }
+_TYPES = {"string": str, "boolean": bool, "null": type(None), "array": list, "object": dict}
+# keyword -> (breaks the bound, message) for a number
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "less than the minimum"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "less than or equal to the minimum"),
+    "maximum": (lambda v, b: v > b, "greater than the maximum"),
+    "exclusiveMaximum": (lambda v, b: v >= b, "greater than or equal to the maximum"),
+}
+# the JSON Schema keywords _check implements, and the two annotations that
+# build_parser and _DEFAULTS read: a test holds SCHEMAS to these
+KEYWORDS = frozenset({"type", "const", "enum", *_BOUNDS, "required", "additionalProperties",
+                      "properties", "items", "minItems", "maxItems", "description", "default"})
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(InputError):
+    """A config its command's schema refuses, or options that do not combine."""
 
 
-def _finite(value):
-    if isinstance(value, float):
-        return math.isfinite(value)
+def _has_type(value, kind):
+    # JSON Schema counts 20.0 as an integer, but chain lengths, counts and
+    # seeds must reach the library as ints; true is no number
+    if kind == "integer":
+        return type(value) is int
+    if kind == "number":
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, _TYPES[kind])
+
+
+def _check(schema, value, key=None, whole=None):
+    """Raise ConfigError, in JSON Schema wording, at the first rule of
+    ``schema`` that ``value`` breaks, in this order: a float must be
+    finite (reported as ``<key> must be finite, got <whole>``, naming the
+    option and its whole value), then type, const, enum, the bounds of a
+    number, the length of an array and each of its items in turn; of an
+    object, the required keys in their listed order, unknown keys, then
+    each set option in the order of ``properties``.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {whole!r}")
+    if "type" in schema:
+        kinds = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_has_type(value, kind) for kind in kinds):
+            raise ConfigError(f"{value!r} is not of type {', '.join(map(repr, kinds))}")
+    if "const" in schema and value != schema["const"]:
+        raise ConfigError(f"{schema['const']!r} was expected")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{value!r} is not one of {schema['enum']!r}")
+    if _has_type(value, "number"):
+        for keyword, (breaks, words) in _BOUNDS.items():
+            if keyword in schema and breaks(value, schema[keyword]):
+                raise ConfigError(f"{value!r} is {words} of {schema[keyword]!r}")
     if isinstance(value, list):
-        return all(_finite(v) for v in value)
-    return True
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{value!r} is too short")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise ConfigError(f"{value!r} is too long")
+        for item in value:
+            _check(schema.get("items", {}), item, key, whole)
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for name in schema.get("required", ()):
+            if name not in value:
+                raise ConfigError(f"{name!r} is a required property")
+        unknown = sorted(value.keys() - properties.keys(), key=str)
+        if unknown and schema.get("additionalProperties") is False:
+            verb = "was" if len(unknown) == 1 else "were"
+            raise ConfigError(f"Additional properties are not allowed "
+                              f"({', '.join(map(repr, unknown))} {verb} unexpected)")
+        for name, field in properties.items():
+            if name in value:
+                _check(field, value[name], name, value[name])
 
 
 def validate_config(config):
-    """Check a config against its command's schema, every number finite, and
-    return it with the schema defaults of its unset options filled in."""
+    """Check a config against its command's schema and return it with the
+    schema defaults of its unset options filled in.
+
+    The check reads the keywords of :data:`KEYWORDS` and reports the first
+    error in the fixed order of :func:`_check`.
+    """
     command = config.get("command")
     if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
-    # before the schema, whose bounds would report an infinite number as too large
-    for key, value in config.items():
-        if not _finite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
-    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(config))
-    if error is not None:
-        raise ConfigError(error.message)
+    _check(SCHEMAS[command], config)
     return {**_DEFAULTS[command], **config}
 
 
@@ -530,7 +583,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (InputError, ExtractionError, ConditioningError, SizeMismatchError) as exc:
+    except (InputError, ExtractionError, ConditioningError, SizeMismatchError,
+            ChainLengthError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

@@ -25,7 +25,6 @@ from .basis import SenderState
 from .errors import InfeasibleTargetError, InputError
 from .receiver import (
     KINDS,
-    assemble_rho,
     classify_families,
     param_index,
     receiver_operator,
@@ -96,16 +95,17 @@ def discrepancy(rho, target):
     return np.linalg.norm(r - a, axis=(-2, -1)) / norm_a
 
 
-def _quadratic_system(params, basis, target, rows=slice(None)):
+def _quadratic_system(K, basis, target, rows=slice(None)):
     """Forms Q (m, n, n) and values c (..., m) of the equations
     ``y^T Q[k] y = c[k]`` in real controls y, x = basis @ y, for targets
     (..., 4, 4).
 
     The forms are the real, then the imaginary parts of
     ``basis^T K[a, b] conj(basis)`` over the upper triangle a <= b of the
-    receiver operator K, then the norm; ``rows`` picks among them.
+    receiver operator K (:func:`~spinline.receiver.receiver_operator`),
+    then the norm; ``rows`` picks among them.
     """
-    forms = basis.T @ receiver_operator(params)[UPPER] @ basis.conj()
+    forms = basis.T @ K[UPPER] @ basis.conj()
     norm = (basis.T @ basis.conj()).real
     Q = np.concatenate([forms.real, forms.imag, norm[None]])[rows]
     t = np.asarray(target)[..., UPPER[0], UPPER[1]]
@@ -120,14 +120,14 @@ def _forms(Q, y):
     return Qy, (Qy @ y[..., None])[..., 0]
 
 
-def _werner_system(params, targets):
-    """The Werner equations in the real pair amplitudes (a0 = a_i = 0) for
-    the target matrices (P, 4, 4): the forms Q shared by all P, and one row
-    of values c (P, 6) each, for rho33, rho11, rho22, Re rho12, Im rho12 and
-    the norm."""
-    first_pair = 1 + params.n_sender
-    basis = np.eye(first_pair + len(params.pairs))[:, first_pair:]
-    return _quadratic_system(params, basis, targets, [9, 4, 7, 5, 15, 20])
+def _werner_system(K, n_sender, targets):
+    """The Werner equations in the real pair amplitudes (a0 = a_i = 0) of
+    the receiver operator K of an ``n_sender``-node sender, for the target
+    matrices (P, 4, 4): the forms Q shared by all P, and one row of values
+    c (P, 6) each, for rho33, rho11, rho22, Re rho12, Im rho12 and the
+    norm."""
+    return _quadratic_system(K, np.eye(K.shape[-1])[:, 1 + n_sender:], targets,
+                             [9, 4, 7, 5, 15, 20])
 
 
 def _general_basis(params):
@@ -349,20 +349,21 @@ def _werner_solutions(params, ps, n_starts, seed, residual_tol):
     reaches ``residual_tol``.
 
     Every p runs the same starts: the equal-amplitude vector, then
-    ``n_starts - 1`` standard normal draws of ``seed``.  The discrepancies
-    of all solved p come from one receiver operator.
+    ``n_starts - 1`` standard normal draws of ``seed``.  One receiver
+    operator gives the forms and the discrepancies of all solved p.
     """
     n_pairs = len(params.pairs)
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.ones(n_pairs), rng.standard_normal((n_starts - 1, n_pairs))])
     targets = np.array([werner_target(p).matrix for p in ps])
-    res, ys = _multistart(*_werner_system(params, targets), starts, residual_tol)
+    K = receiver_operator(params)
+    res, ys = _multistart(*_werner_system(K, params.n_sender, targets), starts, residual_tol)
     out = [None if r <= residual_tol else InfeasibleTargetError(r, best_controls=y)
            for r, y in zip(res.tolist(), ys)]
     solved = [k for k, sol in enumerate(out) if sol is None]
     if solved:
         controls = [SenderState.from_double(ys[k], params.n_sender) for k in solved]
-        rho = receiver_rho(receiver_operator(params), np.array([s.vector for s in controls]))
+        rho = receiver_rho(K, np.array([s.vector for s in controls]))
         for k, state, delta in zip(solved, controls, discrepancy(rho, targets[solved]).tolist()):
             out[k] = InverseSolution(controls=state, residual=float(res[k]), discrepancy=delta)
     return out
@@ -433,16 +434,17 @@ def solve_general(params, target, n_starts=32, seed=0):
     a = target.matrix if isinstance(target, TargetState) else np.asarray(target)
     basis = _general_basis(params)
     starts = np.random.default_rng(seed).standard_normal((n_starts, basis.shape[1]))
-    Q, c = _quadratic_system(params, basis, a)
+    K = receiver_operator(params)
+    Q, c = _quadratic_system(K, basis, a)
     _, (y,) = _multistart(Q, c[None], starts, WERNER_RESIDUAL_TOL)
     x = basis @ (y / np.linalg.norm(y))
     n_sender = params.n_sender
     state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
-    rho = assemble_rho(params, state)
+    rho = receiver_rho(K, state.vector)
     return InverseSolution(
         controls=state,
-        residual=float(np.max(np.abs(rho.rho - a))),
-        discrepancy=discrepancy(rho, TargetState(matrix=a)),
+        residual=float(np.max(np.abs(rho - a))),
+        discrepancy=discrepancy(rho, a),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import jsonschema
@@ -59,6 +60,8 @@ def test_optimize_chain_artifact(workdir, capsys):
     # refused before np.arange asks for ~146 TiB of time grid
     pytest.param(["--t-max", "1e12"], "more than 1000000 steps", id="t-max-1e12"),
     pytest.param(["--t-max", "0.04"], "t_max > dt", id="t-max-below-dt"),
+    pytest.param(["--t-max", "0"], "0.0 is less than or equal to the minimum of 0",
+                 id="t-max-0"),
 ])
 def test_optimize_chain_bad_search_box_exit_code(workdir, args, message, capsys):
     rc = main(["optimize-chain", "--n", "7", *args, "--out", "opt.json"])
@@ -68,10 +71,12 @@ def test_optimize_chain_bad_search_box_exit_code(workdir, args, message, capsys)
 
 
 def test_optimize_chain_config_range_needs_two_values(workdir, capsys):
-    (workdir / "cfg.json").write_text(json.dumps({
-        "command": "optimize-chain", "n": 7, "delta1_range": [0.5],
-    }))
-    assert main(["run", "--config", "cfg.json"]) == EXIT_BAD_CONFIG
+    for values, message in (([0.5], "too short"), ([0.5, 0.6, 0.7], "too long")):
+        (workdir / "cfg.json").write_text(json.dumps({
+            "command": "optimize-chain", "n": 7, "delta1_range": values,
+        }))
+        assert main(["run", "--config", "cfg.json"]) == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_compute_params_matches_reference(params_csv):
@@ -227,6 +232,8 @@ def test_create_state_infeasible_exit_code(params_csv):
     "compute-params --n 20 --tuned --sender 19",
     "probe-params --n 5 --t0 1",
     "disorder-study --n 5 --t0 1 --epsilon 0.1 --chains 2 --seed 1",
+    # a perturbed bulk is a non-uniform profile, which needs 7 nodes
+    "disorder-study --n 6 --t0 3 --epsilon 0.05 --seed 0 --sender 3",
 ])
 def test_sender_too_long_exit_code(workdir, argv, capsys):
     assert main(argv.split() + ["--out", "out"]) == EXIT_BAD_CONFIG
@@ -490,6 +497,19 @@ OUTSIDE_JSON = {
     "config-float-n": ({"command": "compute-params", "n": 20.0, "tuned": True,
                         "out": "out.csv"},
                        ["run", "--config", "in.json"], "is not of type 'integer'"),
+    "config-n-not-in-enum": ({"command": "reproduce-paper", "n": 21},
+                             ["run", "--config", "in.json"], "21 is not one of [20, 60]"),
+    # several errors: the first in validate_config's order is reported
+    "config-required-first": ({"command": "optimize-chain", "bogus": float("nan")},
+                              ["run", "--config", "in.json"], "'n' is a required property"),
+    "config-unknown-key-next": ({"command": "compute-params", "n": "20", "bogus": 1},
+                                ["run", "--config", "in.json"], "('bogus' was unexpected)"),
+    "config-schema-order": ({"command": "compute-params", "t0": "1", "n": "20"},
+                            ["run", "--config", "in.json"], "'20' is not of type 'integer'"),
+    "config-finite-first": ({"command": "compute-params", "n": float("inf")},
+                            ["run", "--config", "in.json"], "n must be finite, got inf"),
+    "config-first-item": ({"command": "optimize-chain", "n": 7, "delta1_range": ["a", "b"]},
+                          ["run", "--config", "in.json"], "'a' is not of type 'number'"),
     "outputs-missing-probe": ([{"rho": {"re": [], "im": []}}], _OUTPUTS, "'probe'"),
     "outputs-not-4x4": ([{"probe": {"kind": "single", "indices": [1]},
                           "rho": {"re": [[1.0]], "im": [[0.0]]}}], _OUTPUTS, "4x4"),
@@ -544,9 +564,19 @@ def test_non_finite_flag_exit_code(workdir, params_csv, argv, capsys):
     assert not (workdir / "out").exists()
 
 
+def _keywords(schema):
+    """Every keyword of a schema and of the schemas of its properties and items."""
+    inner = list(schema.get("properties", {}).values())
+    if "items" in schema:
+        inner.append(schema["items"])
+    return set(schema).union(*map(_keywords, inner))
+
+
 def test_schemas_are_valid():
     for schema in cli.SCHEMAS.values():
         jsonschema.validators.validator_for(schema).check_schema(schema)
+        # validate_config would ignore a keyword it does not implement
+        assert _keywords(schema) <= cli.KEYWORDS
 
 
 def test_reproduce_fast_n60(capsys):
@@ -655,11 +685,37 @@ def _flag_configs(draw):
     return config
 
 
+# jsonschema, the oracle of validate_config: every number finite, then Draft
+# 2020-12 with an int-only integer
+_ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _checker, value: type(value) is int),
+)
+_ORACLES = {command: _ORACLE(schema) for command, schema in cli.SCHEMAS.items()}
+
+
+def _finite(value):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _oracle_errors(config):
+    """The message of every error the oracle finds in a config of a known command."""
+    return ([f"{key} must be finite, got {value!r}"
+             for key, value in config.items() if not _finite(value)]
+            + [error.message for error in _ORACLES[config["command"]].iter_errors(config)])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_flag_configs())
 def test_schema_valid_config_survives_the_command_line(config):
     parsed = cli._config_from_args(cli.build_parser().parse_args(_argv(config)))
     expected = cli.validate_config(config)
+    assert _oracle_errors(config) == []
     assert json.dumps(cli.validate_config(parsed), sort_keys=True) == json.dumps(
         expected, sort_keys=True)
     assert expected == {**{key: field["default"]
@@ -675,16 +731,24 @@ _JSON = st.recursive(
 _KEYS = sorted({key for schema in cli.SCHEMAS.values() for key in schema["properties"]})
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(st.sampled_from(_KEYS), _JSON),
-       st.none() | st.sampled_from(sorted(cli.SCHEMAS)))
+       st.sampled_from([*sorted(cli.SCHEMAS), None]))
 def test_any_json_config_is_accepted_or_refused_as_config_error(config, command):
     if command is not None:
         config["command"] = command
+    if isinstance(config.get("command"), str) and config["command"] in cli.SCHEMAS:
+        errors = _oracle_errors(config)
+    else:
+        errors = [f"unknown command {config.get('command')!r}"]
     try:
         resolved = cli.validate_config(config)
-    except cli.ConfigError:
+    except InputError as exc:  # a ConfigError is an InputError, and a SpinlineError
+        assert isinstance(exc, cli.ConfigError)
+        # the oracle's message where it finds one error, one of theirs where several
+        assert str(exc) in errors
         return
+    assert errors == []
     assert resolved.items() >= config.items()
     for key, field in cli.SCHEMAS[resolved["command"]]["properties"].items():
         if field.get("type") == "integer" and key in resolved:

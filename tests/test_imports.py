@@ -1,4 +1,5 @@
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -48,8 +49,9 @@ def _imported_modules(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_scipy(path):
-    # scipy is a test dependency only: the oracles in tests/ use it
-    assert "scipy" not in _imported_modules(path)
+    # scipy and jsonschema are test dependencies only: the oracles in tests/
+    # use them, and numpy is the one run-time dependency
+    assert _imported_modules(path).isdisjoint({"scipy", "jsonschema"})
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(child_env):
@@ -83,3 +85,39 @@ def test_solving_commands_leave_scipy_unloaded(tmp_path, child_env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=child_env)
     assert out.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+# one config per command, at small sizes; "line.csv" is written first by flags
+_COMMAND_CONFIGS = [
+    {"command": "optimize-chain", "n": 7, "grid_step": 0.2, "out": "opt.json"},
+    {"command": "compute-params", "n": 20, "tuned": True, "out": "line.csv"},
+    {"command": "probe-params", "n": 20, "tuned": True, "out": "probed.csv"},
+    {"command": "create-state", "target": "werner", "p": 0.4, "params": "line.csv",
+     "out": "state.json"},
+    {"command": "feasibility", "params": "line.csv", "grid": "0.86:0.9:0.02", "starts": 4,
+     "out": "feasibility.json"},
+    {"command": "disorder-study", "n": 20, "tuned": True, "epsilon": 0.05, "chains": 3,
+     "seed": 7, "out": "study.json"},
+    {"command": "reproduce-paper", "n": 60, "fast": True},
+    {"command": "optimize-chain", "n": 7.0},  # refused: 7.0 is not an integer
+]
+
+
+def test_every_command_runs_without_jsonschema(tmp_path, child_env):
+    # every import of jsonschema fails in the child, so a command that needed
+    # it would end in an ImportError instead of its exit code
+    code = ("import json, sys\nsys.modules['jsonschema'] = None\n"
+            "from spinline.cli import main\n"
+            "rc = [main(['compute-params', '--n', '20', '--tuned', '--out', 'line.csv']),\n"
+            "      main(['compute-params', '--n', '20', '--t0', 'nan'])]\n"
+            f"for k, config in enumerate(json.loads({json.dumps(_COMMAND_CONFIGS)!r})):\n"
+            "    with open(f'config{k}.json', 'w') as fh:\n"
+            "        json.dump(config, fh)\n"
+            "    rc.append(main(['run', '--config', f'config{k}.json']))\n"
+            "rc.append(main(['reproduce-paper', '--n', '20', '--fast']))\n"
+            "print(rc, sys.modules['jsonschema'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env, cwd=tmp_path)
+    assert out.stdout.splitlines()[-1] == "[0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0] None"
+    assert "invalid config: 7.0 is not of type 'integer'" in out.stderr
+    assert "invalid config: t0 must be finite, got nan" in out.stderr

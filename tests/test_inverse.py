@@ -13,6 +13,7 @@ from spinline import inverse, verification
 from spinline.basis import SenderState
 from spinline.errors import InfeasibleTargetError, InputError
 from spinline.inverse import TargetState, discrepancy, werner_target, zero_family_iii
+from spinline.receiver import receiver_operator
 
 
 def test_werner_matrix_structure():
@@ -79,9 +80,9 @@ def _forms_and_expected(kind, params, rng):
     y has components of variance 1/len(y), so |y|^2 is near 1, the scale
     the norm form pins, whatever the number of unknowns.
     """
-    n_sender = params.n_sender
+    n_sender, K = params.n_sender, receiver_operator(params)
     if kind == "werner":
-        Q, c = inverse._werner_system(params, werner_target(0.3).matrix)
+        Q, c = inverse._werner_system(K, n_sender, werner_target(0.3).matrix)
         y = rng.standard_normal(len(params.pairs)) / np.sqrt(len(params.pairs))
         d = (sl.assemble_rho(params, SenderState.from_double(y, n_sender)).rho
              - werner_target(0.3).matrix)
@@ -89,7 +90,7 @@ def _forms_and_expected(kind, params, rng):
     else:
         target = sl.assemble_rho(params, SenderState.random(rng, n_sender)).rho
         basis = inverse._general_basis(params)
-        Q, c = inverse._quadratic_system(params, basis, target)
+        Q, c = inverse._quadratic_system(K, basis, target)
         y = rng.standard_normal(basis.shape[1]) / np.sqrt(basis.shape[1])
         x = basis @ y
         state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
@@ -261,10 +262,11 @@ def test_multistart_matches_least_squares_lm(verdict_tables, table, kind, p):
     # targets are feasible; the boundaries of the three tables lie at
     # 0.873-0.877
     params, n_starts = verdict_tables[table], 8
+    K = receiver_operator(params)
     if kind == "werner":
         n = len(params.pairs)
         starts = [np.ones(n), *np.random.default_rng(0).standard_normal((n_starts - 1, n))]
-        system = inverse._werner_system(params, werner_target(p).matrix)
+        system = inverse._werner_system(K, params.n_sender, werner_target(p).matrix)
         try:
             sl.solve_werner(params, p, n_starts=n_starts)
             feasible = True
@@ -273,7 +275,7 @@ def test_multistart_matches_least_squares_lm(verdict_tables, table, kind, p):
     else:
         basis = inverse._general_basis(params)
         starts = np.random.default_rng(0).standard_normal((n_starts, basis.shape[1]))
-        system = inverse._quadratic_system(params, basis, werner_target(p).matrix)
+        system = inverse._quadratic_system(K, basis, werner_target(p).matrix)
         sol = sl.solve_general(params, werner_target(p), n_starts=n_starts)
         feasible = sol.residual <= inverse.WERNER_RESIDUAL_TOL
     assert feasible == _minpack_exact(*system, starts) == (p < 0.85)
@@ -331,7 +333,7 @@ def test_check_werner_fails_when_a_zeroed_p_is_unsolved(monkeypatch):
 def test_exact_problem_leaves_the_others_running(tuned20_params):
     # problem 0 is exact at its first evaluation; problem 1 of the same
     # stack still runs to the point it reaches alone, not to its start
-    Q, c = inverse._werner_system(tuned20_params, werner_target(0.4).matrix)
+    Q, c = inverse._werner_system(receiver_operator(tuned20_params), 4, werner_target(0.4).matrix)
     y = np.full((2, Q.shape[1]), 1.0 / np.sqrt(Q.shape[1]))
     c = np.vstack([inverse._forms(Q, y)[1][0], c])  # the values at start 0, in this stack
     res, ys = inverse._levenberg_marquardt(Q, c, y, [0, 1], inverse.WERNER_RESIDUAL_TOL)
