@@ -13,15 +13,15 @@ basin.  The default box holds 625 points at the default step; a finer step
 costs time in proportion to its points, up to ``MAX_POINTS`` (10^6).
 
 The refinement works on the first-maximum amplitude A(delta1, delta2) =
-|p_{N;1}(t0)|.  By the envelope theorem (d|p|/dt = 0 at t0) its gradient is
-Re(conj(p) dp/d delta) / |p| at fixed t0, and dp/dJ_b follows from the
-eigendecomposition H = V diag(lambda) V^T by the Daleckii-Krein formula
-(:func:`_amplitude_gradient`).  The Hessian is a forward difference of that
-gradient, and each step solves the trust-region subproblem exactly (Moré and
-Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983); a step is taken only if
-the amplitude rises.  From the best lattice point it takes about ten
-evaluations, each one ``diagonalize`` and one :func:`first_maximum`, which
-refines the grid peak by Newton's method on d|p|^2/dt = 0.
+|p_{N;1}(t0)|, the envelope of |p_{N;1}(t)| over t.  Its gradient and its
+exact Hessian follow from the eigendecomposition H = V diag(lambda) V^T by the
+first and second Daleckii-Krein divided differences of exp(-i lambda t0)
+(:func:`_amplitude_derivatives`), and each step solves the trust-region
+subproblem exactly (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4, 553,
+1983); a step is taken only if the amplitude rises.  From the best lattice
+point it takes about four evaluations, each one ``diagonalize``, one
+:func:`first_maximum`, which refines the grid peak by Newton's method on
+d|p|^2/dt = 0, and one :func:`_amplitude_derivatives`.
 
 The grid search and :func:`first_maximum` share one kernel, :func:`_first_arrival`.
 h1 is hopping with no diagonal, so its spectrum is bipartite: in ``eigh`` order
@@ -61,7 +61,6 @@ MAX_STEPS = 10**6  # largest time grid a scan allocates
 MAX_POINTS = 10**6  # largest stepped scan, and largest boundary search box
 _POINT_BLOCK = 64  # chains per stacked eigh and arrival scan of the grid search
 _NEWTON_ITERATIONS = 100  # bound on the Newton-bisection steps of a peak time
-_HESSIAN_STEP = 1e-6  # forward-difference step of the amplitude Hessian
 _STEP_TOL = 1e-8  # trust-region step at which the refinement stops
 _REFINE_STEPS = 100  # bound on the accepted steps of one refinement
 
@@ -220,29 +219,64 @@ def lattice(lo, hi, step):
     return np.minimum(np.round(lo + step * np.arange(math.floor(span) + 1), 12), hi)
 
 
-def _amplitude_gradient(spectral, t0):
-    """Gradient of the first-maximum amplitude |p_{N;1}(t0)| in (delta1, delta2).
+def _amplitude_derivatives(spectral, t0):
+    """Gradient and Hessian of the first-maximum amplitude in (delta1, delta2).
 
-    Envelope theorem: d|p|/dt = 0 at the first maximum t0, so the gradient is
-    Re(conj(p) dp/d delta) / |p| at fixed t0.  With H = V diag(lambda) V^T,
-    dp/dJ_b = sum_kl V[N-1,k] D^b_kl V[0,l] F_kl, where D^b = (V_b V_{b+1}^T +
-    V_{b+1} V_b^T) / 2 is bond b in the eigenbasis (V_b: row b of V; J/2
-    convention) and F_kl = (e^{-i lambda_l t0} - e^{-i lambda_k t0}) /
-    (lambda_l - lambda_k), F_kk = -i t0 e^{-i lambda_k t0}, is evaluated as
-    -i t0 e^{-i (lambda_k + lambda_l) t0 / 2} sinc((lambda_l - lambda_k) t0 / 2),
-    which stays exact for close eigenvalues.  delta1 drives bonds 0 and N-2,
-    delta2 bonds 1 and N-3.
+    The amplitude is the envelope A(delta) = max_t g(t, delta) of g = |p_{N;1}|,
+    so at its first maximum t0 (g_t = 0) the gradient is g_delta and the
+    Hessian g_dd - g_dt g_dt^T / g_tt, the peak time following delta.  With
+    H = V diag(lambda) V^T, f(lambda) = e^{-i lambda t0}, u = V[N-1] and
+    w = V[0], p = sum_k u_k f_k w_k.  delta1 drives bonds 0 and N-2, delta2
+    bonds 1 and N-3; E^i = sum of D^b over the bonds of delta_i, where D^b =
+    (V_b V_{b+1}^T + V_{b+1} V_b^T) / 2 is bond b in the eigenbasis (V_b: row
+    b of V; J/2 convention).  By Daleckii-Krein, dp/d delta_i =
+    sum_kl u_k E^i_kl F_kl w_l with the first divided difference F_kl =
+    f[lambda_k, lambda_l], evaluated as -i t0 e^{-i (lambda_k + lambda_l) t0 / 2}
+    sinc((lambda_l - lambda_k) t0 / 2), exact for close eigenvalues;
+    d^2p/d delta_i d delta_j = sum_klm u_k (E^i_kl E^j_lm + E^j_kl E^i_lm)
+    G_klm w_m with the second divided difference G_klm = (F_kl - F_lm) /
+    (lambda_k - lambda_m), G_klk = (F_kk - F_kl) / (lambda_k - lambda_l) and
+    G_kkk = -t0^2 f_k / 2; d/dt F_kl = -i (f_l + lambda_k F_kl).  The k != m
+    terms contract as sum R o [(A^i o F) B^j - A^i (B^j o F)] with R_km =
+    1 / (lambda_k - lambda_m) off the diagonal, A^i = u o E^i and B^j = E^j o w
+    (o: elementwise), one stacked matmul.  Returns (gradient, Hessian); the
+    Hessian is zero where g_tt >= 0, since t0 is then no proper maximum.
     """
     lam, V = spectral.evals1, spectral.evecs1
     n = lam.size
-    p = (V[-1] * V[0]) @ np.exp(-1j * lam * t0)
+    u, w = V[-1], V[0]
+    f = np.exp(-1j * lam * t0)
     F = -1j * t0 * np.exp(-0.5j * t0 * (lam[:, None] + lam)) * np.sinc(
         0.5 * t0 * (lam - lam[:, None]) / np.pi)
-    bonds = np.array([0, n - 2, 1, n - 3])
-    dp = 0.5 * (np.sum((V[-1] * V[bonds] @ F) * (V[0] * V[bonds + 1]), axis=1)
-                + np.sum((V[-1] * V[bonds + 1] @ F) * (V[0] * V[bonds]), axis=1))
-    dp = dp[0::2] + dp[1::2]
-    return (p.conjugate() * dp).real / abs(p)
+    gap = lam[:, None] - lam
+    np.fill_diagonal(gap, 1.0)
+    R = 1.0 / gap
+    np.fill_diagonal(R, 0.0)
+    rows = V[[0, n - 2, 1, n - 3]].reshape(2, 2, n)
+    cross = rows.transpose(0, 2, 1) @ V[[1, n - 1, 2, n - 2]].reshape(2, 2, n)
+    E = 0.5 * (cross + cross.transpose(0, 2, 1))
+    A, B = u[:, None] * E, E * w
+    AF, BF = A * F, B * F
+    # first derivatives and the Hessian of p in (delta1, delta2, t)
+    d = np.empty(3, complex)
+    d[:2] = AF.sum(axis=1) @ w
+    d[2] = (u * w) @ (-1j * lam * f)
+    dd = np.empty((3, 3), complex)
+    dd[:2, 2] = dd[2, :2] = (A * (-1j * (f + lam[:, None] * F))).sum(axis=1) @ w
+    dd[2, 2] = (u * w) @ (-lam**2 * f)
+    off = np.concatenate((AF, A), axis=2)[:, None] @ np.concatenate((B, -BF), axis=1)
+    G = (np.diag(F)[:, None] - F) * R
+    np.fill_diagonal(G, -0.5 * t0**2 * f)
+    T = (R * off).sum(axis=(2, 3)) + (A * G).reshape(2, -1) @ B.transpose(0, 2, 1).reshape(2, -1).T
+    dd[:2, :2] = T + T.T
+    # |p| and its derivatives, then the envelope
+    p = (u * w) @ f
+    a = abs(p)
+    g = (p.conjugate() * d).real / a
+    gg = ((d.conjugate()[:, None] * d).real + (p.conjugate() * dd).real) / a - np.outer(g, g) / a
+    if gg[2, 2] >= 0.0:
+        return g[:2], np.zeros((2, 2))
+    return g[:2], gg[:2, :2] - np.outer(gg[:2, 2], gg[:2, 2]) / gg[2, 2]
 
 
 def _trust_step(grad, hess, radius):
@@ -275,25 +309,18 @@ def _trust_step(grad, hess, radius):
 def _refine(evaluate, x, radius):
     """Trust-region Newton ascent of the first-maximum amplitude from ``x``.
 
-    ``evaluate(x)`` gives (t0, amplitude, gradient) at x, or None where the
-    chain is invalid or has no arrival.  The Hessian is a forward difference
-    of the gradient, symmetrized; without an arrival at a difference point the
-    model falls back to steepest ascent.  A step is taken only if the
-    amplitude rises.  The radius, ``radius`` at first, shrinks to a quarter of
-    a step that fails or gains under a quarter of the predicted rise and
-    doubles after a full step that gains over three quarters of it.  The
-    ascent stops once the model's step falls to ``_STEP_TOL``, after
-    ``_REFINE_STEPS`` steps at most.  ``x`` must have an arrival.  Returns x
-    and its evaluation.
+    ``evaluate(x)`` gives (t0, amplitude, (gradient, Hessian)) at x, or None
+    where the chain is invalid or has no arrival; a zero Hessian makes the
+    model steepest ascent.  A step is taken only if the amplitude rises.  The
+    radius, ``radius`` at first, shrinks to a quarter of a step that fails or
+    gains under a quarter of the predicted rise and doubles after a full step
+    that gains over three quarters of it.  The ascent stops once the model's
+    step falls to ``_STEP_TOL``, after ``_REFINE_STEPS`` steps at most.  ``x``
+    must have an arrival.  Returns x and its evaluation.
     """
     here = evaluate(x)
     for _ in range(_REFINE_STEPS):
-        grad = here[2]
-        probes = [evaluate(x + _HESSIAN_STEP * unit) for unit in np.eye(2)]
-        hess = np.zeros((2, 2))
-        if None not in probes:
-            hess = np.stack([probe[2] - grad for probe in probes], axis=1) / _HESSIAN_STEP
-            hess = 0.5 * (hess + hess.T)
+        grad, hess = here[2]
         while True:
             step = _trust_step(grad, hess, radius)
             size = math.hypot(*step)
@@ -328,9 +355,9 @@ def optimize_boundary(
     highest amplitude, ``coarse_amplitude``; ties go to the least (delta1,
     delta2), and points without an arrival above ``AMPLITUDE_FLOOR`` score
     zero.  Each refinement evaluation builds the chain's :class:`ChainSpec`,
-    runs :func:`diagonalize` with its reconstruction check and
-    :func:`first_maximum`; about ten of them reach the optimum from the best
-    lattice point of a box that holds it.
+    runs :func:`diagonalize` with its reconstruction check, then
+    :func:`first_maximum` and :func:`_amplitude_derivatives`; about four of
+    them reach the optimum from the best lattice point of a box that holds it.
 
     Raises
     ------
@@ -373,7 +400,7 @@ def optimize_boundary(
             t0, amp = first_maximum(spectral, t_max=t_max)
         except NoArrivalError:
             return None
-        return t0, amp, _amplitude_gradient(spectral, t0)
+        return t0, amp, _amplitude_derivatives(spectral, t0)
 
     xbest, (t0, amp, _) = _refine(evaluate, np.array([d1[best], d2[best]]), grid_step)
     return BoundaryOptimum(

@@ -10,7 +10,7 @@ from spinline import chainopt
 from spinline.chainopt import (
     AMPLITUDE_FLOOR,
     DEFAULT_DT,
-    _amplitude_gradient,
+    _amplitude_derivatives,
     _first_arrival,
     _score_points,
     first_maximum,
@@ -127,11 +127,35 @@ def test_amplitude_gradient_matches_central_differences(n):
     for d1, d2 in arriving_points(n, 3):
         spectral = spectral_for(n, d1, d2)
         t0, _ = first_maximum(spectral)
-        grad = _amplitude_gradient(spectral, t0)
+        grad, _ = _amplitude_derivatives(spectral, t0)
         fd = [(first_maximum(spectral_for(n, d1 + a, d2 + b))[1]
                - first_maximum(spectral_for(n, d1 - a, d2 - b))[1]) / (2 * h)
               for a, b in ((h, 0.0), (0.0, h))]
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+
+
+def second_differences(n, d1, d2, h):
+    """Central second differences of the first-maximum amplitude, step h."""
+    x, steps = np.array([d1, d2]), h * np.eye(2)
+
+    def amp(y):
+        return first_maximum(spectral_for(n, *y))[1]
+
+    return np.array([[(amp(x + a + b) - amp(x + a - b) - amp(x - a + b) + amp(x - a - b))
+                      / (4 * h * h) for b in steps] for a in steps])
+
+
+@pytest.mark.parametrize("n", [7, 8, 13, 20, 31, 60])
+def test_amplitude_hessian_matches_second_differences(n):
+    # Richardson's extrapolation of the steps h and h/2 cancels the O(h^2)
+    # error, which reaches 7e-5 of the Hessian at h = 1e-4 for n = 13
+    h = 1e-4
+    for d1, d2 in arriving_points(n, 3):
+        spectral = spectral_for(n, d1, d2)
+        t0, _ = first_maximum(spectral)
+        _, hess = _amplitude_derivatives(spectral, t0)
+        fd = (4 * second_differences(n, d1, d2, h / 2) - second_differences(n, d1, d2, h)) / 3
+        assert np.linalg.norm(hess - fd) <= 1e-5 * np.linalg.norm(hess)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -145,9 +169,16 @@ def test_search_refuses_short_chains(monkeypatch, n):
 # t0, amplitude); N = 7 is the perfectly transferring chain delta1 =
 # 1/sqrt(2), delta2 = sqrt(5/6)
 PINNED_OPTIMA = {
-    7: (0.7071067811867104, 0.912870929175449, 10.882796185403514, 1.0000000000000002),
-    8: (0.6887685484627878, 0.9053400055220081, 12.125699301835152, 0.9994765199809454),
+    7: (0.7071067811865467, 0.9128709291752753, 10.882796185405315, 1.0),
+    8: (0.688768548462302, 0.9053400055216684, 12.125699301840061, 0.9994765199809452),
 }
+
+
+def test_search_reaches_the_perfect_transfer_chain_at_n7():
+    opt = optimize_boundary(7)
+    assert abs(opt.delta1 - np.sqrt(0.5)) <= 1e-14
+    assert abs(opt.delta2 - np.sqrt(5 / 6)) <= 1e-14
+    assert abs(opt.amplitude - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_OPTIMA))
@@ -341,7 +372,7 @@ def test_refinement_takes_few_evaluations(monkeypatch):
 
     monkeypatch.setattr(chainopt, "first_maximum", spy)
     got = optimize_boundary(20)
-    assert 0 < len(scored) <= 20
+    assert 0 < len(scored) <= 8  # one evaluation per Newton step
     assert (got.delta1, got.delta2) in scored
     # the result is a fresh evaluation of the returned couplings
     spectral = spectral_for(20, got.delta1, got.delta2)
