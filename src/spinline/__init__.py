@@ -7,7 +7,7 @@ or probe the communication-line parameters (:mod:`receiver`,
 quantify robustness under random coupling errors (:mod:`disorder`).
 """
 
-from .basis import SenderState, sender_pairs, validate_sender_state
+from .basis import SenderState, sender_pairs
 from .chainopt import BoundaryOptimum, first_maximum, optimize_boundary
 from .disorder import param_statistics, sample_line_params, werner_robustness
 from .dynamics import SpectralData, diagonalize
@@ -34,7 +34,7 @@ from .receiver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SenderState", "sender_pairs", "validate_sender_state",
+    "SenderState", "sender_pairs",
     "ChainSpec", "apply_disorder", "hopping_matrix",
     "SpectralData", "diagonalize",
     "BoundaryOptimum", "first_maximum", "optimize_boundary",

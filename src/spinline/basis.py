@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError
-
-NORM_TOL = 1e-12
-
 
 def pair_list(n_nodes):
     """Ordered pairs (n, m) with 1 <= n < m <= n_nodes, lexicographic."""
@@ -83,20 +79,3 @@ class SenderState:
         double = rest[:n_pair] + 1j * rest[n_pair:]
         return cls(a0, single, double, n_sender)
 
-
-def validate_sender_state(state):
-    """Check normalization (to 1e-12) and realness of a0.
-
-    Raises
-    ------
-    NormalizationError
-        If the squared norm deviates from 1 by more than 1e-12.
-    ValueError
-        If a0 carries an imaginary part.
-    """
-    a0 = state.a0
-    if isinstance(a0, complex) and abs(a0.imag) > 0.0:
-        raise ValueError(f"a0 must be real, got {a0!r}")
-    deviation = abs(state.norm_squared - 1.0)
-    if deviation > NORM_TOL:
-        raise NormalizationError(deviation)

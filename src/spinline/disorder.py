@@ -9,10 +9,11 @@ values.  Statistics are collected over N_p independent chains.
 returns the whole sample as one stacked LineParams: the chains are
 processed in blocks of ``CHAIN_BLOCK``, each block one stacked ``eigh``,
 one stacked receiver block R and one stacked parameter evaluation, so
-memory stays flat in the number of chains.  The statistics
-(:func:`param_statistics`, :func:`werner_robustness`) are reductions over
-that stack; the robustness contracts one stacked receiver operator per
-block.
+memory stays flat in the number of chains; the blocks join by
+concatenating their ``entries``.  The statistics (:func:`param_statistics`,
+:func:`werner_robustness`) are reductions over that stack: the parameter
+statistics over the (n_chains, n_entries) ``entries``, the robustness
+through one stacked receiver operator per block.
 
 Standard deviation of a complex parameter is defined through |P - <P>|^2,
 the only convention that keeps sigma real; per-component (re, im) spreads
@@ -28,8 +29,7 @@ from .errors import NumericalError
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
 from .receiver import (
-    KINDS,
-    classify_families,
+    entry_families,
     line_params_at,
     param_index,
     receiver_operator,
@@ -79,8 +79,7 @@ def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_s
         except NumericalError as exc:
             exc.chain += block.start
             raise
-    return replace(blocks[0], **{kind: np.concatenate([getattr(b, kind) for b in blocks])
-                                 for kind in KINDS})
+    return replace(blocks[0], entries=np.concatenate([b.entries for b in blocks]))
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,7 @@ class DisorderStudy:
 def param_statistics(reference, sample):
     """Mean and deviation of every line parameter over the chains of the
     stacked ``sample``; ``reference`` holds those of the unperturbed chain."""
-    keys = [(kind, idx) for kind, idx, _ in param_index(reference.n_sender)]
-    ref_values = reference.values()
-    samples = sample.values()  # (n_chains, n_entries)
+    samples = sample.entries  # (n_chains, n_entries)
     n_chains = samples.shape[0]
     mean = samples.mean(axis=0)
     centered = samples - mean
@@ -126,17 +123,17 @@ def param_statistics(reference, sample):
     std = np.sqrt(np.sum(np.abs(centered) ** 2, axis=0) / (n_chains - 1))
     std_re = centered.real.std(axis=0, ddof=1)
     std_im = centered.imag.std(axis=0, ddof=1)
-    families = classify_families(reference).tags
+    families = entry_families(reference.n_sender).tolist()
     stats = {
         key: ParamStats(
             mean=complex(mean[j]),
             std=float(std[j]),
             std_re=float(std_re[j]),
             std_im=float(std_im[j]),
-            unperturbed=complex(ref_values[j]),
-            family=families[key],
+            unperturbed=complex(reference.entries[j]),
+            family=families[j],
         )
-        for j, key in enumerate(keys)
+        for j, key in enumerate(param_index(reference.n_sender))
     }
     return DisorderStudy(n_chains=n_chains, t0=reference.t0, stats=stats)
 
@@ -183,7 +180,7 @@ def werner_robustness(sample, controls):
 
 
 def export_param_stats_csv(study, path, header_lines=()):
-    """Fig-data export: (param_index, kind, indices, family, mean, shift, std)."""
+    """Fig-data export: (index, kind, indices, family, mean, shift, std)."""
     rows = []
     for j, ((kind, idx), s) in enumerate(study.stats.items()):
         shift = s.mean - s.unperturbed

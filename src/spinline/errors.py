@@ -20,17 +20,6 @@ class InputError(SpinlineError, ValueError):
     search box, a parameter table, a target state or a sender size."""
 
 
-class NormalizationError(SpinlineError, ValueError):
-    """Sender state violates the unit-norm constraint.
-
-    The offending deviation |norm - 1| is stored in ``deviation``.
-    """
-
-    def __init__(self, deviation, message=None):
-        self.deviation = float(deviation)
-        super().__init__(message or f"state norm deviates from 1 by {deviation:.3e}")
-
-
 class NumericalError(SpinlineError):
     """A numerical self-check failed: an eigendecomposition that does not
     reconstruct its matrix, a spectrum that is not +-paired, or a parameter

@@ -14,6 +14,10 @@ The Werner equations of different p share their forms and differ only in
 their values, so a list of p is one stacked solve (:func:`werner_controls`
 for the p of the paper's imperfection study); :func:`solve_werner` is its
 one-p case.
+
+:func:`zero_family_iii` truncates a parameter set to its families I and II
+with one mask over its ``entries``
+(:func:`~spinline.receiver.entry_families`).
 """
 
 import math
@@ -23,13 +27,7 @@ import numpy as np
 
 from .basis import SenderState
 from .errors import InfeasibleTargetError, InputError
-from .receiver import (
-    KINDS,
-    classify_families,
-    param_index,
-    receiver_operator,
-    receiver_rho,
-)
+from .receiver import density_deviations, entry_families, receiver_operator, receiver_rho
 
 WERNER_RESIDUAL_TOL = 1e-10
 FEASIBILITY_RESIDUAL_TOL = 1e-8
@@ -49,9 +47,7 @@ class TargetState:
             raise InputError(f"target must be 4x4, got {m.shape}")
         if not np.isfinite(m).all():
             raise InputError("target has a non-finite entry")
-        herm = np.max(np.abs(m - m.conj().T))
-        tr = abs(np.trace(m) - 1.0)
-        lo = np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+        herm, tr, lo = density_deviations(m)
         if herm > TARGET_TOL or tr > TARGET_TOL or lo < -TARGET_TOL:
             raise InputError(
                 f"not a density matrix (hermiticity {herm:.1e}, trace dev {tr:.1e}, "
@@ -496,11 +492,8 @@ def zero_family_iii(params):
     """Copy of the parameter set with every family-III entry set to zero.
 
     The small-magnitude approximation used when solving the inverse problem
-    against a simplified line description.
+    against a simplified line description.  A stacked set is truncated
+    chain by chain.
     """
-    tags = classify_families(params).tags
-    arrays = {kind: getattr(params, kind).copy() for kind in KINDS}
-    for kind, idx, pos in param_index(params.n_sender):
-        if tags[(kind, idx)] == "III":
-            arrays[kind][pos] = 0.0
-    return replace(params, **arrays)
+    return replace(params, entries=np.where(entry_families(params.n_sender) == "III", 0.0,
+                                            params.entries))

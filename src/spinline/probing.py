@@ -163,8 +163,8 @@ def extract_params(probe_outputs, t0, n_sender=4):
     P["P_mN"][a, b] = (s_plus - s_minus) / 2
     P["P_mN"][b, a] = (s_plus + s_minus) / 2
 
-    return LineParams(n_sender=n_sender, t0=float(t0), p_N=p_N, p_Nm1=p_Nm1, p_pair=p_pair,
-                      P_Nm1=P_Nm1, P_N=P_N, **P)
+    return LineParams.from_kinds(n_sender, t0, p_N=p_N, p_Nm1=p_Nm1, p_pair=p_pair,
+                                 P_Nm1=P_Nm1, P_N=P_N, **P)
 
 
 def probe_outputs_to_json(probe_outputs):

@@ -10,9 +10,16 @@ matrix is a quadratic form in the sender's control amplitudes, held as one
 operator (:func:`receiver_operator`) that every receiver matrix is
 contracted from.
 
+A :class:`LineParams` holds its constants as one complex array, its
+``entries``, in the order of :func:`param_index`: the eight kinds of
+:data:`KINDS` one after the other, each raveled row-major.  That layout is
+defined here once (:func:`_layout`); the kind arrays (``params.P_mm``, ...)
+are views into ``entries``, and every other module copies, stacks, masks
+or truncates parameter sets through ``entries`` alone.
+
 Every function here broadcasts over leading axes: a stack of spectra (see
 :func:`~spinline.dynamics.diagonalize`) gives one :class:`LineParams`
-whose arrays carry the stack axes in front, and a stack of parameter sets
+whose entries carry the stack axes in front, and a stack of parameter sets
 gives a stack of receiver operators.  A single chain is the case without
 leading axes.
 
@@ -22,6 +29,7 @@ Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 import cmath
 import csv
 import functools
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,61 +42,73 @@ SYMMETRY_TOL = 1e-12
 RECEIVER_TOL = 1e-10  # Hermiticity and trace of a receiver matrix
 RECEIVER_PSD_TOL = 1e-9  # its least eigenvalue
 
-# parameter kinds, in canonical export order
-KINDS = ("p_N", "p_Nm1", "p_pair", "P_Nm1", "P_N", "P_mm", "P_mN", "P_NN")
+# parameter kinds, in canonical export order, each with the axes it runs
+# over: sender nodes k = 1..n_sender or sender pairs (nm) in the order of
+# sender_pairs
+KINDS = {"p_N": ("node",), "p_Nm1": ("node",), "p_pair": ("pair",),
+         "P_Nm1": ("node", "pair"), "P_N": ("node", "pair"),
+         "P_mm": ("pair", "pair"), "P_mN": ("pair", "pair"), "P_NN": ("pair", "pair")}
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(n_sender):
+    """Each kind's (shape, slice of the entries, 1-based labels), canonical order.
+
+    The one definition of the parameter layout: a kind's entries are its
+    array raveled row-major, and the kinds follow each other in the order
+    of :data:`KINDS`.  A label joins the 1-based labels of the kind's axes,
+    so ``P_mN`` entry ((kl), (nm)) is labelled (k, l, n, m).
+    """
+    labels = {"node": [(k,) for k in range(1, n_sender + 1)], "pair": sender_pairs(n_sender)}
+    table, start = {}, 0
+    for kind, axes in KINDS.items():
+        idx = [sum(combo, ()) for combo in itertools.product(*(labels[a] for a in axes))]
+        table[kind] = (tuple(len(labels[a]) for a in axes), slice(start, start + len(idx)), idx)
+        start += len(idx)
+    return table
 
 
 @functools.lru_cache(maxsize=8)
 def param_index(n_sender):
-    """Every entry as (kind, 1-based indices, array position), canonical order.
-
-    The one definition of the parameter index: iteration, lookup, CSV
-    import and truncation all go through it.
-    """
-    pairs = sender_pairs(n_sender)
-    index = [(kind, (k + 1,), (k,)) for kind in ("p_N", "p_Nm1") for k in range(n_sender)]
-    index += [("p_pair", nm, (s,)) for s, nm in enumerate(pairs)]
-    index += [
-        (kind, (k + 1, *nm), (k, s))
-        for kind in ("P_Nm1", "P_N")
-        for k in range(n_sender)
-        for s, nm in enumerate(pairs)
-    ]
-    index += [
-        (kind, kl + nm, (a, b))
-        for kind in ("P_mm", "P_mN", "P_NN")
-        for a, kl in enumerate(pairs)
-        for b, nm in enumerate(pairs)
-    ]
-    return tuple(index)
+    """Every entry as (kind, 1-based indices); entry j sits at ``entries[..., j]``."""
+    return tuple((kind, idx) for kind, (_, _, labels) in _layout(n_sender).items()
+                 for idx in labels)
 
 
 @functools.lru_cache(maxsize=8)
 def _positions(n_sender):
-    return {(kind, idx): pos for kind, idx, pos in param_index(n_sender)}
+    return {key: j for j, key in enumerate(param_index(n_sender))}
 
 
 @dataclass(frozen=True)
 class LineParams:
     """The chain/time-dependent constants feeding the receiver state.
 
-    Vectors are indexed by sender node (k = 1..n_sender) or sender pair in
-    the order of :func:`sender_pairs`; matrices by (pair, pair) or
-    (node, pair).  ``P_mm`` and ``P_NN`` are Hermitian in the pair indices.
-    A stack of chains puts its axes in front of every array (``shape``);
-    ``params[i]`` selects chains of the stack.
+    ``entries`` holds every constant in the order of :func:`param_index`,
+    shape (..., n_entries).  Each kind reads as an attribute (``params.P_mm``),
+    a view into ``entries``: vectors are indexed by sender node (k =
+    1..n_sender) or sender pair in the order of :func:`sender_pairs`;
+    matrices by (pair, pair) or (node, pair).  ``P_mm`` and ``P_NN`` are
+    Hermitian in the pair indices.  A stack of chains puts its axes in
+    front (``shape``); ``params[i]`` selects chains of the stack.
     """
 
     n_sender: int
     t0: float
-    p_N: np.ndarray = field(repr=False)
-    p_Nm1: np.ndarray = field(repr=False)
-    p_pair: np.ndarray = field(repr=False)
-    P_Nm1: np.ndarray = field(repr=False)
-    P_N: np.ndarray = field(repr=False)
-    P_mm: np.ndarray = field(repr=False)
-    P_mN: np.ndarray = field(repr=False)
-    P_NN: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_kinds(cls, n_sender, t0, **kinds):
+        """The set of one array per kind, each (..., *shape of the kind)."""
+        stack = np.shape(kinds["p_N"])[:-1]
+        return cls(n_sender=n_sender, t0=float(t0), entries=np.concatenate(
+            [np.reshape(kinds[kind], stack + (-1,)) for kind in KINDS], axis=-1, dtype=complex))
+
+    def __getattr__(self, kind):
+        if kind not in KINDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {kind!r}")
+        shape, span, _ = _layout(self.n_sender)[kind]
+        return self.entries[..., span].reshape(self.shape + shape)
 
     @property
     def pairs(self):
@@ -97,34 +117,24 @@ class LineParams:
     @property
     def shape(self):
         """The stack axes: () for a single chain, (B,) for B chains."""
-        return self.p_N.shape[:-1]
+        return self.entries.shape[:-1]
 
     def __getitem__(self, chains):
         """The parameter sets of ``chains``, an index into the stack axes."""
-        return replace(self, **{kind: getattr(self, kind)[chains] for kind in KINDS})
-
-    def _entry(self, kind, pos):
-        # a scalar for a single chain, one value per chain for a stack
-        array = getattr(self, kind)
-        return array[pos] if array.ndim == len(pos) else array[(..., *pos)]
+        return replace(self, entries=self.entries[chains])
 
     def items(self):
         """Yield (kind, indices, value) over all entries, canonical order."""
-        for kind, idx, pos in param_index(self.n_sender):
-            yield kind, idx, self._entry(kind, pos)
-
-    def values(self):
-        """Every entry in the order of :func:`param_index`, shape (..., n_entries)."""
-        return np.stack([self._entry(kind, pos) for kind, _, pos in param_index(self.n_sender)],
-                        axis=-1)
+        by_entry = np.moveaxis(self.entries, -1, 0)
+        return ((kind, idx, value) for (kind, idx), value in zip(param_index(self.n_sender), by_entry))
 
     def get(self, kind, indices):
         """Single entry lookup by (kind, 1-based index tuple)."""
-        return self._entry(kind, _positions(self.n_sender)[(kind, tuple(indices))])
+        return np.moveaxis(self.entries, -1, 0)[_positions(self.n_sender)[(kind, tuple(indices))]]
 
     @property
     def n_entries(self):
-        return len(param_index(self.n_sender))
+        return self.entries.shape[-1]
 
 
 def line_params_at(spectral, t, n_sender=4):
@@ -170,9 +180,8 @@ def line_params_at(spectral, t, n_sender=4):
              * Rn[..., [0, 0, 1], :, None, :, None] * Rcn[..., [0, 1, 1], None, :, None, :])
     PP = (terms[..., 0, 0, :, :] - terms[..., 0, 1, :, :]
           - terms[..., 1, 0, :, :] + terms[..., 1, 1, :, :])
-    params = LineParams(
-        n_sender=n_sender,
-        t0=float(t),
+    params = LineParams.from_kinds(
+        n_sender, t,
         p_N=R[..., 1, :],
         p_Nm1=R[..., 0, :],
         p_pair=R[..., 0, i] * R[..., 1, j] - R[..., 0, j] * R[..., 1, i],
@@ -196,16 +205,22 @@ class ReceiverState:
     rho: np.ndarray = field(repr=False)
 
     def validate(self):
-        herm = np.max(np.abs(self.rho - self.rho.conj().T))
+        herm, tr, lo = density_deviations(self.rho)
         if herm > RECEIVER_TOL:
             raise NumericalError(f"receiver matrix not Hermitian: {herm:.3e}")
-        tr = abs(np.trace(self.rho) - 1.0)
         if tr > RECEIVER_TOL:
             raise NumericalError(f"receiver trace off by {tr:.3e}")
-        lo = np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)))
         if lo < -RECEIVER_PSD_TOL:
             raise NumericalError(f"receiver matrix not PSD: min eigenvalue {lo:.3e}")
         return self
+
+
+def density_deviations(m):
+    """How far the 4x4 matrix m is from a density matrix: its largest
+    deviation from Hermiticity, that of its trace from 1, and its least
+    eigenvalue (of the Hermitian part)."""
+    return (np.max(np.abs(m - m.conj().T)), abs(np.trace(m) - 1.0),
+            np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
 
 
 def receiver_operator(params):
@@ -307,6 +322,17 @@ FAMILY_II = (
 )
 
 
+@functools.lru_cache(maxsize=8)
+def entry_families(n_sender):
+    """The family ("I", "II" or "III") of each entry, in the order of
+    :func:`param_index`, as a read-only array."""
+    fam1, fam2 = set(FAMILY_I), set(FAMILY_II)
+    tags = np.array(["I" if key in fam1 else "II" if key in fam2 else "III"
+                     for key in param_index(n_sender)])
+    tags.flags.writeable = False
+    return tags
+
+
 @dataclass(frozen=True)
 class FamilyClassification:
     """Per-entry family tags plus the magnitude window of each family."""
@@ -320,19 +346,12 @@ class FamilyClassification:
 
 def classify_families(params):
     """Tag every entry I/II/III and report min/max magnitude per family."""
-    fam1 = set(FAMILY_I)
-    fam2 = set(FAMILY_II)
-    tags = {}
-    mags = {"I": [], "II": [], "III": []}
-    for kind, idx, value in params.items():
-        key = (kind, idx)
-        tag = "I" if key in fam1 else "II" if key in fam2 else "III"
-        tags[key] = tag
-        mags[tag].append(abs(value))
-    ranges = {
-        fam: (float(min(v)), float(max(v))) for fam, v in mags.items() if v
-    }
-    return FamilyClassification(tags=tags, magnitude_ranges=ranges)
+    families = entry_families(params.n_sender)
+    mags = np.abs(params.entries)
+    ranges = {fam: (float(m.min()), float(m.max()))
+              for fam in ("I", "II", "III") if (m := mags[families == fam]).size}
+    return FamilyClassification(tags=dict(zip(param_index(params.n_sender), families.tolist())),
+                                magnitude_ranges=ranges)
 
 
 def write_table(path, comments, columns, rows):
@@ -349,11 +368,11 @@ def write_table(path, comments, columns, rows):
 
 def export_params_csv(params, path, header_lines=()):
     """Write the (kind, indices, re, im, family) rows after a last ``# t0`` comment line."""
-    tags = classify_families(params).tags
     write_table(path, [*header_lines, f"t0: {params.t0!r}"],
                 ["kind", "indices", "re", "im", "family"],
-                ([kind, ";".join(map(str, idx)), value.real, value.imag, tags[(kind, idx)]]
-                 for kind, idx, value in params.items()))
+                ([kind, ";".join(map(str, idx)), value.real, value.imag, family]
+                 for (kind, idx, value), family
+                 in zip(params.items(), entry_families(params.n_sender).tolist())))
 
 
 def import_params_csv(path):
@@ -390,19 +409,14 @@ def import_params_csv(path):
     n_sender = max((i[0] for k, i in entries if k == "p_N"), default=0)
     if n_sender < 2:
         raise InputError(f"{path}: no p_N entries to fix the sender size")
-    positions = _positions(n_sender)
-    missing = [k for k in positions if k not in entries]
-    unknown = [k for k in entries if k not in positions]
+    index = param_index(n_sender)
+    missing = [k for k in index if k not in entries]
+    unknown = [k for k in entries if k not in _positions(n_sender)]
     if missing or unknown:
         bad = missing or unknown
         raise InputError(
             f"{path}: {len(missing)} entries missing and {len(unknown)} unknown for "
             f"a {n_sender}-node sender, e.g. {bad[0][0]};{';'.join(map(str, bad[0][1]))}"
         )
-    n_pairs = len(sender_pairs(n_sender))
-    shapes = {"p_N": (n_sender,), "p_Nm1": (n_sender,), "p_pair": (n_pairs,),
-              "P_Nm1": (n_sender, n_pairs), "P_N": (n_sender, n_pairs)}
-    arrays = {kind: np.zeros(shapes.get(kind, (n_pairs, n_pairs)), complex) for kind in KINDS}
-    for (kind, indices), pos in positions.items():
-        arrays[kind][pos] = entries[(kind, indices)]
-    return LineParams(n_sender=n_sender, t0=t0, **arrays)
+    return LineParams(n_sender=n_sender, t0=t0,
+                      entries=np.array([entries[key] for key in index], complex))

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from spinline.basis import (
-    SenderState,
-    pair_list,
-    sender_pairs,
-    validate_sender_state,
-)
-from spinline.errors import ChainLengthError, NormalizationError
+from spinline.basis import SenderState, pair_list, sender_pairs
+from spinline.errors import ChainLengthError
 from spinline.hamiltonian import ChainSpec
 
 
@@ -42,25 +37,10 @@ def test_sender_pairs_default():
 
 
 def test_vacuum_and_single_pair_states_validate():
-    validate_sender_state(SenderState.vacuum())
+    assert SenderState.vacuum().norm_squared == 1.0
     a2 = np.zeros(6, complex)
     a2[0] = 1.0
-    validate_sender_state(SenderState.from_double(a2))
-
-
-def test_norm_violation_reports_deviation():
-    a1 = np.zeros(4, complex)
-    a1[0] = 0.8
-    state = SenderState(0.8, a1, np.zeros(6, complex))
-    with pytest.raises(NormalizationError) as err:
-        validate_sender_state(state)
-    assert err.value.deviation == pytest.approx(0.28, abs=1e-12)
-
-
-def test_complex_a0_rejected():
-    state = SenderState(complex(0.5, 0.5), np.zeros(4, complex), np.zeros(6, complex))
-    with pytest.raises(ValueError, match="a0 must be real"):
-        validate_sender_state(state)
+    assert SenderState.from_double(a2).norm_squared == 1.0
 
 
 def test_wrong_amplitude_count_rejected():
@@ -73,7 +53,7 @@ def test_real_parameter_count(rng):
     state = SenderState.random(rng)
     n_real = 1 + 2 * state.a_single.size + 2 * state.a_double.size
     assert n_real == 21
-    validate_sender_state(state)
+    assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_states_normalized(rng):

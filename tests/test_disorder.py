@@ -14,7 +14,7 @@ from spinline.disorder import (
 )
 from spinline.errors import InputError, NumericalError
 from spinline.hamiltonian import ChainSpec
-from spinline.receiver import KINDS, receiver_operator, receiver_rho
+from spinline.receiver import KINDS, param_index, receiver_operator, receiver_rho
 from spinline.verification import sample_chain
 
 
@@ -86,7 +86,7 @@ def test_sample_prefix_is_stable(base20, tuned20_params):
     short = sample(base20, tuned20_params.t0, 0.05, 3, 4)
     long = sample(base20, tuned20_params.t0, 0.05, 5, 4)
     assert long.shape == (5,)
-    assert np.array_equal(long.values()[:3], short.values())
+    assert np.array_equal(long.entries[:3], short.entries)
 
 
 @pytest.mark.parametrize("n, n_sender, n_chains", [
@@ -104,13 +104,15 @@ def test_stacked_sample_matches_per_chain_oracle(n, n_sender, n_chains):
         oracle = sl.line_params_at(sl.diagonalize(chain), t0, n_sender)
         for kind in KINDS:
             assert np.array_equal(getattr(stacked, kind)[i], getattr(oracle, kind)), (i, kind)
-        assert np.array_equal(stacked[i].values(), oracle.values())
+        assert np.array_equal(stacked[i].entries, oracle.entries)
 
 
 def test_values_follow_param_index(tuned20_params):
-    values = tuned20_params.values()
-    assert values.shape == (tuned20_params.n_entries,)
-    assert list(values) == [v for _, _, v in tuned20_params.items()]
+    entries = tuned20_params.entries
+    assert entries.shape == (tuned20_params.n_entries,)
+    assert list(entries) == [v for _, _, v in tuned20_params.items()]
+    for j, key in enumerate(param_index(tuned20_params.n_sender)):
+        assert tuned20_params.get(*key) == entries[j]
 
 
 def test_stacked_robustness_matches_per_chain_oracle(monkeypatch, base20, tuned20_params,

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from spinline import benchmarks as bm
 from spinline import inverse, verification
 from spinline.basis import SenderState
 from spinline.errors import InfeasibleTargetError, InputError
+from spinline.hamiltonian import ChainSpec
 from spinline.inverse import TargetState, discrepancy, werner_target, zero_family_iii
-from spinline.receiver import receiver_operator
+from spinline.receiver import FAMILY_I, FAMILY_II, param_index, receiver_operator
 
 
 def test_werner_matrix_structure():
@@ -433,6 +435,29 @@ def test_zeroed_family_iii_effect(tuned20_params):
     rho = sl.assemble_rho(tuned20_params, sol.controls)
     delta = discrepancy(rho, werner_target(0.8))
     assert 5e-3 <= delta <= 2e-2
+
+
+@pytest.mark.parametrize("n_sender", [3, 4, 5])
+def test_zero_family_iii_zeroes_exactly_family_iii(n_sender):
+    # a stack of two sets whose every entry is nonzero
+    shaped = sl.line_params_at(sl.diagonalize(ChainSpec.uniform(9)), 7.0, n_sender)
+    rng = np.random.default_rng(n_sender)
+    entries = rng.uniform(0.5, 1.0, (2, shaped.n_entries)) * np.exp(2j * np.pi * rng.random())
+    params = replace(shaped, entries=entries)
+    truncated = zero_family_iii(params)
+    assert truncated.shape == (2,)
+    assert np.array_equal(params.entries, entries)  # the input is left alone
+    kept = set(FAMILY_I) | set(FAMILY_II)
+    n_zeroed = 0
+    for (kind, idx, old), (_, _, new) in zip(params.items(), truncated.items()):
+        if (kind, idx) in kept:
+            assert new.tobytes() == old.tobytes(), (kind, idx)
+        else:
+            assert np.all(new == 0.0), (kind, idx)
+            n_zeroed += 1
+    assert n_zeroed == len(param_index(n_sender)) - len(kept & set(param_index(n_sender)))
+    if n_sender == 4:
+        assert n_zeroed == 143
 
 
 def test_solve_general_vacuum_target(tuned20_params):

@@ -122,7 +122,7 @@ def test_no_probes_leave_every_part_undetermined():
         extract_params([], 1.0)
     undetermined = err.value.undetermined
     assert len(set(undetermined)) == len(undetermined) == 176
-    entries = {(kind, idx) for kind, idx, _ in param_index(4)}
+    entries = set(param_index(4))
     assert {(kind, idx) for kind, idx, _ in undetermined} <= entries
 
 

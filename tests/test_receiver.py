@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spinline as sl
-from spinline.basis import SenderState
+from spinline.basis import SenderState, sender_pairs
 from spinline.errors import NumericalError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.receiver import (
     FAMILY_I,
     FAMILY_II,
     KINDS,
+    LineParams,
     ReceiverState,
     export_params_csv,
     import_params_csv,
+    param_index,
     write_table,
 )
 from spinline.verification import partial_trace_oracle
@@ -31,6 +33,70 @@ def test_entry_census(tuned20_params):
         "p_N": 4, "p_Nm1": 4, "p_pair": 6,
         "P_Nm1": 24, "P_N": 24, "P_mm": 36, "P_mN": 36, "P_NN": 36,
     }
+
+
+def _chains(n_sender, n_chains=3):
+    """Line parameters of a few disordered 9-node chains, stacked and one by one."""
+    base = ChainSpec(n_nodes=9, delta1=0.6, delta2=0.85)
+    deltas = np.random.default_rng(n_sender).uniform(-1, 1, (n_chains, base.bulk.size))
+    stacked = sl.line_params_at(sl.diagonalize(apply_disorder(base, 0.1, deltas)), 7.0, n_sender)
+    singles = [sl.line_params_at(sl.diagonalize(apply_disorder(base, 0.1, d)), 7.0, n_sender)
+               for d in deltas]
+    return stacked, singles
+
+
+def _array_index(kind, idx, n_sender):
+    # 1-based labels to array indices, spelled out per kind
+    pair = sender_pairs(n_sender).index
+    if kind in ("p_N", "p_Nm1"):
+        return (idx[0] - 1,)
+    if kind == "p_pair":
+        return (pair(idx),)
+    if kind in ("P_Nm1", "P_N"):
+        return (idx[0] - 1, pair(idx[1:]))
+    return (pair(idx[:2]), pair(idx[2:]))
+
+
+@pytest.mark.parametrize("n_sender", [3, 4, 5])
+def test_kind_views_are_entries_at_param_index_positions(n_sender):
+    params, _ = _chains(n_sender)
+    n_pairs = len(sender_pairs(n_sender))
+    assert params.entries.shape == (3, 2 * n_sender + n_pairs + 2 * n_sender * n_pairs
+                                    + 3 * n_pairs ** 2)
+    for kind in KINDS:
+        view = getattr(params, kind)
+        assert np.shares_memory(view, params.entries), kind
+        assert view.shape[0] == 3
+    for j, (kind, idx) in enumerate(param_index(n_sender)):
+        view = getattr(params, kind)
+        assert np.array_equal(view[(slice(None), *_array_index(kind, idx, n_sender))],
+                              params.entries[:, j]), (kind, idx)
+
+
+@pytest.mark.parametrize("n_sender", [3, 4, 5])
+def test_from_kinds_round_trips_the_kind_arrays(n_sender):
+    params, _ = _chains(n_sender)
+    rng = np.random.default_rng(5)
+    kinds = {kind: rng.standard_normal(getattr(params, kind).shape)
+             + 1j * rng.standard_normal(getattr(params, kind).shape) for kind in KINDS}
+    built = LineParams.from_kinds(n_sender, 2.5, **kinds)
+    assert (built.n_sender, built.t0, built.shape) == (n_sender, 2.5, (3,))
+    for kind in KINDS:
+        assert np.array_equal(getattr(built, kind), kinds[kind]), kind
+    again = LineParams.from_kinds(n_sender, params.t0,
+                                  **{kind: getattr(params, kind) for kind in KINDS})
+    assert np.array_equal(again.entries, params.entries)
+
+
+@pytest.mark.parametrize("n_sender", [3, 4, 5])
+def test_stack_index_is_the_single_chain_set(n_sender):
+    stacked, singles = _chains(n_sender)
+    for i, single in enumerate(singles):
+        chain = stacked[i]
+        assert (chain.n_sender, chain.t0, chain.shape) == (single.n_sender, single.t0, ())
+        assert np.array_equal(chain.entries, single.entries), i
+        for kind in KINDS:
+            assert np.array_equal(getattr(chain, kind), getattr(single, kind)), (i, kind)
 
 
 def test_pair_exchange_symmetry(tuned20_params):
@@ -168,8 +234,7 @@ def random_line_params(draw):
     return replace(
         shaped,
         t0=draw(st.floats(0.0, 1e3)),
-        **{kind: draw(arrays(complex, getattr(shaped, kind).shape, elements=entries))
-           for kind in KINDS},
+        entries=draw(arrays(complex, shaped.entries.shape, elements=entries)),
     )
 
 
@@ -184,6 +249,6 @@ def test_csv_round_trip_of_random_params(tmp_path_factory, params):
     assert (loaded.n_sender, loaded.t0) == (params.n_sender, params.t0)
     # .12e keeps 13 significant digits: half a unit of the 13th, plus the
     # rounding of the decimal back to binary
-    want, got = params.values(), loaded.values()
+    want, got = params.entries, loaded.entries
     for part in (np.real, np.imag):
         np.testing.assert_allclose(part(got), part(want), rtol=5.01e-13, atol=0)
