@@ -64,7 +64,13 @@ from .probing import (
     probe_set,
     simulate_probes,
 )
-from .receiver import export_params_csv, import_params_csv, line_params_at
+from .receiver import (
+    entry_families,
+    export_params_csv,
+    import_params_csv,
+    line_params_at,
+    param_index,
+)
 from .verification import (
     check_boundary_optimization,
     check_disorder,
@@ -436,26 +442,21 @@ def run_disorder_study(config):
     study = param_statistics(params, sample)
     # rows stop at the first Werner p the line cannot create; the rest are listed
     controls = {p: sol.controls for p, sol in werner_controls(params, seed=seed).items()}
-    points = werner_robustness(sample, controls)
+    robustness = werner_robustness(sample, controls)
     result = {
         "epsilon": epsilon,
         "chains": n_chains,
         "param_stats": {
             f"{kind};{';'.join(map(str, idx))}": {
-                "family": s.family,
-                "mean": [s.mean.real, s.mean.imag],
-                "std": s.std,
-                "shift": [
-                    (s.mean - s.unperturbed).real,
-                    (s.mean - s.unperturbed).imag,
-                ],
+                "family": family, "mean": [mean.real, mean.imag], "std": std,
+                "shift": [shift.real, shift.imag],
             }
-            for (kind, idx), s in study.stats.items()
+            for (kind, idx), family, mean, std, shift in zip(
+                param_index(params.n_sender), entry_families(params.n_sender).tolist(),
+                study.mean.tolist(), study.std.tolist(), study.shift.tolist())
         },
-        "werner_robustness": [
-            {"p": pt.p, "mean_delta": pt.mean, "std_delta": pt.std, "sem": pt.sem}
-            for pt in points
-        ],
+        "werner_robustness": [dict(zip(("p", "mean_delta", "std_delta", "sem"), row))
+                              for row in np.column_stack(robustness).tolist()],
         "werner_skipped_p": [p for p in WERNER_P if p not in controls],
     }
     _emit_json(config, result, config["out"])
@@ -463,7 +464,7 @@ def run_disorder_study(config):
         export_param_stats_csv(study, config["params_csv"],
                                header_lines=_provenance(config))
     if config.get("robustness_csv"):
-        export_robustness_csv(points, config["robustness_csv"],
+        export_robustness_csv(robustness, config["robustness_csv"],
                               header_lines=_provenance(config))
     print(f"wrote disorder study to {config['out']}")
     return EXIT_OK

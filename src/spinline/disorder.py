@@ -10,16 +10,21 @@ returns the whole sample as one stacked LineParams: the chains are
 processed in blocks of ``CHAIN_BLOCK``, each block one stacked ``eigh``,
 one stacked receiver block R and one stacked parameter evaluation, so
 memory stays flat in the number of chains; the blocks join by
-concatenating their ``entries``.  The statistics (:func:`param_statistics`,
-:func:`werner_robustness`) are reductions over that stack: the parameter
-statistics over the (n_chains, n_entries) ``entries``, the robustness
-through one stacked receiver operator per block.
+concatenating their ``entries``.  The statistics are reductions over that
+stack, and each is an array.  :func:`param_statistics` reduces the
+(n_chains, n_entries) ``entries`` to a :class:`DisorderStudy` whose
+``mean``, ``std`` and ``shift`` hold one value per entry, in the order of
+:func:`param_index`; :func:`werner_robustness` contracts one stacked
+receiver operator per block with the controls and returns a
+:class:`Robustness` with one value per Werner p, in the order of the
+controls.  Labels come from :func:`param_index` and :func:`entry_families`.
 
 Standard deviation of a complex parameter is defined through |P - <P>|^2,
 the only convention that keeps sigma real; per-component (re, im) spreads
 are stored alongside for error-bar plots.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +34,7 @@ from .errors import NumericalError
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
 from .receiver import (
+    LineParams,
     entry_families,
     line_params_at,
     param_index,
@@ -83,29 +89,21 @@ def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_s
 
 
 @dataclass(frozen=True)
-class ParamStats:
-    """Per-entry statistics of the parameter set across sampled chains."""
-
-    mean: complex
-    std: float
-    std_re: float
-    std_im: float
-    unperturbed: complex
-    family: str
-
-
-@dataclass(frozen=True)
 class DisorderStudy:
-    """Distribution of the line parameters over random chains."""
+    """Distribution of the line parameters over random chains: each array
+    holds one value per entry, in the order of :func:`param_index`."""
 
     n_chains: int
-    t0: float
-    stats: dict = field(repr=False)  # (kind, indices) -> ParamStats
+    reference: LineParams = field(repr=False)  # the unperturbed chain
+    mean: np.ndarray = field(repr=False)
+    std: np.ndarray = field(repr=False)
+    std_re: np.ndarray = field(repr=False)
+    std_im: np.ndarray = field(repr=False)
 
-    def shift(self, key):
+    @property
+    def shift(self):
         """Mean minus unperturbed value, the quantity plotted per family."""
-        s = self.stats[key]
-        return s.mean - s.unperturbed
+        return self.mean - self.reference.entries
 
 
 def param_statistics(reference, sample):
@@ -120,32 +118,16 @@ def param_statistics(reference, sample):
     constant = np.all(samples == samples[:1], axis=0)
     centered[:, constant] = 0.0
     mean[constant] = samples[0, constant]
-    std = np.sqrt(np.sum(np.abs(centered) ** 2, axis=0) / (n_chains - 1))
-    std_re = centered.real.std(axis=0, ddof=1)
-    std_im = centered.imag.std(axis=0, ddof=1)
-    families = entry_families(reference.n_sender).tolist()
-    stats = {
-        key: ParamStats(
-            mean=complex(mean[j]),
-            std=float(std[j]),
-            std_re=float(std_re[j]),
-            std_im=float(std_im[j]),
-            unperturbed=complex(reference.entries[j]),
-            family=families[j],
-        )
-        for j, key in enumerate(param_index(reference.n_sender))
-    }
-    return DisorderStudy(n_chains=n_chains, t0=reference.t0, stats=stats)
+    return DisorderStudy(
+        n_chains=n_chains, reference=reference, mean=mean,
+        std=np.sqrt(np.sum(np.abs(centered) ** 2, axis=0) / (n_chains - 1)),
+        std_re=centered.real.std(axis=0, ddof=1), std_im=centered.imag.std(axis=0, ddof=1),
+    )
 
 
-@dataclass(frozen=True)
-class RobustnessPoint:
-    """Discrepancy statistics for one Werner parameter."""
-
-    p: float
-    mean: float
-    std: float
-    sem: float
+# discrepancy statistics over the sampled chains, each an array with one
+# value per Werner parameter p
+Robustness = namedtuple("Robustness", "p mean std sem")
 
 
 def werner_robustness(sample, controls):
@@ -155,8 +137,8 @@ def werner_robustness(sample, controls):
     the unperturbed chain.  On each chain of the stacked ``sample`` the
     controls are sent as-is and the created state is compared to the exact
     Werner target: one stacked receiver operator per block of chains,
-    contracted with every control at once.  Returns a list of
-    RobustnessPoint ordered like ``controls``.
+    contracted with every control at once.  Returns the Robustness arrays
+    in the order of ``controls``.
     """
     if not controls:
         raise ValueError("controls table is empty")
@@ -167,31 +149,26 @@ def werner_robustness(sample, controls):
         discrepancy(receiver_rho(receiver_operator(sample[block]), x), targets)
         for block in _blocks(n_chains)
     ])
-    mean = deltas.mean(axis=0)
     # centred on the first chain, so identical chains give exactly zero spread
     std = (deltas - deltas[0]).std(axis=0, ddof=1)
-    return [
-        RobustnessPoint(
-            p=float(p), mean=float(mean[j]), std=float(std[j]),
-            sem=float(std[j] / np.sqrt(n_chains)),
-        )
-        for j, p in enumerate(controls)
-    ]
+    return Robustness(np.array(list(controls), float), deltas.mean(axis=0), std,
+                      std / np.sqrt(n_chains))
 
 
 def export_param_stats_csv(study, path, header_lines=()):
     """Fig-data export: (index, kind, indices, family, mean, shift, std)."""
-    rows = []
-    for j, ((kind, idx), s) in enumerate(study.stats.items()):
-        shift = s.mean - s.unperturbed
-        rows.append([j, kind, ";".join(map(str, idx)), s.family, s.mean.real, s.mean.imag,
-                     s.std, s.std_re, s.std_im, shift.real, shift.imag, abs(shift)])
+    n_sender, mean, shift = study.reference.n_sender, study.mean, study.shift
+    columns = zip(param_index(n_sender), entry_families(n_sender).tolist(), mean.real,
+                  mean.imag, study.std, study.std_re, study.std_im, shift.real, shift.imag,
+                  np.abs(shift))
     write_table(path, header_lines,
                 ["index", "kind", "indices", "family", "mean_re", "mean_im", "std", "std_re",
-                 "std_im", "shift_re", "shift_im", "shift_abs"], rows)
+                 "std_im", "shift_re", "shift_im", "shift_abs"],
+                ([j, kind, ";".join(map(str, idx)), *values]
+                 for j, ((kind, idx), *values) in enumerate(columns)))
 
 
-def export_robustness_csv(points, path, header_lines=()):
+def export_robustness_csv(robustness, path, header_lines=()):
     """Fig-data export: (p, mean_delta, std_delta, sem_delta)."""
     write_table(path, header_lines, ["p", "mean_delta", "std_delta", "sem_delta"],
-                ([pt.p, pt.mean, pt.std, pt.sem] for pt in points))
+                zip(*robustness))

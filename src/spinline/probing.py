@@ -86,27 +86,29 @@ def _determines(probe):
     return [(kind, i, part) for kind in ("P_mm", "P_NN", "P_mN")] + [("P_mN", i[2:] + i[:2], part)]
 
 
-def simulate_probes(params, n_sender=4):
-    """Receiver outputs for the full probe set on a line with known params."""
-    probes = probe_set(n_sender)
-    x = np.array([probe.to_sender_state(n_sender).vector for probe in probes])
+def simulate_probes(params):
+    """Receiver outputs for the full probe set on a line with known params;
+    InputError unless the line has a four-node sender."""
+    probes = probe_set(params.n_sender)
+    x = np.array([probe.to_sender_state().vector for probe in probes])
     rho = receiver_rho(receiver_operator(params), x)
     return [(probe, ReceiverState(rho=r)) for probe, r in zip(probes, rho)]
 
 
-def extract_params(probe_outputs, t0, n_sender=4):
+def extract_params(probe_outputs, t0):
     """Invert the probe outputs into the full parameter set.
 
     ``probe_outputs`` is a list of (ProbeState, ReceiverState) covering
     :func:`probe_set` in any order, registered at time ``t0`` (the outputs
     do not carry it).  The receiver matrices are stacked in ``probe_set``
     order, and each stage reads its block of that stack as arrays.  Raises
-    InputError unless ``n_sender`` is 4 or naming the first probe that is
-    not in :func:`probe_set` or appears twice, ExtractionError listing the
-    parts that the missing probes would fix, in ``probe_set`` order, and
-    ConditioningError when the reference amplitude of stage 2 vanishes.
+    InputError naming the first probe that is not in :func:`probe_set` or
+    appears twice, ExtractionError listing the parts that the missing
+    probes would fix, in ``probe_set`` order, and ConditioningError when
+    the reference amplitude of stage 2 vanishes.
     """
-    probes = probe_set(n_sender)
+    probes = probe_set()
+    n_sender = sum(p.kind == "single" for p in probes)  # one single probe per sender node
     known, by_probe = set(probes), {}
     for p, r in probe_outputs:
         if p not in known or p in by_probe:
@@ -163,7 +165,7 @@ def extract_params(probe_outputs, t0, n_sender=4):
     P["P_mN"][a, b] = (s_plus - s_minus) / 2
     P["P_mN"][b, a] = (s_plus + s_minus) / 2
 
-    return LineParams.from_kinds(n_sender, t0, p_N=p_N, p_Nm1=p_Nm1, p_pair=p_pair,
+    return LineParams.from_kinds(t0, p_N=p_N, p_Nm1=p_Nm1, p_pair=p_pair,
                                  P_Nm1=P_Nm1, P_N=P_N, **P)
 
 

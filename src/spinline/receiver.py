@@ -80,6 +80,19 @@ def _positions(n_sender):
     return {key: j for j, key in enumerate(param_index(n_sender))}
 
 
+@functools.lru_cache(maxsize=8)
+def _sender_size(n_entries):
+    """The sender size whose layout has ``n_entries`` entries: two node
+    vectors and p_pair, two (node, pair) and three (pair, pair) matrices."""
+    for n_sender in itertools.count(2):
+        n_pairs = n_sender * (n_sender - 1) // 2
+        if (count := 2 * n_sender + n_pairs * (1 + 2 * n_sender + 3 * n_pairs)) >= n_entries:
+            break
+    if count != n_entries:
+        raise SizeMismatchError(f"{n_entries} parameter entries fit no sender size")
+    return n_sender
+
+
 @dataclass(frozen=True)
 class LineParams:
     """The chain/time-dependent constants feeding the receiver state.
@@ -90,18 +103,22 @@ class LineParams:
     1..n_sender) or sender pair in the order of :func:`sender_pairs`;
     matrices by (pair, pair) or (node, pair).  ``P_mm`` and ``P_NN`` are
     Hermitian in the pair indices.  A stack of chains puts its axes in
-    front (``shape``); ``params[i]`` selects chains of the stack.
+    front (``shape``); ``params[i]`` selects chains of the stack.  The
+    sender size follows from the number of entries; a count that fits no
+    sender size raises SizeMismatchError.
     """
 
-    n_sender: int
     t0: float
     entries: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        _sender_size(self.entries.shape[-1])
+
     @classmethod
-    def from_kinds(cls, n_sender, t0, **kinds):
+    def from_kinds(cls, t0, **kinds):
         """The set of one array per kind, each (..., *shape of the kind)."""
         stack = np.shape(kinds["p_N"])[:-1]
-        return cls(n_sender=n_sender, t0=float(t0), entries=np.concatenate(
+        return cls(t0=float(t0), entries=np.concatenate(
             [np.reshape(kinds[kind], stack + (-1,)) for kind in KINDS], axis=-1, dtype=complex))
 
     def __getattr__(self, kind):
@@ -109,6 +126,10 @@ class LineParams:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {kind!r}")
         shape, span, _ = _layout(self.n_sender)[kind]
         return self.entries[..., span].reshape(self.shape + shape)
+
+    @property
+    def n_sender(self):
+        return _sender_size(self.entries.shape[-1])
 
     @property
     def pairs(self):
@@ -181,8 +202,7 @@ def line_params_at(spectral, t, n_sender=4):
     PP = (terms[..., 0, 0, :, :] - terms[..., 0, 1, :, :]
           - terms[..., 1, 0, :, :] + terms[..., 1, 1, :, :])
     params = LineParams.from_kinds(
-        n_sender, t,
-        p_N=R[..., 1, :],
+        t, p_N=R[..., 1, :],
         p_Nm1=R[..., 0, :],
         p_pair=R[..., 0, i] * R[..., 1, j] - R[..., 0, j] * R[..., 1, i],
         P_Nm1=P[..., 0, :, :],
@@ -333,25 +353,13 @@ def entry_families(n_sender):
     return tags
 
 
-@dataclass(frozen=True)
-class FamilyClassification:
-    """Per-entry family tags plus the magnitude window of each family."""
-
-    tags: dict
-    magnitude_ranges: dict
-
-    def members(self, family):
-        return [key for key, tag in self.tags.items() if tag == family]
-
-
 def classify_families(params):
-    """Tag every entry I/II/III and report min/max magnitude per family."""
+    """The {family: (min, max)} magnitude window of each family's entries;
+    the family of each entry is :func:`entry_families`."""
     families = entry_families(params.n_sender)
     mags = np.abs(params.entries)
-    ranges = {fam: (float(m.min()), float(m.max()))
-              for fam in ("I", "II", "III") if (m := mags[families == fam]).size}
-    return FamilyClassification(tags=dict(zip(param_index(params.n_sender), families.tolist())),
-                                magnitude_ranges=ranges)
+    return {fam: (float(m.min()), float(m.max()))
+            for fam in ("I", "II", "III") if (m := mags[families == fam]).size}
 
 
 def write_table(path, comments, columns, rows):
@@ -367,7 +375,11 @@ def write_table(path, comments, columns, rows):
 
 
 def export_params_csv(params, path, header_lines=()):
-    """Write the (kind, indices, re, im, family) rows after a last ``# t0`` comment line."""
+    """Write the (kind, indices, re, im, family) rows after a last ``# t0`` comment line.
+
+    A stack of sets raises SizeMismatchError before the file is opened."""
+    if params.shape:
+        raise SizeMismatchError(f"a parameter table holds one set, not a stack of {params.shape}")
     write_table(path, [*header_lines, f"t0: {params.t0!r}"],
                 ["kind", "indices", "re", "im", "family"],
                 ([kind, ";".join(map(str, idx)), value.real, value.imag, family]
@@ -418,5 +430,4 @@ def import_params_csv(path):
             f"{path}: {len(missing)} entries missing and {len(unknown)} unknown for "
             f"a {n_sender}-node sender, e.g. {bad[0][0]};{';'.join(map(str, bad[0][1]))}"
         )
-    return LineParams(n_sender=n_sender, t0=t0,
-                      entries=np.array([entries[key] for key in index], complex))
+    return LineParams(t0=t0, entries=np.array([entries[key] for key in index], complex))

@@ -14,7 +14,13 @@ from spinline.disorder import (
 )
 from spinline.errors import InputError, NumericalError
 from spinline.hamiltonian import ChainSpec
-from spinline.receiver import KINDS, param_index, receiver_operator, receiver_rho
+from spinline.receiver import (
+    KINDS,
+    entry_families,
+    param_index,
+    receiver_operator,
+    receiver_rho,
+)
 from spinline.verification import sample_chain
 
 
@@ -49,36 +55,46 @@ def sample(base, t0, eps, n_chains, seed):
 
 def test_param_statistics_zero_epsilon(base20, tuned20_params):
     study = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.0, 3, 9))
-    for key, s in study.stats.items():
-        assert s.std == 0.0
-        assert s.mean == s.unperturbed
-        assert study.shift(key) == 0.0
+    assert study.std.shape == (tuned20_params.n_entries,)
+    assert np.all(study.std == 0.0)
+    assert np.array_equal(study.mean, tuned20_params.entries)
+    assert np.all(study.shift == 0.0)
 
 
 def test_param_statistics_spread_grows_with_epsilon(base20, tuned20_params):
     t0 = tuned20_params.t0
     lo = param_statistics(tuned20_params, sample(base20, t0, 0.025, 40, 5))
     hi = param_statistics(tuned20_params, sample(base20, t0, 0.05, 40, 5))
-    keys = list(lo.stats)
-    grew = sum(hi.stats[k].std > lo.stats[k].std for k in keys)
-    assert grew >= 0.9 * len(keys)
+    grew = np.sum(hi.std > lo.std)
+    assert grew >= 0.9 * lo.std.size
 
 
 def test_family_i_means_shift_down(base20, tuned20_params):
     study = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.05, 40, 5))
-    fam1 = [k for k, s in study.stats.items() if s.family == "I"]
-    assert all(
-        abs(study.stats[k].mean) < abs(study.stats[k].unperturbed) for k in fam1
-    )
+    fam1 = entry_families(tuned20_params.n_sender) == "I"
+    assert np.all(np.abs(study.mean[fam1]) < np.abs(study.reference.entries[fam1]))
 
 
 def test_study_determinism(base20, tuned20_params):
     a = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.05, 6, 77))
     b = param_statistics(tuned20_params, sample(base20, tuned20_params.t0, 0.05, 6, 77))
-    assert all(
-        a.stats[k].mean == b.stats[k].mean and a.stats[k].std == b.stats[k].std
-        for k in a.stats
-    )
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+
+
+def test_study_arrays_are_reductions_of_the_sample(base20, tuned20_params):
+    chains = sample(base20, tuned20_params.t0, 0.05, 7, 13)
+    study = param_statistics(tuned20_params, chains)
+    assert study.n_chains == 7 and study.reference is tuned20_params
+    for j in (0, 5, 13, 37, 61, 97, 133, 169):
+        values = chains.entries[:, j]
+        assert study.mean[j] == pytest.approx(np.mean(values), rel=1e-13, abs=1e-16)
+        # numpy's std of a complex array is the |P - <P>| convention
+        assert study.std[j] == pytest.approx(np.std(values, ddof=1), rel=1e-12, abs=1e-16)
+        assert study.std_re[j] == pytest.approx(np.std(values.real, ddof=1), rel=1e-12,
+                                                abs=1e-16)
+        assert study.std_im[j] == pytest.approx(np.std(values.imag, ddof=1), rel=1e-12,
+                                                abs=1e-16)
+        assert study.shift[j] == study.mean[j] - tuned20_params.entries[j]
 
 
 def test_sample_prefix_is_stable(base20, tuned20_params):
@@ -125,13 +141,25 @@ def test_stacked_robustness_matches_per_chain_oracle(monkeypatch, base20, tuned2
         sl.discrepancy(receiver_rho(receiver_operator(chains[i]), x), targets)
         for i in range(10)
     ])
-    points = werner_robustness(chains, controls)
-    assert [pt.p for pt in points] == list(controls)
+    robustness = werner_robustness(chains, controls)
+    assert robustness.p.tolist() == list(controls)
     std = (deltas - deltas[0]).std(axis=0, ddof=1)
-    for j, pt in enumerate(points):
-        assert pt.mean == pytest.approx(deltas[:, j].mean(), rel=0, abs=1e-14)
-        assert pt.std == pytest.approx(std[j], rel=0, abs=1e-14)
-        assert pt.sem == pytest.approx(std[j] / np.sqrt(10), rel=0, abs=1e-14)
+    for j in range(len(controls)):
+        assert robustness.mean[j] == pytest.approx(deltas[:, j].mean(), rel=0, abs=1e-14)
+        assert robustness.std[j] == pytest.approx(std[j], rel=0, abs=1e-14)
+        assert robustness.sem[j] == pytest.approx(std[j] / np.sqrt(10), rel=0, abs=1e-14)
+
+
+def test_robustness_follows_the_order_of_controls(base20, tuned20_params, controls):
+    chains = sample(base20, tuned20_params.t0, 0.05, 6, 8)
+    forward = werner_robustness(chains, controls)
+    order = [0.8, 0.0, 0.4]
+    backward = werner_robustness(chains, {p: controls[p] for p in order})
+    assert backward.p.tolist() == order
+    perm = [list(controls).index(p) for p in order]
+    for name in ("mean", "std", "sem"):
+        np.testing.assert_allclose(getattr(backward, name), getattr(forward, name)[perm],
+                                   rtol=1e-12, atol=0, err_msg=name)
 
 
 def test_sample_epsilon_must_stay_below_one(base20):
@@ -180,20 +208,19 @@ def controls(tuned20_params):
 
 
 def test_robustness_zero_epsilon_matches_unperturbed(base20, tuned20_params, controls):
-    points = werner_robustness(sample(base20, tuned20_params.t0, 0.0, 3, 1), controls)
-    for pt in points:
-        rho = sl.assemble_rho(tuned20_params, controls[pt.p])
-        exact = sl.discrepancy(rho, sl.werner_target(pt.p))
-        assert pt.mean == pytest.approx(exact, abs=1e-14)
-        assert pt.std == 0.0
+    robustness = werner_robustness(sample(base20, tuned20_params.t0, 0.0, 3, 1), controls)
+    for p, mean, std in zip(robustness.p.tolist(), robustness.mean, robustness.std):
+        rho = sl.assemble_rho(tuned20_params, controls[p])
+        exact = sl.discrepancy(rho, sl.werner_target(p))
+        assert mean == pytest.approx(exact, abs=1e-14)
+        assert std == 0.0
 
 
 def test_robustness_grows_with_epsilon(base20, tuned20_params, controls):
     t0 = tuned20_params.t0
     lo = werner_robustness(sample(base20, t0, 0.025, 30, 2), controls)
     hi = werner_robustness(sample(base20, t0, 0.05, 30, 2), controls)
-    for a, b in zip(lo, hi):
-        assert b.mean > a.mean
+    assert np.all(hi.mean > lo.mean)
 
 
 def test_csv_exports(tmp_path, base20, tuned20_params, controls):
@@ -204,9 +231,9 @@ def test_csv_exports(tmp_path, base20, tuned20_params, controls):
     lines = p1.read_text().splitlines()
     assert lines[0] == "# cfg"
     assert len(lines) == 2 + 170
-    points = werner_robustness(chains, controls)
+    robustness = werner_robustness(chains, controls)
     p2 = tmp_path / "rob.csv"
-    export_robustness_csv(points, p2)
+    export_robustness_csv(robustness, p2)
     lines = p2.read_text().splitlines()
     assert lines[0] == "p,mean_delta,std_delta,sem_delta"
-    assert len(lines) == 1 + len(points)
+    assert len(lines) == 1 + len(controls)

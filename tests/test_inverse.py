@@ -427,8 +427,7 @@ def test_solution_self_consistency(tuned20_params):
 
 def test_zeroed_family_iii_effect(tuned20_params):
     truncated = zero_family_iii(tuned20_params)
-    cls = sl.classify_families(truncated)
-    lo, hi = cls.magnitude_ranges["III"]
+    lo, hi = sl.classify_families(truncated)["III"]
     assert hi == 0.0
     sol = sl.solve_werner(truncated, 0.8)
     assert sol.residual < 1e-10

@@ -126,9 +126,12 @@ def test_no_probes_leave_every_part_undetermined():
     assert {(kind, idx) for kind, idx, _ in undetermined} <= entries
 
 
-def test_extraction_refuses_unsupported_sender(tuned20_params):
+def test_extraction_refuses_unsupported_sender():
+    # the protocol is enumerated for four sender nodes only; a 3-node line
+    # is refused before any receiver matrix is formed
+    params = sl.line_params_at(sl.diagonalize(ChainSpec.uniform(9)), 7.0, n_sender=3)
     with pytest.raises(InputError, match="n_sender=4"):
-        extract_params(simulate_probes(tuned20_params), tuned20_params.t0, n_sender=3)
+        simulate_probes(params)
 
 
 def test_extraction_refuses_records_outside_the_probe_set(tuned20_params):

@@ -16,6 +16,7 @@ from spinline.receiver import (
     KINDS,
     LineParams,
     ReceiverState,
+    entry_families,
     export_params_csv,
     import_params_csv,
     param_index,
@@ -79,12 +80,11 @@ def test_from_kinds_round_trips_the_kind_arrays(n_sender):
     rng = np.random.default_rng(5)
     kinds = {kind: rng.standard_normal(getattr(params, kind).shape)
              + 1j * rng.standard_normal(getattr(params, kind).shape) for kind in KINDS}
-    built = LineParams.from_kinds(n_sender, 2.5, **kinds)
+    built = LineParams.from_kinds(2.5, **kinds)
     assert (built.n_sender, built.t0, built.shape) == (n_sender, 2.5, (3,))
     for kind in KINDS:
         assert np.array_equal(getattr(built, kind), kinds[kind]), kind
-    again = LineParams.from_kinds(n_sender, params.t0,
-                                  **{kind: getattr(params, kind) for kind in KINDS})
+    again = LineParams.from_kinds(params.t0, **{kind: getattr(params, kind) for kind in KINDS})
     assert np.array_equal(again.entries, params.entries)
 
 
@@ -97,6 +97,21 @@ def test_stack_index_is_the_single_chain_set(n_sender):
         assert np.array_equal(chain.entries, single.entries), i
         for kind in KINDS:
             assert np.array_equal(getattr(chain, kind), getattr(single, kind)), (i, kind)
+
+
+@pytest.mark.parametrize("n_sender", [2, 3, 4, 5])
+def test_sender_size_follows_the_entry_count(n_sender):
+    params = sl.line_params_at(sl.diagonalize(ChainSpec.uniform(9)), 7.0, n_sender)
+    assert params.n_entries == len(param_index(n_sender))
+    assert params.n_sender == n_sender
+    assert LineParams(t0=7.0, entries=params.entries).n_sender == n_sender
+    assert LineParams(t0=7.0, entries=np.stack([params.entries] * 2)).n_sender == n_sender
+
+
+@pytest.mark.parametrize("count", [0, 1, 11, 13, 53, 169, 171, 419])
+def test_entry_count_that_fits_no_sender_is_refused(count):
+    with pytest.raises(SizeMismatchError, match=f"^{count} parameter entries fit no sender size"):
+        LineParams(t0=1.0, entries=np.zeros(count, complex))
 
 
 def test_pair_exchange_symmetry(tuned20_params):
@@ -177,22 +192,23 @@ def test_family_lists_sizes():
 
 
 def test_family_classification(tuned20_params):
-    cls = sl.classify_families(tuned20_params)
-    assert len(cls.members("I")) == 13
-    assert len(cls.members("II")) == 14
-    assert len(cls.members("III")) == 143
-    lo1, _ = cls.magnitude_ranges["I"]
-    lo2, hi2 = cls.magnitude_ranges["II"]
-    _, hi3 = cls.magnitude_ranges["III"]
+    families = entry_families(tuned20_params.n_sender)
+    assert np.sum(families == "I") == 13
+    assert np.sum(families == "II") == 14
+    assert np.sum(families == "III") == 143
+    ranges = sl.classify_families(tuned20_params)
+    lo1, _ = ranges["I"]
+    lo2, hi2 = ranges["II"]
+    _, hi3 = ranges["III"]
     # the three families are separated by magnitude gaps
     assert hi3 < lo2 < hi2 < lo1
 
 
 def test_family_windows_n20(tuned20_params):
-    cls = sl.classify_families(tuned20_params)
-    assert cls.magnitude_ranges["I"] == pytest.approx((0.9356, 0.9961), abs=5e-4)
-    assert cls.magnitude_ranges["II"] == pytest.approx((0.0635, 0.0893), abs=5e-4)
-    assert cls.magnitude_ranges["III"][1] < 0.0193 + 5e-5
+    ranges = sl.classify_families(tuned20_params)
+    assert ranges["I"] == pytest.approx((0.9356, 0.9961), abs=5e-4)
+    assert ranges["II"] == pytest.approx((0.0635, 0.0893), abs=5e-4)
+    assert ranges["III"][1] < 0.0193 + 5e-5
 
 
 def test_disjoint_pair_transfer_vanishes(tuned20_params):
@@ -215,6 +231,15 @@ def test_csv_round_trip(tmp_path, tuned20_params):
     text = path.read_text()
     assert text.startswith("# demo")
     assert "kind,indices,re,im,family" in text
+
+
+def test_csv_export_refuses_a_stack(tmp_path):
+    # a table holds one set: the rows of a stack would be array reprs
+    stacked, _ = _chains(4, n_chains=2)
+    path = tmp_path / "params.csv"
+    with pytest.raises(SizeMismatchError, match=r"one set, not a stack of \(2,\)"):
+        export_params_csv(stacked, path)
+    assert not path.exists()
 
 
 def test_write_table_formats_every_float_and_nothing_else(tmp_path):
