@@ -14,7 +14,7 @@ from .dynamics import SpectralData, diagonalize
 from .hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from .inverse import (
     InverseSolution,
-    TargetState,
+    check_target,
     discrepancy,
     feasibility_scan,
     solve_general,
@@ -25,8 +25,8 @@ from .inverse import (
 from .probing import ProbeState, extract_params, probe_set, simulate_probes
 from .receiver import (
     LineParams,
-    ReceiverState,
     assemble_rho,
+    check_receiver,
     classify_families,
     line_params_at,
 )
@@ -38,10 +38,10 @@ __all__ = [
     "ChainSpec", "apply_disorder", "hopping_matrix",
     "SpectralData", "diagonalize",
     "BoundaryOptimum", "first_maximum", "optimize_boundary",
-    "LineParams", "ReceiverState", "assemble_rho", "classify_families",
+    "LineParams", "assemble_rho", "check_receiver", "classify_families",
     "line_params_at",
     "ProbeState", "probe_set", "simulate_probes", "extract_params",
-    "TargetState", "InverseSolution", "discrepancy", "werner_target",
+    "InverseSolution", "check_target", "discrepancy", "werner_target",
     "solve_werner", "solve_general", "feasibility_scan", "zero_family_iii",
     "param_statistics", "sample_line_params", "werner_robustness",
     "__version__",

@@ -50,7 +50,7 @@ from .errors import (
 from .hamiltonian import ChainSpec
 from .inverse import (
     WERNER_P,
-    TargetState,
+    check_target,
     feasibility_scan,
     solve_general,
     solve_werner,
@@ -378,7 +378,7 @@ def _load_target(config):
                 f"target file must hold JSON {{'re': 4x4, 'im': 4x4}} numbers "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
-        return TargetState(matrix=m).validate(), False
+        return check_target(m), False
     raise ConfigError(f"unknown target {target!r} (use 'werner' or 'file:...')")
 
 
@@ -389,11 +389,7 @@ def run_create_state(config):
     starts = {"n_starts": config["starts"]} if "starts" in config else {}
     if is_werner:
         sol = solve_werner(params, config["p"], seed=config["seed"], **starts)
-        pair_labels = [f"a_{n}{m}" for (n, m) in params.pairs]
-        controls = {
-            lab: sol.controls.a_double[i].real
-            for i, lab in enumerate(pair_labels)
-        }
+        controls = {f"a_{n}{m}": a.real for (n, m), a in zip(params.pairs, sol.controls.a_double)}
     else:
         sol = solve_general(params, target, seed=config["seed"], **starts)
         controls = {

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import diagonalize
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
 from .receiver import (
@@ -74,7 +74,7 @@ def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_s
     the block it is computed in.  A failed numerical check names the chain.
     """
     if n_chains < 2:
-        raise ValueError(f"need at least 2 chains, got {n_chains}")
+        raise InputError(f"need at least 2 chains, got {n_chains}")
     blocks = []
     for block in _blocks(n_chains):
         deltas = np.array([_bond_draws(base, _chain_rng(seed, i))
@@ -141,9 +141,9 @@ def werner_robustness(sample, controls):
     in the order of ``controls``.
     """
     if not controls:
-        raise ValueError("controls table is empty")
-    x = np.array([state.vector for state in controls.values()])
-    targets = np.array([werner_target(p).matrix for p in controls])
+        raise InputError("controls table is empty")
+    x = np.array([state.x for state in controls.values()])
+    targets = werner_target(list(controls))
     n_chains = sample.shape[0]
     deltas = np.concatenate([
         discrepancy(receiver_rho(receiver_operator(sample[block]), x), targets)

@@ -143,5 +143,5 @@ def apply_disorder(spec, epsilon, deltas):
             f"expected {n_bulk} bond perturbations, got {deltas.shape}"
         )
     if np.any(np.abs(deltas) > 1.0):
-        raise ValueError("bond perturbations must lie in [-1, 1]")
+        raise InputError("bond perturbations must lie in [-1, 1]")
     return replace(spec, bulk=1.0 + epsilon * deltas)

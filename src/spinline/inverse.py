@@ -1,6 +1,9 @@
 """Inverse problem: control amplitudes that create a target receiver state.
 
-The receiver matrix is quadratic in the controls, so creation amounts to
+A target is a plain 4x4 complex array (:func:`check_target`,
+:func:`werner_target`); the controls found are a
+:class:`~spinline.basis.SenderState`, one vector x = (a0, a_single,
+a_double).  The receiver matrix is quadratic in x, so creation amounts to
 solving real quadratic forms, contracted from the receiver operator, under
 the normalization constraint: for Werner targets in the real pair
 amplitudes, for general targets in all real control parts.  Both run one
@@ -21,7 +24,7 @@ with one mask over its ``entries``
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,36 +38,32 @@ TARGET_TOL = 1e-8  # Hermiticity, trace and positivity of a target matrix
 UPPER = np.triu_indices(4)  # receiver-matrix entries a <= b, row by row
 
 
-@dataclass(frozen=True)
-class TargetState:
-    """Desired 4x4 receiver density matrix."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def validate(self):
-        m = self.matrix
-        if m.shape != (4, 4):
-            raise InputError(f"target must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise InputError("target has a non-finite entry")
-        herm, tr, lo = density_deviations(m)
-        if herm > TARGET_TOL or tr > TARGET_TOL or lo < -TARGET_TOL:
-            raise InputError(
-                f"not a density matrix (hermiticity {herm:.1e}, trace dev {tr:.1e}, "
-                f"min eigenvalue {lo:.1e})"
-            )
-        return self
+def check_target(m):
+    """Raise InputError unless ``m`` is a 4x4 density matrix to TARGET_TOL
+    (Hermiticity, trace and least eigenvalue).  Returns ``m``."""
+    if m.shape != (4, 4):
+        raise InputError(f"target must be 4x4, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError("target has a non-finite entry")
+    herm, tr, lo = density_deviations(m)
+    if herm > TARGET_TOL or tr > TARGET_TOL or lo < -TARGET_TOL:
+        raise InputError(
+            f"not a density matrix (hermiticity {herm:.1e}, trace dev {tr:.1e}, "
+            f"min eigenvalue {lo:.1e})"
+        )
+    return m
 
 
 def werner_target(p):
-    """Two-qubit Werner state with mixing parameter p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
-    m = np.zeros((4, 4), complex)
-    m[0, 0] = m[3, 3] = (1.0 - p) / 4.0
-    m[1, 1] = m[2, 2] = (1.0 + p) / 4.0
-    m[1, 2] = m[2, 1] = -p / 2.0
-    return TargetState(matrix=m)
+    """Two-qubit Werner matrix (..., 4, 4) of each mixing parameter p in [0, 1]."""
+    p = np.asarray(p, float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise InputError(f"werner parameter must lie in [0, 1], got {p}")
+    m = np.zeros(p.shape + (4, 4), complex)
+    m[..., 0, 0] = m[..., 3, 3] = (1.0 - p) / 4.0
+    m[..., 1, 1] = m[..., 2, 2] = (1.0 + p) / 4.0
+    m[..., 1, 2] = m[..., 2, 1] = -p / 2.0
+    return m
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,12 @@ class InverseSolution:
 
 
 def discrepancy(rho, target):
-    """Frobenius-norm distance ||rho - A|| / ||A||, over the last two axes."""
-    a = target.matrix if isinstance(target, TargetState) else np.asarray(target)
-    r = rho.rho if hasattr(rho, "rho") else np.asarray(rho)
-    norm_a = np.linalg.norm(a, axis=(-2, -1))
+    """Frobenius-norm distance ||rho - A|| / ||A|| of the arrays rho and
+    A = ``target``, over their last two axes."""
+    norm_a = np.linalg.norm(target, axis=(-2, -1))
     if np.any(norm_a == 0.0):
-        raise ValueError("target matrix has zero norm")
-    return np.linalg.norm(r - a, axis=(-2, -1)) / norm_a
+        raise InputError("target matrix has zero norm")
+    return np.linalg.norm(rho - target, axis=(-2, -1)) / norm_a
 
 
 def _quadratic_system(K, basis, target, rows=slice(None)):
@@ -351,7 +349,7 @@ def _werner_solutions(params, ps, n_starts, seed, residual_tol):
     n_pairs = len(params.pairs)
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.ones(n_pairs), rng.standard_normal((n_starts - 1, n_pairs))])
-    targets = np.array([werner_target(p).matrix for p in ps])
+    targets = werner_target(ps)
     K = receiver_operator(params)
     res, ys = _multistart(*_werner_system(K, params.n_sender, targets), starts, residual_tol)
     out = [None if r <= residual_tol else InfeasibleTargetError(r, best_controls=y)
@@ -359,7 +357,7 @@ def _werner_solutions(params, ps, n_starts, seed, residual_tol):
     solved = [k for k, sol in enumerate(out) if sol is None]
     if solved:
         controls = [SenderState.from_double(ys[k], params.n_sender) for k in solved]
-        rho = receiver_rho(K, np.array([s.vector for s in controls]))
+        rho = receiver_rho(K, np.array([s.x for s in controls]))
         for k, state, delta in zip(solved, controls, discrepancy(rho, targets[solved]).tolist()):
             out[k] = InverseSolution(controls=state, residual=float(res[k]), discrepancy=delta)
     return out
@@ -380,7 +378,7 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
 
     Raises
     ------
-    ValueError
+    InputError
         If p lies outside [0, 1] (from :func:`werner_target`).
     InfeasibleTargetError
         If no start reaches ``residual_tol`` (expected for p beyond the
@@ -419,7 +417,7 @@ def werner_controls(params, seed=0):
 
 
 def solve_general(params, target, n_starts=32, seed=0):
-    """Best-found controls for an arbitrary 4x4 target.
+    """Best-found controls for an arbitrary 4x4 target matrix.
 
     Solves the upper triangle of the receiver matrix (20 real equations)
     and the norm in the 2d - 1 real controls (a0 real; 21 for a four-node
@@ -427,20 +425,17 @@ def solve_general(params, target, n_starts=32, seed=0):
     found, normalized, with its honest residual; no feasibility claim is
     made.
     """
-    a = target.matrix if isinstance(target, TargetState) else np.asarray(target)
     basis = _general_basis(params)
     starts = np.random.default_rng(seed).standard_normal((n_starts, basis.shape[1]))
     K = receiver_operator(params)
-    Q, c = _quadratic_system(K, basis, a)
+    Q, c = _quadratic_system(K, basis, target)
     _, (y,) = _multistart(Q, c[None], starts, WERNER_RESIDUAL_TOL)
-    x = basis @ (y / np.linalg.norm(y))
-    n_sender = params.n_sender
-    state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
-    rho = receiver_rho(K, state.vector)
+    state = SenderState(basis @ (y / np.linalg.norm(y)))
+    rho = receiver_rho(K, state.x)
     return InverseSolution(
         controls=state,
-        residual=float(np.max(np.abs(rho - a))),
-        discrepancy=discrepancy(rho, a),
+        residual=float(np.max(np.abs(rho - target))),
+        discrepancy=discrepancy(rho, target),
     )
 
 

@@ -1,9 +1,11 @@
 """Probe-state protocol: measure the line parameters from receiver outputs.
 
 A prescribed family of two-term sender states, :func:`probe_set`, is sent
-through the line; its order is the one probe layout.  The receiver
-matrices are stacked in that order and inverted stage by stage, each
-stage as array expressions over its block:
+through the line; its order is the one probe layout.  Each probe output
+is a (ProbeState, 4x4 receiver matrix) pair, the matrix a plain array
+(JSON: :func:`probe_outputs_to_json`).  The receiver matrices are stacked
+in probe-set order and inverted stage by stage, each stage as array
+expressions over its block:
 
   1. vacuum+single probes give the bare amplitudes onto nodes N-1 and N;
   2. single+pair probes give the mixed P parameters, and those of the
@@ -26,7 +28,7 @@ import numpy as np
 
 from .basis import SenderState, sender_pairs
 from .errors import ConditioningError, ExtractionError, InputError
-from .receiver import LineParams, ReceiverState, receiver_operator, receiver_rho
+from .receiver import LineParams, receiver_operator, receiver_rho
 
 PROBE_KINDS = ("single", "single-pair", "pair-pair-real", "pair-pair-imag")
 SPLIT = 1.0 / math.sqrt(2.0)
@@ -52,12 +54,12 @@ class ProbeState:
         slot.update({nm: 1 + n_sender + s for s, nm in enumerate(sender_pairs(n_sender))})
         cut = {"single": 0, "single-pair": 1, "pair-pair-real": 2, "pair-pair-imag": 2}
         if self.kind not in cut:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
+            raise InputError(f"unknown probe kind {self.kind!r}")
         first, second = self.indices[: cut[self.kind]], self.indices[cut[self.kind] :]
         x = np.zeros(len(slot), complex)
         x[slot[first]] = SPLIT
         x[slot[second]] = 1j * SPLIT if self.kind == "pair-pair-imag" else SPLIT
-        return SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
+        return SenderState(x)
 
 
 def probe_set(n_sender=4):
@@ -87,18 +89,18 @@ def _determines(probe):
 
 
 def simulate_probes(params):
-    """Receiver outputs for the full probe set on a line with known params;
-    InputError unless the line has a four-node sender."""
+    """Receiver outputs (probe, 4x4 receiver matrix) for the full probe set on
+    a line with known params; InputError unless the line has a four-node
+    sender."""
     probes = probe_set(params.n_sender)
-    x = np.array([probe.to_sender_state().vector for probe in probes])
-    rho = receiver_rho(receiver_operator(params), x)
-    return [(probe, ReceiverState(rho=r)) for probe, r in zip(probes, rho)]
+    x = np.array([probe.to_sender_state().x for probe in probes])
+    return list(zip(probes, receiver_rho(receiver_operator(params), x)))
 
 
 def extract_params(probe_outputs, t0):
     """Invert the probe outputs into the full parameter set.
 
-    ``probe_outputs`` is a list of (ProbeState, ReceiverState) covering
+    ``probe_outputs`` is a list of (ProbeState, 4x4 receiver matrix) covering
     :func:`probe_set` in any order, registered at time ``t0`` (the outputs
     do not carry it).  The receiver matrices are stacked in ``probe_set``
     order, and each stage reads its block of that stack as arrays.  Raises
@@ -114,7 +116,7 @@ def extract_params(probe_outputs, t0):
         if p not in known or p in by_probe:
             what = "appears twice" if p in by_probe else "is not in the probe set"
             raise InputError(f"probe {p.kind} {p.indices} {what}")
-        by_probe[p] = r.rho
+        by_probe[p] = r
     undetermined = [part for p in probes if p not in by_probe for part in _determines(p)]
     if undetermined:
         raise ExtractionError(undetermined)
@@ -170,18 +172,10 @@ def extract_params(probe_outputs, t0):
 
 
 def probe_outputs_to_json(probe_outputs):
-    """Serialize (probe, receiver state) pairs for external consumers."""
-    records = []
-    for probe, rec in probe_outputs:
-        records.append(
-            {
-                "probe": {"kind": probe.kind, "indices": list(probe.indices)},
-                "rho": {
-                    "re": rec.rho.real.tolist(),
-                    "im": rec.rho.imag.tolist(),
-                },
-            }
-        )
+    """Serialize (probe, receiver matrix) pairs for external consumers."""
+    records = [{"probe": {"kind": probe.kind, "indices": list(probe.indices)},
+                "rho": {"re": rho.real.tolist(), "im": rho.imag.tolist()}}
+               for probe, rho in probe_outputs]
     return json.dumps(records, indent=1)
 
 
@@ -201,10 +195,10 @@ def probe_outputs_from_json(text):
             rho = np.asarray(rec["rho"]["re"], float) + 1j * np.asarray(rec["rho"]["im"], float)
             if rho.shape != (4, 4):
                 raise ValueError(f"rho must be 4x4, got {rho.shape}")
-            outputs.append((probe, ReceiverState(rho=rho)))
+            outputs.append((probe, rho))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed probe outputs ({type(exc).__name__}: {exc})") from exc
-    bad = next((p for p, r in outputs if not np.isfinite(r.rho).all()), None)
+    bad = next((p for p, rho in outputs if not np.isfinite(rho).all()), None)
     if bad is not None:
         raise InputError(f"probe {bad.kind} {bad.indices}: rho has a non-finite entry")
     return outputs

@@ -6,9 +6,11 @@ transfer amplitudes onto nodes N-1 and N and the environment-summed
 bilinears P.  All of them follow in closed form from the 2 x n_sender
 block R of the one-excitation propagator from the sender to the receiver
 (:func:`line_params_at`).  Once they are known, the receiver density
-matrix is a quadratic form in the sender's control amplitudes, held as one
+matrix is a quadratic form in the sender's control vector x = (a0,
+a_single, a_double) (:class:`~spinline.basis.SenderState`), held as one
 operator (:func:`receiver_operator`) that every receiver matrix is
-contracted from.
+contracted from.  A receiver matrix is a plain complex (..., 4, 4) array;
+:func:`check_receiver` checks that one is a density matrix.
 
 A :class:`LineParams` holds its constants as one complex array, its
 ``entries``, in the order of :func:`param_index`: the eight kinds of
@@ -218,21 +220,18 @@ def line_params_at(spectral, t, n_sender=4):
     return params
 
 
-@dataclass(frozen=True)
-class ReceiverState:
-    """4x4 density matrix of the two receiver nodes."""
-
-    rho: np.ndarray = field(repr=False)
-
-    def validate(self):
-        herm, tr, lo = density_deviations(self.rho)
-        if herm > RECEIVER_TOL:
-            raise NumericalError(f"receiver matrix not Hermitian: {herm:.3e}")
-        if tr > RECEIVER_TOL:
-            raise NumericalError(f"receiver trace off by {tr:.3e}")
-        if lo < -RECEIVER_PSD_TOL:
-            raise NumericalError(f"receiver matrix not PSD: min eigenvalue {lo:.3e}")
-        return self
+def check_receiver(rho):
+    """Raise NumericalError unless the 4x4 matrix ``rho`` is a density matrix:
+    Hermitian and of unit trace to RECEIVER_TOL, its least eigenvalue no
+    lower than -RECEIVER_PSD_TOL.  Returns ``rho``."""
+    herm, tr, lo = density_deviations(rho)
+    if herm > RECEIVER_TOL:
+        raise NumericalError(f"receiver matrix not Hermitian: {herm:.3e}")
+    if tr > RECEIVER_TOL:
+        raise NumericalError(f"receiver trace off by {tr:.3e}")
+    if lo < -RECEIVER_PSD_TOL:
+        raise NumericalError(f"receiver matrix not PSD: min eigenvalue {lo:.3e}")
+    return rho
 
 
 def density_deviations(m):
@@ -292,13 +291,14 @@ def receiver_rho(K, x):
 
 
 def assemble_rho(params, state):
-    """Receiver density matrix as a quadratic form in the control amplitudes.
+    """Receiver density matrix (..., 4, 4) of the SenderState ``state``, a
+    quadratic form in its control vector ``state.x``.
 
     Valid for approximate parameter sets too, in which case the result may
     fail to be a physical density matrix; only the exact-chain parameters
     guarantee positivity.
     """
-    return ReceiverState(rho=receiver_rho(receiver_operator(params), state.vector))
+    return receiver_rho(receiver_operator(params), state.x)
 
 
 # --- family classification -------------------------------------------------
@@ -355,7 +355,10 @@ def entry_families(n_sender):
 
 def classify_families(params):
     """The {family: (min, max)} magnitude window of each family's entries;
-    the family of each entry is :func:`entry_families`."""
+    the family of each entry is :func:`entry_families`.  A stack of sets
+    raises SizeMismatchError."""
+    if params.shape:
+        raise SizeMismatchError(f"family windows are of one set, not a stack of {params.shape}")
     families = entry_families(params.n_sender)
     mags = np.abs(params.entries)
     return {fam: (float(m.min()), float(m.max()))

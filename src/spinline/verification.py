@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks as bm
-from .basis import SenderState, pair_list, sender_pairs
+from .basis import SenderState, sender_pairs
 from .chainopt import lattice, optimize_boundary
 from .disorder import DEFAULT_N_CHAINS, param_statistics, sample_line_params, werner_robustness
 from .dynamics import diagonalize, one_excitation_columns
@@ -27,8 +27,9 @@ from .inverse import (
 )
 from .probing import extract_params, simulate_probes
 from .receiver import (
-    ReceiverState,
+    SYMMETRY_TOL,
     assemble_rho,
+    check_receiver,
     classify_families,
     entry_families,
     line_params_at,
@@ -39,7 +40,6 @@ APPENDIX_TOL = 2e-5
 ORACLE_TOL = 1e-10
 FULL_SPACE_TOL = 1e-9
 PROBE_TOL = 1e-9
-SYMMETRY_TOL = 1e-12
 
 BOUNDARY_COUPLING_TOL = 0.005
 BOUNDARY_T0_TOL = {20: 0.02, 60: 0.05}
@@ -192,13 +192,13 @@ def pair_block(spec):
 
     Connects pairs that differ by moving one excitation across a single
     bond; moves onto an occupied node are excluded (no double occupancy).
-    Rows and columns follow :func:`~spinline.basis.pair_list`.  The library
+    Rows and columns follow :func:`~spinline.basis.sender_pairs` of n.  The library
     never builds it: it is the oracle for the free-fermion identities
     (spectrum of pairwise sums, p2 as minors of p1).
     """
     n = spec.n_nodes
     J = spec.couplings()
-    pairs = pair_list(n)
+    pairs = sender_pairs(n)
     idx = {pair: k for k, pair in enumerate(pairs)}
     h2 = np.zeros((len(pairs), len(pairs)))
     for i, (a, b) in enumerate(pairs):
@@ -216,18 +216,18 @@ def pair_block(spec):
 def propagators(spectral, t):
     """The full one- and two-excitation propagators (p1, p2) at time t.
 
-    p1 is N x N; p2 is on the pair basis :func:`~spinline.basis.pair_list`,
+    p1 is N x N; p2 is on the pair basis ``sender_pairs(N)``,
     formed as the 2x2 minors p1[i,n] p1[j,m] - p1[i,m] p1[j,n].  Oracle
     only: the library needs just the receiver block of p1.
     """
     p1 = one_excitation_columns(spectral, t)
-    i, j = np.array(pair_list(p1.shape[0])).T - 1
+    i, j = np.array(sender_pairs(p1.shape[0])).T - 1
     p2 = p1[np.ix_(i, i)] * p1[np.ix_(j, j)] - p1[np.ix_(i, j)] * p1[np.ix_(j, i)]
     return p1, p2
 
 
 def partial_trace_oracle(state, spectral, t):
-    """Receiver state by brute-force partial trace over nodes 1..N-2.
+    """Receiver matrix (4x4) by brute-force partial trace over nodes 1..N-2.
 
     Evolves the full state vector in the excitation basis with
     :func:`propagators` and sums |Psi><Psi| over the environment
@@ -236,7 +236,7 @@ def partial_trace_oracle(state, spectral, t):
     """
     p1, p2 = propagators(spectral, t)
     n = p1.shape[0]
-    idx = {pair: k for k, pair in enumerate(pair_list(n))}
+    idx = {pair: k for k, pair in enumerate(sender_pairs(n))}
     f1 = p1[:, : state.n_sender] @ state.a_single
     f2 = p2[:, [idx[pair] for pair in sender_pairs(state.n_sender)]] @ state.a_double
     env_pairs = [k for (i, j), k in idx.items() if j <= n - 2]
@@ -249,7 +249,7 @@ def partial_trace_oracle(state, spectral, t):
     C[1, 1 : n - 1] = f2[[idx[(i, n - 1)] for i in range(1, n - 1)]]
     C[2, 1 : n - 1] = f2[[idx[(i, n)] for i in range(1, n - 1)]]
     C[3, 0] = f2[idx[(n - 1, n)]]
-    return ReceiverState(rho=C @ C.conj().T)
+    return C @ C.conj().T
 
 
 def full_space_receiver(state, spec, t):
@@ -267,12 +267,11 @@ def full_space_receiver(state, spec, t):
         # bond b flips the excitation between bits b and b + 1
         hop = states[(states >> b) & 3 == 1]
         H[hop ^ (3 << b), hop] = H[hop, hop ^ (3 << b)] = J[b] / 2
+    # control i of x = (a0, a_single, a_double) is the amplitude of the
+    # configuration whose bits are its excited nodes
+    excited = [(), *((k,) for k in range(1, state.n_sender + 1)), *sender_pairs(state.n_sender)]
     psi = np.zeros(dim, complex)
-    psi[0] = state.a0
-    for k in range(state.n_sender):
-        psi[1 << k] = state.a_single[k]
-    for s, (a, b) in enumerate(sender_pairs(state.n_sender)):
-        psi[(1 << (a - 1)) | (1 << (b - 1))] = state.a_double[s]
+    psi[[sum(1 << (k - 1) for k in nodes) for nodes in excited]] = state.x
     lam, V = np.linalg.eigh(H)
     psi = V @ (np.exp(-1j * lam * t) * (V.T @ psi))
     # the receiver nodes N-1, N are the two top bits: row c of C holds the
@@ -294,8 +293,8 @@ def check_oracle_equivalence(seed=2024, n_states=36):
             params = line_params_at(spectral, t, n_sender=4)
             for _ in range(n_states // 2):
                 state = SenderState.random(rng)
-                direct = assemble_rho(params, state).rho
-                oracle = partial_trace_oracle(state, spectral, t).rho
+                direct = assemble_rho(params, state)
+                oracle = partial_trace_oracle(state, spectral, t)
                 worst = max(worst, float(np.linalg.norm(direct - oracle)))
     n_total = 6 * (n_states // 2)
     out.append(_result(
@@ -309,7 +308,7 @@ def check_oracle_equivalence(seed=2024, n_states=36):
             spec = _random_chain(n, rng) if k % 2 else ChainSpec.uniform(n)
             t = rng.uniform(0.5, 2.5) * n
             state = SenderState.random(rng)
-            oracle = partial_trace_oracle(state, diagonalize(spec), t).rho
+            oracle = partial_trace_oracle(state, diagonalize(spec), t)
             dense = full_space_receiver(state, spec, t)
             worst_full = max(worst_full, float(np.max(np.abs(oracle - dense))))
     out.append(_result(
@@ -470,7 +469,7 @@ def check_invariants(seed=5):
     for _ in range(20):
         state = SenderState.random(rng)
         try:
-            assemble_rho(params, state).validate()
+            check_receiver(assemble_rho(params, state))
         except NumericalError:
             ok = False
             break

@@ -251,8 +251,8 @@ def test_create_state_werner_five_node_sender(workdir):
     assert result["residual"] <= 1e-10
     params = import_params_csv(workdir / "s5.csv")
     controls = [result["controls"][f"a_{n}{m}"] for n, m in params.pairs]
-    rho = assemble_rho(params, SenderState.from_double(controls, 5)).rho
-    assert np.max(np.abs(rho - werner_target(0.4).matrix)) <= 1e-10
+    rho = assemble_rho(params, SenderState.from_double(controls, 5))
+    assert np.max(np.abs(rho - werner_target(0.4))) <= 1e-10
     rc = main(["create-state", "--target", "werner", "--p", "0.9", "--params", "s5.csv"])
     assert rc == EXIT_INFEASIBLE
 

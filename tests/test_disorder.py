@@ -135,8 +135,8 @@ def test_stacked_robustness_matches_per_chain_oracle(monkeypatch, base20, tuned2
                                                      controls):
     monkeypatch.setattr(disorder, "CHAIN_BLOCK", 4)  # three blocks for ten chains
     chains = sample(base20, tuned20_params.t0, 0.05, 10, 6)
-    x = np.array([state.vector for state in controls.values()])
-    targets = np.array([sl.werner_target(p).matrix for p in controls])
+    x = np.array([state.x for state in controls.values()])
+    targets = np.array([sl.werner_target(p) for p in controls])
     deltas = np.array([
         sl.discrepancy(receiver_rho(receiver_operator(chains[i]), x), targets)
         for i in range(10)

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline.basis import SenderState, pair_list, sender_pairs
+from spinline.basis import SenderState, sender_pairs
 from spinline.hamiltonian import ChainSpec
 from spinline.verification import pair_block, partial_trace_oracle, propagators
 
@@ -74,15 +74,15 @@ def test_negative_time_flagged(tuned20):
 
 
 def test_evolve_vacuum(tuned20):
-    rho = partial_trace_oracle(SenderState.vacuum(), tuned20, 11.0).rho
+    rho = partial_trace_oracle(SenderState.vacuum(), tuned20, 11.0)
     assert np.array_equal(rho, np.diag([1.0, 0, 0, 0]))
 
 
 def test_evolve_single_column(tuned20):
     p1, _ = propagators(tuned20, 9.5)
-    a1 = np.zeros(4, complex)
-    a1[0] = 1.0
-    rho = partial_trace_oracle(SenderState(0.0, a1, np.zeros(6, complex)), tuned20, 9.5).rho
+    x = np.zeros(11, complex)
+    x[1] = 1.0  # a_single[0]: node 1 excited
+    rho = partial_trace_oracle(SenderState(x), tuned20, 9.5)
     f = p1[18:, 0]
     assert np.allclose(rho[1:3, 1:3], np.outer(f, f.conj()), atol=1e-12)
     assert rho[0, 0] == pytest.approx(np.sum(np.abs(p1[:18, 0]) ** 2), abs=1e-12)
@@ -93,7 +93,7 @@ def test_evolve_pair_combination_vs_expm(tuned20):
     # (|12> + |34>)/sqrt(2) against a dense matrix exponential
     t0 = bm.TUNED_CHAINS[20]["t0"]
     _, p2 = propagators(tuned20, t0)
-    cols = [pair_list(20).index(pair) for pair in ((1, 2), (3, 4))]
+    cols = [sender_pairs(20).index(pair) for pair in ((1, 2), (3, 4))]
     out = p2[:, cols].sum(axis=1) / np.sqrt(2)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
     u2 = expm(-1j * pair_block(tuned20.spec) * t0)
@@ -102,10 +102,10 @@ def test_evolve_pair_combination_vs_expm(tuned20):
 
 def test_norm_conservation(tuned20, rng):
     _, p2 = propagators(tuned20, 17.3)
-    cols = [pair_list(20).index(pair) for pair in sender_pairs()]
+    cols = [sender_pairs(20).index(pair) for pair in sender_pairs()]
     for _ in range(10):
         state = SenderState.random(rng)
-        assert np.trace(partial_trace_oracle(state, tuned20, 17.3).rho).real == \
+        assert np.trace(partial_trace_oracle(state, tuned20, 17.3)).real == \
             pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(p2[:, cols] @ state.a_double) == \
             pytest.approx(np.linalg.norm(state.a_double), abs=1e-10)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import spinline as sl
-from spinline.basis import SenderState, pair_list, sender_pairs
+from spinline.basis import SenderState, sender_pairs
 from spinline.verification import full_space_receiver, pair_block, propagators
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
@@ -40,7 +40,7 @@ seeds = st.integers(0, 2 ** 32 - 1)
 def test_assembled_state_matches_dense_evolution(spec, t, seed, n_sender):
     params = sl.line_params_at(sl.diagonalize(spec), t, n_sender)
     state = SenderState.random(np.random.default_rng(seed), n_sender)
-    rho = sl.assemble_rho(params, state).rho
+    rho = sl.assemble_rho(params, state)
     assert np.max(np.abs(rho - full_space_receiver(state, spec, t))) < 1e-9
 
 
@@ -58,7 +58,7 @@ def test_closed_forms_match_environment_sums(spec, t, n_sender):
     spectral = sl.diagonalize(spec)
     p1, p2 = propagators(spectral, t)
     n = spec.n_nodes
-    index = {pair: k for k, pair in enumerate(pair_list(n))}
+    index = {pair: k for k, pair in enumerate(sender_pairs(n))}
     env = range(1, n - 1)
     # p2[(i, N-1), s] and p2[(i, N), s] over environment nodes i, sender pairs s
     cols = [index[pair] for pair in sender_pairs(n_sender)]

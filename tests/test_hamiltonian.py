@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spinline.basis import pair_list
+from spinline.basis import sender_pairs
 from spinline.errors import ChainLengthError, InputError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from spinline.verification import pair_block
@@ -27,7 +27,7 @@ def test_hopping_matrix_stacks(rng):
 
 
 def test_pair_block_selection_rule():
-    index = pair_list(4).index
+    index = sender_pairs(4).index
     h2 = pair_block(ChainSpec.uniform(4))
     # one excitation hops 2 -> 3 across bond (2,3)
     assert h2[index((1, 2)), index((1, 3))] == pytest.approx(0.5)

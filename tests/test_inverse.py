@@ -14,22 +14,32 @@ from spinline import inverse, verification
 from spinline.basis import SenderState
 from spinline.errors import InfeasibleTargetError, InputError
 from spinline.hamiltonian import ChainSpec
-from spinline.inverse import TargetState, discrepancy, werner_target, zero_family_iii
+from spinline.inverse import check_target, discrepancy, werner_target, zero_family_iii
 from spinline.receiver import FAMILY_I, FAMILY_II, param_index, receiver_operator
 
 
 def test_werner_matrix_structure():
-    m = werner_target(0.6).matrix
+    m = werner_target(0.6)
     assert m[0, 0] == m[3, 3] == pytest.approx(0.1)
     assert m[1, 1] == m[2, 2] == pytest.approx(0.4)
     assert m[1, 2] == m[2, 1] == pytest.approx(-0.3)
     assert np.trace(m) == pytest.approx(1.0)
-    TargetState(m).validate()
+    assert check_target(m) is m
 
 
 def test_werner_parameter_range():
     with pytest.raises(ValueError):
         werner_target(1.2)
+
+
+def test_werner_target_takes_an_array_of_p():
+    ps = np.array([[0.0, 0.4], [0.8, 1.0]])
+    stacked = werner_target(ps)
+    assert stacked.shape == (2, 2, 4, 4)
+    for idx in np.ndindex(ps.shape):
+        assert stacked[idx].tobytes() == werner_target(float(ps[idx])).tobytes()
+    with pytest.raises(InputError, match="must lie in"):
+        werner_target([0.2, np.nan])
 
 
 def test_discrepancy_basics():
@@ -44,10 +54,10 @@ def test_discrepancy_basics():
 def test_nonphysical_target_rejected():
     bad = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
-        TargetState(bad).validate()
+        check_target(bad)
     bad = np.diag([np.nan, 0.5, 0.5, 0.0]).astype(complex)
     with pytest.raises(InputError, match="non-finite"):
-        TargetState(bad).validate()
+        check_target(bad)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4, 0.8])
@@ -84,19 +94,16 @@ def _forms_and_expected(kind, params, rng):
     """
     n_sender, K = params.n_sender, receiver_operator(params)
     if kind == "werner":
-        Q, c = inverse._werner_system(K, n_sender, werner_target(0.3).matrix)
+        Q, c = inverse._werner_system(K, n_sender, werner_target(0.3))
         y = rng.standard_normal(len(params.pairs)) / np.sqrt(len(params.pairs))
-        d = (sl.assemble_rho(params, SenderState.from_double(y, n_sender)).rho
-             - werner_target(0.3).matrix)
+        d = sl.assemble_rho(params, SenderState.from_double(y, n_sender)) - werner_target(0.3)
         entries = [d[3, 3].real, d[1, 1].real, d[2, 2].real, d[1, 2].real, d[1, 2].imag]
     else:
-        target = sl.assemble_rho(params, SenderState.random(rng, n_sender)).rho
+        target = sl.assemble_rho(params, SenderState.random(rng, n_sender))
         basis = inverse._general_basis(params)
         Q, c = inverse._quadratic_system(K, basis, target)
         y = rng.standard_normal(basis.shape[1]) / np.sqrt(basis.shape[1])
-        x = basis @ y
-        state = SenderState(x[0].real, x[1 : 1 + n_sender], x[1 + n_sender :], n_sender)
-        upper = (sl.assemble_rho(params, state).rho - target)[np.triu_indices(4)]
+        upper = (sl.assemble_rho(params, SenderState(basis @ y)) - target)[np.triu_indices(4)]
         entries = [*upper.real, *upper.imag]
     return Q, c, y, entries + [y @ y - 1.0]
 
@@ -218,7 +225,7 @@ def test_general_multistart_stops_at_first_exact_start(constructed, tuned20_para
     assert residual == 0.0
     assert y.tobytes() == record["y"][exact_start].tobytes()
     assert record["batches"] == ([1] if exact_start == 0 else [1, n_starts - 1])
-    np.testing.assert_array_equal(sol.controls.vector, basis @ record["y"][exact_start])
+    np.testing.assert_array_equal(sol.controls.x, basis @ record["y"][exact_start])
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +275,7 @@ def test_multistart_matches_least_squares_lm(verdict_tables, table, kind, p):
     if kind == "werner":
         n = len(params.pairs)
         starts = [np.ones(n), *np.random.default_rng(0).standard_normal((n_starts - 1, n))]
-        system = inverse._werner_system(K, params.n_sender, werner_target(p).matrix)
+        system = inverse._werner_system(K, params.n_sender, werner_target(p))
         try:
             sl.solve_werner(params, p, n_starts=n_starts)
             feasible = True
@@ -277,7 +284,7 @@ def test_multistart_matches_least_squares_lm(verdict_tables, table, kind, p):
     else:
         basis = inverse._general_basis(params)
         starts = np.random.default_rng(0).standard_normal((n_starts, basis.shape[1]))
-        system = inverse._quadratic_system(K, basis, werner_target(p).matrix)
+        system = inverse._quadratic_system(K, basis, werner_target(p))
         sol = sl.solve_general(params, werner_target(p), n_starts=n_starts)
         feasible = sol.residual <= inverse.WERNER_RESIDUAL_TOL
     assert feasible == _minpack_exact(*system, starts) == (p < 0.85)
@@ -305,7 +312,7 @@ def test_werner_controls_match_lone_solves(verdict_tables, tuned60_params, table
     assert list(stacked) == list(lone)
     assert list(stacked) == [p for p in inverse.WERNER_P if table != "n60" or p < 0.75]
     for p, sol in stacked.items():
-        np.testing.assert_allclose(sol.controls.vector, lone[p].controls.vector,
+        np.testing.assert_allclose(sol.controls.x, lone[p].controls.x,
                                    rtol=0, atol=1e-12)
         assert sol.residual <= inverse.WERNER_RESIDUAL_TOL
         assert abs(sol.residual - lone[p].residual) <= 1e-14
@@ -335,7 +342,7 @@ def test_check_werner_fails_when_a_zeroed_p_is_unsolved(monkeypatch):
 def test_exact_problem_leaves_the_others_running(tuned20_params):
     # problem 0 is exact at its first evaluation; problem 1 of the same
     # stack still runs to the point it reaches alone, not to its start
-    Q, c = inverse._werner_system(receiver_operator(tuned20_params), 4, werner_target(0.4).matrix)
+    Q, c = inverse._werner_system(receiver_operator(tuned20_params), 4, werner_target(0.4))
     y = np.full((2, Q.shape[1]), 1.0 / np.sqrt(Q.shape[1]))
     c = np.vstack([inverse._forms(Q, y)[1][0], c])  # the values at start 0, in this stack
     res, ys = inverse._levenberg_marquardt(Q, c, y, [0, 1], inverse.WERNER_RESIDUAL_TOL)
@@ -396,7 +403,7 @@ try:
 except InfeasibleTargetError as err:
     infeasible = [err.best_residual.hex(), err.best_controls.tobytes().hex()]
 sol = solve_werner(params, 0.8)
-print(json.dumps(infeasible + [sol.residual.hex(), sol.controls.vector.tobytes().hex()]))
+print(json.dumps(infeasible + [sol.residual.hex(), sol.controls.x.tobytes().hex()]))
 """
 
 
@@ -420,8 +427,8 @@ def test_capped_starts_warn_nothing(tuned20_params):
 
 def test_solution_self_consistency(tuned20_params):
     sol = sl.solve_werner(tuned20_params, 0.5)
-    rho = sl.assemble_rho(tuned20_params, sol.controls).rho
-    worst = np.max(np.abs(rho - werner_target(0.5).matrix))
+    rho = sl.assemble_rho(tuned20_params, sol.controls)
+    worst = np.max(np.abs(rho - werner_target(0.5)))
     assert worst <= sol.residual + 1e-12
 
 
@@ -463,7 +470,7 @@ def test_solve_general_vacuum_target(tuned20_params):
     # many controls create diag(1,0,0,0): the vacuum, but also states whose
     # excitations sit entirely in the environment at t0; only the receiver
     # match is contractual
-    target = TargetState(np.diag([1.0, 0, 0, 0]).astype(complex))
+    target = np.diag([1.0, 0, 0, 0]).astype(complex)
     sol = sl.solve_general(tuned20_params, target, n_starts=8)
     assert sol.residual < 1e-8
     assert sol.discrepancy < 1e-8
@@ -471,7 +478,7 @@ def test_solve_general_vacuum_target(tuned20_params):
 
 def test_solve_general_self_target(tuned20_params, rng):
     state = SenderState.random(rng)
-    target = TargetState(sl.assemble_rho(tuned20_params, state).rho)
+    target = sl.assemble_rho(tuned20_params, state)
     sol = sl.solve_general(tuned20_params, target, n_starts=16)
     assert sol.discrepancy < 1e-8
 

@@ -15,7 +15,7 @@ from spinline.receiver import (
     FAMILY_II,
     KINDS,
     LineParams,
-    ReceiverState,
+    check_receiver,
     entry_families,
     export_params_csv,
     import_params_csv,
@@ -138,20 +138,20 @@ def test_sender_receiver_overlap_rejected():
 
 
 def test_vacuum_receiver_state(tuned20_params):
-    rho = sl.assemble_rho(tuned20_params, SenderState.vacuum()).rho
+    rho = sl.assemble_rho(tuned20_params, SenderState.vacuum())
     assert np.allclose(rho, np.diag([1.0, 0, 0, 0]))
 
 
 def test_receiver_state_before_arrival(tuned20, rng):
     # sender support is disjoint from the receiver, so at t=0 nothing is there
-    rho = partial_trace_oracle(SenderState.random(rng), tuned20, 0.0).rho
+    rho = partial_trace_oracle(SenderState.random(rng), tuned20, 0.0)
     assert np.allclose(rho, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
 
 def test_single_excitation_transfer_population(tuned20, tuned20_params):
-    a1 = np.zeros(4, complex)
-    a1[0] = 1.0
-    rho = sl.assemble_rho(tuned20_params, SenderState(0.0, a1, np.zeros(6, complex))).rho
+    x = np.zeros(11, complex)
+    x[1] = 1.0  # a_single[0]: node 1 excited
+    rho = sl.assemble_rho(tuned20_params, SenderState(x))
     assert rho[2, 2].real == pytest.approx(0.99606 ** 2, abs=1e-3)
 
 
@@ -165,22 +165,22 @@ def test_oracle_equivalence(n, rng):
             params = sl.line_params_at(spectral, t)
             for _ in range(10):
                 state = SenderState.random(rng)
-                direct = sl.assemble_rho(params, state).rho
-                oracle = partial_trace_oracle(state, spectral, t).rho
+                direct = sl.assemble_rho(params, state)
+                oracle = partial_trace_oracle(state, spectral, t)
                 assert np.linalg.norm(direct - oracle) < 1e-10
 
 
 def test_receiver_state_is_physical(tuned20, rng):
     for _ in range(10):
         state = SenderState.random(rng)
-        partial_trace_oracle(state, tuned20, 19.0).validate()
+        check_receiver(partial_trace_oracle(state, tuned20, 19.0))
 
 
 def test_unphysical_receiver_state_rejected():
     rho = np.diag([1.0, 0, 0, 0]).astype(complex)
     rho[0, 1] = 0.1
     with pytest.raises(NumericalError, match="not Hermitian"):
-        ReceiverState(rho=rho).validate()
+        check_receiver(rho)
 
 
 def test_family_lists_sizes():
@@ -240,6 +240,14 @@ def test_csv_export_refuses_a_stack(tmp_path):
     with pytest.raises(SizeMismatchError, match=r"one set, not a stack of \(2,\)"):
         export_params_csv(stacked, path)
     assert not path.exists()
+
+
+def test_family_windows_refuse_a_stack():
+    # the windows are of one set; a stack is refused before any work
+    stacked, singles = _chains(4, n_chains=2)
+    with pytest.raises(SizeMismatchError, match=r"one set, not a stack of \(2,\)"):
+        sl.classify_families(stacked)
+    assert set(sl.classify_families(singles[0])) == {"I", "II", "III"}
 
 
 def test_write_table_formats_every_float_and_nothing_else(tmp_path):
