@@ -17,7 +17,7 @@ stack, and each is an array.  :func:`param_statistics` reduces the
 :func:`param_index`; :func:`werner_robustness` contracts one stacked
 receiver operator per block with the controls and returns a
 :class:`Robustness` with one value per Werner p, in the order of the
-controls.  Labels come from :func:`param_index` and :func:`entry_families`.
+controls.  The labels of a table's rows come from :func:`table_labels`.
 
 Standard deviation of a complex parameter is defined through |P - <P>|^2,
 the only convention that keeps sigma real; per-component (re, im) spreads
@@ -35,11 +35,10 @@ from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
 from .receiver import (
     LineParams,
-    entry_families,
     line_params_at,
-    param_index,
     receiver_operator,
     receiver_rho,
+    table_labels,
     write_table,
 )
 
@@ -158,17 +157,13 @@ def werner_robustness(sample, controls):
 def export_param_stats_csv(study, path, header_lines=()):
     """Fig-data export: (index, kind, indices, family, mean, shift, std)."""
     n_sender, mean, shift = study.reference.n_sender, study.mean, study.shift
-    columns = zip(param_index(n_sender), entry_families(n_sender).tolist(), mean.real,
-                  mean.imag, study.std, study.std_re, study.std_im, shift.real, shift.imag,
-                  np.abs(shift))
     write_table(path, header_lines,
                 ["index", "kind", "indices", "family", "mean_re", "mean_im", "std", "std_re",
                  "std_im", "shift_re", "shift_im", "shift_abs"],
-                ([j, kind, ";".join(map(str, idx)), *values]
-                 for j, ((kind, idx), *values) in enumerate(columns)))
+                [range(len(mean)), *table_labels(n_sender), mean.real, mean.imag, study.std,
+                 study.std_re, study.std_im, shift.real, shift.imag, np.abs(shift)])
 
 
 def export_robustness_csv(robustness, path, header_lines=()):
     """Fig-data export: (p, mean_delta, std_delta, sem_delta)."""
-    write_table(path, header_lines, ["p", "mean_delta", "std_delta", "sem_delta"],
-                zip(*robustness))
+    write_table(path, header_lines, ["p", "mean_delta", "std_delta", "sem_delta"], robustness)

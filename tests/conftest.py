@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 from pathlib import Path
 
@@ -40,3 +42,18 @@ def child_env():
     src = str(Path(sl.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, path] if path else [src])}
+
+
+@pytest.fixture(scope="session")
+def csv_oracle():
+    """The bytes of a CSV artifact by the stdlib recipe: ``# `` comment lines,
+    then :func:`csv.writer` rows with every float cell written as ``.12e``."""
+    def table_bytes(comments, header, rows):
+        buf = io.StringIO(newline="")
+        buf.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([f"{v:.12e}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+        return buf.getvalue().encode()
+    return table_bytes

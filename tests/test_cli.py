@@ -132,6 +132,27 @@ def test_nan_entry_params_csv_rejected(workdir, params_csv, capsys):
     assert "p_Nm1;3 is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeat, message", [
+    ("row", "repeated entry p_N;1"),
+    ("t0", "repeated '# t0' line"),
+])
+def test_repeated_params_csv_line_rejected(workdir, params_csv, repeat, message, capsys):
+    # a second copy must not win silently: with p_N;1 read as 0.5 the
+    # Werner solve would run on a wrong line and exit 4, infeasible
+    lines = params_csv.read_text().splitlines()
+    if repeat == "row":
+        kind, idx, _re, *rest = next(line for line in lines if line.startswith("p_N,1,")).split(",")
+        lines.append(",".join([kind, idx, "0.5", *rest]))
+    else:
+        lines.insert(0, "# t0: 30.0")
+    (workdir / "repeated.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=message):
+        import_params_csv(workdir / "repeated.csv")
+    rc = main(["create-state", "--target", "werner", "--p", "0.5", "--params", "repeated.csv"])
+    assert rc == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_create_state_werner(workdir, params_csv):
     rc = main(["create-state", "--target", "werner", "--p", "0.4",
                "--params", str(params_csv), "--out", "sol.json"])

@@ -223,7 +223,8 @@ def test_robustness_grows_with_epsilon(base20, tuned20_params, controls):
     assert np.all(hi.mean > lo.mean)
 
 
-def test_csv_exports(tmp_path, base20, tuned20_params, controls):
+def test_csv_exports(tmp_path, base20, tuned20_params, controls, csv_oracle):
+    # the bytes of both tables are those of the stdlib csv.writer recipe
     chains = sample(base20, tuned20_params.t0, 0.05, 4, 3)
     study = param_statistics(tuned20_params, chains)
     p1 = tmp_path / "stats.csv"
@@ -231,9 +232,19 @@ def test_csv_exports(tmp_path, base20, tuned20_params, controls):
     lines = p1.read_text().splitlines()
     assert lines[0] == "# cfg"
     assert len(lines) == 2 + 170
+    columns = zip(param_index(4), entry_families(4), study.mean, study.std, study.std_re,
+                  study.std_im, study.shift)
+    rows = [[j, kind, ";".join(map(str, idx)), family, mean.real, mean.imag, std, std_re,
+             std_im, shift.real, shift.imag, np.abs(shift)]
+            for j, ((kind, idx), family, mean, std, std_re, std_im, shift) in enumerate(columns)]
+    assert p1.read_bytes() == csv_oracle(
+        ["cfg"], ["index", "kind", "indices", "family", "mean_re", "mean_im", "std", "std_re",
+                  "std_im", "shift_re", "shift_im", "shift_abs"], rows)
     robustness = werner_robustness(chains, controls)
     p2 = tmp_path / "rob.csv"
     export_robustness_csv(robustness, p2)
     lines = p2.read_text().splitlines()
     assert lines[0] == "p,mean_delta,std_delta,sem_delta"
     assert len(lines) == 1 + len(controls)
+    assert p2.read_bytes() == csv_oracle(
+        [], ["p", "mean_delta", "std_delta", "sem_delta"], zip(*robustness))

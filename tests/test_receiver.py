@@ -2,13 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spinline as sl
 from spinline.basis import SenderState, sender_pairs
-from spinline.errors import NumericalError, SizeMismatchError
+from spinline.errors import InputError, NumericalError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.receiver import (
     FAMILY_I,
@@ -253,7 +253,7 @@ def test_family_windows_refuse_a_stack():
 def test_write_table_formats_every_float_and_nothing_else(tmp_path):
     path = tmp_path / "table.csv"
     write_table(path, ["config: {}", "t0: 1.5"], ["index", "kind", "np", "py"],
-                [[7, "P_mN", np.float64(-0.1), 2.5]])
+                [[7], ["P_mN"], np.array([-0.1]), np.array([2.5])])
     assert path.read_bytes() == (b"# config: {}\n# t0: 1.5\nindex,kind,np,py\r\n"
                                  b"7,P_mN,-1.000000000000e-01,2.500000000000e+00\r\n")
 
@@ -285,3 +285,97 @@ def test_csv_round_trip_of_random_params(tmp_path_factory, params):
     want, got = params.entries, loaded.entries
     for part in (np.real, np.imag):
         np.testing.assert_allclose(part(got), part(want), rtol=5.01e-13, atol=0)
+
+
+# finite floats, signed zeros and magnitudes near 1e+-300 among them
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def table_params(draw, floats=FLOATS):
+    """A LineParams of a 2- to 5-node sender with entries and t0 from ``floats``."""
+    n_entries = len(param_index(draw(st.integers(2, 5))))
+    entries = np.empty(n_entries, complex)
+    entries.real, entries.imag = draw(arrays(float, (2, n_entries), elements=floats))
+    return LineParams(t0=draw(floats), entries=entries)
+
+
+def _signed_zeros():
+    # every part a signed zero, the imaginary ones negative
+    return LineParams(t0=-0.0, entries=np.full(len(param_index(2)), complex(0.0, -0.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(params=_signed_zeros())
+@given(params=table_params())
+def test_params_table_bytes_match_the_stdlib_writer(tmp_path_factory, csv_oracle, params):
+    path = tmp_path_factory.mktemp("csv") / "params.csv"
+    comments = ['config: {"out": "a,b.csv"}', f"t0: {params.t0!r}"]
+    export_params_csv(params, path, header_lines=comments[:1])
+    rows = [[kind, ";".join(map(str, idx)), value.real, value.imag, family]
+            for (kind, idx, value), family in zip(params.items(), entry_families(params.n_sender))]
+    assert path.read_bytes() == csv_oracle(
+        comments, ["kind", "indices", "re", "im", "family"], rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(params=_signed_zeros())
+@given(params=table_params(FLOATS.map(lambda v: float(f"{v:.12e}"))))
+def test_csv_round_trip_is_bitwise(tmp_path_factory, params):
+    # entries that .12e writes exactly, and t0 (written as repr), read back
+    # bit for bit, signs of zeros included
+    path = tmp_path_factory.mktemp("csv") / "params.csv"
+    export_params_csv(params, path)
+    loaded = import_params_csv(path)
+    assert np.float64(loaded.t0).tobytes() == np.float64(params.t0).tobytes()
+    assert loaded.entries.tobytes() == params.entries.tobytes()
+
+
+def _table(tmp_path, params):
+    """The comment and header lines, and the data rows, of the exported ``params``."""
+    path = tmp_path / "params.csv"
+    export_params_csv(params, path)
+    lines = path.read_text().splitlines(keepends=True)
+    return lines[:2], lines[2:]
+
+
+def _relabel(row, pattern):
+    kind, idx, rest = row.split(",", 2)
+    return ",".join([kind, ";".join(pattern.format(i) for i in idx.split(";")), rest])
+
+
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(lambda rows, rng: [rows[i] for i in rng.permutation(len(rows))], id="permuted"),
+    pytest.param(lambda rows, rng: [_relabel(row, "0{}") for row in rows], id="01"),
+    pytest.param(lambda rows, rng: [_relabel(row, " {}") for row in rows], id="space-2"),
+])
+def test_import_places_rows_by_label(tmp_path, tuned20_params, rng, rewrite):
+    head, rows = _table(tmp_path, tuned20_params)
+    want = import_params_csv(tmp_path / "params.csv")
+    edited = rewrite(rows, rng)
+    assert edited != rows
+    (tmp_path / "edited.csv").write_text("".join(head + edited))
+    got = import_params_csv(tmp_path / "edited.csv")
+    assert got.t0 == want.t0
+    assert got.entries.tobytes() == want.entries.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda rows: rows[:-1],
+                 "1 entries missing and 0 unknown for a 4-node sender, e.g. P_NN;3;4;3;4",
+                 id="missing"),
+    pytest.param(lambda rows: rows + ["P_mm,1;9;1;2,0.0,0.0,III\n"],
+                 "0 entries missing and 1 unknown for a 4-node sender, e.g. P_mm;1;9;1;2",
+                 id="unknown"),
+    pytest.param(lambda rows: rows[1:] + ["P_x,1,0.0,0.0,III\n"],
+                 "1 entries missing and 1 unknown for a 4-node sender, e.g. p_N;1",
+                 id="both"),
+])
+def test_import_names_missing_and_unknown_entries(tmp_path, tuned20_params, edit, message):
+    head, rows = _table(tmp_path, tuned20_params)
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(head + edit(rows)))
+    with pytest.raises(InputError) as info:
+        import_params_csv(path)
+    assert str(info.value) == f"{path}: {message}"
