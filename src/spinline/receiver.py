@@ -35,10 +35,10 @@ leading axes.
 Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 """
 
+import cmath
 import csv
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -372,12 +372,17 @@ def classify_families(params):
             for fam in ("I", "II", "III") if (m := mags[families == fam]).size}
 
 
+def _joined(indices):
+    """The ``;``-joined text of 1-based ``indices``, as a table labels them."""
+    return ";".join(map(str, indices))
+
+
 @functools.lru_cache(maxsize=8)
 def table_labels(n_sender):
     """The label columns of a parameter table, one string per entry in the
     order of :func:`param_index`: the kind, the ``;``-joined 1-based indices
     and the family of :func:`entry_families`."""
-    kinds, indices = zip(*((kind, ";".join(map(str, idx))) for kind, idx in param_index(n_sender)))
+    kinds, indices = zip(*((kind, _joined(idx)) for kind, idx in param_index(n_sender)))
     return kinds, indices, tuple(entry_families(n_sender).tolist())
 
 
@@ -385,13 +390,14 @@ def write_table(path, comments, header, columns):
     """Write a CSV artifact: a ``# `` line per comment, the ``header`` row,
     then one row across the equal-length ``columns``.
 
-    The one CSV writer.  A numpy array column holds numbers, written as
-    ``.12e``, 13 significant digits; any other column holds cells written
+    The one CSV writer.  Floats (numpy's too, and those of a numpy array
+    column) are written as ``.12e``, 13 significant digits; ints and strings
     unquoted as ``str`` gives them, so none may hold a comma, quote or line
     break.  Rows end in ``\\r\\n`` as :func:`csv.writer` ends them.  The file
     is built in one pass and written at once."""
-    cells = [[f"{v:.12e}" for v in column.tolist()] if isinstance(column, np.ndarray)
-             else map(str, column) for column in columns]
+    cells = [[f"{v:.12e}" if isinstance(v, float) else str(v)
+              for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
+             for column in columns]
     lines = [",".join(header), *map(",".join, zip(*cells)), ""]
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + "\r\n".join(lines))
@@ -409,17 +415,11 @@ def export_params_csv(params, path, header_lines=()):
                 [kinds, indices, params.entries.real, params.entries.imag, families])
 
 
-def _label(key):
-    kind, indices = key
-    return f"{kind};{';'.join(map(str, indices))}"
-
-
 def import_params_csv(path):
     """Rebuild a LineParams from :func:`export_params_csv` output.
 
-    Rows may come in any order; each fills the entry of its (kind,
-    indices) key, the indices read as integers (``01`` and `` 2`` are 1
-    and 2).
+    Rows may come in any order; each is keyed by its kind and indices, the
+    indices read as integers (``01`` and `` 2`` are 1 and 2).
 
     Raises
     ------
@@ -431,15 +431,18 @@ def import_params_csv(path):
     with open(path, newline="") as fh:
         raw = [r for r in csv.reader(fh) if r]
     rows = [r for r in raw if not r[0].startswith("#")]
-    keys, real, imag = [], [], []
     try:
         t0 = [float(r[0].split(":", 1)[1]) for r in raw if r[0].startswith("# t0:")]
-        for kind, idx, re_text, im_text, _fam in rows[1:]:
-            keys.append((kind, tuple(map(int, idx.split(";")))))
-            real.append(float(re_text))
-            imag.append(float(im_text))
+        cells = [((kind, tuple(int(i) for i in idx.split(";"))),
+                  complex(float(re), float(im)))  # keeps a -0.0 imaginary part
+                 for kind, idx, re, im, _fam in rows[1:]]
     except ValueError as exc:
         raise InputError(f"{path}: malformed parameter table ({exc})") from exc
+    entries = {}
+    for (kind, indices), value in cells:
+        if (kind, indices) in entries:
+            raise InputError(f"{path}: repeated entry {kind};{_joined(indices)}")
+        entries[kind, indices] = value
     if not t0:
         raise InputError(f"{path}: no '# t0' line")
     if len(t0) > 1:
@@ -447,26 +450,19 @@ def import_params_csv(path):
     t0 = t0[0]
     if not np.isfinite(t0):
         raise InputError(f"{path}: registration time t0 = {t0} is not finite")
-    counts = Counter(keys)
-    repeated = next((key for key, count in counts.items() if count > 1), None)
-    if repeated is not None:
-        raise InputError(f"{path}: repeated entry {_label(repeated)}")
-    values = np.empty(len(keys), complex)
-    values.real, values.imag = real, imag  # keeps a -0.0 imaginary part
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise InputError(f"{path}: entry {_label(keys[bad[0]])} is not finite")
-    n_sender = max((i[0] for k, i in keys if k == "p_N"), default=0)
+    bad = next((key for key, v in entries.items() if not cmath.isfinite(v)), None)
+    if bad is not None:
+        raise InputError(f"{path}: entry {bad[0]};{_joined(bad[1])} is not finite")
+    n_sender = max((i[0] for k, i in entries if k == "p_N"), default=0)
     if n_sender < 2:
         raise InputError(f"{path}: no p_N entries to fix the sender size")
-    positions = _positions(n_sender)
-    missing = [k for k in param_index(n_sender) if k not in counts]
-    unknown = [k for k in keys if k not in positions]
+    index = param_index(n_sender)
+    missing = [k for k in index if k not in entries]
+    unknown = [k for k in entries if k not in _positions(n_sender)]
     if missing or unknown:
+        bad = missing or unknown
         raise InputError(
             f"{path}: {len(missing)} entries missing and {len(unknown)} unknown for "
-            f"a {n_sender}-node sender, e.g. {_label((missing or unknown)[0])}"
+            f"a {n_sender}-node sender, e.g. {bad[0][0]};{_joined(bad[0][1])}"
         )
-    entries = np.empty_like(values)
-    entries[[positions[k] for k in keys]] = values
-    return LineParams(t0=t0, entries=entries)
+    return LineParams(t0=t0, entries=np.array([entries[key] for key in index], complex))

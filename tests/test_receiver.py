@@ -252,10 +252,11 @@ def test_family_windows_refuse_a_stack():
 
 def test_write_table_formats_every_float_and_nothing_else(tmp_path):
     path = tmp_path / "table.csv"
-    write_table(path, ["config: {}", "t0: 1.5"], ["index", "kind", "np", "py"],
-                [[7], ["P_mN"], np.array([-0.1]), np.array([2.5])])
-    assert path.read_bytes() == (b"# config: {}\n# t0: 1.5\nindex,kind,np,py\r\n"
-                                 b"7,P_mN,-1.000000000000e-01,2.500000000000e+00\r\n")
+    write_table(path, ["config: {}", "t0: 1.5"], ["index", "kind", "np", "py", "npint", "mixed"],
+                [[7], ["P_mN"], np.array([-0.1]), [2.5], np.array([3]), (np.float64(0.25),)])
+    assert path.read_bytes() == (b"# config: {}\n# t0: 1.5\nindex,kind,np,py,npint,mixed\r\n"
+                                 b"7,P_mN,-1.000000000000e-01,2.500000000000e+00,3,"
+                                 b"2.500000000000e-01\r\n")
 
 
 @st.composite
