@@ -11,11 +11,12 @@ spinline's own, of the JSON Schema keywords in :data:`KEYWORDS`, the ones
 usual JSON Schema wording, and needs no package beyond numpy.
 
 Exit codes: 0 success, 1 failed verification report or numerical
-self-check, 2 invalid config or input (a config, chain, target or
-probe-output file that is not valid JSON of the expected shape, a bad scan
-grid, search box, parameter table, target state or sender size, an
-incomplete or degenerate probe set, a chain too short for its coupling
-profile), 3 file I/O error, 4 infeasible target or no transfer arrival.
+self-check, 2 invalid config or input (an input file that is not UTF-8
+text, a config, chain, target or probe-output file that is not valid JSON
+of the expected shape, a bad scan grid, search box, parameter table,
+target state or sender size, an incomplete or degenerate probe set, a
+chain too short for its coupling profile), 3 file I/O error, 4 infeasible
+target or no transfer arrival.
 """
 
 import argparse
@@ -65,11 +66,10 @@ from .probing import (
     simulate_probes,
 )
 from .receiver import (
-    entry_families,
     export_params_csv,
     import_params_csv,
     line_params_at,
-    param_index,
+    table_labels,
 )
 from .verification import (
     check_boundary_optimization,
@@ -281,12 +281,21 @@ def validate_config(config):
     return {**_DEFAULTS[command], **config}
 
 
+def _read_text(path):
+    """The text of the input file ``path``; InputError names a file that is
+    not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text ({exc})") from exc
+
+
 def _resolve_chain(config, default_tuned=False):
     """(spec, t0, n_sender) from the chain-selection part of a config."""
     sender = config["sender"]
     if config.get("chain"):
-        with open(config["chain"]) as fh:
-            spec = ChainSpec.from_json(fh.read())
+        spec = ChainSpec.from_json(_read_text(config["chain"]))
         if config.get("t0") is None:
             raise ConfigError("--t0 is required with --chain")
         return spec, float(config["t0"]), sender
@@ -346,8 +355,7 @@ def run_probe_params(config):
         if config.get("t0") is None:
             raise ConfigError("--t0 is required with --outputs")
         t0 = float(config["t0"])
-        with open(config["outputs"]) as fh:
-            outputs = probe_outputs_from_json(fh.read())
+        outputs = probe_outputs_from_json(_read_text(config["outputs"]))
     else:
         params_true, _spec = _line_params_for(config)
         t0 = params_true.t0
@@ -369,9 +377,9 @@ def _load_target(config):
             raise ConfigError("--p is required for the werner target")
         return werner_target(config["p"]), True
     if target.startswith("file:"):
+        text = _read_text(target[5:])
         try:
-            with open(target[5:]) as fh:
-                data = json.load(fh)
+            data = json.loads(text)
             m = np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(
@@ -437,23 +445,23 @@ def run_disorder_study(config):
                                 n_sender=params.n_sender)
     study = param_statistics(params, sample)
     # rows stop at the first Werner p the line cannot create; the rest are listed
-    controls = {p: sol.controls for p, sol in werner_controls(params, seed=seed).items()}
-    robustness = werner_robustness(sample, controls)
+    controls = werner_controls(params, seed=seed)
+    robustness = werner_robustness(sample, controls.p, controls.x)
     result = {
         "epsilon": epsilon,
         "chains": n_chains,
         "param_stats": {
-            f"{kind};{';'.join(map(str, idx))}": {
+            f"{kind};{indices}": {
                 "family": family, "mean": [mean.real, mean.imag], "std": std,
                 "shift": [shift.real, shift.imag],
             }
-            for (kind, idx), family, mean, std, shift in zip(
-                param_index(params.n_sender), entry_families(params.n_sender).tolist(),
+            for kind, indices, family, mean, std, shift in zip(
+                *table_labels(params.n_sender),
                 study.mean.tolist(), study.std.tolist(), study.shift.tolist())
         },
         "werner_robustness": [dict(zip(("p", "mean_delta", "std_delta", "sem"), row))
                               for row in np.column_stack(robustness).tolist()],
-        "werner_skipped_p": [p for p in WERNER_P if p not in controls],
+        "werner_skipped_p": list(WERNER_P[len(controls.p):]),
     }
     _emit_json(config, result, config["out"])
     if config.get("params_csv"):
@@ -552,9 +560,9 @@ def build_parser():
 
 def _config_from_args(args):
     if args.command == "run":
+        text = _read_text(args.config)
         try:
-            with open(args.config) as fh:
-                config = json.load(fh)
+            config = json.loads(text)
         except ValueError as exc:
             raise InputError(f"{args.config} is not JSON ({exc})") from exc
         if not isinstance(config, dict):

@@ -14,10 +14,12 @@ concatenating their ``entries``.  The statistics are reductions over that
 stack, and each is an array.  :func:`param_statistics` reduces the
 (n_chains, n_entries) ``entries`` to a :class:`DisorderStudy` whose
 ``mean``, ``std`` and ``shift`` hold one value per entry, in the order of
-:func:`param_index`; :func:`werner_robustness` contracts one stacked
-receiver operator per block with the controls and returns a
-:class:`Robustness` with one value per Werner p, in the order of the
-controls.  The labels of a table's rows come from :func:`table_labels`.
+:func:`param_index`; :func:`werner_robustness` takes the Werner p and
+their (P, d) control vectors as the arrays of
+:func:`~spinline.inverse.werner_controls`, contracts one stacked receiver
+operator per block with all of them and returns a :class:`Robustness`
+with one value per p, in the order given.  The labels of a table's rows
+come from :func:`table_labels`.
 
 Standard deviation of a complex parameter is defined through |P - <P>|^2,
 the only convention that keeps sigma real; per-component (re, im) spreads
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import diagonalize
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, SizeMismatchError
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
 from .receiver import (
@@ -129,20 +131,23 @@ def param_statistics(reference, sample):
 Robustness = namedtuple("Robustness", "p mean std sem")
 
 
-def werner_robustness(sample, controls):
+def werner_robustness(sample, p, x):
     """Discrepancy of fixed controls evaluated on the sampled chains.
 
-    ``controls`` maps the Werner parameter p to the SenderState solved on
-    the unperturbed chain.  On each chain of the stacked ``sample`` the
-    controls are sent as-is and the created state is compared to the exact
-    Werner target: one stacked receiver operator per block of chains,
-    contracted with every control at once.  Returns the Robustness arrays
-    in the order of ``controls``.
+    ``x`` (P, d) holds the control vectors solved on the unperturbed chain
+    for the Werner parameters ``p`` (P,), as
+    :func:`~spinline.inverse.werner_controls` returns them.  On each chain of the stacked ``sample`` the controls are
+    sent as-is and the created state is compared to the exact Werner
+    target: one stacked receiver operator per block of chains, contracted
+    with every control at once.  Returns the Robustness arrays in the order
+    of ``p``.
     """
-    if not controls:
-        raise InputError("controls table is empty")
-    x = np.array([state.x for state in controls.values()])
-    targets = werner_target(list(controls))
+    p = np.asarray(p, float)
+    if not p.size:
+        raise InputError("no controls to evaluate")
+    if np.shape(x)[:-1] != p.shape:
+        raise SizeMismatchError(f"{np.shape(x)[:-1]} control vectors for {p.shape} Werner p")
+    targets = werner_target(p)
     n_chains = sample.shape[0]
     deltas = np.concatenate([
         discrepancy(receiver_rho(receiver_operator(sample[block]), x), targets)
@@ -150,8 +155,7 @@ def werner_robustness(sample, controls):
     ])
     # centred on the first chain, so identical chains give exactly zero spread
     std = (deltas - deltas[0]).std(axis=0, ddof=1)
-    return Robustness(np.array(list(controls), float), deltas.mean(axis=0), std,
-                      std / np.sqrt(n_chains))
+    return Robustness(p, deltas.mean(axis=0), std, std / np.sqrt(n_chains))
 
 
 def export_param_stats_csv(study, path, header_lines=()):

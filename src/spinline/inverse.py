@@ -14,9 +14,11 @@ The solver takes the same steps in any process, so a seeded solve gives
 the same bits wherever it runs.
 
 The Werner equations of different p share their forms and differ only in
-their values, so a list of p is one stacked solve (:func:`werner_controls`
-for the p of the paper's imperfection study); :func:`solve_werner` is its
-one-p case.
+their values, so a list of p is one stacked solve.  :func:`werner_controls`
+solves the p of the paper's imperfection study and returns them as one
+tuple of arrays, :class:`WernerControls`: the p, the (P, d) control
+vectors and each one's residual and discrepancy, over the leading p the
+line can create.  :func:`solve_werner` is the one-p case of the same solve.
 
 :func:`zero_family_iii` truncates a parameter set to its families I and II
 with one mask over its ``entries``
@@ -24,6 +26,7 @@ with one mask over its ``entries``
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +81,11 @@ class InverseSolution:
     controls: SenderState
     residual: float
     discrepancy: float
+
+
+# a set of solved Werner parameters: p (P,), the control vectors x (P, d)
+# with a0 = a_i = 0, and each one's residual and discrepancy (P,)
+WernerControls = namedtuple("WernerControls", "p x residual discrepancy")
 
 
 def discrepancy(rho, target):
@@ -337,14 +345,15 @@ def _multistart(Q, c, starts, residual_tol):
     return res, ys
 
 
-def _werner_solutions(params, ps, n_starts, seed, residual_tol):
-    """One stacked multi-start over the Werner parameters ps: for each p an
-    InverseSolution, or the InfeasibleTargetError it raises when no start
-    reaches ``residual_tol``.
+def _werner_solve(params, ps, n_starts, seed, residual_tol):
+    """One stacked multi-start over the Werner parameters ps, as
+    :class:`WernerControls` of the leading p that reach ``residual_tol``.
 
     Every p runs the same starts: the equal-amplitude vector, then
     ``n_starts - 1`` standard normal draws of ``seed``.  One receiver
-    operator gives the forms and the discrepancies of all solved p.
+    operator gives the forms and the discrepancies of all solved p.  An
+    unsolved first p raises its InfeasibleTargetError, which carries the
+    best pair amplitudes found.
     """
     n_pairs = len(params.pairs)
     rng = np.random.default_rng(seed)
@@ -352,15 +361,14 @@ def _werner_solutions(params, ps, n_starts, seed, residual_tol):
     targets = werner_target(ps)
     K = receiver_operator(params)
     res, ys = _multistart(*_werner_system(K, params.n_sender, targets), starts, residual_tol)
-    out = [None if r <= residual_tol else InfeasibleTargetError(r, best_controls=y)
-           for r, y in zip(res.tolist(), ys)]
-    solved = [k for k, sol in enumerate(out) if sol is None]
-    if solved:
-        controls = [SenderState.from_double(ys[k], params.n_sender) for k in solved]
-        rho = receiver_rho(K, np.array([s.x for s in controls]))
-        for k, state, delta in zip(solved, controls, discrepancy(rho, targets[solved]).tolist()):
-            out[k] = InverseSolution(controls=state, residual=float(res[k]), discrepancy=delta)
-    return out
+    unsolved = res > residual_tol
+    n_solved = int(np.argmax(unsolved)) if unsolved.any() else len(res)
+    if n_solved == 0:
+        raise InfeasibleTargetError(res[0], best_controls=ys[0])
+    x = np.zeros((n_solved, K.shape[-1]), complex)
+    x[:, 1 + params.n_sender:] = ys[:n_solved]
+    return WernerControls(np.array(ps[:n_solved], float), x, res[:n_solved],
+                          discrepancy(receiver_rho(K, x), targets[:n_solved]))
 
 
 def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TOL):
@@ -384,10 +392,9 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
         If no start reaches ``residual_tol`` (expected for p beyond the
         feasibility boundary).
     """
-    (solution,) = _werner_solutions(params, [p], n_starts, seed, residual_tol)
-    if isinstance(solution, InfeasibleTargetError):
-        raise solution
-    return solution
+    (_, (x,), (residual,), (delta,)) = _werner_solve(params, [p], n_starts, seed, residual_tol)
+    return InverseSolution(controls=SenderState(x), residual=float(residual),
+                           discrepancy=float(delta))
 
 
 WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))
@@ -395,25 +402,17 @@ WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))
 
 def werner_controls(params, seed=0):
     """Solved controls for p = 0, 0.1, ..., 0.8 (:data:`WERNER_P`) on the
-    given line, as {p: InverseSolution}.
+    given line, as :class:`WernerControls` arrays.
 
     The nine p are one stacked solve: start 0 of every p advances in one
     stack, and only the p it leaves open run their other 63 starts, each p
     from the same seeded starts as ``solve_werner(params, p, seed=seed)``.
-    The result stops at the first p that is infeasible on the line, so it
-    may hold fewer p than :data:`WERNER_P`; it is never empty, since an
+    The arrays stop at the first p that is infeasible on the line, so they
+    may hold fewer p than :data:`WERNER_P`; they are never empty, since an
     infeasible p = 0 raises InfeasibleTargetError.
     """
-    solutions = {}
-    stacked = _werner_solutions(params, WERNER_P, n_starts=64, seed=seed,
-                                residual_tol=WERNER_RESIDUAL_TOL)
-    for p, solution in zip(WERNER_P, stacked):
-        if isinstance(solution, InfeasibleTargetError):
-            if not solutions:
-                raise solution
-            break
-        solutions[p] = solution
-    return solutions
+    return _werner_solve(params, WERNER_P, n_starts=64, seed=seed,
+                         residual_tol=WERNER_RESIDUAL_TOL)
 
 
 def solve_general(params, target, n_starts=32, seed=0):

@@ -24,7 +24,9 @@ commands: :func:`export_params_csv` writes it through :func:`write_table`,
 the one CSV writer, which takes a table by columns and writes the file
 at once.  Its label columns are :func:`table_labels`, built once per
 sender size from the layout.  :func:`import_params_csv` places each row
-in ``entries`` by its label.
+in ``entries`` by its label.  An entry's family (:func:`entry_families`)
+is I or II when the paper's table of that family, in
+:mod:`~spinline.benchmarks`, lists it, and III otherwise.
 
 Every function here broadcasts over leading axes: a stack of spectra (see
 :func:`~spinline.dynamics.diagonalize`) gives one :class:`LineParams`
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import benchmarks as bm
 from .basis import sender_pairs
 from .dynamics import one_excitation_columns
 from .errors import InputError, NumericalError, SizeMismatchError, check_tolerance
@@ -312,41 +315,12 @@ def assemble_rho(params, state):
 #
 # The near-unity entries pair mirror-symmetric transfer amplitudes; the
 # intermediate family loses one symmetric factor; everything else is small.
-# Membership is structural (fixed index lists), not a magnitude threshold:
-# the magnitude windows move with chain length but the lists do not.
+# Membership is structural, the keys of the paper's family I and II tables,
+# not a magnitude threshold: the magnitude windows move with chain length
+# but the tables' entries do not.
 
-FAMILY_I = (
-    ("p_Nm1", (2,)),
-    ("p_N", (1,)),
-    ("p_pair", (1, 2)),
-    ("P_Nm1", (3, 2, 3)),
-    ("P_Nm1", (4, 2, 4)),
-    ("P_N", (3, 1, 3)),
-    ("P_N", (4, 1, 4)),
-    ("P_NN", (1, 3, 1, 3)),
-    ("P_NN", (1, 4, 1, 4)),
-    ("P_mm", (2, 3, 2, 3)),
-    ("P_mm", (2, 4, 2, 4)),
-    ("P_mN", (2, 3, 1, 3)),
-    ("P_mN", (2, 4, 1, 4)),
-)
-
-FAMILY_II = (
-    ("p_Nm1", (4,)),
-    ("p_pair", (1, 4)),
-    ("P_Nm1", (2, 2, 4)),
-    ("P_Nm1", (3, 3, 4)),
-    ("P_N", (2, 1, 2)),
-    ("P_N", (4, 1, 2)),
-    ("P_N", (2, 1, 4)),
-    ("P_NN", (1, 2, 1, 2)),
-    ("P_NN", (1, 4, 1, 2)),
-    ("P_NN", (1, 2, 1, 4)),
-    ("P_mm", (3, 4, 2, 3)),
-    ("P_mm", (2, 3, 3, 4)),
-    ("P_mN", (2, 4, 1, 2)),
-    ("P_mN", (3, 4, 1, 3)),
-)
+FAMILY_I = tuple(bm.FAMILY_I_REFERENCE)
+FAMILY_II = tuple(bm.FAMILY_II_REFERENCE)
 
 
 @functools.lru_cache(maxsize=8)
@@ -424,19 +398,22 @@ def import_params_csv(path):
     Raises
     ------
     InputError
-        If the ``# t0`` line is missing, repeated or not finite, a row is
-        malformed or repeats an entry, an entry is not finite, or the table
-        lacks or adds any entry of the index for its sender size.
+        If the file is not UTF-8 text, the ``# t0`` line is missing,
+        repeated or not finite, a row is malformed or repeats an entry, an
+        entry is not finite, or the table lacks or adds any entry of the
+        index for its sender size.
     """
-    with open(path, newline="") as fh:
-        raw = [r for r in csv.reader(fh) if r]
-    rows = [r for r in raw if not r[0].startswith("#")]
+    # UnicodeDecodeError is a ValueError; csv.Error is a cell longer than
+    # csv.field_size_limit()
     try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            raw = [r for r in csv.reader(fh) if r]
+        rows = [r for r in raw if not r[0].startswith("#")]
         t0 = [float(r[0].split(":", 1)[1]) for r in raw if r[0].startswith("# t0:")]
         cells = [((kind, tuple(int(i) for i in idx.split(";"))),
                   complex(float(re), float(im)))  # keeps a -0.0 imaginary part
                  for kind, idx, re, im, _fam in rows[1:]]
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise InputError(f"{path}: malformed parameter table ({exc})") from exc
     entries = {}
     for (kind, indices), value in cells:

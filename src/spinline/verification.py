@@ -33,6 +33,8 @@ from .receiver import (
     classify_families,
     entry_families,
     line_params_at,
+    receiver_operator,
+    receiver_rho,
 )
 
 TABLE_TOL = 1e-4
@@ -344,25 +346,22 @@ def check_probe_closure(seed=7):
 def check_werner(seed=0):
     params = tuned_line_params(20)
     out = []
-    solutions = werner_controls(params, seed=seed)
-    worst_res = max(s.residual for s in solutions.values())
+    solved = werner_controls(params, seed=seed)
+    worst_res = solved.residual.max()
     out.append(_result(
         "werner solve residuals (p=0..0.8)",
-        len(solutions) == len(WERNER_P) and worst_res < 1e-10,
-        f"{len(solutions)} of {len(WERNER_P)} p solved, worst residual {worst_res:.2e}",
+        len(solved.p) == len(WERNER_P) and worst_res < 1e-10,
+        f"{len(solved.p)} of {len(WERNER_P)} p solved, worst residual {worst_res:.2e}",
     ))
-    worst_margin = 0.0
-    for p, sol in solutions.items():
-        rho = assemble_rho(params, sol.controls)
-        delta = discrepancy(rho, werner_target(p))
-        limit = 10.0 * bm.WERNER_FULL_DISCREPANCY[p]
-        worst_margin = max(worst_margin, delta / limit)
+    limits = 10.0 * np.array([bm.WERNER_FULL_DISCREPANCY[p] for p in solved.p.tolist()])
+    for p, delta, limit in zip(solved.p.tolist(), solved.discrepancy.tolist(), limits.tolist()):
         if delta > limit:
             out.append(_result(
                 f"werner discrepancy p={p}",
                 False,
                 f"true-chain discrepancy {delta:.2e} exceeds 10x reference {limit:.2e}",
             ))
+    worst_margin = np.max(solved.discrepancy / limits)
     out.append(_result(
         "werner true-chain discrepancies within 10x reference",
         worst_margin <= 1.0,
@@ -374,10 +373,11 @@ def check_werner(seed=0):
         abs(boundary - bm.WERNER_FEASIBLE_MAX) <= 0.002,
         f"got {boundary:.4f} +- {res:.1e}, reference {bm.WERNER_FEASIBLE_MAX}",
     ))
-    truncated = zero_family_iii(params)
-    solutions = werner_controls(truncated, seed=seed)
-    deltas = {p: float(discrepancy(assemble_rho(params, sol.controls), werner_target(p)))
-              for p, sol in solutions.items()}
+    # controls solved on the family-III-zeroed line, sent down the true one
+    truncated = werner_controls(zero_family_iii(params), seed=seed)
+    rho = receiver_rho(receiver_operator(params), truncated.x)
+    deltas = dict(zip(truncated.p.tolist(),
+                      discrepancy(rho, werner_target(truncated.p)).tolist()))
     unsolved = [p for p in bm.WERNER_TRUNCATED_DISCREPANCY if p not in deltas]
     worst = max(deltas.values())
     out.append(_result(
@@ -400,12 +400,12 @@ def check_disorder(seed=11, n_chains=DEFAULT_N_CHAINS):
     params = tuned_line_params(20)
     base = tuned_spec(20)
     t0 = bm.TUNED_CHAINS[20]["t0"]
-    controls = {p: s.controls for p, s in werner_controls(params).items()}
+    controls = werner_controls(params)
     out = []
     mean = {}
     for eps in (0.025, 0.05):
         sample = sample_line_params(base, t0, eps, n_chains=n_chains, seed=seed)
-        robustness = werner_robustness(sample, controls)
+        robustness = werner_robustness(sample, controls.p, controls.x)
         mean[eps] = robustness.mean
         ceiling = bm.ROBUSTNESS_CEILING[eps]
         worst = np.max(robustness.mean - (ceiling + 2 * robustness.sem))

@@ -153,6 +153,37 @@ def test_repeated_params_csv_line_rejected(workdir, params_csv, repeat, message,
     assert message in capsys.readouterr().err
 
 
+# option -> the command line that reads the file in.bin through it
+NOT_UTF8 = {
+    "params": ["feasibility", "--params", "in.bin"],
+    "chain": ["compute-params", "--chain", "in.bin", "--t0", "1", "--out", "out.csv"],
+    "outputs": ["probe-params", "--outputs", "in.bin", "--t0", "1", "--out", "out.csv"],
+    "config": ["run", "--config", "in.bin"],
+    "target": ["create-state", "--target", "file:in.bin", "--params", "params.csv"],
+}
+
+
+@pytest.mark.parametrize("option", sorted(NOT_UTF8))
+def test_input_file_not_utf8_exit_code(workdir, params_csv, option, capsys):
+    # a byte-order mark of UTF-16 is no UTF-8 text: the reader names the file
+    (workdir / "params.csv").write_bytes(params_csv.read_bytes())
+    (workdir / "in.bin").write_bytes(b"\xff\xfe")
+    assert main(NOT_UTF8[option]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "in.bin" in err and "'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_params_csv_cell_over_field_limit_rejected(workdir, params_csv, capsys):
+    # the csv module refuses a cell longer than csv.field_size_limit()
+    lines = params_csv.read_text().splitlines()
+    lines.append("p_N,1," + "1" * 131073 + ",0.0,I")
+    (workdir / "long.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="field larger than field limit"):
+        import_params_csv(workdir / "long.csv")
+    assert main(["feasibility", "--params", "long.csv"]) == EXIT_BAD_CONFIG
+    assert "long.csv: malformed parameter table" in capsys.readouterr().err
+
+
 def test_create_state_werner(workdir, params_csv):
     rc = main(["create-state", "--target", "werner", "--p", "0.4",
                "--params", str(params_csv), "--out", "sol.json"])

@@ -12,7 +12,7 @@ from spinline.disorder import (
     sample_line_params,
     werner_robustness,
 )
-from spinline.errors import InputError, NumericalError
+from spinline.errors import InputError, NumericalError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec
 from spinline.receiver import (
     KINDS,
@@ -135,16 +135,16 @@ def test_stacked_robustness_matches_per_chain_oracle(monkeypatch, base20, tuned2
                                                      controls):
     monkeypatch.setattr(disorder, "CHAIN_BLOCK", 4)  # three blocks for ten chains
     chains = sample(base20, tuned20_params.t0, 0.05, 10, 6)
-    x = np.array([state.x for state in controls.values()])
-    targets = np.array([sl.werner_target(p) for p in controls])
+    p, x = controls
+    targets = np.array([sl.werner_target(q) for q in p])
     deltas = np.array([
         sl.discrepancy(receiver_rho(receiver_operator(chains[i]), x), targets)
         for i in range(10)
     ])
-    robustness = werner_robustness(chains, controls)
-    assert robustness.p.tolist() == list(controls)
+    robustness = werner_robustness(chains, p, x)
+    assert robustness.p.tolist() == p.tolist()
     std = (deltas - deltas[0]).std(axis=0, ddof=1)
-    for j in range(len(controls)):
+    for j in range(len(p)):
         assert robustness.mean[j] == pytest.approx(deltas[:, j].mean(), rel=0, abs=1e-14)
         assert robustness.std[j] == pytest.approx(std[j], rel=0, abs=1e-14)
         assert robustness.sem[j] == pytest.approx(std[j] / np.sqrt(10), rel=0, abs=1e-14)
@@ -152,11 +152,12 @@ def test_stacked_robustness_matches_per_chain_oracle(monkeypatch, base20, tuned2
 
 def test_robustness_follows_the_order_of_controls(base20, tuned20_params, controls):
     chains = sample(base20, tuned20_params.t0, 0.05, 6, 8)
-    forward = werner_robustness(chains, controls)
+    p, x = controls
+    forward = werner_robustness(chains, p, x)
     order = [0.8, 0.0, 0.4]
-    backward = werner_robustness(chains, {p: controls[p] for p in order})
+    perm = [p.tolist().index(q) for q in order]
+    backward = werner_robustness(chains, p[perm], x[perm])
     assert backward.p.tolist() == order
-    perm = [list(controls).index(p) for p in order]
     for name in ("mean", "std", "sem"):
         np.testing.assert_allclose(getattr(backward, name), getattr(forward, name)[perm],
                                    rtol=1e-12, atol=0, err_msg=name)
@@ -201,25 +202,33 @@ def test_sample_needs_two_chains(base20):
 
 @pytest.fixture(scope="module")
 def controls(tuned20_params):
-    return {
-        p: sl.solve_werner(tuned20_params, p).controls
-        for p in (0.0, 0.4, 0.8)
-    }
+    """Werner p and their control vectors (P, d), as werner_controls holds them."""
+    p = np.array([0.0, 0.4, 0.8])
+    return p, np.array([sl.solve_werner(tuned20_params, q).controls.x for q in p.tolist()])
 
 
 def test_robustness_zero_epsilon_matches_unperturbed(base20, tuned20_params, controls):
-    robustness = werner_robustness(sample(base20, tuned20_params.t0, 0.0, 3, 1), controls)
-    for p, mean, std in zip(robustness.p.tolist(), robustness.mean, robustness.std):
-        rho = sl.assemble_rho(tuned20_params, controls[p])
+    robustness = werner_robustness(sample(base20, tuned20_params.t0, 0.0, 3, 1), *controls)
+    for p, x, mean, std in zip(robustness.p.tolist(), controls[1], robustness.mean,
+                               robustness.std):
+        rho = sl.assemble_rho(tuned20_params, sl.SenderState(x))
         exact = sl.discrepancy(rho, sl.werner_target(p))
         assert mean == pytest.approx(exact, abs=1e-14)
         assert std == 0.0
 
 
+def test_robustness_needs_one_control_vector_per_p(base20, tuned20_params, controls):
+    # one p for three vectors would broadcast its one target over all three
+    p, x = controls
+    chains = sample(base20, tuned20_params.t0, 0.05, 2, 1)
+    with pytest.raises(SizeMismatchError, match=r"\(3,\) control vectors for \(1,\) Werner p"):
+        werner_robustness(chains, p[:1], x)
+
+
 def test_robustness_grows_with_epsilon(base20, tuned20_params, controls):
     t0 = tuned20_params.t0
-    lo = werner_robustness(sample(base20, t0, 0.025, 30, 2), controls)
-    hi = werner_robustness(sample(base20, t0, 0.05, 30, 2), controls)
+    lo = werner_robustness(sample(base20, t0, 0.025, 30, 2), *controls)
+    hi = werner_robustness(sample(base20, t0, 0.05, 30, 2), *controls)
     assert np.all(hi.mean > lo.mean)
 
 
@@ -240,11 +249,11 @@ def test_csv_exports(tmp_path, base20, tuned20_params, controls, csv_oracle):
     assert p1.read_bytes() == csv_oracle(
         ["cfg"], ["index", "kind", "indices", "family", "mean_re", "mean_im", "std", "std_re",
                   "std_im", "shift_re", "shift_im", "shift_abs"], rows)
-    robustness = werner_robustness(chains, controls)
+    robustness = werner_robustness(chains, *controls)
     p2 = tmp_path / "rob.csv"
     export_robustness_csv(robustness, p2)
     lines = p2.read_text().splitlines()
     assert lines[0] == "p,mean_delta,std_delta,sem_delta"
-    assert len(lines) == 1 + len(controls)
+    assert len(lines) == 1 + len(controls[0])
     assert p2.read_bytes() == csv_oracle(
         [], ["p", "mean_delta", "std_delta", "sem_delta"], zip(*robustness))

@@ -17,7 +17,7 @@ CHAIN = ChainSpec.uniform(9)  # four bulk bonds
 CASES = {
     "sample_line_params one chain": lambda: sl.sample_line_params(CHAIN, 7.0, 0.05, n_chains=1),
     "werner_robustness no controls": lambda: sl.werner_robustness(
-        sl.line_params_at(sl.diagonalize(CHAIN), 7.0), {}),
+        sl.line_params_at(sl.diagonalize(CHAIN), 7.0), np.empty(0), np.empty((0, 11))),
     "apply_disorder delta outside [-1, 1]": lambda: sl.apply_disorder(
         CHAIN, 0.1, np.array([0.0, 1.5, 0.0, 0.0])),
     "werner_target p outside [0, 1]": lambda: sl.werner_target(1.2),

@@ -309,14 +309,28 @@ def test_werner_controls_match_lone_solves(verdict_tables, tuned60_params, table
     params = tuned60_params if table == "n60" else verdict_tables[table]
     stacked = inverse.werner_controls(params, seed=seed)
     lone = _lone_werner_controls(params, seed)
-    assert list(stacked) == list(lone)
-    assert list(stacked) == [p for p in inverse.WERNER_P if table != "n60" or p < 0.75]
-    for p, sol in stacked.items():
-        np.testing.assert_allclose(sol.controls.x, lone[p].controls.x,
-                                   rtol=0, atol=1e-12)
-        assert sol.residual <= inverse.WERNER_RESIDUAL_TOL
-        assert abs(sol.residual - lone[p].residual) <= 1e-14
-        assert abs(sol.discrepancy - lone[p].discrepancy) <= 1e-14
+    assert stacked.p.tolist() == list(lone)
+    assert stacked.p.tolist() == [p for p in inverse.WERNER_P if table != "n60" or p < 0.75]
+    assert stacked.x.shape == (len(lone), 1 + params.n_sender + len(params.pairs))
+    for p, x, residual, delta in zip(stacked.p.tolist(), stacked.x, stacked.residual,
+                                     stacked.discrepancy):
+        np.testing.assert_allclose(x, lone[p].controls.x, rtol=0, atol=1e-12)
+        assert residual <= inverse.WERNER_RESIDUAL_TOL
+        assert abs(residual - lone[p].residual) <= 1e-14
+        assert abs(delta - lone[p].discrepancy) <= 1e-14
+
+
+@pytest.mark.parametrize("table", ["sender4", "sender5"])
+def test_werner_controls_discrepancy_is_that_of_the_assembled_state(verdict_tables, table):
+    # the solver's own discrepancy is the one the report reads: it matches the
+    # state assembled from each control vector alone against its Werner target
+    params = verdict_tables[table]
+    solved = inverse.werner_controls(params)
+    assert solved.p.tolist() == list(inverse.WERNER_P)
+    assert np.all(solved.x[:, :1 + params.n_sender] == 0.0)  # pair amplitudes only
+    for p, x, delta in zip(solved.p.tolist(), solved.x, solved.discrepancy.tolist()):
+        rho = sl.assemble_rho(params, SenderState(x))
+        assert abs(delta - discrepancy(rho, werner_target(p))) <= 1e-14
 
 
 def test_check_werner_fails_when_a_zeroed_p_is_unsolved(monkeypatch):
@@ -326,8 +340,9 @@ def test_check_werner_fails_when_a_zeroed_p_is_unsolved(monkeypatch):
 
     def truncated_line_stops(params, seed=0):
         calls.append(params)
-        solutions = inverse.werner_controls(params, seed=seed)
-        return solutions if len(calls) == 1 else {p: s for p, s in solutions.items() if p < 0.65}
+        solved = inverse.werner_controls(params, seed=seed)
+        return solved if len(calls) == 1 else inverse.WernerControls(
+            *(column[solved.p < 0.65] for column in solved))
 
     monkeypatch.setattr(verification, "werner_controls", truncated_line_stops)
     monkeypatch.setattr(verification, "feasibility_scan",
