@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import diagonalize
-from .errors import ChainLengthError, InputError, NoArrivalError, NumericalError
+from .errors import ChainLengthError, InputError, NoArrivalError, NumericalError, check_tolerance
 from .hamiltonian import MIN_PROFILE_NODES, ChainSpec
 
 # detection floor rejecting the tiny ripples that precede the main arrival
@@ -112,9 +112,8 @@ def _first_arrival(evals, weights, ts, floor):
     """
     n_chains, n = evals.shape
     half = n // 2
-    pairing = np.max(np.abs(evals + evals[:, ::-1]))
-    if pairing > PAIRING_TOL:
-        raise NumericalError(f"one-excitation spectrum is not +-paired ({pairing:.1e})")
+    check_tolerance(np.max(np.abs(evals + evals[:, ::-1])), PAIRING_TOL,
+                    "one-excitation spectrum not +-paired, off by")
     lam, w = evals[:, n - half:], 2.0 * weights[:, n - half:]
     w0 = weights[:, half] * (n % 2)  # the zero mode of odd N
     # table[:, :half] = cos(lambda tau), table[:, half:] = sin(lambda tau)
@@ -211,8 +210,13 @@ def lattice(lo, hi, step):
     The one builder of a stepped scan (search box axes, Werner p grids).  A hi
     within 1e-9 steps of a lattice point is the last point, so (hi - lo) / step
     rounding below a whole number loses no point, and no point passes hi.
-    Raises InputError, before allocating, above ``MAX_POINTS`` (10^6) points.
+    Raises InputError for ends that are not finite or a step that is not
+    positive and finite, and, before allocating, above ``MAX_POINTS`` (10^6)
+    points.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf):
+        raise InputError(f"scan {lo:g}:{hi:g}:{step:g} needs finite ends and a positive, "
+                         f"finite step")
     span = (hi - lo) / step + 1e-9
     if not span < MAX_POINTS:
         raise InputError(f"scan {lo:g}:{hi:g}:{step:g} holds more than {MAX_POINTS} points")

@@ -11,12 +11,15 @@ spinline's own, of the JSON Schema keywords in :data:`KEYWORDS`, the ones
 usual JSON Schema wording, and needs no package beyond numpy.
 
 Exit codes: 0 success, 1 failed verification report or numerical
-self-check, 2 invalid config or input (an input file that is not UTF-8
+self-check (among them an eigensolve that fails and a parameter set that
+comes out NaN), 2 invalid config or input (an input file that is not UTF-8
 text, a config, chain, target or probe-output file that is not valid JSON
 of the expected shape, a bad scan grid, search box, parameter table,
-target state or sender size, an incomplete or degenerate probe set, a
-chain too short for its coupling profile), 3 file I/O error, 4 infeasible
-target or no transfer arrival.
+target state or sender size, a parameter-table or target entry above 1 in
+magnitude, an incomplete or degenerate probe set, a chain too short for
+its coupling profile), 3 file I/O error, 4 infeasible target or no
+transfer arrival.  Each error type carries its code and stderr label
+(:mod:`~spinline.errors`), so :func:`main` has one handler for them all.
 """
 
 import argparse
@@ -38,16 +41,7 @@ from .disorder import (
     werner_robustness,
 )
 from .dynamics import diagonalize
-from .errors import (
-    ChainLengthError,
-    ConditioningError,
-    ExtractionError,
-    InfeasibleTargetError,
-    InputError,
-    NoArrivalError,
-    NumericalError,
-    SizeMismatchError,
-)
+from .errors import InputError, SpinlineError, malformed
 from .hamiltonian import ChainSpec
 from .inverse import (
     WERNER_P,
@@ -211,6 +205,8 @@ KEYWORDS = frozenset({"type", "const", "enum", *_BOUNDS, "required", "additional
 class ConfigError(InputError):
     """A config its command's schema refuses, or options that do not combine."""
 
+    label = "invalid config"
+
 
 def _has_type(value, kind):
     # JSON Schema counts 20.0 as an integer, but chain lengths, counts and
@@ -284,11 +280,8 @@ def validate_config(config):
 def _read_text(path):
     """The text of the input file ``path``; InputError names a file that is
     not UTF-8 text."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text ({exc})") from exc
+    with open(path, encoding="utf-8") as fh, malformed(f"{path} is not UTF-8 text"):
+        return fh.read()
 
 
 def _resolve_chain(config, default_tuned=False):
@@ -378,14 +371,9 @@ def _load_target(config):
         return werner_target(config["p"]), True
     if target.startswith("file:"):
         text = _read_text(target[5:])
-        try:
+        with malformed("target file must hold JSON {'re': 4x4, 'im': 4x4} numbers"):
             data = json.loads(text)
             m = np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(
-                f"target file must hold JSON {{'re': 4x4, 'im': 4x4}} numbers "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
         return check_target(m), False
     raise ConfigError(f"unknown target {target!r} (use 'werner' or 'file:...')")
 
@@ -417,14 +405,9 @@ def run_create_state(config):
 def run_feasibility(config):
     params = import_params_csv(config["params"])
     spec = config["grid"]
-    try:
+    with malformed(f"--grid must be lo:hi:step, got {spec!r}"):
         lo, hi, step = (float(x) for x in spec.split(":"))
-    except ValueError as exc:
-        raise InputError(f"--grid must be lo:hi:step, got {spec!r}") from exc
-    if not np.all(np.isfinite([lo, hi, step])):
-        raise InputError(f"--grid fields must be finite, got {spec!r}")
-    if not step > 0:
-        raise InputError(f"--grid step must be positive, got {step}")
+    # lattice refuses ends that are not finite and a step that is not positive
     if lo < 0 or hi > 1:
         raise InputError(f"--grid must lie in [0, 1], got {spec!r}")
     boundary, resolution = feasibility_scan(params, lattice(lo, hi, step),
@@ -561,21 +544,16 @@ def build_parser():
 def _config_from_args(args):
     if args.command == "run":
         text = _read_text(args.config)
-        try:
+        with malformed(f"{args.config} is not JSON"):
             config = json.loads(text)
-        except ValueError as exc:
-            raise InputError(f"{args.config} is not JSON ({exc})") from exc
         if not isinstance(config, dict):
             raise InputError(f"{args.config} must hold a JSON object")
         return config
     config = vars(args)
     for key in ("delta1_range", "delta2_range"):
         if key in config:
-            try:
+            with malformed(f"--{key.replace('_', '-')} must be lo,hi, got {config[key]!r}"):
                 lo, hi = (float(x) for x in config[key].split(","))
-            except ValueError as exc:
-                flag = "--" + key.replace("_", "-")
-                raise InputError(f"{flag} must be lo,hi, got {config[key]!r}") from exc
             config[key] = [lo, hi]
     return config
 
@@ -583,24 +561,13 @@ def _config_from_args(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run_config(config)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (InputError, ExtractionError, ConditioningError, SizeMismatchError,
-            ChainLengthError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return run_config(_config_from_args(args))
+    except SpinlineError as exc:  # each error type carries its exit code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InfeasibleTargetError, NoArrivalError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericalError as exc:
-        print(f"numerical check failed: {exc}", file=sys.stderr)
-        return EXIT_REPORT_FAILED
 
 
 if __name__ == "__main__":

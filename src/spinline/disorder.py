@@ -84,7 +84,8 @@ def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_s
             blocks.append(line_params_at(diagonalize(apply_disorder(base, epsilon, deltas)),
                                          t0, n_sender))
         except NumericalError as exc:
-            exc.chain += block.start
+            if exc.chain is not None:  # an eigensolve that fails names no chain
+                exc.chain += block.start
             raise
     return replace(blocks[0], entries=np.concatenate([b.entries for b in blocks]))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_tolerance
+from .errors import NumericalError, check_tolerance
 from .hamiltonian import hopping_matrix
 
 RECONSTRUCTION_TOL = 1e-10
@@ -51,10 +51,13 @@ def diagonalize(spec):
 
     The reconstruction V L V^T of every chain is compared to its input to
     1e-10, which guards against a silently failed eigensolve; a failure
-    names the chain.
+    names the chain.  An eigensolve that fails outright is one too.
     """
     h1 = hopping_matrix(spec.couplings())
-    evals1, evecs1 = np.linalg.eigh(h1)
+    try:
+        evals1, evecs1 = np.linalg.eigh(h1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     rebuilt = (evecs1 * evals1[..., None, :]) @ evecs1.swapaxes(-1, -2)
     check_tolerance(np.abs(rebuilt - h1).max(axis=(-2, -1)), RECONSTRUCTION_TOL,
                     "eigendecomposition reconstruction error")

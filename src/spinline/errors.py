@@ -1,10 +1,19 @@
-"""Exception types raised by the spinline package."""
+"""Exception types raised by the spinline package, and the failure policies
+they share: each :class:`SpinlineError` class carries the ``exit_code`` and
+stderr ``label`` the command line reports it with, :func:`check_tolerance`
+is the one tolerance gate (NaN fails it) and :func:`malformed` the one
+wrapper of a parse failure."""
+
+import contextlib
+import csv
 
 import numpy as np
 
 
 class SpinlineError(Exception):
     """Base class for all spinline-specific errors."""
+
+    exit_code, label = 2, "invalid input"
 
 
 class ChainLengthError(SpinlineError, ValueError):
@@ -20,14 +29,27 @@ class InputError(SpinlineError, ValueError):
     search box, a parameter table, a target state or a sender size."""
 
 
+@contextlib.contextmanager
+def malformed(what):
+    """Raise InputError ``"<what> (<Type>: <detail>)"`` for a KeyError,
+    TypeError, ValueError or csv.Error raised in the block."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise InputError(f"{what} ({type(exc).__name__}: {exc})") from exc
+
+
 class NumericalError(SpinlineError):
-    """A numerical self-check failed: an eigendecomposition that does not
-    reconstruct its matrix, a spectrum that is not +-paired, or a parameter
-    set or receiver matrix that breaks its Hermiticity, trace or positivity.
+    """A numerical self-check failed: an eigendecomposition that fails or
+    does not reconstruct its matrix, a spectrum that is not +-paired, or a
+    parameter set or receiver matrix that breaks its Hermiticity, trace or
+    positivity.
 
     A check on a stack of chains names the first failing one in ``chain``
     (its flat index over the leading axes); it is None for a single chain.
     """
+
+    exit_code, label = 1, "numerical check failed"
 
     def __init__(self, message, chain=None):
         self.message = message
@@ -39,20 +61,23 @@ class NumericalError(SpinlineError):
 
 
 def check_tolerance(dev, tol, what):
-    """Raise NumericalError if a deviation exceeds ``tol``.
+    """Raise NumericalError ``"<what> <dev>"`` unless a deviation is at most
+    ``tol``; a NaN deviation fails.
 
     ``dev`` is one number, or one per chain of a stack; the error names
     the first chain that fails.
     """
-    exceeds = dev > tol
-    if exceeds.any():
-        first = int(np.argmax(exceeds))
-        chain = first if exceeds.ndim else None
+    fails = ~(np.asarray(dev) <= tol)
+    if fails.any():
+        first = int(np.argmax(fails))
+        chain = first if fails.ndim else None
         raise NumericalError(f"{what} {np.ravel(dev)[first]:.3e}", chain=chain)
 
 
 class NoArrivalError(SpinlineError):
     """No transfer maximum above the detection floor within the scanned window."""
+
+    exit_code, label = 4, "infeasible"
 
 
 class ConditioningError(SpinlineError):
@@ -80,6 +105,8 @@ class InfeasibleTargetError(SpinlineError):
     Carries the best residual reached (``best_residual``) and the
     corresponding control vector (``best_controls``).
     """
+
+    exit_code, label = 4, "infeasible"
 
     def __init__(self, best_residual, best_controls=None, message=None):
         self.best_residual = float(best_residual)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ChainLengthError, InputError, SizeMismatchError
+from .errors import ChainLengthError, InputError, SizeMismatchError, malformed
 
 MIN_PROFILE_NODES = 7  # below this the [d1, d2, bulk.., d2, d1] layout overlaps
 
@@ -71,12 +71,8 @@ class ChainSpec:
                                     self.bulk.shape[:-1])
         J = np.empty(stack + (n - 1,))
         J[..., 0] = J[..., -1] = self.delta1
-        if n >= 5:
-            J[..., 1] = J[..., -2] = self.delta2
-        else:  # n == 4: the two second-bond slots coincide
-            J[..., 1] = self.delta2
-        if n >= 6:
-            J[..., 2 : n - 3] = self.bulk
+        J[..., 1] = J[..., -2] = self.delta2  # one slot at n = 4
+        J[..., 2 : n - 3] = self.bulk  # empty below n = 6
         return J
 
     def to_json(self):
@@ -96,7 +92,7 @@ class ChainSpec:
         Raises InputError for text that is not JSON, lacks a key or does
         not describe one valid chain.
         """
-        try:
+        with malformed("not a chain spec"):
             d = json.loads(text)
             spec = cls(
                 n_nodes=d["n"],
@@ -104,8 +100,6 @@ class ChainSpec:
                 delta2=d["delta2"],
                 bulk=np.asarray(d["bulk"], float) if d.get("bulk") is not None else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"not a chain spec: {type(exc).__name__}: {exc}") from exc
         if spec.couplings().ndim != 1:
             raise InputError("not a chain spec: it describes a stack of chains")
         return spec

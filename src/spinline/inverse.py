@@ -48,8 +48,10 @@ def check_target(m):
         raise InputError(f"target must be 4x4, got {m.shape}")
     if not np.isfinite(m).all():
         raise InputError("target has a non-finite entry")
+    if not (peak := np.abs(m).max()) <= 1 + TARGET_TOL:  # |m_ij| <= 1 in a density matrix
+        raise InputError(f"not a density matrix (an entry of magnitude {peak:.1e})")
     herm, tr, lo = density_deviations(m)
-    if herm > TARGET_TOL or tr > TARGET_TOL or lo < -TARGET_TOL:
+    if not np.max((herm, tr, -lo)) <= TARGET_TOL:
         raise InputError(
             f"not a density matrix (hermiticity {herm:.1e}, trace dev {tr:.1e}, "
             f"min eigenvalue {lo:.1e})"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SenderState, sender_pairs
-from .errors import ConditioningError, ExtractionError, InputError
+from .errors import ConditioningError, ExtractionError, InputError, malformed
 from .receiver import LineParams, receiver_operator, receiver_rho
 
 PROBE_KINDS = ("single", "single-pair", "pair-pair-real", "pair-pair-imag")
@@ -187,7 +187,7 @@ def probe_outputs_from_json(text):
     with a non-finite entry (JSON readers accept NaN and Infinity).
     """
     outputs = []
-    try:
+    with malformed("malformed probe outputs"):
         for rec in json.loads(text):
             probe = ProbeState(rec["probe"]["kind"], tuple(rec["probe"]["indices"]))
             if not all(type(i) is int for i in probe.indices):
@@ -196,8 +196,6 @@ def probe_outputs_from_json(text):
             if rho.shape != (4, 4):
                 raise ValueError(f"rho must be 4x4, got {rho.shape}")
             outputs.append((probe, rho))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed probe outputs ({type(exc).__name__}: {exc})") from exc
     bad = next((p for p, rho in outputs if not np.isfinite(rho).all()), None)
     if bad is not None:
         raise InputError(f"probe {bad.kind} {bad.indices}: rho has a non-finite entry")

@@ -41,6 +41,7 @@ import cmath
 import csv
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,11 +49,12 @@ import numpy as np
 from . import benchmarks as bm
 from .basis import sender_pairs
 from .dynamics import one_excitation_columns
-from .errors import InputError, NumericalError, SizeMismatchError, check_tolerance
+from .errors import InputError, SizeMismatchError, check_tolerance, malformed
 
 SYMMETRY_TOL = 1e-12
 RECEIVER_TOL = 1e-10  # Hermiticity and trace of a receiver matrix
 RECEIVER_PSD_TOL = 1e-9  # its least eigenvalue
+ENTRY_TOL = 1e-9  # how far an entry, a sum over unitary columns, may pass magnitude 1
 
 # parameter kinds, in canonical export order, each with the axes it runs
 # over: sender nodes k = 1..n_sender or sender pairs (nm) in the order of
@@ -235,21 +237,19 @@ def check_receiver(rho):
     Hermitian and of unit trace to RECEIVER_TOL, its least eigenvalue no
     lower than -RECEIVER_PSD_TOL.  Returns ``rho``."""
     herm, tr, lo = density_deviations(rho)
-    if herm > RECEIVER_TOL:
-        raise NumericalError(f"receiver matrix not Hermitian: {herm:.3e}")
-    if tr > RECEIVER_TOL:
-        raise NumericalError(f"receiver trace off by {tr:.3e}")
-    if lo < -RECEIVER_PSD_TOL:
-        raise NumericalError(f"receiver matrix not PSD: min eigenvalue {lo:.3e}")
+    check_tolerance(herm, RECEIVER_TOL, "receiver matrix not Hermitian:")
+    check_tolerance(tr, RECEIVER_TOL, "receiver trace off by")
+    check_tolerance(-lo, RECEIVER_PSD_TOL, "receiver matrix not PSD: eigenvalue below zero by")
     return rho
 
 
 def density_deviations(m):
     """How far the 4x4 matrix m is from a density matrix: its largest
     deviation from Hermiticity, that of its trace from 1, and its least
-    eigenvalue (of the Hermitian part)."""
+    eigenvalue (of the Hermitian part; NaN if that part is not finite)."""
+    h = 0.5 * (m + m.conj().T)
     return (np.max(np.abs(m - m.conj().T)), abs(np.trace(m) - 1.0),
-            np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+            np.min(np.linalg.eigvalsh(h)) if np.isfinite(h).all() else np.nan)
 
 
 def receiver_operator(params):
@@ -400,12 +400,12 @@ def import_params_csv(path):
     InputError
         If the file is not UTF-8 text, the ``# t0`` line is missing,
         repeated or not finite, a row is malformed or repeats an entry, an
-        entry is not finite, or the table lacks or adds any entry of the
-        index for its sender size.
+        entry is not finite or exceeds 1 + ``ENTRY_TOL`` in magnitude, or
+        the table lacks or adds any entry of the index for its sender size.
     """
     # UnicodeDecodeError is a ValueError; csv.Error is a cell longer than
     # csv.field_size_limit()
-    try:
+    with malformed(f"{path}: malformed parameter table"):
         with open(path, newline="", encoding="utf-8") as fh:
             raw = [r for r in csv.reader(fh) if r]
         rows = [r for r in raw if not r[0].startswith("#")]
@@ -413,8 +413,6 @@ def import_params_csv(path):
         cells = [((kind, tuple(int(i) for i in idx.split(";"))),
                   complex(float(re), float(im)))  # keeps a -0.0 imaginary part
                  for kind, idx, re, im, _fam in rows[1:]]
-    except (ValueError, csv.Error) as exc:
-        raise InputError(f"{path}: malformed parameter table ({exc})") from exc
     entries = {}
     for (kind, indices), value in cells:
         if (kind, indices) in entries:
@@ -427,9 +425,13 @@ def import_params_csv(path):
     t0 = t0[0]
     if not np.isfinite(t0):
         raise InputError(f"{path}: registration time t0 = {t0} is not finite")
-    bad = next((key for key, v in entries.items() if not cmath.isfinite(v)), None)
+    bad = next((key for key, v in entries.items()
+                if not math.hypot(v.real, v.imag) <= 1 + ENTRY_TOL), None)  # NaN fails too
     if bad is not None:
-        raise InputError(f"{path}: entry {bad[0]};{_joined(bad[1])} is not finite")
+        v = entries[bad]
+        why = (f"= {v} exceeds 1 + {ENTRY_TOL:g} in magnitude" if cmath.isfinite(v)
+               else "is not finite")
+        raise InputError(f"{path}: entry {bad[0]};{_joined(bad[1])} {why}")
     n_sender = max((i[0] for k, i in entries if k == "p_N"), default=0)
     if n_sender < 2:
         raise InputError(f"{path}: no p_N entries to fix the sender size")

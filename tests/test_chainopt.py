@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -467,6 +469,17 @@ def test_lattice_refuses_a_scan_over_the_bound():
             chainopt.lattice(0.0, 1.0, step)
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+    (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1),
+])
+def test_lattice_refuses_a_step_or_end_no_scan_can_use(lo, hi, step):
+    # a zero step divided by zero, a negative one gave no point, and a NaN
+    # step or end claimed more than 10^6 points
+    with pytest.raises(InputError, match="finite ends and a positive, finite step"):
+        chainopt.lattice(lo, hi, step)
+
+
 def test_search_scores_no_point_outside_the_box(monkeypatch):
     scored = spy_on(monkeypatch, "_score_points")
     optimize_boundary(8, (1.3, 1.5), (0.5, 1.0), grid_step=0.12)
@@ -498,4 +511,7 @@ def test_first_arrival_rejects_unpaired_spectrum():
     field[0, 0] = 0.1  # an on-site term breaks the +-lambda pairing
     lam, V = np.linalg.eigh(np.stack([clean, field]))
     with pytest.raises(NumericalError, match=r"not \+-paired"):
+        _first_arrival(lam, V[:, -1] * V[:, 0], np.arange(0.0, 30.0, DEFAULT_DT), 0.2)
+    lam[1, 3] = np.nan  # a NaN spectrum is no more paired
+    with pytest.raises(NumericalError, match=r"not \+-paired, off by nan"):
         _first_arrival(lam, V[:, -1] * V[:, 0], np.arange(0.0, 30.0, DEFAULT_DT), 0.2)

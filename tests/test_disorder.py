@@ -189,6 +189,14 @@ def test_stack_failure_names_the_chain(monkeypatch, base20):
     assert calls == [(2, 20, 20)] * 2
 
 
+def test_stack_whose_eigensolve_fails_raises_numerical_error():
+    # a boundary coupling of 1e248 overflows eigh; the error names no chain
+    base = ChainSpec(12, delta1=1e248, delta2=0.817)
+    with pytest.raises(NumericalError, match="^eigendecomposition failed") as err:
+        sample_line_params(base, 5.0, 0.05, n_chains=2)
+    assert err.value.chain is None
+
+
 def test_stack_hermitian_check_names_the_chain(monkeypatch, base20):
     monkeypatch.setattr(sl.receiver, "SYMMETRY_TOL", -1.0)
     with pytest.raises(NumericalError, match="^chain 0: P_mm Hermitian symmetry"):

@@ -4,11 +4,13 @@ InputError is a ValueError, so callers that catch ValueError keep working;
 the CLI maps it to exit code 2.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
 import spinline as sl
-from spinline.errors import InputError
+from spinline.errors import InputError, NumericalError, check_tolerance, malformed
 from spinline.hamiltonian import ChainSpec
 from spinline.probing import ProbeState
 
@@ -30,3 +32,31 @@ CASES = {
 def test_library_input_checks_raise_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("dev, chain", [(np.nan, None), (np.array([0.0, np.nan, 1.0]), 1),
+                                        (np.array([0.0, 1.0, np.nan]), 1)])
+def test_tolerance_gate_fails_on_nan(dev, chain):
+    # dev > tol is False for NaN, so the gate is written not dev <= tol
+    with pytest.raises(NumericalError) as info:
+        check_tolerance(dev, 1e-10, "off by")
+    assert info.value.chain == chain
+
+
+@pytest.mark.parametrize("raise_, detail", [
+    (lambda: {}["re"], "KeyError: 're'"),
+    (lambda: float(None), "TypeError: float() argument"),
+    (lambda: float("x"), "ValueError: could not convert string to float: 'x'"),
+    (lambda: next(csv.reader(['"a"b"'], strict=True)), "Error: ','"),
+])
+def test_malformed_names_the_input_and_the_parse_failure(raise_, detail):
+    with pytest.raises(InputError, match="^chain.json is not a chain spec \\(") as info:
+        with malformed("chain.json is not a chain spec"):
+            raise_()
+    assert detail in str(info.value)
+
+
+def test_malformed_lets_file_errors_pass(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        with malformed("no such table"):
+            open(tmp_path / "missing.csv")

@@ -73,6 +73,24 @@ def test_coupling_layout():
     assert np.allclose(spec.couplings(), [0.5, 0.8, 1.1, 1.2, 1.3, 0.8, 0.5])
 
 
+@pytest.mark.parametrize("n", range(4, 12))
+def test_couplings_of_every_length(n, rng):
+    # [delta1, delta2, bulk..., delta2, delta1], which at n = 4 is [delta1, delta2, delta1]
+    if n >= 7:
+        d1, d2 = rng.uniform(0.5, 1.5, (2, 3))
+        bulk = rng.uniform(0.5, 1.5, (2, 3, n - 5))
+    else:  # shorter chains are uniform
+        d1 = d2 = np.ones(3)
+        bulk = np.ones((2, 3, max(0, n - 5)))
+    got = ChainSpec(n_nodes=n, delta1=d1, delta2=d2, bulk=bulk).couplings()
+    for i, j in np.ndindex(2, 3):
+        a, b = d1[j], d2[j]
+        want = [a, b, a] if n == 4 else [a, b, *bulk[i, j], b, a]
+        assert got[i, j].tolist() == want
+        single = ChainSpec(n_nodes=n, delta1=a, delta2=b, bulk=bulk[i, j]).couplings()
+        assert single.tolist() == want
+
+
 def test_boundary_profile_needs_seven_nodes():
     with pytest.raises(ChainLengthError):
         ChainSpec(n_nodes=6, delta1=0.5, delta2=0.8, bulk=np.array([1.0]))

@@ -58,6 +58,12 @@ def test_nonphysical_target_rejected():
     bad = np.diag([np.nan, 0.5, 0.5, 0.0]).astype(complex)
     with pytest.raises(InputError, match="non-finite"):
         check_target(bad)
+    # a pair at -1e308 overflowed the Hermitian part, and eigvalsh ended in a
+    # LinAlgError: no entry of a density matrix exceeds 1
+    bad = werner_target(0.4)
+    bad[1, 2] = bad[2, 1] = -1e308
+    with pytest.raises(InputError, match=r"an entry of magnitude 1\.0e\+308"):
+        check_target(bad)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4, 0.8])

@@ -183,6 +183,31 @@ def test_unphysical_receiver_state_rejected():
         check_receiver(rho)
 
 
+@pytest.mark.parametrize("rho, message", [
+    (np.full((4, 4), np.nan, complex), "not Hermitian: nan"),  # no LinAlgError from eigvalsh
+    (np.diag([0.5, 0.25, 0.25, 0.5]).astype(complex), "trace off by 5.000e-01"),
+    (np.diag([1.5, 0.0, 0.0, -0.5]).astype(complex), "not PSD: eigenvalue below zero by 5.000e-01"),
+])
+def test_receiver_check_fails_on_nan_trace_and_negative_eigenvalues(rho, message):
+    with pytest.raises(NumericalError, match=message):
+        check_receiver(rho)
+
+
+@pytest.mark.parametrize("label, value", [("p_Nm1;1", 1e308), ("p_pair;1;2", 1e308),
+                                          ("P_mm;1;2;1;2", 1.00001)])
+def test_import_refuses_an_entry_above_one(tmp_path, tuned20_params, label, value):
+    # every entry sums products of partial columns of a unitary, so none
+    # exceeds 1; a larger one ended in a LinAlgError of the Werner solver
+    head, rows = _table(tmp_path, tuned20_params)
+    kind, idx = label.split(";", 1)
+    row = next(i for i, r in enumerate(rows) if r.startswith(f"{kind},{idx},"))
+    cells = rows[row].split(",")
+    rows[row] = ",".join(cells[:2] + [repr(value)] + cells[3:])
+    (tmp_path / "big.csv").write_text("".join(head + rows))
+    with pytest.raises(InputError, match=f"entry {label} = .* exceeds 1 \\+ 1e-09 in magnitude"):
+        import_params_csv(tmp_path / "big.csv")
+
+
 def test_family_lists_sizes():
     assert len(FAMILY_I) == 13
     assert len(set(FAMILY_I)) == 13
@@ -261,10 +286,11 @@ def test_write_table_formats_every_float_and_nothing_else(tmp_path):
 
 @st.composite
 def random_line_params(draw):
-    """A LineParams of a 3- to 5-node sender with arbitrary finite entries."""
+    """A LineParams of a 3- to 5-node sender with arbitrary entries of
+    magnitude at most 1, all that a table may hold."""
     n_sender = draw(st.integers(3, 5))
     shaped = sl.line_params_at(sl.diagonalize(ChainSpec.uniform(7)), 1.0, n_sender)
-    entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    entries = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
     return replace(
         shaped,
         t0=draw(st.floats(0.0, 1e3)),
@@ -291,14 +317,19 @@ def test_csv_round_trip_of_random_params(tmp_path_factory, params):
 # finite floats, signed zeros and magnitudes near 1e+-300 among them
 FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]),
                    st.floats(allow_nan=False, allow_infinity=False))
+# parts of the entries a table may hold, of magnitude at most 1
+ENTRY_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.7, -0.7, 1e-300, -1e-300]),
+                         st.floats(-0.7, 0.7))
 
 
 @st.composite
-def table_params(draw, floats=FLOATS):
-    """A LineParams of a 2- to 5-node sender with entries and t0 from ``floats``."""
+def table_params(draw, floats=FLOATS, entry_floats=None):
+    """A LineParams of a 2- to 5-node sender with t0 from ``floats`` and the
+    parts of its entries from ``entry_floats`` (``floats`` if not given)."""
     n_entries = len(param_index(draw(st.integers(2, 5))))
     entries = np.empty(n_entries, complex)
-    entries.real, entries.imag = draw(arrays(float, (2, n_entries), elements=floats))
+    parts = floats if entry_floats is None else entry_floats
+    entries.real, entries.imag = draw(arrays(float, (2, n_entries), elements=parts))
     return LineParams(t0=draw(floats), entries=entries)
 
 
@@ -322,7 +353,8 @@ def test_params_table_bytes_match_the_stdlib_writer(tmp_path_factory, csv_oracle
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @example(params=_signed_zeros())
-@given(params=table_params(FLOATS.map(lambda v: float(f"{v:.12e}"))))
+@given(params=table_params(*(floats.map(lambda v: float(f"{v:.12e}"))
+                              for floats in (FLOATS, ENTRY_FLOATS))))
 def test_csv_round_trip_is_bitwise(tmp_path_factory, params):
     # entries that .12e writes exactly, and t0 (written as repr), read back
     # bit for bit, signs of zeros included
