@@ -8,11 +8,10 @@ nodes n < m excited.
 Node indices are 1-based in every public interface; two-excitation states
 are ordered lexicographically in (n, m) (:func:`sender_pairs`).  The
 sender's pure initial state is one complex control vector x = (a0,
-a_single, a_double) in that order (:class:`SenderState`), the order in
-which the receiver operator contracts it.
+a_single, a_double), a plain array of shape (..., d) like the receiver
+matrices, in the order in which the receiver operator contracts it.
+:func:`control_slices` is the one statement of that layout.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,69 +24,31 @@ def sender_pairs(n_sender=4):
     return [(n, m) for n in range(1, n_sender) for m in range(n + 1, n_sender + 1)]
 
 
-def _sender_size(n_controls):
-    """The sender size n whose control vector has 1 + n + n(n-1)/2 entries."""
+def control_slices(n_sender):
+    """The slices of a control vector x = (a0, a_single, a_double) that hold
+    the single- and the pair-excitation amplitudes of an ``n_sender``-node
+    sender; a0 is x[0], and ``pair.stop`` is the length d of x."""
+    single = slice(1, 1 + n_sender)
+    return single, slice(single.stop, single.stop + n_sender * (n_sender - 1) // 2)
+
+
+def sender_size(d):
+    """The sender size n whose control vector has d = 1 + n + n(n-1)/2
+    entries; SizeMismatchError if no sender has that many."""
     n_sender = 2
-    while (count := 1 + n_sender + n_sender * (n_sender - 1) // 2) < n_controls:
+    while (count := control_slices(n_sender)[1].stop) < d:
         n_sender += 1
-    if count != n_controls:
-        raise SizeMismatchError(f"{n_controls} control amplitudes fit no sender size")
+    if count != d:
+        raise SizeMismatchError(f"{d} control amplitudes fit no sender size")
     return n_sender
 
 
-@dataclass(frozen=True)
-class SenderState:
-    """The sender's pure initial state as one control vector ``x``.
-
-    x = (a0, a_single, a_double): the vacuum amplitude ``a0`` (stored
-    real), the single-excitation amplitudes ``a_single[i-1]`` for node i
-    and the double-excitation amplitudes ``a_double`` ordered like
-    :func:`sender_pairs`; the last two are views into ``x``.  The sender
-    size follows from ``len(x) = 1 + n + n(n-1)/2``; any other length
-    raises SizeMismatchError.  The squared magnitudes must sum to one.
-    """
-
-    x: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=complex)
-        if x.ndim != 1:
-            raise SizeMismatchError(f"a control vector is 1-D, got shape {x.shape}")
-        _sender_size(len(x))
-        x[0] = x[0].real
-        object.__setattr__(self, "x", x)
-
-    @property
-    def n_sender(self):
-        return _sender_size(len(self.x))
-
-    @property
-    def a0(self):
-        return float(self.x[0].real)
-
-    @property
-    def a_single(self):
-        return self.x[1 : 1 + self.n_sender]
-
-    @property
-    def a_double(self):
-        return self.x[1 + self.n_sender :]
-
-    @classmethod
-    def vacuum(cls, n_sender=4):
-        return cls(np.eye(1 + n_sender + n_sender * (n_sender - 1) // 2)[0])
-
-    @classmethod
-    def from_double(cls, a_double, n_sender=4):
-        """State with support only on pair states (a0 = a_i = 0)."""
-        return cls(np.concatenate((np.zeros(1 + n_sender), a_double)))
-
-    @classmethod
-    def random(cls, rng, n_sender=4):
-        """Haar-like random normalized sender state (a0 real positive)."""
-        n_pair = n_sender * (n_sender - 1) // 2
-        v = rng.standard_normal(1 + 2 * (n_sender + n_pair))
-        v /= np.linalg.norm(v)
-        single = v[1 : 1 + n_sender] + 1j * v[1 + n_sender : 1 + 2 * n_sender]
-        rest = v[1 + 2 * n_sender :]
-        return cls(np.concatenate(([abs(v[0])], single, rest[:n_pair] + 1j * rest[n_pair:])))
+def random_controls(rng, n_sender=4):
+    """Haar-like random normalized control vector of an ``n_sender``-node
+    sender, a0 real positive: one draw of 2d - 1 standard normals, in the
+    order a0, the real then the imaginary single parts, and the real then
+    the imaginary pair parts."""
+    v = rng.standard_normal(2 * control_slices(n_sender)[1].stop - 1)
+    v /= np.linalg.norm(v)
+    single, double = (part.reshape(2, -1) for part in np.split(v[1:], [2 * n_sender]))
+    return np.concatenate(([abs(v[0])], single[0] + 1j * single[1], double[0] + 1j * double[1]))

@@ -11,15 +11,16 @@ spinline's own, of the JSON Schema keywords in :data:`KEYWORDS`, the ones
 usual JSON Schema wording, and needs no package beyond numpy.
 
 Exit codes: 0 success, 1 failed verification report or numerical
-self-check (among them an eigensolve that fails and a parameter set that
-comes out NaN), 2 invalid config or input (an input file that is not UTF-8
-text, a config, chain, target or probe-output file that is not valid JSON
-of the expected shape, a bad scan grid, search box, parameter table,
-target state or sender size, a parameter-table or target entry above 1 in
-magnitude, an incomplete or degenerate probe set, a chain too short for
-its coupling profile), 3 file I/O error, 4 infeasible target or no
-transfer arrival.  Each error type carries its code and stderr label
-(:mod:`~spinline.errors`), so :func:`main` has one handler for them all.
+self-check (among them an eigensolve that fails, a phase lambda t that
+overflows and a parameter set that comes out NaN), 2 invalid config or
+input (an input file that is not UTF-8 text, a config, chain, target or
+probe-output file that is not valid JSON of the expected shape, a bad
+scan grid, search box, parameter table, target state or sender size, a
+parameter-table or target entry above 1 in magnitude, an incomplete or
+degenerate probe set, a chain too short for its coupling profile), 3 file
+I/O error, 4 infeasible target or no transfer arrival.  Each error type
+carries its code and stderr label (:mod:`~spinline.errors`), so
+:func:`main` has one handler for them all.
 """
 
 import argparse
@@ -31,6 +32,7 @@ import sys
 import numpy as np
 
 from . import benchmarks as bm
+from .basis import control_slices
 from .chainopt import COUPLING_TOL, lattice, optimize_boundary
 from .disorder import (
     DEFAULT_N_CHAINS,
@@ -80,9 +82,7 @@ from .verification import (
 
 EXIT_OK = 0
 EXIT_REPORT_FAILED = 1
-EXIT_BAD_CONFIG = 2
 EXIT_IO = 3
-EXIT_INFEASIBLE = 4
 
 _CHAIN_FIELDS = {
     "n": {"type": "integer", "minimum": 4,
@@ -383,15 +383,16 @@ def run_create_state(config):
     target, is_werner = _load_target(config)
     # unset, the solver's own default applies: it depends on the target
     starts = {"n_starts": config["starts"]} if "starts" in config else {}
+    single, pair = control_slices(params.n_sender)
     if is_werner:
         sol = solve_werner(params, config["p"], seed=config["seed"], **starts)
-        controls = {f"a_{n}{m}": a.real for (n, m), a in zip(params.pairs, sol.controls.a_double)}
+        controls = {f"a_{n}{m}": a.real for (n, m), a in zip(params.pairs, sol.x[pair])}
     else:
         sol = solve_general(params, target, seed=config["seed"], **starts)
         controls = {
-            "a0": sol.controls.a0,
-            "a_single": [[z.real, z.imag] for z in sol.controls.a_single],
-            "a_double": [[z.real, z.imag] for z in sol.controls.a_double],
+            "a0": float(sol.x[0].real),
+            "a_single": [[z.real, z.imag] for z in sol.x[single]],
+            "a_double": [[z.real, z.imag] for z in sol.x[pair]],
         }
     result = {
         "controls": controls,

@@ -22,6 +22,7 @@ are formed only by the oracles in :mod:`verification`.  The transfer
 matrices are kept complex; their phases carry physical content.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -67,8 +68,11 @@ def diagonalize(spec):
 def one_excitation_columns(spectral, t, n_cols=None):
     """The first ``n_cols`` columns of p1 = V exp(-i L t) V^T (all by default).
 
-    Shape (..., N, n_cols), with the leading axes of ``spectral``.
+    Shape (..., N, n_cols), with the leading axes of ``spectral``.  Raises
+    NumericalError when a phase lambda t overflows, before any is formed.
     """
+    if not math.isfinite(abs(t) * float(np.abs(spectral.evals1).max())):
+        raise NumericalError(f"phase lambda t overflows at t = {t:g}")
     if t < 0:
         warnings.warn(f"propagating backwards in time (t = {t})", stacklevel=3)
     V = spectral.evecs1

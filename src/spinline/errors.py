@@ -102,8 +102,9 @@ class ExtractionError(SpinlineError):
 class InfeasibleTargetError(SpinlineError):
     """No control parameters reproduce the requested target state.
 
-    Carries the best residual reached (``best_residual``) and the
-    corresponding control vector (``best_controls``).
+    Carries the best residual reached (``best_residual``) and the point
+    the solver reached it at (``best_controls``): for a Werner solve, the
+    real pair amplitudes of the best start, not a full control vector.
     """
 
     exit_code, label = 4, "infeasible"

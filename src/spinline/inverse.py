@@ -1,15 +1,17 @@
 """Inverse problem: control amplitudes that create a target receiver state.
 
 A target is a plain 4x4 complex array (:func:`check_target`,
-:func:`werner_target`); the controls found are a
-:class:`~spinline.basis.SenderState`, one vector x = (a0, a_single,
-a_double).  The receiver matrix is quadratic in x, so creation amounts to
-solving real quadratic forms, contracted from the receiver operator, under
-the normalization constraint: for Werner targets in the real pair
-amplitudes, for general targets in all real control parts.  Both run one
-seeded multi-start of a Levenberg-Marquardt that advances a stack of
-starts in numpy (:func:`_levenberg_marquardt`): solutions are particular,
-not unique, and reproducibility of our chosen solution is what matters.
+:func:`werner_target`); the controls found are a plain complex vector
+x = (a0, a_single, a_double), laid out by
+:func:`~spinline.basis.control_slices`: ``InverseSolution.x``, or a row of
+``WernerControls.x``.  The receiver matrix is quadratic in x, so creation
+amounts to solving real quadratic forms, contracted from the receiver
+operator, under the normalization constraint: for Werner targets in the
+real pair amplitudes, for general targets in all real control parts.  Both
+run one seeded multi-start of a Levenberg-Marquardt that advances a stack
+of starts in numpy (:func:`_levenberg_marquardt`): solutions are
+particular, not unique, and reproducibility of our chosen solution is what
+matters.
 The solver takes the same steps in any process, so a seeded solve gives
 the same bits wherever it runs.
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import SenderState
+from .basis import control_slices
 from .errors import InfeasibleTargetError, InputError
 from .receiver import density_deviations, entry_families, receiver_operator, receiver_rho
 
@@ -75,12 +77,13 @@ def werner_target(p):
 class InverseSolution:
     """Controls found for a target, with honest quality numbers.
 
-    ``residual`` is the largest violation of the defining equations;
-    ``discrepancy`` is the normalized Frobenius distance between the state
+    ``x`` is the control vector (d,) found, like a row of
+    ``WernerControls.x``; ``residual`` is the largest violation of the
+    defining equations; ``discrepancy`` is the normalized Frobenius distance between the state
     assembled from the same parameters and the exact target.
     """
 
-    controls: SenderState
+    x: np.ndarray
     residual: float
     discrepancy: float
 
@@ -130,13 +133,13 @@ def _werner_system(K, n_sender, targets):
     matrices (P, 4, 4): the forms Q shared by all P, and one row of values
     c (P, 6) each, for rho33, rho11, rho22, Re rho12, Im rho12 and the
     norm."""
-    return _quadratic_system(K, np.eye(K.shape[-1])[:, 1 + n_sender:], targets,
+    return _quadratic_system(K, np.eye(K.shape[-1])[:, control_slices(n_sender)[1]], targets,
                              [9, 4, 7, 5, 15, 20])
 
 
 def _general_basis(params):
     """Real controls (a0, Re x_1.., Im x_1..) with a0 real: d x (2d - 1)."""
-    eye = np.eye(1 + params.n_sender + len(params.pairs))
+    eye = np.eye(control_slices(params.n_sender)[1].stop)
     return np.hstack([eye, 1j * eye[:, 1:]])
 
 
@@ -368,7 +371,7 @@ def _werner_solve(params, ps, n_starts, seed, residual_tol):
     if n_solved == 0:
         raise InfeasibleTargetError(res[0], best_controls=ys[0])
     x = np.zeros((n_solved, K.shape[-1]), complex)
-    x[:, 1 + params.n_sender:] = ys[:n_solved]
+    x[:, control_slices(params.n_sender)[1]] = ys[:n_solved]
     return WernerControls(np.array(ps[:n_solved], float), x, res[:n_solved],
                           discrepancy(receiver_rho(K, x), targets[:n_solved]))
 
@@ -395,8 +398,7 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
         feasibility boundary).
     """
     (_, (x,), (residual,), (delta,)) = _werner_solve(params, [p], n_starts, seed, residual_tol)
-    return InverseSolution(controls=SenderState(x), residual=float(residual),
-                           discrepancy=float(delta))
+    return InverseSolution(x=x, residual=float(residual), discrepancy=float(delta))
 
 
 WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))
@@ -431,10 +433,10 @@ def solve_general(params, target, n_starts=32, seed=0):
     K = receiver_operator(params)
     Q, c = _quadratic_system(K, basis, target)
     _, (y,) = _multistart(Q, c[None], starts, WERNER_RESIDUAL_TOL)
-    state = SenderState(basis @ (y / np.linalg.norm(y)))
-    rho = receiver_rho(K, state.x)
+    x = basis @ (y / np.linalg.norm(y))
+    rho = receiver_rho(K, x)
     return InverseSolution(
-        controls=state,
+        x=x,
         residual=float(np.max(np.abs(rho - target))),
         discrepancy=discrepancy(rho, target),
     )

@@ -1,7 +1,9 @@
 """Probe-state protocol: measure the line parameters from receiver outputs.
 
 A prescribed family of two-term sender states, :func:`probe_set`, is sent
-through the line; its order is the one probe layout.  Each probe output
+through the line; its order is the one probe layout.  A probe's state is a
+plain control vector x (:meth:`ProbeState.controls`), and
+:func:`simulate_probes` contracts all of them at once.  Each probe output
 is a (ProbeState, 4x4 receiver matrix) pair, the matrix a plain array
 (JSON: :func:`probe_outputs_to_json`).  The receiver matrices are stacked
 in probe-set order and inverted stage by stage, each stage as array
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SenderState, sender_pairs
+from .basis import control_slices, sender_pairs
 from .errors import ConditioningError, ExtractionError, InputError, malformed
 from .receiver import LineParams, receiver_operator, receiver_rho
 
@@ -47,19 +49,23 @@ class ProbeState:
     kind: str
     indices: tuple
 
-    def to_sender_state(self, n_sender=4):
-        # position of each term in x = (a0, a_single, a_double); a kind's
-        # indices split into its first and its second term at ``cut``
-        slot = {(): 0, **{(k,): k for k in range(1, n_sender + 1)}}
-        slot.update({nm: 1 + n_sender + s for s, nm in enumerate(sender_pairs(n_sender))})
+    def controls(self):
+        """The probe's control vector x of a four-node sender, the one sender
+        size :func:`probe_set` enumerates."""
+        # position of each term in x; a kind's indices split into its first
+        # and its second term at ``cut``
+        single, pair = control_slices(4)
+        slot = {(): 0}
+        slot.update(zip([(k,) for k in range(1, 5)], range(single.start, single.stop)))
+        slot.update(zip(sender_pairs(4), range(pair.start, pair.stop)))
         cut = {"single": 0, "single-pair": 1, "pair-pair-real": 2, "pair-pair-imag": 2}
         if self.kind not in cut:
             raise InputError(f"unknown probe kind {self.kind!r}")
         first, second = self.indices[: cut[self.kind]], self.indices[cut[self.kind] :]
-        x = np.zeros(len(slot), complex)
+        x = np.zeros(pair.stop, complex)
         x[slot[first]] = SPLIT
         x[slot[second]] = 1j * SPLIT if self.kind == "pair-pair-imag" else SPLIT
-        return SenderState(x)
+        return x
 
 
 def probe_set(n_sender=4):
@@ -93,7 +99,7 @@ def simulate_probes(params):
     a line with known params; InputError unless the line has a four-node
     sender."""
     probes = probe_set(params.n_sender)
-    x = np.array([probe.to_sender_state().x for probe in probes])
+    x = np.array([probe.controls() for probe in probes])
     return list(zip(probes, receiver_rho(receiver_operator(params), x)))
 
 

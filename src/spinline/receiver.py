@@ -7,9 +7,10 @@ bilinears P.  All of them follow in closed form from the 2 x n_sender
 block R of the one-excitation propagator from the sender to the receiver
 (:func:`line_params_at`).  Once they are known, the receiver density
 matrix is a quadratic form in the sender's control vector x = (a0,
-a_single, a_double) (:class:`~spinline.basis.SenderState`), held as one
-operator (:func:`receiver_operator`) that every receiver matrix is
-contracted from.  A receiver matrix is a plain complex (..., 4, 4) array;
+a_single, a_double), a plain complex (..., d) array laid out by
+:func:`~spinline.basis.control_slices`, held as one operator
+(:func:`receiver_operator`) that every receiver matrix is contracted
+from.  A receiver matrix is a plain complex (..., 4, 4) array;
 :func:`check_receiver` checks that one is a density matrix.
 
 A :class:`LineParams` holds its constants as one complex array, its
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import benchmarks as bm
-from .basis import sender_pairs
+from .basis import control_slices, sender_pairs
 from .dynamics import one_excitation_columns
 from .errors import InputError, SizeMismatchError, check_tolerance, malformed
 
@@ -255,17 +256,17 @@ def density_deviations(m):
 def receiver_operator(params):
     """The receiver operator K: ``rho[a, b] = sum_ij K[a, b, i, j] x_i conj(x_j)``.
 
-    x = (a0, a_single, a_double) has d = 1 + n_sender + n_pairs entries and
-    K has shape (4, 4, d, d).  The bare amplitudes enter as outer products
-    and the P bilinears as (single, pair) and (pair, pair) blocks;
-    ``K[b, a]`` is the conjugate transpose of ``K[a, b]``, and ``K[0, 0]``
-    is the identity minus the other diagonal blocks.  This is the
-    process-tomography picture of the line (Chuang and Nielsen, 1997).
+    x = (a0, a_single, a_double) has the d entries of
+    :func:`~spinline.basis.control_slices` and K has shape (4, 4, d, d).
+    The bare amplitudes enter as outer products and the P bilinears as
+    (single, pair) and (pair, pair) blocks; ``K[b, a]`` is the conjugate
+    transpose of ``K[a, b]``, and ``K[0, 0]`` is the identity minus the
+    other diagonal blocks.  This is the process-tomography picture of the
+    line (Chuang and Nielsen, 1997).
     A stacked ``params`` gives K of shape (..., 4, 4, d, d).
     """
-    n_sender = params.n_sender
-    d = 1 + n_sender + len(params.pairs)
-    one, pair = slice(1, 1 + n_sender), slice(1 + n_sender, d)
+    one, pair = control_slices(params.n_sender)
+    d = pair.stop
     # rows: the vacuum amplitude a0 and the amplitudes f_m, f_N, f_q
     V = np.zeros(params.shape + (4, d), complex)
     V[..., 0, 0] = 1.0
@@ -300,15 +301,15 @@ def receiver_rho(K, x):
     return np.moveaxis(rho, -1, 1).reshape(*K.shape[:-4], *x.shape[:-1], 4, 4)
 
 
-def assemble_rho(params, state):
-    """Receiver density matrix (..., 4, 4) of the SenderState ``state``, a
-    quadratic form in its control vector ``state.x``.
+def assemble_rho(params, x):
+    """Receiver density matrices (..., 4, 4) of the control vectors x
+    (..., d), a quadratic form in x (:func:`receiver_rho`).
 
     Valid for approximate parameter sets too, in which case the result may
     fail to be a physical density matrix; only the exact-chain parameters
     guarantee positivity.
     """
-    return receiver_rho(receiver_operator(params), state.x)
+    return receiver_rho(receiver_operator(params), np.asarray(x, complex))
 
 
 # --- family classification -------------------------------------------------

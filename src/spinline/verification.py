@@ -11,11 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks as bm
-from .basis import SenderState, sender_pairs
+from .basis import control_slices, random_controls, sender_pairs, sender_size
 from .chainopt import lattice, optimize_boundary
 from .disorder import DEFAULT_N_CHAINS, param_statistics, sample_line_params, werner_robustness
 from .dynamics import diagonalize, one_excitation_columns
-from .errors import NumericalError
+from .errors import NumericalError, SizeMismatchError
 from .hamiltonian import ChainSpec, apply_disorder
 from .inverse import (
     WERNER_P,
@@ -228,22 +228,36 @@ def propagators(spectral, t):
     return p1, p2
 
 
-def partial_trace_oracle(state, spectral, t):
-    """Receiver matrix (4x4) by brute-force partial trace over nodes 1..N-2.
+def _oracle_controls(x, n):
+    """``x`` as one complex control vector, and its sender size; raises
+    SizeMismatchError unless x is one vector of a sender that leaves the
+    receiver nodes of an n-node chain free."""
+    x = np.asarray(x, complex)
+    n_sender = sender_size(len(x)) if x.ndim == 1 else n
+    if n_sender > n - 2:
+        raise SizeMismatchError(f"controls of shape {x.shape} fit no sender of an {n}-node chain")
+    return x, n_sender
+
+
+def partial_trace_oracle(x, spectral, t):
+    """Receiver matrix (4x4) of the control vector x by brute-force partial
+    trace over nodes 1..N-2.
 
     Evolves the full state vector in the excitation basis with
     :func:`propagators` and sums |Psi><Psi| over the environment
     configurations.  Independent of the line parameters; this is the
     correctness oracle for :func:`~spinline.receiver.assemble_rho`.
     """
+    n = spectral.evals1.shape[-1]
+    x, n_sender = _oracle_controls(x, n)
+    single, pair = control_slices(n_sender)
     p1, p2 = propagators(spectral, t)
-    n = p1.shape[0]
-    idx = {pair: k for k, pair in enumerate(sender_pairs(n))}
-    f1 = p1[:, : state.n_sender] @ state.a_single
-    f2 = p2[:, [idx[pair] for pair in sender_pairs(state.n_sender)]] @ state.a_double
+    idx = {nm: k for k, nm in enumerate(sender_pairs(n))}
+    f1 = p1[:, :n_sender] @ x[single]
+    f2 = p2[:, [idx[nm] for nm in sender_pairs(n_sender)]] @ x[pair]
     env_pairs = [k for (i, j), k in idx.items() if j <= n - 2]
     C = np.zeros((4, n - 1 + len(env_pairs)), complex)
-    C[0, 0] = state.a0
+    C[0, 0] = x[0]
     C[0, 1 : n - 1] = f1[: n - 2]
     C[0, n - 1 :] = f2[env_pairs]
     C[1, 0] = f1[n - 2]
@@ -254,13 +268,15 @@ def partial_trace_oracle(state, spectral, t):
     return C @ C.conj().T
 
 
-def full_space_receiver(state, spec, t):
-    """Receiver matrix from dense evolution of the full 2^N chain.
+def full_space_receiver(x, spec, t):
+    """Receiver matrix of the control vector x from dense evolution of the
+    full 2^N chain.
 
     Brute force in the unrestricted tensor-product space; usable up to
     N ~ 12 and completely independent of the excitation-basis machinery.
     """
     n = spec.n_nodes
+    x, n_sender = _oracle_controls(x, n)
     dim = 2 ** n
     J = spec.couplings()
     H = np.zeros((dim, dim))
@@ -271,9 +287,9 @@ def full_space_receiver(state, spec, t):
         H[hop ^ (3 << b), hop] = H[hop, hop ^ (3 << b)] = J[b] / 2
     # control i of x = (a0, a_single, a_double) is the amplitude of the
     # configuration whose bits are its excited nodes
-    excited = [(), *((k,) for k in range(1, state.n_sender + 1)), *sender_pairs(state.n_sender)]
+    excited = [(), *((k,) for k in range(1, n_sender + 1)), *sender_pairs(n_sender)]
     psi = np.zeros(dim, complex)
-    psi[[sum(1 << (k - 1) for k in nodes) for nodes in excited]] = state.x
+    psi[[sum(1 << (k - 1) for k in nodes) for nodes in excited]] = x
     lam, V = np.linalg.eigh(H)
     psi = V @ (np.exp(-1j * lam * t) * (V.T @ psi))
     # the receiver nodes N-1, N are the two top bits: row c of C holds the
@@ -294,9 +310,9 @@ def check_oracle_equivalence(seed=2024, n_states=36):
             t = rng.uniform(0.3, 2.0) * n
             params = line_params_at(spectral, t, n_sender=4)
             for _ in range(n_states // 2):
-                state = SenderState.random(rng)
-                direct = assemble_rho(params, state)
-                oracle = partial_trace_oracle(state, spectral, t)
+                x = random_controls(rng)
+                direct = assemble_rho(params, x)
+                oracle = partial_trace_oracle(x, spectral, t)
                 worst = max(worst, float(np.linalg.norm(direct - oracle)))
     n_total = 6 * (n_states // 2)
     out.append(_result(
@@ -309,9 +325,9 @@ def check_oracle_equivalence(seed=2024, n_states=36):
         for k in range(5):
             spec = _random_chain(n, rng) if k % 2 else ChainSpec.uniform(n)
             t = rng.uniform(0.5, 2.5) * n
-            state = SenderState.random(rng)
-            oracle = partial_trace_oracle(state, diagonalize(spec), t)
-            dense = full_space_receiver(state, spec, t)
+            x = random_controls(rng)
+            oracle = partial_trace_oracle(x, diagonalize(spec), t)
+            dense = full_space_receiver(x, spec, t)
             worst_full = max(worst_full, float(np.max(np.abs(oracle - dense))))
     out.append(_result(
         "partial-trace oracle vs dense 2^N evolution",
@@ -467,9 +483,8 @@ def check_invariants(seed=5):
     params = tuned_line_params(20)
     ok = True
     for _ in range(20):
-        state = SenderState.random(rng)
         try:
-            check_receiver(assemble_rho(params, state))
+            check_receiver(assemble_rho(params, random_controls(rng)))
         except NumericalError:
             ok = False
             break

@@ -212,14 +212,14 @@ def test_sample_needs_two_chains(base20):
 def controls(tuned20_params):
     """Werner p and their control vectors (P, d), as werner_controls holds them."""
     p = np.array([0.0, 0.4, 0.8])
-    return p, np.array([sl.solve_werner(tuned20_params, q).controls.x for q in p.tolist()])
+    return p, np.array([sl.solve_werner(tuned20_params, q).x for q in p.tolist()])
 
 
 def test_robustness_zero_epsilon_matches_unperturbed(base20, tuned20_params, controls):
     robustness = werner_robustness(sample(base20, tuned20_params.t0, 0.0, 3, 1), *controls)
     for p, x, mean, std in zip(robustness.p.tolist(), controls[1], robustness.mean,
                                robustness.std):
-        rho = sl.assemble_rho(tuned20_params, sl.SenderState(x))
+        rho = sl.assemble_rho(tuned20_params, x)
         exact = sl.discrepancy(rho, sl.werner_target(p))
         assert mean == pytest.approx(exact, abs=1e-14)
         assert std == 0.0

@@ -24,7 +24,7 @@ CASES = {
         CHAIN, 0.1, np.array([0.0, 1.5, 0.0, 0.0])),
     "werner_target p outside [0, 1]": lambda: sl.werner_target(1.2),
     "discrepancy zero-norm target": lambda: sl.discrepancy(np.eye(4), np.zeros((4, 4))),
-    "to_sender_state unknown kind": lambda: ProbeState("bogus", (1,)).to_sender_state(),
+    "probe controls unknown kind": lambda: ProbeState("bogus", (1,)).controls(),
 }
 
 

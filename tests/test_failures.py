@@ -4,7 +4,8 @@ Each SpinlineError class carries its exit code and stderr label, and
 ``cli.main`` reports them all through one handler.  Four inputs that once
 ended in a traceback or in a NaN table are pinned here, and a derandomized
 fuzz of the input files and ``--t0`` with extreme finite values checks
-that no input ends in a traceback or in an artifact holding NaN or Infinity.
+that no input ends in a traceback, a numpy RuntimeWarning or an artifact
+holding NaN or Infinity.
 """
 
 import json
@@ -147,6 +148,7 @@ CASES = st.one_of(
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 # the four inputs that ended in a NaN table or a LinAlgError traceback
 @example(case=("chain", "delta1", 7.0, 1e308))
 @example(case=("chain", "bulk0", 1e248, T0))
@@ -167,7 +169,8 @@ def test_extreme_finite_inputs_end_in_an_exit_code(tmp_path_factory, base, case)
         assert not NON_FINITE.search(path.read_text()), path.name
 
 
-# a 20-node chain with delta1 = 7 overflows its phases at t0 = 1e308
+# a 20-node chain with delta1 = 7 overflows its phases at t0 = 1e308: once a
+# NaN table, then numpy warnings before the typed error
 NAN_CHAIN = {"n": 20, "delta1": 7.0, "delta2": 1.0, "bulk": [1.0] * 15}
 BIG_TARGET = werner_target(0.4)
 BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
@@ -176,7 +179,7 @@ BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
 @pytest.mark.parametrize("files, argv, code, message", [
     pytest.param({"chain.json": json.dumps(NAN_CHAIN)},
                  ["compute-params", "--chain", "chain.json", "--t0", "1e308", "--out", "out.csv"],
-                 1, "numerical check failed: P_mm Hermitian symmetry violated by nan",
+                 1, "numerical check failed: phase lambda t overflows at t = 1e+308",
                  id="nan-table"),
     pytest.param({"chain.json": json.dumps({"n": 12, "delta1": 0.55, "delta2": 0.817,
                                             "bulk": [1e248] + [1] * 6})},
@@ -193,6 +196,7 @@ BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
                   "--out", "out.json"],
                  2, "params.csv: entry p_Nm1;1 = (1e+308", id="table-entry-1e308"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_once_unhandled_input_exits_typed(tmp_path, monkeypatch, capsys, files, argv, code,
                                           message):
     monkeypatch.chdir(tmp_path)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import spinline as sl
-from spinline.basis import SenderState, sender_pairs
+from spinline.basis import random_controls, sender_pairs
 from spinline.verification import full_space_receiver, pair_block, propagators
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
@@ -39,9 +39,9 @@ seeds = st.integers(0, 2 ** 32 - 1)
 @given(spec=chains(), t=times, seed=seeds, n_sender=st.integers(3, 5))
 def test_assembled_state_matches_dense_evolution(spec, t, seed, n_sender):
     params = sl.line_params_at(sl.diagonalize(spec), t, n_sender)
-    state = SenderState.random(np.random.default_rng(seed), n_sender)
-    rho = sl.assemble_rho(params, state)
-    assert np.max(np.abs(rho - full_space_receiver(state, spec, t))) < 1e-9
+    x = random_controls(np.random.default_rng(seed), n_sender)
+    rho = sl.assemble_rho(params, x)
+    assert np.max(np.abs(rho - full_space_receiver(x, spec, t))) < 1e-9
 
 
 @PROPERTY_SETTINGS

@@ -11,7 +11,7 @@ from scipy.optimize import least_squares
 import spinline as sl
 from spinline import benchmarks as bm
 from spinline import inverse, verification
-from spinline.basis import SenderState
+from spinline.basis import control_slices, random_controls
 from spinline.errors import InfeasibleTargetError, InputError
 from spinline.hamiltonian import ChainSpec
 from spinline.inverse import check_target, discrepancy, werner_target, zero_family_iii
@@ -72,10 +72,11 @@ def test_solve_werner(tuned20_params, p):
     assert sol.residual < 1e-10
     assert sol.discrepancy < 1e-10
     # controls live on the pair sector only and are real
-    assert sol.controls.a0 == 0.0
-    assert np.all(sol.controls.a_single == 0.0)
-    assert np.max(np.abs(sol.controls.a_double.imag)) == 0.0
-    rho = sl.assemble_rho(tuned20_params, sol.controls)
+    single, pair = control_slices(tuned20_params.n_sender)
+    assert sol.x[0] == 0.0
+    assert np.all(sol.x[single] == 0.0)
+    assert np.max(np.abs(sol.x[pair].imag)) == 0.0
+    rho = sl.assemble_rho(tuned20_params, sol.x)
     assert discrepancy(rho, werner_target(p)) <= 10 * bm.WERNER_FULL_DISCREPANCY[p]
 
 
@@ -102,14 +103,17 @@ def _forms_and_expected(kind, params, rng):
     if kind == "werner":
         Q, c = inverse._werner_system(K, n_sender, werner_target(0.3))
         y = rng.standard_normal(len(params.pairs)) / np.sqrt(len(params.pairs))
-        d = sl.assemble_rho(params, SenderState.from_double(y, n_sender)) - werner_target(0.3)
+        _, pair = control_slices(n_sender)
+        x = np.zeros(pair.stop)
+        x[pair] = y
+        d = sl.assemble_rho(params, x) - werner_target(0.3)
         entries = [d[3, 3].real, d[1, 1].real, d[2, 2].real, d[1, 2].real, d[1, 2].imag]
     else:
-        target = sl.assemble_rho(params, SenderState.random(rng, n_sender))
+        target = sl.assemble_rho(params, random_controls(rng, n_sender))
         basis = inverse._general_basis(params)
         Q, c = inverse._quadratic_system(K, basis, target)
         y = rng.standard_normal(basis.shape[1]) / np.sqrt(basis.shape[1])
-        upper = (sl.assemble_rho(params, SenderState(basis @ y)) - target)[np.triu_indices(4)]
+        upper = (sl.assemble_rho(params, basis @ y) - target)[np.triu_indices(4)]
         entries = [*upper.real, *upper.imag]
     return Q, c, y, entries + [y @ y - 1.0]
 
@@ -231,7 +235,7 @@ def test_general_multistart_stops_at_first_exact_start(constructed, tuned20_para
     assert residual == 0.0
     assert y.tobytes() == record["y"][exact_start].tobytes()
     assert record["batches"] == ([1] if exact_start == 0 else [1, n_starts - 1])
-    np.testing.assert_array_equal(sol.controls.x, basis @ record["y"][exact_start])
+    np.testing.assert_array_equal(sol.x, basis @ record["y"][exact_start])
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +324,7 @@ def test_werner_controls_match_lone_solves(verdict_tables, tuned60_params, table
     assert stacked.x.shape == (len(lone), 1 + params.n_sender + len(params.pairs))
     for p, x, residual, delta in zip(stacked.p.tolist(), stacked.x, stacked.residual,
                                      stacked.discrepancy):
-        np.testing.assert_allclose(x, lone[p].controls.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x, lone[p].x, rtol=0, atol=1e-12)
         assert residual <= inverse.WERNER_RESIDUAL_TOL
         assert abs(residual - lone[p].residual) <= 1e-14
         assert abs(delta - lone[p].discrepancy) <= 1e-14
@@ -333,9 +337,9 @@ def test_werner_controls_discrepancy_is_that_of_the_assembled_state(verdict_tabl
     params = verdict_tables[table]
     solved = inverse.werner_controls(params)
     assert solved.p.tolist() == list(inverse.WERNER_P)
-    assert np.all(solved.x[:, :1 + params.n_sender] == 0.0)  # pair amplitudes only
+    assert np.all(solved.x[:, :control_slices(params.n_sender)[1].start] == 0.0)  # pairs only
     for p, x, delta in zip(solved.p.tolist(), solved.x, solved.discrepancy.tolist()):
-        rho = sl.assemble_rho(params, SenderState(x))
+        rho = sl.assemble_rho(params, x)
         assert abs(delta - discrepancy(rho, werner_target(p))) <= 1e-14
 
 
@@ -424,7 +428,7 @@ try:
 except InfeasibleTargetError as err:
     infeasible = [err.best_residual.hex(), err.best_controls.tobytes().hex()]
 sol = solve_werner(params, 0.8)
-print(json.dumps(infeasible + [sol.residual.hex(), sol.controls.x.tobytes().hex()]))
+print(json.dumps(infeasible + [sol.residual.hex(), sol.x.tobytes().hex()]))
 """
 
 
@@ -448,7 +452,7 @@ def test_capped_starts_warn_nothing(tuned20_params):
 
 def test_solution_self_consistency(tuned20_params):
     sol = sl.solve_werner(tuned20_params, 0.5)
-    rho = sl.assemble_rho(tuned20_params, sol.controls)
+    rho = sl.assemble_rho(tuned20_params, sol.x)
     worst = np.max(np.abs(rho - werner_target(0.5)))
     assert worst <= sol.residual + 1e-12
 
@@ -459,7 +463,7 @@ def test_zeroed_family_iii_effect(tuned20_params):
     assert hi == 0.0
     sol = sl.solve_werner(truncated, 0.8)
     assert sol.residual < 1e-10
-    rho = sl.assemble_rho(tuned20_params, sol.controls)
+    rho = sl.assemble_rho(tuned20_params, sol.x)
     delta = discrepancy(rho, werner_target(0.8))
     assert 5e-3 <= delta <= 2e-2
 
@@ -498,8 +502,7 @@ def test_solve_general_vacuum_target(tuned20_params):
 
 
 def test_solve_general_self_target(tuned20_params, rng):
-    state = SenderState.random(rng)
-    target = sl.assemble_rho(tuned20_params, state)
+    target = sl.assemble_rho(tuned20_params, random_controls(rng))
     sol = sl.solve_general(tuned20_params, target, n_starts=16)
     assert sol.discrepancy < 1e-8
 

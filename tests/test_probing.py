@@ -3,7 +3,7 @@ import pytest
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline.basis import sender_pairs
+from spinline.basis import control_slices, sender_pairs
 from spinline.errors import ConditioningError, ExtractionError, InputError
 from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.probing import (
@@ -42,11 +42,11 @@ def test_unsupported_sender_size():
 
 def test_probe_states_normalized():
     for probe in probe_set():
-        x = probe.to_sender_state().x
+        x = probe.controls()
         assert np.vdot(x, x).real == pytest.approx(1.0, abs=1e-14)
-    imag = ProbeState("pair-pair-imag", (1, 2, 3, 4)).to_sender_state()
+    imag = ProbeState("pair-pair-imag", (1, 2, 3, 4)).controls()
     pairs = sender_pairs()
-    assert imag.a_double[pairs.index((3, 4))] == pytest.approx(1j / np.sqrt(2))
+    assert imag[control_slices(4)[1]][pairs.index((3, 4))] == pytest.approx(1j / np.sqrt(2))
 
 
 def test_round_trip_unperturbed(tuned20_params):
@@ -66,7 +66,7 @@ def test_round_trip_disordered(rng):
 def test_single_probe_inversion_formula(tuned20_params):
     # rho_{0;N} of the k=1 single probe determines p_{N;1} directly
     probe = ProbeState("single", (1,))
-    rho = sl.assemble_rho(tuned20_params, probe.to_sender_state())
+    rho = sl.assemble_rho(tuned20_params, probe.controls())
     assert np.conj(rho[0, 2]) * 2 == pytest.approx(
         tuned20_params.get("p_N", (1,)), abs=1e-14
     )

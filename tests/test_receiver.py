@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spinline as sl
-from spinline.basis import SenderState, sender_pairs
+from spinline.basis import random_controls, sender_pairs
 from spinline.errors import InputError, NumericalError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder
 from spinline.receiver import (
@@ -22,7 +22,7 @@ from spinline.receiver import (
     param_index,
     write_table,
 )
-from spinline.verification import partial_trace_oracle
+from spinline.verification import FULL_SPACE_TOL, full_space_receiver, partial_trace_oracle
 
 
 def test_entry_census(tuned20_params):
@@ -138,20 +138,20 @@ def test_sender_receiver_overlap_rejected():
 
 
 def test_vacuum_receiver_state(tuned20_params):
-    rho = sl.assemble_rho(tuned20_params, SenderState.vacuum())
+    rho = sl.assemble_rho(tuned20_params, np.eye(11)[0])
     assert np.allclose(rho, np.diag([1.0, 0, 0, 0]))
 
 
 def test_receiver_state_before_arrival(tuned20, rng):
     # sender support is disjoint from the receiver, so at t=0 nothing is there
-    rho = partial_trace_oracle(SenderState.random(rng), tuned20, 0.0)
+    rho = partial_trace_oracle(random_controls(rng), tuned20, 0.0)
     assert np.allclose(rho, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
 
 def test_single_excitation_transfer_population(tuned20, tuned20_params):
     x = np.zeros(11, complex)
     x[1] = 1.0  # a_single[0]: node 1 excited
-    rho = sl.assemble_rho(tuned20_params, SenderState(x))
+    rho = sl.assemble_rho(tuned20_params, x)
     assert rho[2, 2].real == pytest.approx(0.99606 ** 2, abs=1e-3)
 
 
@@ -164,16 +164,65 @@ def test_oracle_equivalence(n, rng):
         for t in rng.uniform(0.3, 2.5, 2) * n:
             params = sl.line_params_at(spectral, t)
             for _ in range(10):
-                state = SenderState.random(rng)
-                direct = sl.assemble_rho(params, state)
-                oracle = partial_trace_oracle(state, spectral, t)
+                x = random_controls(rng)
+                direct = sl.assemble_rho(params, x)
+                oracle = partial_trace_oracle(x, spectral, t)
                 assert np.linalg.norm(direct - oracle) < 1e-10
 
 
 def test_receiver_state_is_physical(tuned20, rng):
     for _ in range(10):
-        state = SenderState.random(rng)
-        check_receiver(partial_trace_oracle(state, tuned20, 19.0))
+        check_receiver(partial_trace_oracle(random_controls(rng), tuned20, 19.0))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_vacuum_amplitude_keeps_its_phase(n, rng):
+    # a0 is complex like the other amplitudes: its phase against the single
+    # amplitudes shows in the coherences rho[0, k]
+    base = ChainSpec(n_nodes=n, delta1=rng.uniform(0.4, 1.1), delta2=rng.uniform(0.4, 1.1))
+    spec = apply_disorder(base, 0.1, rng.uniform(-1, 1, base.bulk.size))
+    spectral, t = sl.diagonalize(spec), rng.uniform(0.5, 2.5) * n
+    params = sl.line_params_at(spectral, t)
+    x = random_controls(rng)
+    x[0] *= np.exp(0.7j)
+    rho = sl.assemble_rho(params, x)
+    assert abs(np.trace(rho) - 1.0) < FULL_SPACE_TOL
+    assert np.max(np.abs(rho - partial_trace_oracle(x, spectral, t))) < FULL_SPACE_TOL
+    assert np.max(np.abs(rho - full_space_receiver(x, spec, t))) < FULL_SPACE_TOL
+    real = np.concatenate(([abs(x[0])], x[1:]))
+    assert np.max(np.abs(rho - sl.assemble_rho(params, real))) > 1e-3
+
+
+def test_imaginary_vacuum_amplitude_is_the_vacuum(tuned20, tuned20_params):
+    x = np.zeros(11, complex)
+    x[0] = 1j
+    vacuum = np.diag([1.0, 0, 0, 0])
+    assert np.array_equal(sl.assemble_rho(tuned20_params, x), vacuum)
+    assert np.array_equal(partial_trace_oracle(x, tuned20, 11.0), vacuum)
+
+
+def test_stacked_controls_match_each_vector(tuned20_params, rng):
+    xs = np.array([random_controls(rng) for _ in range(6)]).reshape(2, 3, 11)
+    rho = sl.assemble_rho(tuned20_params, xs)
+    assert rho.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_allclose(rho[idx], sl.assemble_rho(tuned20_params, xs[idx]),
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [10, 16], ids=["fits-no-sender", "five-nodes-on-six"])
+def test_control_vector_that_does_not_fit_is_refused(d):
+    # on a six-node chain the sender has at most four nodes (d = 11)
+    spec = ChainSpec.uniform(6)
+    spectral = sl.diagonalize(spec)
+    x = np.eye(d)[0]
+    for receiver in (lambda: sl.assemble_rho(sl.line_params_at(spectral, 1.0), x),
+                     lambda: partial_trace_oracle(x, spectral, 1.0),
+                     lambda: full_space_receiver(x, spec, 1.0)):
+        with pytest.raises(SizeMismatchError):
+            receiver()
+    with pytest.raises(SizeMismatchError, match=r"shape \(2, 11\) fit no sender"):
+        partial_trace_oracle(np.eye(11)[:2], spectral, 1.0)
 
 
 def test_unphysical_receiver_state_rejected():
