@@ -24,11 +24,15 @@ point it takes about four evaluations, each one ``diagonalize``, one
 d|p|^2/dt = 0, and one :func:`_amplitude_derivatives`.
 
 The grid search and :func:`first_maximum` share one kernel, :func:`_first_arrival`.
-h1 is hopping with no diagonal, so its spectrum is bipartite: in ``eigh`` order
-mode N-1-k has eigenvalue -lambda_k and weight W_{N-1-k} = (-1)^(N-1) W_k, where
-W_k = V[N-1, k] V[0, k].  So p_{N;1}(t) = sum_k W_k exp(-i lambda_k t) equals
--2i sum_{lambda>0} W sin(lambda t) for even N and W_0 + 2 sum_{lambda>0} W cos(lambda t)
-for odd N (W_0: the zero mode), a real sum over half the modes.  The kernel scans
+h1 is hopping on a bipartite chain, so its spectrum is +-paired: in the
+ascending order of :func:`diagonalize`, which builds the pairs from one
+singular value decomposition and so pairs them exactly, mode N-1-k has
+eigenvalue -lambda_k and weight W_{N-1-k} = (-1)^(N-1) W_k, where
+W_k = V[N-1, k] V[0, k]; the kernel still checks the pairing to
+``PAIRING_TOL``, as a guard on spectra from elsewhere.  So p_{N;1}(t) =
+sum_k W_k exp(-i lambda_k t) equals -2i sum_{lambda>0} W sin(lambda t) for
+even N and W_0 + 2 sum_{lambda>0} W cos(lambda t) for odd N (W_0: the zero
+mode), a real sum over half the modes.  The kernel scans
 the time grid in a fixed partition of blocks of ``_BLOCK`` (128) steps, each with
 one neighbour on either side for the local-maximum test, and drops a chain at its
 first hit: tuned chains arrive near t = 1.3N, well short of the default 3N window.
@@ -59,7 +63,7 @@ PAIRING_TOL = 1e-10
 _BLOCK = 128  # candidate time steps per scan block
 MAX_STEPS = 10**6  # largest time grid a scan allocates
 MAX_POINTS = 10**6  # largest stepped scan, and largest boundary search box
-_POINT_BLOCK = 64  # chains per stacked eigh and arrival scan of the grid search
+_POINT_BLOCK = 64  # chains per stacked solve and arrival scan of the grid search
 _NEWTON_ITERATIONS = 100  # bound on the Newton-bisection steps of a peak time
 _STEP_TOL = 1e-8  # trust-region step at which the refinement stops
 _REFINE_STEPS = 100  # bound on the accepted steps of one refinement
@@ -102,7 +106,7 @@ def _time_grid(t_max):
 def _first_arrival(evals, weights, ts, floor):
     """First local maximum of |p_{N;1}(t)| above ``floor`` on the grid ``ts``.
 
-    ``evals`` (B, N) is a stack of one-excitation spectra in ``eigh`` order
+    ``evals`` (B, N) is a stack of ascending one-excitation spectra
     and ``weights`` (B, N) their end-to-end weights W_k = V[N-1, k] V[0, k].
     ``ts`` is a uniform grid of at most ``MAX_STEPS`` steps (see
     :func:`_time_grid`); every block of it reuses one table of the first

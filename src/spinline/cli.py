@@ -89,7 +89,7 @@ _CHAIN_FIELDS = {
           "description": "chain length (uniform unless --tuned)"},
     "tuned": {"type": "boolean", "description": "use the benchmark boundary couplings and t0"},
     "chain": {"type": "string", "description": "JSON chain-spec file"},
-    "t0": {"type": "number", "description": "registration time"},
+    "t0": {"type": "number", "minimum": 0, "description": "registration time"},
     "sender": {"type": "integer", "minimum": 2, "default": 4, "description": "sender size"},
 }
 

@@ -7,7 +7,7 @@ values.  Statistics are collected over N_p independent chains.
 
 :func:`sample_line_params` diagonalizes each sampled chain once and
 returns the whole sample as one stacked LineParams: the chains are
-processed in blocks of ``CHAIN_BLOCK``, each block one stacked ``eigh``,
+processed in blocks of ``CHAIN_BLOCK``, each block one stacked SVD,
 one stacked receiver block R and one stacked parameter evaluation, so
 memory stays flat in the number of chains; the blocks join by
 concatenating their ``entries``.  The statistics are reductions over that
@@ -45,7 +45,7 @@ from .receiver import (
 )
 
 DEFAULT_N_CHAINS = 100
-# chains per stacked eigh and per stacked receiver operator.  A stacked eigh
+# chains per stacked solve and per stacked receiver operator.  A stacked SVD
 # is still one LAPACK call per chain, so larger blocks save nothing
 # measurable; at 32, a block's operators (11x11, ~1 MB) and n=60
 # eigenvectors (~1 MB) leave a 100-chain study's peak memory where the

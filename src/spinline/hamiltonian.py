@@ -5,7 +5,10 @@ a hopping of strength J/2 between neighbouring nodes.  The coupling profile
 is uniform (D = 1, dimensionless) except for the two outermost bond pairs
 delta1 and delta2 at each end.  :func:`hopping_matrix` is the one builder of
 the N x N hopping matrix; the chain maps to free fermions, so that matrix
-determines all the dynamics (see :mod:`dynamics`).
+determines all the dynamics (see :mod:`dynamics`).  Every bond joins an
+even node to an odd one, so the matrix is fixed by its even-to-odd block,
+which :func:`sublattice_block` builds; the solver works on that block, and
+the dense matrix serves as the reference the tests diagonalize.
 """
 
 import json
@@ -117,6 +120,23 @@ def hopping_matrix(couplings):
     h = np.zeros(J.shape[:-1] + (n, n))
     h[..., rows, rows + 1] = h[..., rows + 1, rows] = J / 2
     return h
+
+
+def sublattice_block(couplings):
+    """The even-to-odd blocks (..., ceil(N/2), floor(N/2)) of the hopping matrices.
+
+    Bond b joins node b to node b+1, so with the even nodes first a hopping
+    matrix is [[0, M], [M^T, 0]]: M[a, a] = J[2a]/2 and M[a, a-1] = J[2a-1]/2,
+    a lower-bidiagonal block equal to ``hopping_matrix(J)[..., 0::2, 1::2]``.
+    """
+    J = np.asarray(couplings, float)
+    n = J.shape[-1] + 1
+    cols = np.arange(n // 2)
+    below = cols[: (n - 1) // 2]
+    block = np.zeros(J.shape[:-1] + ((n + 1) // 2, n // 2))
+    block[..., cols, cols] = J[..., 0::2] / 2
+    block[..., below + 1, below] = J[..., 1::2] / 2
+    return block
 
 
 def apply_disorder(spec, epsilon, deltas):

@@ -299,15 +299,15 @@ def test_point_scoring_one_chain_per_block(monkeypatch):
 def full_scan(n_nodes, d1s, d2s, ts, floor):
     """Oracle for the grid stage: every lattice point scored by _first_arrival
     (in stacks of 1024, to bound memory), the best one picked by amplitude,
-    then lexicographic (delta1, delta2)."""
+    then lexicographic (delta1, delta2).  The spectra come from diagonalize,
+    which tests/test_dynamics.py checks against eigh; this checks the search."""
     d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
-    J = np.ones((d1.size, n_nodes - 1))
-    J[:, 1] = J[:, -2] = d2
-    J[:, 0] = J[:, -1] = d1
     amp = np.zeros(d1.size)
     for lo in range(0, d1.size, 1024):
-        lam, V = np.linalg.eigh(hopping_matrix(J[lo : lo + 1024]))
-        amp[lo : lo + 1024], _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, floor)
+        chains = slice(lo, lo + 1024)
+        spectral = sl.diagonalize(ChainSpec(n_nodes, d1[chains], d2[chains]))
+        V = spectral.evecs1
+        amp[chains], _ = _first_arrival(spectral.evals1, V[:, -1] * V[:, 0], ts, floor)
     top = np.lexsort((d2, d1, -amp))[0]
     return np.array([d1[top], d2[top]]), amp[top]
 

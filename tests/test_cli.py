@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spinline import benchmarks as bm
 from spinline import cli
-from spinline import dynamics, receiver
+from spinline import dynamics, receiver, verification
 from spinline.cli import EXIT_OK, EXIT_REPORT_FAILED, main
 from spinline.errors import InputError
 from spinline.disorder import DEFAULT_N_CHAINS
@@ -426,15 +426,15 @@ def test_disorder_study_numerical_check_exit_code(workdir, monkeypatch, capsys, 
     if fault == "symmetry":
         monkeypatch.setattr(receiver, "SYMMETRY_TOL", -1.0)
     else:
-        eigh = np.linalg.eigh
+        svd = np.linalg.svd
 
-        def faulty(h):
-            w, v = eigh(h)
-            if h.ndim == 3:  # the sampled stack fails, the base chain passes
-                w[1, 0] += 1e-6
-            return w, v
+        def faulty(m):
+            u, s, wt = svd(m)
+            if m.ndim == 3:  # the sampled stack fails, the base chain passes
+                s[1, 0] += 1e-6
+            return u, s, wt
 
-        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        monkeypatch.setattr(np.linalg, "svd", faulty)
     rc = main(["disorder-study", "--n", "20", "--tuned", "--epsilon", "0.05",
                "--chains", "3", "--seed", "7", "--out", "study.json",
                "--params-csv", "stats.csv", "--robustness-csv", "rob.csv"])
@@ -548,6 +548,9 @@ OUTSIDE_JSON = {
     "config-nan": ({"command": "compute-params", "n": 20, "tuned": True,
                     "t0": float("nan"), "out": "out.csv"},
                    ["run", "--config", "in.json"], "must be finite"),
+    "config-negative-t0": ({"command": "compute-params", "n": 20, "t0": -1.0,
+                            "out": "out.csv"},
+                           ["run", "--config", "in.json"], "-1.0 is less than the minimum of 0"),
     "config-float-n": ({"command": "compute-params", "n": 20.0, "tuned": True,
                         "out": "out.csv"},
                        ["run", "--config", "in.json"], "is not of type 'integer'"),
@@ -618,6 +621,22 @@ def test_non_finite_flag_exit_code(workdir, params_csv, argv, capsys):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute-params", "--n", "20", "--t0=-1"],
+    ["probe-params", "--n", "20", "--tuned", "--t0=-5e-324"],
+    ["disorder-study", "--n", "20", "--tuned", "--t0=-26.441", "--epsilon", "0.05",
+     "--seed", "1"],
+], ids=["compute", "probe", "disorder"])
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_negative_t0_exit_code(workdir, argv, capsys):
+    # once a table evolved backwards in time, announced by a raw UserWarning
+    assert main(argv + ["--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and "is less than the minimum of 0" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
 def _keywords(schema):
     """Every keyword of a schema and of the schemas of its properties and items."""
     inner = list(schema.get("properties", {}).values())
@@ -631,6 +650,17 @@ def test_schemas_are_valid():
         jsonschema.validators.validator_for(schema).check_schema(schema)
         # validate_config would ignore a keyword it does not implement
         assert _keywords(schema) <= cli.KEYWORDS
+
+
+def test_report_shows_rounding_level_deviations_by_their_tolerance():
+    # their digits, and the sign of a zero part, move with the BLAS thread count
+    assert verification._below("x", 1.7e-15, 1e-10, "dev").line() == "PASS  x: dev below 1e-10"
+    assert verification._below("x", 2e-10, 1e-10, "dev").line() == \
+        "FAIL  x: dev 2.00e-10, not below 1e-10"
+    assert not verification._below("x", np.nan, 1e-10, "dev").passed
+    assert verification._complex5(complex(-1e-17, 0.967434)) == "0.00000+0.96743j"
+    assert verification._complex5(complex(0.963606, -1e-17)) == "0.96361+0.00000j"
+    assert verification._complex5(-0.08929j) == "0.00000-0.08929j"
 
 
 def test_reproduce_fast_n60(capsys):

@@ -5,13 +5,89 @@ from scipy.linalg import expm
 import spinline as sl
 from spinline import benchmarks as bm
 from spinline.basis import control_slices, random_controls, sender_pairs
-from spinline.hamiltonian import ChainSpec
+from spinline.dynamics import one_excitation_columns
+from spinline.errors import NumericalError
+from spinline.hamiltonian import MIN_PROFILE_NODES, ChainSpec, hopping_matrix, sublattice_block
 from spinline.verification import pair_block, partial_trace_oracle, propagators
 
 
 def spectral_for(n, **kwargs):
     spec = ChainSpec(n_nodes=n, **kwargs) if kwargs else ChainSpec.uniform(n)
     return sl.diagonalize(spec)
+
+
+SOLVE_SIZES = [4, 5, 6, 7, 8, 9, 12, 20, 21, 60]
+
+
+def random_couplings(rng, shape):
+    """Couplings drawn from (0.05, 1.5]."""
+    return 1.5 - rng.uniform(0.0, 1.45, shape)
+
+
+def chains_of(n):
+    """The uniform chain of n nodes and, from n = 7 on, a tuned chain (the
+    paper's pair for n = 20 and 60, the n = 20 pair otherwise) and three
+    seeded chains with every coupling random."""
+    specs = [ChainSpec.uniform(n)]
+    if n >= MIN_PROFILE_NODES:
+        ref = bm.TUNED_CHAINS.get(n, bm.TUNED_CHAINS[20])
+        specs.append(ChainSpec(n, ref["delta1"], ref["delta2"]))
+        rng = np.random.default_rng(n)
+        for J in random_couplings(rng, (3, n - 3)):
+            specs.append(ChainSpec(n, J[0], J[1], J[2:]))
+    return specs
+
+
+@pytest.mark.parametrize("n", SOLVE_SIZES)
+def test_solve_matches_dense_eigh(n):
+    for spec in chains_of(n):
+        spectral = sl.diagonalize(spec)
+        lam, V = np.linalg.eigh(hopping_matrix(spec.couplings()))
+        assert np.max(np.abs(spectral.evals1 - lam)) <= 1e-12
+        for t in (0.8, 1.3 * n):
+            p1 = (V * np.exp(-1j * lam * t)) @ V.T
+            assert np.max(np.abs(one_excitation_columns(spectral, t) - p1)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SOLVE_SIZES)
+def test_solve_is_paired_and_orthonormal(n):
+    for spec in chains_of(n):
+        spectral = sl.diagonalize(spec)
+        lam, V = spectral.evals1, spectral.evecs1
+        assert np.array_equal(lam + lam[::-1], np.zeros(n))
+        assert np.all(np.diff(lam) > 0)
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-13
+        if n % 2:  # the zero mode lives on the even sublattice
+            assert lam[n // 2] == 0.0
+            assert not V[1::2, n // 2].any() and V[0::2, n // 2].any()
+
+
+@pytest.mark.parametrize("n", [7, 8, 20, 21, 60])
+def test_stacked_solve_equals_each_chain(n):
+    rng = np.random.default_rng(100 + n)
+    stack = ChainSpec(n, 0.55, 0.817, random_couplings(rng, (5, n - 5)))
+    spectral = sl.diagonalize(stack)
+    for j, bulk in enumerate(stack.bulk):
+        alone = sl.diagonalize(ChainSpec(n, 0.55, 0.817, bulk))
+        assert np.array_equal(spectral.evals1[j], alone.evals1)
+        assert np.array_equal(spectral.evecs1[j], alone.evecs1)
+
+
+def test_solve_that_fails_outright_raises_numerical_error(monkeypatch):
+    def fail(block):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalError, match="^eigendecomposition failed: SVD did not") as err:
+        sl.diagonalize(ChainSpec.uniform(8))
+    assert err.value.chain is None
+
+
+@pytest.mark.parametrize("n", [*range(2, 14), 20, 21, 60])
+def test_sublattice_block_is_the_even_odd_corner(n):
+    J = random_couplings(np.random.default_rng(n), (3, n - 1))
+    assert np.array_equal(sublattice_block(J), hopping_matrix(J)[..., 0::2, 1::2])
+    assert np.array_equal(sublattice_block(J[0]), hopping_matrix(J[0])[0::2, 1::2])
 
 
 def test_uniform_n4_spectrum():

@@ -4,8 +4,8 @@ Each SpinlineError class carries its exit code and stderr label, and
 ``cli.main`` reports them all through one handler.  Four inputs that once
 ended in a traceback or in a NaN table are pinned here, and a derandomized
 fuzz of the input files and ``--t0`` with extreme finite values checks
-that no input ends in a traceback, a numpy RuntimeWarning or an artifact
-holding NaN or Infinity.
+that no input ends in a traceback, a numpy RuntimeWarning, a UserWarning
+or an artifact holding NaN or Infinity.
 """
 
 import json
@@ -149,6 +149,7 @@ CASES = st.one_of(
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error::UserWarning")
 # the four inputs that ended in a NaN table or a LinAlgError traceback
 @example(case=("chain", "delta1", 7.0, 1e308))
 @example(case=("chain", "bulk0", 1e248, T0))
@@ -184,7 +185,8 @@ BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
     pytest.param({"chain.json": json.dumps({"n": 12, "delta1": 0.55, "delta2": 0.817,
                                             "bulk": [1e248] + [1] * 6})},
                  ["compute-params", "--chain", "chain.json", "--t0", "5", "--out", "out.csv"],
-                 1, "numerical check failed: eigendecomposition failed", id="eigh-fails"),
+                 1, "numerical check failed: eigendecomposition reconstruction error",
+                 id="eigh-fails"),
     pytest.param({"target.json": json.dumps({"re": BIG_TARGET.real.tolist(),
                                              "im": BIG_TARGET.imag.tolist()})},
                  ["create-state", "--target", "file:target.json", "--params", "params.csv",
