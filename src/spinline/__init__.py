@@ -14,6 +14,7 @@ from .dynamics import SpectralData, diagonalize
 from .hamiltonian import ChainSpec, apply_disorder, hopping_matrix
 from .inverse import (
     InverseSolution,
+    WernerControls,
     check_target,
     discrepancy,
     feasibility_scan,
@@ -41,7 +42,7 @@ __all__ = [
     "LineParams", "assemble_rho", "check_receiver", "classify_families",
     "line_params_at",
     "ProbeState", "probe_set", "simulate_probes", "extract_params",
-    "InverseSolution", "check_target", "discrepancy", "werner_target",
+    "InverseSolution", "WernerControls", "check_target", "discrepancy", "werner_target",
     "solve_werner", "solve_general", "feasibility_scan", "zero_family_iii",
     "param_statistics", "sample_line_params", "werner_robustness",
     "__version__",

@@ -17,7 +17,8 @@ input (an input file that is not UTF-8 text, a config, chain, target or
 probe-output file that is not valid JSON of the expected shape, a bad
 scan grid, search box, parameter table, target state or sender size, a
 parameter-table or target entry above 1 in magnitude, an incomplete or
-degenerate probe set, a chain too short for its coupling profile), 3 file
+degenerate probe set, a chain too short for its coupling profile, a chain
+above 1000 nodes, more than 10^5 sampled chains or 10^4 solver starts), 3 file
 I/O error, 4 infeasible target or no transfer arrival.  Each error type
 carries its code and stderr label (:mod:`~spinline.errors`), so
 :func:`main` has one handler for them all.
@@ -51,7 +52,6 @@ from .inverse import (
     feasibility_scan,
     solve_general,
     solve_werner,
-    werner_controls,
     werner_target,
 )
 from .probing import (
@@ -100,6 +100,9 @@ _JSON_OUT = {"type": ["string", "null"], "description": "JSON artifact (default:
 _PARAMS_CSV = "params.csv"
 _CSV_OUT = {"type": ["string", "null"], "description": f"parameter CSV (default: {_PARAMS_CSV})"}
 _PARAMS_IN = {"type": "string", "description": "line-parameter CSV"}
+# 150x the default 64; the solver stacks every start, and a general solve's
+# stacked Jacobians from this many take ~35 MB at a 4-node sender
+MAX_STARTS = 10**4
 
 
 def _command(name, description, required=(), **properties):
@@ -144,7 +147,8 @@ SCHEMAS = dict([
         p={"type": "number", "minimum": 0, "maximum": 1,
            "description": "werner mixing parameter"},
         params=_PARAMS_IN,
-        starts={"type": "integer", "minimum": 1, "description": "solver starts"},
+        starts={"type": "integer", "minimum": 1, "maximum": MAX_STARTS,
+                "description": "solver starts"},
         seed=_SEED,
         out=_JSON_OUT,
     ),
@@ -152,7 +156,7 @@ SCHEMAS = dict([
         "feasibility", "largest creatable werner parameter", required=["params"],
         params=_PARAMS_IN,
         grid={"type": "string", "default": "0:1:0.02", "description": "lo:hi:step"},
-        starts={"type": "integer", "minimum": 1, "default": 64,
+        starts={"type": "integer", "minimum": 1, "maximum": MAX_STARTS, "default": 64,
                 "description": "solver starts per werner parameter"},
         seed=_SEED,
         out=_JSON_OUT,
@@ -385,19 +389,21 @@ def run_create_state(config):
     starts = {"n_starts": config["starts"]} if "starts" in config else {}
     single, pair = control_slices(params.n_sender)
     if is_werner:
-        sol = solve_werner(params, config["p"], seed=config["seed"], **starts)
-        controls = {f"a_{n}{m}": a.real for (n, m), a in zip(params.pairs, sol.x[pair])}
+        solved = solve_werner(params, [config["p"]], seed=config["seed"], **starts)
+        x, residual, delta = solved.x[0], solved.residual[0], solved.discrepancy[0]
+        controls = {f"a_{n}{m}": a.real for (n, m), a in zip(params.pairs, x[pair])}
     else:
         sol = solve_general(params, target, seed=config["seed"], **starts)
+        x, residual, delta = sol.x, sol.residual, sol.discrepancy
         controls = {
-            "a0": float(sol.x[0].real),
-            "a_single": [[z.real, z.imag] for z in sol.x[single]],
-            "a_double": [[z.real, z.imag] for z in sol.x[pair]],
+            "a0": float(x[0].real),
+            "a_single": [[z.real, z.imag] for z in x[single]],
+            "a_double": [[z.real, z.imag] for z in x[pair]],
         }
     result = {
         "controls": controls,
-        "residual": sol.residual,
-        "discrepancy": sol.discrepancy,
+        "residual": residual,
+        "discrepancy": delta,
     }
     _emit_json(config, result, config.get("out"))
     return EXIT_OK
@@ -429,7 +435,7 @@ def run_disorder_study(config):
                                 n_sender=params.n_sender)
     study = param_statistics(params, sample)
     # rows stop at the first Werner p the line cannot create; the rest are listed
-    controls = werner_controls(params, seed=seed)
+    controls = solve_werner(params, WERNER_P, seed=seed)
     robustness = werner_robustness(sample, controls.p, controls.x)
     result = {
         "epsilon": epsilon,

@@ -15,8 +15,8 @@ stack, and each is an array.  :func:`param_statistics` reduces the
 (n_chains, n_entries) ``entries`` to a :class:`DisorderStudy` whose
 ``mean``, ``std`` and ``shift`` hold one value per entry, in the order of
 :func:`param_index`; :func:`werner_robustness` takes the Werner p and
-their (P, d) control vectors as the arrays of
-:func:`~spinline.inverse.werner_controls`, contracts one stacked receiver
+their (P, d) control vectors, as the arrays of one
+:func:`~spinline.inverse.solve_werner`, contracts one stacked receiver
 operator per block with all of them and returns a :class:`Robustness`
 with one value per p, in the order given.  The labels of a table's rows
 come from :func:`table_labels`.
@@ -45,6 +45,9 @@ from .receiver import (
 )
 
 DEFAULT_N_CHAINS = 100
+# 1000x the default; the stacked entries of this many chains take ~0.3 GB at
+# a 4-node sender, and the bound is checked before any chain is drawn
+MAX_CHAINS = 10**5
 # chains per stacked solve and per stacked receiver operator.  A stacked SVD
 # is still one LAPACK call per chain, so larger blocks save nothing
 # measurable; at 32, a block's operators (11x11, ~1 MB) and n=60
@@ -73,9 +76,13 @@ def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_s
     Chain i draws from its own stream seeded by (seed, i), so a chain's
     parameters do not depend on how many chains the sample holds, nor on
     the block it is computed in.  A failed numerical check names the chain.
+    Raises InputError for fewer than 2 or more than ``MAX_CHAINS`` (10^5)
+    chains.
     """
     if n_chains < 2:
         raise InputError(f"need at least 2 chains, got {n_chains}")
+    if n_chains > MAX_CHAINS:
+        raise InputError(f"at most {MAX_CHAINS} chains, got {n_chains}")
     blocks = []
     for block in _blocks(n_chains):
         deltas = np.array([_bond_draws(base, _chain_rng(seed, i))
@@ -137,11 +144,11 @@ def werner_robustness(sample, p, x):
 
     ``x`` (P, d) holds the control vectors solved on the unperturbed chain
     for the Werner parameters ``p`` (P,), as
-    :func:`~spinline.inverse.werner_controls` returns them.  On each chain of the stacked ``sample`` the controls are
-    sent as-is and the created state is compared to the exact Werner
-    target: one stacked receiver operator per block of chains, contracted
-    with every control at once.  Returns the Robustness arrays in the order
-    of ``p``.
+    :func:`~spinline.inverse.solve_werner` returns them.  On each chain of
+    the stacked ``sample`` the controls are sent as-is and the created
+    state is compared to the exact Werner target: one stacked receiver
+    operator per block of chains, contracted with every control at once.
+    Returns the Robustness arrays in the order of ``p``.
     """
     p = np.asarray(p, float)
     if not p.size:

@@ -26,7 +26,6 @@ matrices are kept complex; their phases carry physical content.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +90,6 @@ def one_excitation_columns(spectral, t, n_cols=None):
     """
     if not math.isfinite(abs(t) * float(np.abs(spectral.evals1).max())):
         raise NumericalError(f"phase lambda t overflows at t = {t:g}")
-    if t < 0:
-        warnings.warn(f"propagating backwards in time (t = {t})", stacklevel=3)
     V = spectral.evecs1
     phases = np.exp(-1j * spectral.evals1[..., None, :] * t)
     return (V * phases) @ V[..., :n_cols, :].swapaxes(-1, -2)

@@ -17,7 +17,8 @@ class SpinlineError(Exception):
 
 
 class ChainLengthError(SpinlineError, ValueError):
-    """Chain too short for the requested coupling profile."""
+    """Chain too short for the requested coupling profile, or longer than
+    :data:`~spinline.hamiltonian.MAX_NODES`."""
 
 
 class SizeMismatchError(SpinlineError, ValueError):
@@ -91,12 +92,10 @@ class ExtractionError(SpinlineError):
     as tuples ``(kind, indices, part)`` with part in {"re", "im", "full"}.
     """
 
-    def __init__(self, undetermined, message=None):
+    def __init__(self, undetermined):
         self.undetermined = list(undetermined)
         super().__init__(
-            message
-            or f"incomplete probe set: {len(self.undetermined)} parameter parts undetermined"
-        )
+            f"incomplete probe set: {len(self.undetermined)} parameter parts undetermined")
 
 
 class InfeasibleTargetError(SpinlineError):
@@ -109,9 +108,7 @@ class InfeasibleTargetError(SpinlineError):
 
     exit_code, label = 4, "infeasible"
 
-    def __init__(self, best_residual, best_controls=None, message=None):
+    def __init__(self, best_residual, best_controls=None):
         self.best_residual = float(best_residual)
         self.best_controls = best_controls
-        super().__init__(
-            message or f"target infeasible: best residual {best_residual:.3e}"
-        )
+        super().__init__(f"target infeasible: best residual {best_residual:.3e}")

@@ -19,6 +19,10 @@ import numpy as np
 from .errors import ChainLengthError, InputError, SizeMismatchError, malformed
 
 MIN_PROFILE_NODES = 7  # below this the [d1, d2, bulk.., d2, d1] layout overlaps
+# above every chain the tests and benchmarks use (N <= 60) or the roadmap
+# measures (N <= 500); a 32-chain block's eigenvectors take 256 MB at this
+# size, and the bound is checked before any coupling array is allocated
+MAX_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -27,8 +31,9 @@ class ChainSpec:
 
     Bond i connects nodes i and i+1.  Bonds 1 and N-1 carry ``delta1``,
     bonds 2 and N-2 carry ``delta2`` and bonds 3..N-3 carry the bulk values
-    (nominally 1.0).  Non-uniform profiles need n_nodes >= 7; shorter
-    chains are supported only with the fully uniform profile.
+    (nominally 1.0).  A chain has 4 to ``MAX_NODES`` (1000) nodes.
+    Non-uniform profiles need n_nodes >= 7; shorter chains are supported
+    only with the fully uniform profile.
 
     A ``bulk`` of shape (..., N-5) describes a stack of chains that share
     their boundary pairs, as a disorder sample does, and ``delta1`` and
@@ -44,6 +49,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_nodes < 4:
             raise ChainLengthError(f"chain needs at least 4 nodes, got {self.n_nodes}")
+        if self.n_nodes > MAX_NODES:
+            raise ChainLengthError(f"chain may have at most {MAX_NODES} nodes, got {self.n_nodes}")
         n_bulk = max(0, self.n_nodes - 5)
         bulk = np.ones(n_bulk) if self.bulk is None else np.asarray(self.bulk, float)
         if bulk.shape[-1:] != (n_bulk,):

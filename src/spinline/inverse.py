@@ -3,8 +3,8 @@
 A target is a plain 4x4 complex array (:func:`check_target`,
 :func:`werner_target`); the controls found are a plain complex vector
 x = (a0, a_single, a_double), laid out by
-:func:`~spinline.basis.control_slices`: ``InverseSolution.x``, or a row of
-``WernerControls.x``.  The receiver matrix is quadratic in x, so creation
+:func:`~spinline.basis.control_slices`: a row of ``WernerControls.x``, or
+``InverseSolution.x``.  The receiver matrix is quadratic in x, so creation
 amounts to solving real quadratic forms, contracted from the receiver
 operator, under the normalization constraint: for Werner targets in the
 real pair amplitudes, for general targets in all real control parts.  Both
@@ -15,12 +15,13 @@ matters.
 The solver takes the same steps in any process, so a seeded solve gives
 the same bits wherever it runs.
 
-The Werner equations of different p share their forms and differ only in
-their values, so a list of p is one stacked solve.  :func:`werner_controls`
-solves the p of the paper's imperfection study and returns them as one
-tuple of arrays, :class:`WernerControls`: the p, the (P, d) control
-vectors and each one's residual and discrepancy, over the leading p the
-line can create.  :func:`solve_werner` is the one-p case of the same solve.
+:func:`solve_werner` is the one Werner solve: the equations of different p
+share their forms and differ only in their values, so it solves one p or a
+list of them (:data:`WERNER_P`, the paper's imperfection study) as one
+stack and returns one tuple of arrays, :class:`WernerControls`: the p, the
+(P, d) control vectors and each one's residual and discrepancy, over the
+leading p the line can create.  :func:`solve_general` returns an
+:class:`InverseSolution`.
 
 :func:`zero_family_iii` truncates a parameter set to its families I and II
 with one mask over its ``entries``
@@ -75,21 +76,19 @@ def werner_target(p):
 
 @dataclass(frozen=True)
 class InverseSolution:
-    """Controls found for a target, with honest quality numbers.
-
-    ``x`` is the control vector (d,) found, like a row of
-    ``WernerControls.x``; ``residual`` is the largest violation of the
-    defining equations; ``discrepancy`` is the normalized Frobenius distance between the state
-    assembled from the same parameters and the exact target.
-    """
+    """Controls :func:`solve_general` found for a target, with honest quality
+    numbers: the control vector ``x`` (d,), ``residual``, the largest
+    violation of the defining equations, and ``discrepancy``, the normalized
+    Frobenius distance between the state assembled from the same parameters
+    and the exact target."""
 
     x: np.ndarray
     residual: float
     discrepancy: float
 
 
-# a set of solved Werner parameters: p (P,), the control vectors x (P, d)
-# with a0 = a_i = 0, and each one's residual and discrepancy (P,)
+# the Werner parameters solve_werner solved: p (P,), the control vectors
+# x (P, d) with a0 = a_i = 0, and each one's residual and discrepancy (P,)
 WernerControls = namedtuple("WernerControls", "p x residual discrepancy")
 
 
@@ -350,16 +349,38 @@ def _multistart(Q, c, starts, residual_tol):
     return res, ys
 
 
-def _werner_solve(params, ps, n_starts, seed, residual_tol):
-    """One stacked multi-start over the Werner parameters ps, as
-    :class:`WernerControls` of the leading p that reach ``residual_tol``.
+WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))  # the paper's imperfection study
 
-    Every p runs the same starts: the equal-amplitude vector, then
-    ``n_starts - 1`` standard normal draws of ``seed``.  One receiver
-    operator gives the forms and the discrepancies of all solved p.  An
-    unsolved first p raises its InfeasibleTargetError, which carries the
-    best pair amplitudes found.
+
+def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TOL):
+    """Real pair-amplitude controls creating the Werner state of each p in
+    ``p`` (one p or a 1-D sequence), as :class:`WernerControls` arrays over
+    the leading p that reach ``residual_tol``; one p gives arrays of length 1.
+
+    Zero entries of the Werner matrix force a0 = a_i = 0, and particular
+    solutions exist with real pair amplitudes, leaving 6 real equations in
+    the n_pairs real pair amplitudes (6 for a four-node sender).  All p
+    share their forms and run the same starts, as one stacked multi-start
+    (:func:`_multistart`): the neutral equal-amplitude vector, then
+    ``n_starts - 1`` standard normal draws of ``seed``.  Where the solution
+    manifold is degenerate (truncated parameter sets), start 0 selects a
+    reproducible branch instead of an arbitrary manifold point.  Start 0
+    converges across the feasible range of the tuned n=20 line, so those
+    solutions do not depend on the seed.  One receiver operator gives the
+    forms and the discrepancies of all solved p.
+
+    Raises
+    ------
+    InputError
+        If a p lies outside [0, 1] (from :func:`werner_target`), or ``p`` is
+        empty or has more than one axis.
+    InfeasibleTargetError
+        If no start of the first p reaches ``residual_tol`` (expected beyond
+        the feasibility boundary); it carries the best pair amplitudes found.
     """
+    ps = np.array(p, float, ndmin=1)
+    if ps.ndim != 1 or not ps.size:
+        raise InputError(f"werner p must be one p or a 1-D sequence, got shape {ps.shape}")
     n_pairs = len(params.pairs)
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.ones(n_pairs), rng.standard_normal((n_starts - 1, n_pairs))])
@@ -372,51 +393,8 @@ def _werner_solve(params, ps, n_starts, seed, residual_tol):
         raise InfeasibleTargetError(res[0], best_controls=ys[0])
     x = np.zeros((n_solved, K.shape[-1]), complex)
     x[:, control_slices(params.n_sender)[1]] = ys[:n_solved]
-    return WernerControls(np.array(ps[:n_solved], float), x, res[:n_solved],
+    return WernerControls(ps[:n_solved], x, res[:n_solved],
                           discrepancy(receiver_rho(K, x), targets[:n_solved]))
-
-
-def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TOL):
-    """Real pair-amplitude controls creating the Werner state.
-
-    Zero entries of the Werner matrix force a0 = a_i = 0, and particular
-    solutions exist with real pair amplitudes, leaving 6 real equations in
-    the n_pairs real pair amplitudes (6 for a four-node sender).  Start 0
-    is the neutral equal-amplitude vector, the rest seeded random vectors.
-    Where the solution manifold is degenerate (truncated parameter sets),
-    start 0 selects a reproducible branch instead of an arbitrary manifold
-    point.  Start 0 converges across the feasible range of the tuned n=20
-    line, so those solutions do not depend on the seed.  This is the one-p
-    case of the stacked solve of :func:`werner_controls`.
-
-    Raises
-    ------
-    InputError
-        If p lies outside [0, 1] (from :func:`werner_target`).
-    InfeasibleTargetError
-        If no start reaches ``residual_tol`` (expected for p beyond the
-        feasibility boundary).
-    """
-    (_, (x,), (residual,), (delta,)) = _werner_solve(params, [p], n_starts, seed, residual_tol)
-    return InverseSolution(x=x, residual=float(residual), discrepancy=float(delta))
-
-
-WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))
-
-
-def werner_controls(params, seed=0):
-    """Solved controls for p = 0, 0.1, ..., 0.8 (:data:`WERNER_P`) on the
-    given line, as :class:`WernerControls` arrays.
-
-    The nine p are one stacked solve: start 0 of every p advances in one
-    stack, and only the p it leaves open run their other 63 starts, each p
-    from the same seeded starts as ``solve_werner(params, p, seed=seed)``.
-    The arrays stop at the first p that is infeasible on the line, so they
-    may hold fewer p than :data:`WERNER_P`; they are never empty, since an
-    infeasible p = 0 raises InfeasibleTargetError.
-    """
-    return _werner_solve(params, WERNER_P, n_starts=64, seed=seed,
-                         residual_tol=WERNER_RESIDUAL_TOL)
 
 
 def solve_general(params, target, n_starts=32, seed=0):
@@ -465,7 +443,7 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0, refine_tol=5e-4):
 
     def feasible(p):
         try:
-            solve_werner(params, p, n_starts=n_starts, seed=seed,
+            solve_werner(params, [p], n_starts=n_starts, seed=seed,
                          residual_tol=FEASIBILITY_RESIDUAL_TOL)
             return True
         except InfeasibleTargetError:

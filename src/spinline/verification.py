@@ -21,7 +21,7 @@ from .inverse import (
     WERNER_P,
     discrepancy,
     feasibility_scan,
-    werner_controls,
+    solve_werner,
     werner_target,
     zero_family_iii,
 )
@@ -364,7 +364,7 @@ def check_probe_closure(seed=7):
 def check_werner(seed=0):
     params = tuned_line_params(20)
     out = []
-    solved = werner_controls(params, seed=seed)
+    solved = solve_werner(params, WERNER_P, seed=seed)
     worst_res = solved.residual.max() if len(solved.p) == len(WERNER_P) else np.nan
     out.append(_below("werner solve residuals (p=0..0.8)", worst_res, 1e-10,
                       f"{len(solved.p)} of {len(WERNER_P)} p solved, worst residual"))
@@ -385,7 +385,7 @@ def check_werner(seed=0):
         f"got {boundary:.4f} +- {res:.1e}, reference {bm.WERNER_FEASIBLE_MAX}",
     ))
     # controls solved on the family-III-zeroed line, sent down the true one
-    truncated = werner_controls(zero_family_iii(params), seed=seed)
+    truncated = solve_werner(zero_family_iii(params), WERNER_P, seed=seed)
     rho = receiver_rho(receiver_operator(params), truncated.x)
     deltas = dict(zip(truncated.p.tolist(),
                       discrepancy(rho, werner_target(truncated.p)).tolist()))
@@ -411,7 +411,7 @@ def check_disorder(seed=11, n_chains=DEFAULT_N_CHAINS):
     params = tuned_line_params(20)
     base = tuned_spec(20)
     t0 = bm.TUNED_CHAINS[20]["t0"]
-    controls = werner_controls(params)
+    controls = solve_werner(params, WERNER_P)
     out = []
     mean = {}
     for eps in (0.025, 0.05):

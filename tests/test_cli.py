@@ -488,6 +488,17 @@ def test_invalid_config_exit_code_and_no_artifact(workdir, capsys):
     assert not (workdir / "params.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["create-state", "feasibility"])
+def test_solver_starts_bounded_above(command):
+    # checked by the schema before the params file is read or a start drawn
+    config = {"command": command, "params": "missing.csv"}
+    if command == "create-state":
+        config["target"] = "werner"
+    assert cli.validate_config({**config, "starts": cli.MAX_STARTS})["starts"] == 10**4
+    with pytest.raises(cli.ConfigError, match="^10001 is greater than the maximum of 10000$"):
+        cli.validate_config({**config, "starts": cli.MAX_STARTS + 1})
+
+
 def test_run_config_file(workdir, capsys):
     (workdir / "cfg.json").write_text(json.dumps({
         "command": "compute-params", "n": 20, "tuned": True, "out": "p.csv",
@@ -743,7 +754,7 @@ def _option_values(field):
     if kind == "boolean":
         return st.just(True)  # false is the unset flag
     if kind == "integer":
-        return st.integers(min_value=field.get("minimum"))
+        return st.integers(min_value=field.get("minimum"), max_value=field.get("maximum"))
     if kind == "number":
         bounds = {}
         for bound, inclusive, exclusive in (("min", "minimum", "exclusiveMinimum"),

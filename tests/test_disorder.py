@@ -212,9 +212,9 @@ def test_sample_needs_two_chains(base20):
 
 @pytest.fixture(scope="module")
 def controls(tuned20_params):
-    """Werner p and their control vectors (P, d), as werner_controls holds them."""
+    """Werner p and their control vectors (P, d), as solve_werner returns them."""
     p = np.array([0.0, 0.4, 0.8])
-    return p, np.array([sl.solve_werner(tuned20_params, q).x for q in p.tolist()])
+    return p, np.array([sl.solve_werner(tuned20_params, [q]).x[0] for q in p.tolist()])
 
 
 def test_robustness_zero_epsilon_matches_unperturbed(base20, tuned20_params, controls):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spinline as sl
+from spinline.disorder import MAX_CHAINS
 from spinline.errors import InputError, NumericalError, check_tolerance, malformed
 from spinline.hamiltonian import ChainSpec
 from spinline.probing import ProbeState
@@ -18,11 +19,19 @@ CHAIN = ChainSpec.uniform(9)  # four bulk bonds
 
 CASES = {
     "sample_line_params one chain": lambda: sl.sample_line_params(CHAIN, 7.0, 0.05, n_chains=1),
+    "sample_line_params above MAX_CHAINS": lambda: sl.sample_line_params(
+        CHAIN, 7.0, 0.05, n_chains=MAX_CHAINS + 1),
+    "sample_line_params 10^14 chains": lambda: sl.sample_line_params(
+        CHAIN, 7.0, 0.05, n_chains=10**14),
     "werner_robustness no controls": lambda: sl.werner_robustness(
         sl.line_params_at(sl.diagonalize(CHAIN), 7.0), np.empty(0), np.empty((0, 11))),
     "apply_disorder delta outside [-1, 1]": lambda: sl.apply_disorder(
         CHAIN, 0.1, np.array([0.0, 1.5, 0.0, 0.0])),
     "werner_target p outside [0, 1]": lambda: sl.werner_target(1.2),
+    "solve_werner no p": lambda: sl.solve_werner(
+        sl.line_params_at(sl.diagonalize(CHAIN), 7.0), []),
+    "solve_werner p of two axes": lambda: sl.solve_werner(
+        sl.line_params_at(sl.diagonalize(CHAIN), 7.0), [[0.1, 0.2]]),
     "discrepancy zero-norm target": lambda: sl.discrepancy(np.eye(4), np.zeros((4, 4))),
     "probe controls unknown kind": lambda: ProbeState("bogus", (1,)).controls(),
 }

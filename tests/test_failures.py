@@ -197,6 +197,32 @@ BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
                  ["create-state", "--target", "werner", "--p", "0.4", "--params", "params.csv",
                   "--out", "out.json"],
                  2, "params.csv: entry p_Nm1;1 = (1e+308", id="table-entry-1e308"),
+    # sizes that once ended in a MemoryError traceback with exit 1, refused
+    # before any allocation
+    pytest.param({}, ["compute-params", "--n", "10000000000000", "--t0", "1", "--out", "out.csv"],
+                 2, "invalid input: chain may have at most 1000 nodes", id="n-1e13"),
+    pytest.param({}, ["compute-params", "--n", "1001", "--t0", "1", "--out", "out.csv"],
+                 2, "invalid input: chain may have at most 1000 nodes", id="n-1001"),
+    pytest.param({"chain.json": json.dumps({"n": 10**13, "delta1": 1.0, "delta2": 1.0,
+                                            "bulk": None})},
+                 ["compute-params", "--chain", "chain.json", "--t0", "1", "--out", "out.csv"],
+                 2, "chain may have at most 1000 nodes", id="chain-file-n-1e13"),
+    pytest.param({}, ["create-state", "--target", "werner", "--p", "0.4", "--params", "params.csv",
+                      "--starts", "1000000000000", "--out", "out.json"],
+                 2, "invalid config: 1000000000000 is greater than the maximum of 10000",
+                 id="create-state-starts-1e12"),
+    pytest.param({}, ["create-state", "--target", "werner", "--p", "0.4", "--params", "params.csv",
+                      "--starts", "10001", "--out", "out.json"],
+                 2, "invalid config: 10001 is greater than the maximum of 10000",
+                 id="create-state-starts-10001"),
+    pytest.param({}, ["feasibility", "--params", "params.csv", "--starts", "1000000000000",
+                      "--out", "out.json"],
+                 2, "invalid config: 1000000000000 is greater than the maximum of 10000",
+                 id="feasibility-starts-1e12"),
+    pytest.param({}, ["disorder-study", "--n", "20", "--tuned", "--epsilon", "0.05", "--chains",
+                      "100000000000000", "--seed", "1", "--out", "out.json"],
+                 2, "invalid input: at most 100000 chains, got 100000000000000",
+                 id="disorder-chains-1e14"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_once_unhandled_input_exits_typed(tmp_path, monkeypatch, capsys, files, argv, code,

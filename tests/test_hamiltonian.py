@@ -5,7 +5,7 @@ import pytest
 
 from spinline.basis import sender_pairs
 from spinline.errors import ChainLengthError, InputError, SizeMismatchError
-from spinline.hamiltonian import ChainSpec, apply_disorder, hopping_matrix
+from spinline.hamiltonian import MAX_NODES, ChainSpec, apply_disorder, hopping_matrix
 from spinline.verification import pair_block
 
 
@@ -95,6 +95,14 @@ def test_boundary_profile_needs_seven_nodes():
     with pytest.raises(ChainLengthError):
         ChainSpec(n_nodes=6, delta1=0.5, delta2=0.8, bulk=np.array([1.0]))
     ChainSpec.uniform(5)  # uniform short chains are fine
+
+
+@pytest.mark.parametrize("n", [MAX_NODES + 1, 10**13])
+def test_chain_length_bounded_above(n):
+    # refused before the bulk couplings (72.8 TiB of them at n = 10^13) exist
+    with pytest.raises(ChainLengthError, match=f"at most {MAX_NODES} nodes, got {n}"):
+        ChainSpec.uniform(n)
+    assert ChainSpec.uniform(MAX_NODES).couplings().shape == (MAX_NODES - 1,)
 
 
 def test_nonpositive_couplings_rejected():

@@ -68,15 +68,17 @@ def test_nonphysical_target_rejected():
 
 @pytest.mark.parametrize("p", [0.0, 0.4, 0.8])
 def test_solve_werner(tuned20_params, p):
-    sol = sl.solve_werner(tuned20_params, p)
-    assert sol.residual < 1e-10
-    assert sol.discrepancy < 1e-10
+    sol = sl.solve_werner(tuned20_params, [p])
+    assert sol.p.tolist() == [p]
+    (x,), (residual,), (delta,) = sol.x, sol.residual, sol.discrepancy
+    assert residual < 1e-10
+    assert delta < 1e-10
     # controls live on the pair sector only and are real
     single, pair = control_slices(tuned20_params.n_sender)
-    assert sol.x[0] == 0.0
-    assert np.all(sol.x[single] == 0.0)
-    assert np.max(np.abs(sol.x[pair].imag)) == 0.0
-    rho = sl.assemble_rho(tuned20_params, sol.x)
+    assert x[0] == 0.0
+    assert np.all(x[single] == 0.0)
+    assert np.max(np.abs(x[pair].imag)) == 0.0
+    rho = sl.assemble_rho(tuned20_params, x)
     assert discrepancy(rho, werner_target(p)) <= 10 * bm.WERNER_FULL_DISCREPANCY[p]
 
 
@@ -193,7 +195,7 @@ def test_werner_multistart_stops_at_first_exact_start(constructed, tuned20_param
     sol = run(lambda: sl.solve_werner(tuned20_params, 0.9, n_starts=n_starts,
                                       residual_tol=0.0), exact_start)
     (residual,), (y,) = record["result"]
-    assert residual == 0.0 and sol.residual == 0.0
+    assert residual == 0.0 and sol.residual[0] == 0.0
     assert y.tobytes() == record["y"][exact_start].tobytes()
     assert record["batches"] == ([1] if exact_start == 0 else [1, n_starts - 1])
 
@@ -212,7 +214,7 @@ def test_werner_starts_are_seeded(monkeypatch, tuned20_params):
     sl.solve_werner(tuned20_params, 0.4, n_starts=5, seed=3)
     draws = np.random.default_rng(3).standard_normal((4, 6))
     assert seen[0][1].tobytes() == np.vstack([np.ones(6), draws]).tobytes()
-    inverse.werner_controls(tuned20_params, seed=3)
+    sl.solve_werner(tuned20_params, inverse.WERNER_P, seed=3)
     draws = np.random.default_rng(3).standard_normal((63, 6))
     assert seen[1][1].tobytes() == np.vstack([np.ones(6), draws]).tobytes()
     assert len(seen[1][0]) == len(inverse.WERNER_P) == 9
@@ -305,7 +307,7 @@ def _lone_werner_controls(params, seed):
     solutions = {}
     for p in inverse.WERNER_P:
         try:
-            solutions[p] = sl.solve_werner(params, p, seed=seed)
+            solutions[p] = sl.solve_werner(params, [p], seed=seed)
         except InfeasibleTargetError:
             break
     return solutions
@@ -313,21 +315,38 @@ def _lone_werner_controls(params, seed):
 
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("table", ["sender4", "sender5", "zeroed", "n60"])
-def test_werner_controls_match_lone_solves(verdict_tables, tuned60_params, table, seed):
+def test_werner_controls_match_lone_solves(monkeypatch, verdict_tables, tuned60_params, table,
+                                           seed):
     # the stacked solve of the nine p finds each p's lone solution, and stops
     # where the lone solves stop: after p = 0.7 on the tuned 60-node line
     params = tuned60_params if table == "n60" else verdict_tables[table]
-    stacked = inverse.werner_controls(params, seed=seed)
-    lone = _lone_werner_controls(params, seed)
-    assert stacked.p.tolist() == list(lone)
-    assert stacked.p.tolist() == [p for p in inverse.WERNER_P if table != "n60" or p < 0.75]
-    assert stacked.x.shape == (len(lone), 1 + params.n_sender + len(params.pairs))
-    for p, x, residual, delta in zip(stacked.p.tolist(), stacked.x, stacked.residual,
-                                     stacked.discrepancy):
-        np.testing.assert_allclose(x, lone[p].x, rtol=0, atol=1e-12)
-        assert residual <= inverse.WERNER_RESIDUAL_TOL
-        assert abs(residual - lone[p].residual) <= 1e-14
-        assert abs(delta - lone[p].discrepancy) <= 1e-14
+
+    def stacked_and_lone():
+        stacked = sl.solve_werner(params, inverse.WERNER_P, seed=seed)
+        lone = _lone_werner_controls(params, seed)
+        assert stacked.p.tolist() == list(lone)
+        assert stacked.p.tolist() == [p for p in inverse.WERNER_P if table != "n60" or p < 0.75]
+        assert stacked.x.shape == (len(lone), 1 + params.n_sender + len(params.pairs))
+        return stacked, lone
+
+    stacked, lone = stacked_and_lone()
+    for k, p in enumerate(stacked.p.tolist()):
+        np.testing.assert_allclose(stacked.x[k], lone[p].x[0], rtol=0, atol=1e-12)
+        assert stacked.residual[k] <= inverse.WERNER_RESIDUAL_TOL
+        assert abs(stacked.residual[k] - lone[p].residual[0]) <= 1e-14
+        assert abs(stacked.discrepancy[k] - lone[p].discrepancy[0]) <= 1e-14
+    # the solves of a stack share nothing but the BLAS call of _forms, which
+    # rounds a one-start stack (gemv) apart from a larger one (gemm): with
+    # the forms evaluated start by start, every p finds its lone solve's
+    # bits (the discrepancies, one stacked contraction of them, differ
+    # within the 1e-14 above)
+    forms = inverse._forms
+    monkeypatch.setattr(inverse, "_forms", lambda Q, y: tuple(
+        np.concatenate(parts) for parts in zip(*(forms(Q, row[None]) for row in y))))
+    stacked, lone = stacked_and_lone()
+    for k, p in enumerate(stacked.p.tolist()):
+        assert stacked.x[k].tobytes() == lone[p].x[0].tobytes(), p
+        assert stacked.residual[k].tobytes() == lone[p].residual[0].tobytes(), p
 
 
 @pytest.mark.parametrize("table", ["sender4", "sender5"])
@@ -335,7 +354,7 @@ def test_werner_controls_discrepancy_is_that_of_the_assembled_state(verdict_tabl
     # the solver's own discrepancy is the one the report reads: it matches the
     # state assembled from each control vector alone against its Werner target
     params = verdict_tables[table]
-    solved = inverse.werner_controls(params)
+    solved = sl.solve_werner(params, inverse.WERNER_P)
     assert solved.p.tolist() == list(inverse.WERNER_P)
     assert np.all(solved.x[:, :control_slices(params.n_sender)[1].start] == 0.0)  # pairs only
     for p, x, delta in zip(solved.p.tolist(), solved.x, solved.discrepancy.tolist()):
@@ -348,13 +367,13 @@ def test_check_werner_fails_when_a_zeroed_p_is_unsolved(monkeypatch):
     # names the unsolved p and fails, it does not judge the rest alone
     calls = []
 
-    def truncated_line_stops(params, seed=0):
+    def truncated_line_stops(params, p, seed=0):
         calls.append(params)
-        solved = inverse.werner_controls(params, seed=seed)
+        solved = inverse.solve_werner(params, p, seed=seed)
         return solved if len(calls) == 1 else inverse.WernerControls(
             *(column[solved.p < 0.65] for column in solved))
 
-    monkeypatch.setattr(verification, "werner_controls", truncated_line_stops)
+    monkeypatch.setattr(verification, "solve_werner", truncated_line_stops)
     monkeypatch.setattr(verification, "feasibility_scan",
                         lambda *args, **kwargs: (bm.WERNER_FEASIBLE_MAX, 1e-4))
     results = {r.name: r for r in verification.check_werner()}
@@ -427,8 +446,8 @@ try:
     solve_werner(params, 0.9, n_starts=4)
 except InfeasibleTargetError as err:
     infeasible = [err.best_residual.hex(), err.best_controls.tobytes().hex()]
-sol = solve_werner(params, 0.8)
-print(json.dumps(infeasible + [sol.residual.hex(), sol.x.tobytes().hex()]))
+sol = solve_werner(params, [0.8])
+print(json.dumps(infeasible + [sol.residual[0].hex(), sol.x[0].tobytes().hex()]))
 """
 
 
@@ -451,19 +470,19 @@ def test_capped_starts_warn_nothing(tuned20_params):
 
 
 def test_solution_self_consistency(tuned20_params):
-    sol = sl.solve_werner(tuned20_params, 0.5)
-    rho = sl.assemble_rho(tuned20_params, sol.x)
+    sol = sl.solve_werner(tuned20_params, [0.5])
+    rho = sl.assemble_rho(tuned20_params, sol.x[0])
     worst = np.max(np.abs(rho - werner_target(0.5)))
-    assert worst <= sol.residual + 1e-12
+    assert worst <= sol.residual[0] + 1e-12
 
 
 def test_zeroed_family_iii_effect(tuned20_params):
     truncated = zero_family_iii(tuned20_params)
     lo, hi = sl.classify_families(truncated)["III"]
     assert hi == 0.0
-    sol = sl.solve_werner(truncated, 0.8)
-    assert sol.residual < 1e-10
-    rho = sl.assemble_rho(tuned20_params, sol.x)
+    sol = sl.solve_werner(truncated, [0.8])
+    assert sol.residual[0] < 1e-10
+    rho = sl.assemble_rho(tuned20_params, sol.x[0])
     delta = discrepancy(rho, werner_target(0.8))
     assert 5e-3 <= delta <= 2e-2
 
@@ -539,7 +558,8 @@ def _scan_every_point(feasible, grid, refine_tol):
 def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, edge, n_feasible):
     calls = []
 
-    def solve_stub(params, p, **kwargs):
+    def solve_stub(params, ps, **kwargs):
+        (p,) = ps  # the scan solves one p at a time
         calls.append(p)
         if p > edge:
             raise InfeasibleTargetError(0.1)
