@@ -52,7 +52,7 @@ import numpy as np
 
 from .dynamics import diagonalize
 from .errors import ChainLengthError, InputError, NoArrivalError, NumericalError, check_tolerance
-from .hamiltonian import MIN_PROFILE_NODES, ChainSpec
+from .hamiltonian import MIN_PROFILE_NODES, ChainSpec, check_chain_length
 
 # detection floor rejecting the tiny ripples that precede the main arrival
 AMPLITUDE_FLOOR = 0.2
@@ -370,7 +370,8 @@ def optimize_boundary(
     Raises
     ------
     ChainLengthError
-        If ``n_nodes`` is below ``MIN_PROFILE_NODES`` (7).
+        If ``n_nodes`` is below ``MIN_PROFILE_NODES`` (7) or above
+        :data:`~spinline.hamiltonian.MAX_NODES` (1000).
     InputError
         If the box leaves (0, 1.5], ``grid_step`` is below ``COUPLING_TOL``,
         the lattice holds more than ``MAX_POINTS`` (10^6) points, or the time
@@ -379,6 +380,7 @@ def optimize_boundary(
     if n_nodes < MIN_PROFILE_NODES:
         raise ChainLengthError(
             f"boundary-tuned profile needs n >= {MIN_PROFILE_NODES}, got {n_nodes}")
+    check_chain_length(n_nodes)  # before the time grid, whose length grows with n
     if not (0 < delta1_range[0] < delta1_range[1] <= 1.5):
         raise InputError(f"delta1 range {delta1_range} outside (0, 1.5]")
     if not (0 < delta2_range[0] < delta2_range[1] <= 1.5):

@@ -37,6 +37,7 @@ from .basis import control_slices
 from .chainopt import COUPLING_TOL, lattice, optimize_boundary
 from .disorder import (
     DEFAULT_N_CHAINS,
+    MAX_CHAINS,
     export_param_stats_csv,
     export_robustness_csv,
     param_statistics,
@@ -167,8 +168,8 @@ SCHEMAS = dict([
         **_CHAIN_FIELDS,
         epsilon={"type": "number", "minimum": 0, "exclusiveMaximum": 1,
                  "description": "relative bulk-coupling error"},
-        chains={"type": "integer", "minimum": 2, "default": DEFAULT_N_CHAINS,
-                "description": "sampled chains"},
+        chains={"type": "integer", "minimum": 2, "maximum": MAX_CHAINS,
+                "default": DEFAULT_N_CHAINS, "description": "sampled chains"},
         seed={"type": "integer", "minimum": 0, "description": "random seed"},
         out={"type": "string", "description": "JSON artifact"},
         params_csv={"type": ["string", "null"],
@@ -180,8 +181,8 @@ SCHEMAS = dict([
         "reproduce-paper", "run the verification report against the references",
         n={"type": "integer", "enum": [20, 60], "default": 20, "description": "chain length"},
         seed=_SEED,
-        chains={"type": "integer", "minimum": 2, "default": DEFAULT_N_CHAINS,
-                "description": "sampled chains of the disorder check"},
+        chains={"type": "integer", "minimum": 2, "maximum": MAX_CHAINS,
+                "default": DEFAULT_N_CHAINS, "description": "sampled chains of the disorder check"},
         fast={"type": "boolean", "description": "skip the boundary-coupling optimization"},
     ),
 ])

@@ -25,6 +25,15 @@ MIN_PROFILE_NODES = 7  # below this the [d1, d2, bulk.., d2, d1] layout overlaps
 MAX_NODES = 1000
 
 
+def check_chain_length(n_nodes):
+    """Raise ChainLengthError unless a chain of ``n_nodes`` has 4 to
+    ``MAX_NODES`` nodes."""
+    if n_nodes < 4:
+        raise ChainLengthError(f"chain needs at least 4 nodes, got {n_nodes}")
+    if n_nodes > MAX_NODES:
+        raise ChainLengthError(f"chain may have at most {MAX_NODES} nodes, got {n_nodes}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Coupling profile of an N-node chain.
@@ -47,10 +56,7 @@ class ChainSpec:
     bulk: np.ndarray = None
 
     def __post_init__(self):
-        if self.n_nodes < 4:
-            raise ChainLengthError(f"chain needs at least 4 nodes, got {self.n_nodes}")
-        if self.n_nodes > MAX_NODES:
-            raise ChainLengthError(f"chain may have at most {MAX_NODES} nodes, got {self.n_nodes}")
+        check_chain_length(self.n_nodes)
         n_bulk = max(0, self.n_nodes - 5)
         bulk = np.ones(n_bulk) if self.bulk is None else np.asarray(self.bulk, float)
         if bulk.shape[-1:] != (n_bulk,):

@@ -23,6 +23,15 @@ stack and returns one tuple of arrays, :class:`WernerControls`: the p, the
 leading p the line can create.  :func:`solve_general` returns an
 :class:`InverseSolution`.
 
+:func:`werner_bounds` yields certified upper bounds on the creatable Werner
+p, from the dual of Shor's relaxation of the Werner equations, each with a
+margin of residual_tol (|lambda_max| + |mu|_1) plus rounding: above a
+bound, no controls violate any equation by less than ``residual_tol``.
+:func:`feasibility_scan` refuses every p above its current bound without a
+solve, as no start could solve it, and runs the multi-start for every
+other p; its verdicts, and so its results, are those of a scan that solves
+every p.
+
 :func:`zero_family_iii` truncates a parameter set to its families I and II
 with one mask over its ``entries``
 (:func:`~spinline.receiver.entry_families`).
@@ -420,12 +429,117 @@ def solve_general(params, target, n_starts=32, seed=0):
     )
 
 
+SMOOTHING = tuple(10.0 ** -k for k in range(1, 7))  # the levels tau of the smoothed dual
+NEWTON_STEPS = 20  # accepted steps per smoothing level, at most
+NEWTON_TOL = 0.1  # squared Newton decrement, over tau, that ends a level
+MAX_DAMPING = 1e12  # Levenberg damping, over the mean curvature, that ends a level
+
+
+def werner_bounds(params, residual_tol):
+    """Certified upper bounds on the creatable Werner p, each below the last.
+
+    Yields (bound, mu): no real pair amplitudes y violate any of the Werner
+    equations of a p above ``bound`` by more than ``residual_tol``, so no
+    start of :func:`solve_werner` can solve such a p to that tolerance.
+    ``mu`` (5,) weighs the five non-norm rows of :func:`_werner_system`.
+
+    Those rows are y^T Q_k y = c_k(p) = c0_k + p dc_k, and the norm row is
+    |y|^2 = 1.  For any mu with mu . dc = 1, summing the rows with weights mu
+    gives p = y^T M y - mu . c0 <= lambda_max(M) - mu . c0 for M = sum_k mu_k
+    Q_k: the dual bound of Shor's relaxation (Polik and Terlaky, SIAM Rev.
+    49, 2007).  Violations within ``residual_tol`` add at most residual_tol
+    (|lambda_max| + |mu|_1) to it, and a rounding slack of ``ROUNDING`` n
+    (|lambda_max| + sum_k |mu_k| (|Q_k|_F + 1)) covers the eigensolver, the
+    residuals the solver computes and mu . dc = 1 holding to rounding.
+    Every mu gives a bound; the best mu minimizes lambda_max(M) - mu . c0, a
+    convex function whose top eigenvalue is degenerate at the minimum.  So mu
+    follows damped Newton steps on the smoothed dual tau log tr exp(M / tau)
+    - mu . c0 (Nesterov, Math. Program. 110, 2007) at each level tau of
+    ``SMOOTHING``, from mu = dc / |dc|^2.  Each point costs one n x n
+    ``eigh``, which gives its bound, the gradient and the Daleckii-Krein
+    Hessian.  Each step solves the Hessian, in its eigenbasis, regularized
+    by a Levenberg damping that grows when the smoothed dual falls by less
+    than a quarter of what its model predicts.  Rows whose form is zero to
+    rounding and whose values are zero for every p are dropped (their
+    weight stays 0): dropping rows relaxes the equations, so the bound still
+    holds, and the Newton system loses its flat direction.
+    """
+    Q, c = _werner_system(receiver_operator(params), params.n_sender, werner_target([0.0, 1.0]))
+    Q, c0, dc = Q[:-1], c[0, :-1], c[1, :-1] - c[0, :-1]  # the norm form is the identity
+    size = np.sqrt((Q * Q).sum(axis=(1, 2)))
+    rows = (size > ROUNDING * size.max()) | (c0 != 0.0) | (dc != 0.0)
+    m, n = Q.shape[:2]
+    flat = Q.reshape(m, n * n)
+    null = np.zeros((m, rows.sum() - 1))  # the steps that keep mu . dc = 1 and 0 off rows
+    null[rows] = np.linalg.svd(dc[rows][None])[2][1:].T
+
+    def at(mu):
+        """The bound at mu, and the eigenpairs of M."""
+        lam, V = np.linalg.eigh((mu @ flat).reshape(n, n))
+        top, weight = abs(lam[-1]), np.abs(mu)
+        slack = ROUNDING * n * (top + weight @ (size + 1.0))
+        return lam[-1] - mu @ c0 + residual_tol * (top + weight.sum()) + slack, lam, V
+
+    def smoothed(mu, lam, tau):
+        """tau log tr exp(M / tau) - mu . c0, and the weights of exp(M / tau) / tr."""
+        w = np.exp((lam - lam[-1]) / tau)
+        return lam[-1] + tau * math.log(w.sum()) - mu @ c0, w / w.sum()
+
+    mu = dc / (dc @ dc)
+    best, lam, V = at(mu)
+    yield best, mu
+    for tau in SMOOTHING:
+        f, pi = smoothed(mu, lam, tau)
+        damping = 0.1
+        for _ in range(NEWTON_STEPS):
+            A = (V.T @ Q @ V).reshape(m, n * n)  # the forms in the eigenbasis of M
+            grad = A[:, ::n + 1] @ pi
+            # divided differences of the weights pi(lam), which tend to pi / tau
+            gap = lam[:, None] - lam
+            near = np.abs(gap) <= 1e-9 * tau
+            divided = np.where(near, 0.5 * (pi[:, None] + pi) / tau,
+                               (pi[:, None] - pi) / np.where(near, 1.0, gap))
+            curv, U = np.linalg.eigh(
+                null.T @ ((A * divided.ravel()) @ A.T - np.outer(grad, grad) / tau) @ null)
+            curv = np.maximum(curv, 0.0)  # the Hessian is positive semidefinite
+            scale = max(curv.mean(), EPS)
+            b = (grad - c0) @ null @ U
+            if b @ (b / np.maximum(curv, 1e-12 * scale)) <= NEWTON_TOL * tau:
+                break
+            while damping <= MAX_DAMPING:
+                step = -b / (curv + damping * scale)  # in the eigenbasis of the Hessian
+                trial = mu + null @ (U @ step)
+                bound, trial_lam, trial_V = at(trial)
+                if bound < best:
+                    best = bound
+                    yield best, trial
+                trial_f, trial_pi = smoothed(trial, trial_lam, tau)
+                model = step @ (b + 0.5 * curv * step)
+                ratio = (trial_f - f) / model if model < 0.0 else 0.0
+                if ratio > 0.25:
+                    break
+                damping *= 4.0
+            else:  # no damping lowers the smoothed dual: the level is done
+                break
+            if ratio > 0.75:
+                damping = max(0.25 * damping, 1e-12)
+            mu, f, pi, lam, V = trial, trial_f, trial_pi, trial_lam, trial_V
+
+
 def feasibility_scan(params, p_grid, n_starts=64, seed=0, refine_tol=5e-4):
     """Largest Werner parameter p for which controls exist.
 
     Walks the monotone grid up to its first infeasible point to bracket the
     boundary, then bisects the bracket down to ``refine_tol``.  Returns
     (boundary, resolution).
+
+    A p above the current bound of :func:`werner_bounds` at
+    ``FEASIBILITY_RESIDUAL_TOL`` is infeasible without a solve.  The bound
+    carries a margin of FEASIBILITY_RESIDUAL_TOL (|lambda_max| + |mu|_1) plus
+    rounding, so no start could solve such a p to that tolerance, and the
+    verdict is the one the multi-start would give.  Bounds are drawn as
+    needed, until one falls below the p to test or they run out; every other
+    p runs the multi-start of :func:`solve_werner`.
 
     Raises
     ------
@@ -440,8 +554,14 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0, refine_tol=5e-4):
         raise InputError("p_grid must be strictly increasing")
     if p_grid[0] < 0.0 or p_grid[-1] > 1.0:
         raise InputError(f"p_grid must lie in [0, 1], got {p_grid[0]}..{p_grid[-1]}")
+    bounds, bound = werner_bounds(params, FEASIBILITY_RESIDUAL_TOL), math.inf
 
     def feasible(p):
+        nonlocal bound
+        while bound >= p and (drawn := next(bounds, None)) is not None:
+            bound = drawn[0]
+        if p > bound:
+            return False
         try:
             solve_werner(params, [p], n_starts=n_starts, seed=seed,
                          residual_tol=FEASIBILITY_RESIDUAL_TOL)

@@ -221,8 +221,17 @@ BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
                  id="feasibility-starts-1e12"),
     pytest.param({}, ["disorder-study", "--n", "20", "--tuned", "--epsilon", "0.05", "--chains",
                       "100000000000000", "--seed", "1", "--out", "out.json"],
-                 2, "invalid input: at most 100000 chains, got 100000000000000",
+                 2, "invalid config: 100000000000000 is greater than the maximum of 100000",
                  id="disorder-chains-1e14"),
+    # refused at validation, before the report prints its first section
+    pytest.param({}, ["reproduce-paper", "--fast", "--chains", "100000000000000"],
+                 2, "invalid config: 100000000000000 is greater than the maximum of 100000",
+                 id="reproduce-chains-1e14"),
+    # refused before the time grid, whose step count the default window
+    # of a chain this long would exceed
+    pytest.param({}, ["optimize-chain", "--n", "10000000000000", "--out", "out.json"],
+                 2, "invalid input: chain may have at most 1000 nodes, got 10000000000000",
+                 id="optimize-chain-n-1e13"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_once_unhandled_input_exits_typed(tmp_path, monkeypatch, capsys, files, argv, code,
@@ -234,7 +243,7 @@ def test_once_unhandled_input_exits_typed(tmp_path, monkeypatch, capsys, files, 
         (tmp_path / name).write_text(text(tuned) if callable(text) else text)
     capsys.readouterr()
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert message in err
     assert "Traceback" not in err
-    assert not list(tmp_path.glob("out.*"))
+    assert not out and not list(tmp_path.glob("out.*"))

@@ -10,11 +10,13 @@ from scipy.optimize import least_squares
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline import inverse, verification
+from spinline import cli, inverse, verification
 from spinline.basis import control_slices, random_controls
+from spinline.chainopt import lattice
 from spinline.errors import InfeasibleTargetError, InputError
 from spinline.hamiltonian import ChainSpec
 from spinline.inverse import check_target, discrepancy, werner_target, zero_family_iii
+from spinline.probing import extract_params, simulate_probes
 from spinline.receiver import FAMILY_I, FAMILY_II, param_index, receiver_operator
 
 
@@ -539,6 +541,94 @@ def test_feasibility_scan_quick(tuned20_params):
     assert res <= 2e-3
 
 
+def _refuse_nothing(params, residual_tol):
+    """A stand-in for werner_bounds that yields no bound."""
+    return iter(())
+
+
+def _counting(calls, solve):
+    """``solve``, recording the p of each call in ``calls``."""
+    def counted(params, p, **kwargs):
+        calls.append(p)
+        return solve(params, p, **kwargs)
+    return counted
+
+
+BOUND_TABLES = ["tuned20", "probed20", "tuned60", "zeroed", "sender5"]
+SCAN_GRIDS = {"0.6:1:0.02": lattice(0.6, 1.0, 0.02),
+              "default": lattice(*map(float, cli._DEFAULTS["feasibility"]["grid"].split(":")))}
+
+
+@pytest.fixture(scope="module")
+def bound_tables(verdict_tables, tuned60_params):
+    tuned = verdict_tables["sender4"]
+    return {"tuned20": tuned, "probed20": extract_params(simulate_probes(tuned), tuned.t0),
+            "tuned60": tuned60_params, "zeroed": verdict_tables["zeroed"],
+            "sender5": verdict_tables["sender5"]}
+
+
+@pytest.fixture(scope="module")
+def unrefused_scan(bound_tables):
+    """(table, grid) -> the (boundary, resolution) of a scan whose bound
+    refuses nothing, so that it solves every p it tests, and its number of
+    Werner solves; each scan runs once."""
+    scans = {}
+
+    def scan(table, grid):
+        if (table, grid) not in scans:
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inverse, "werner_bounds", _refuse_nothing)
+                mp.setattr(inverse, "solve_werner", _counting(calls, inverse.solve_werner))
+                scans[table, grid] = (sl.feasibility_scan(bound_tables[table], SCAN_GRIDS[grid]),
+                                      len(calls))
+        return scans[table, grid]
+    return scan
+
+
+@pytest.mark.parametrize("table", BOUND_TABLES)
+def test_werner_bounds_are_certified(bound_tables, unrefused_scan, table):
+    # every bound lies above the largest p a 64-start solve reaches, falls
+    # with each draw and follows from its weights mu by an independent
+    # eigensolver; the generator ends without raising on every table
+    params, tol = bound_tables[table], inverse.FEASIBILITY_RESIDUAL_TOL
+    drawn = list(inverse.werner_bounds(params, tol))
+    (boundary, resolution), _ = unrefused_scan(table, "0.6:1:0.02")
+    solved = boundary - resolution  # the scan's largest feasible p
+    assert len(sl.solve_werner(params, [solved], residual_tol=tol).p) == 1
+    Q, c = inverse._werner_system(receiver_operator(params), params.n_sender,
+                                  werner_target([0.0, 1.0]))
+    Q, c0, dc = Q[:5], c[0, :5], c[1, :5] - c[0, :5]
+    bounds = [bound for bound, _ in drawn]
+    assert all(later < earlier for earlier, later in zip(bounds, bounds[1:]))
+    assert bounds[-1] >= solved
+    for bound, mu in drawn:
+        assert abs(mu @ dc - 1.0) <= 1e-12
+        top = np.linalg.eigvalsh(np.einsum("k,kij->ij", mu, Q))[-1]
+        certified = top - mu @ c0 + tol * (abs(top) + np.abs(mu).sum())
+        assert certified <= bound <= certified + 1e-10
+    if table == "zeroed":  # its Im rho12 form is zero to rounding, and dropped
+        assert all(mu[4] == 0.0 for _, mu in drawn)
+    if table == "probed20":
+        assert bounds[-1] == pytest.approx(0.874596, abs=1e-6)
+        assert boundary == pytest.approx(0.87453, abs=1e-5)
+
+
+@pytest.mark.parametrize("grid", SCAN_GRIDS)
+@pytest.mark.parametrize("table", BOUND_TABLES)
+def test_feasibility_scan_matches_a_scan_that_solves_every_p(monkeypatch, bound_tables,
+                                                             unrefused_scan, table, grid):
+    # refusing the p above the bound changes no verdict, so the scan returns
+    # the same bits with fewer solves; only the 5-node sender's bound, 0.011
+    # above its boundary, lies above every p its scans test
+    expected, n_solves = unrefused_scan(table, grid)
+    calls = []
+    monkeypatch.setattr(inverse, "solve_werner", _counting(calls, inverse.solve_werner))
+    got = sl.feasibility_scan(bound_tables[table], SCAN_GRIDS[grid])
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+    assert len(calls) < n_solves if table != "sender5" else len(calls) == n_solves
+
+
 def _scan_every_point(feasible, grid, refine_tol):
     """The bracket and bisection of a scan that evaluates the whole grid."""
     flags = [feasible(p) for p in grid]
@@ -565,6 +655,7 @@ def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, edge, n_f
             raise InfeasibleTargetError(0.1)
 
     monkeypatch.setattr(inverse, "solve_werner", solve_stub)
+    monkeypatch.setattr(inverse, "werner_bounds", _refuse_nothing)
     grid = [float(p) for p in np.round(np.arange(0.80, 1.0001, 0.01), 10)]
     got = sl.feasibility_scan(None, grid, refine_tol=5e-4)
     n_grid = min(n_feasible + 1, len(grid))
