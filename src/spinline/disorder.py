@@ -3,7 +3,8 @@
 Bulk bonds are manufactured only to accuracy epsilon: each sampled chain
 draws independent uniform perturbations on [-1, 1] per bulk bond while the
 boundary pairs and the registration time stay fixed at their unperturbed
-values.  Statistics are collected over N_p independent chains.
+values.  Statistics are collected over N_p independent chains, whose
+perturbations are the rows of one seeded uniform draw.
 
 :func:`sample_line_params` diagonalizes each sampled chain once and
 returns the whole sample as one stacked LineParams: the chains are
@@ -56,37 +57,30 @@ MAX_CHAINS = 10**5
 CHAIN_BLOCK = 32
 
 
-def _bond_draws(base, rng):
-    return rng.uniform(-1.0, 1.0, base.bulk.shape[-1])
-
-
-def _chain_rng(seed, index):
-    # independent per-chain streams so evaluation order cannot matter
-    return np.random.default_rng([seed, index])
-
-
 def _blocks(n_chains):
-    return [slice(start, start + CHAIN_BLOCK) for start in range(0, n_chains, CHAIN_BLOCK)]
+    return [slice(start, min(start + CHAIN_BLOCK, n_chains))
+            for start in range(0, n_chains, CHAIN_BLOCK)]
 
 
 def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_sender=4):
     """LineParams at t0 of ``n_chains`` chains sampled around ``base``, stacked
     along a leading axis of length ``n_chains``.
 
-    Chain i draws from its own stream seeded by (seed, i), so a chain's
-    parameters do not depend on how many chains the sample holds, nor on
-    the block it is computed in.  A failed numerical check names the chain.
-    Raises InputError for fewer than 2 or more than ``MAX_CHAINS`` (10^5)
-    chains.
+    The bulk bonds of every chain come from one ``default_rng(seed)``:
+    chain i is row i of the (n_chains, N-5) uniform draw on [-1, 1), drawn
+    block by block in chain order.  So a chain's parameters depend neither
+    on how many chains the sample holds nor on the block it is computed in.
+    A failed numerical check names the chain.  Raises InputError for fewer
+    than 2 or more than ``MAX_CHAINS`` (10^5) chains, before any draw.
     """
     if n_chains < 2:
         raise InputError(f"need at least 2 chains, got {n_chains}")
     if n_chains > MAX_CHAINS:
         raise InputError(f"at most {MAX_CHAINS} chains, got {n_chains}")
+    rng = np.random.default_rng(seed)
     blocks = []
     for block in _blocks(n_chains):
-        deltas = np.array([_bond_draws(base, _chain_rng(seed, i))
-                           for i in range(n_chains)[block]])
+        deltas = rng.uniform(-1.0, 1.0, (block.stop - block.start, base.bulk.shape[-1]))
         try:
             blocks.append(line_params_at(diagonalize(apply_disorder(base, epsilon, deltas)),
                                          t0, n_sender))

@@ -18,10 +18,11 @@ p1 = V exp(-i L t) V^T; the two-excitation propagator is its 2x2 minor,
 
 so the C(N,2)-dimensional pair block is never built or diagonalized.  A
 single diagonalization serves every registration time and every sender
-state.  The library needs only the sender columns of p1
-(:func:`one_excitation_columns`), and of those only the two receiver rows
-(see :func:`~spinline.receiver.line_params_at`); the full p1 and its minors
-are formed only by the oracles in :mod:`verification`.  The transfer
+state.  The library needs only the block of p1 from the sender columns to
+the two receiver rows, and :func:`one_excitation_columns` forms just that
+block when asked for those columns and rows (see
+:func:`~spinline.receiver.line_params_at`); the full p1 and its minors are
+formed only by the oracles in :mod:`verification`.  The transfer
 matrices are kept complex; their phases carry physical content.
 """
 
@@ -82,14 +83,17 @@ def diagonalize(spec):
     return SpectralData(spec=spec, evals1=evals1, evecs1=evecs1)
 
 
-def one_excitation_columns(spectral, t, n_cols=None):
-    """The first ``n_cols`` columns of p1 = V exp(-i L t) V^T (all by default).
+def one_excitation_columns(spectral, t, n_cols=None, rows=slice(None)):
+    """The first ``n_cols`` columns of p1 = V exp(-i L t) V^T (all by
+    default), in the rows ``rows`` (a slice or an array of 0-based nodes;
+    all by default).
 
-    Shape (..., N, n_cols), with the leading axes of ``spectral``.  Raises
-    NumericalError when a phase lambda t overflows, before any is formed.
+    Shape (..., n_rows, n_cols), with the leading axes of ``spectral``; only
+    the selected block is formed.  Raises NumericalError when a phase
+    lambda t overflows, before any is formed.
     """
     if not math.isfinite(abs(t) * float(np.abs(spectral.evals1).max())):
         raise NumericalError(f"phase lambda t overflows at t = {t:g}")
     V = spectral.evecs1
     phases = np.exp(-1j * spectral.evals1[..., None, :] * t)
-    return (V * phases) @ V[..., :n_cols, :].swapaxes(-1, -2)
+    return (V[..., rows, :] * phases) @ V[..., :n_cols, :].swapaxes(-1, -2)

@@ -129,9 +129,15 @@ def _quadratic_system(K, basis, target, rows=slice(None)):
 
 
 def _forms(Q, y):
-    """Q_k y (S, m, n) and the form values y^T Q_k y (S, m) at the stacked points y (S, n)."""
+    """Q_k y (S, m, n) and the form values y^T Q_k y (S, m) at the stacked points y (S, n).
+
+    A one-point stack is evaluated twice over and keeps one row: numpy sends
+    a one-row product to BLAS gemv, which rounds apart from the gemm of a
+    larger stack, and a point must give the same bits alone as in a stack.
+    """
     m, n, _ = Q.shape
-    Qy = (y @ Q.reshape(m * n, n).T).reshape(len(y), m, n)
+    padded = np.vstack((y, y)) if len(y) == 1 else y
+    Qy = (padded @ Q.reshape(m * n, n).T)[:len(y)].reshape(len(y), m, n)
     return Qy, (Qy @ y[..., None])[..., 0]
 
 

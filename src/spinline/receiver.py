@@ -202,7 +202,7 @@ def line_params_at(spectral, t, n_sender=4):
         raise SizeMismatchError(
             f"sender of {n_sender} nodes overlaps the receiver on an {n}-node chain"
         )
-    R = one_excitation_columns(spectral, t, n_sender)[..., -2:, :]
+    R = one_excitation_columns(spectral, t, n_sender, slice(-2, None))
     G = np.eye(n_sender) - R.swapaxes(-1, -2) @ R.conj()
     # nodes[x, s] is node x of sender pair s = (n, m); the antisymmetrised
     # terms are stacked along x, each pairing G at nodes[x] with R at nodes[1-x]

@@ -187,7 +187,8 @@ def check_family_iii():
 
 def sample_chain(base, epsilon, rng):
     """One chain with bulk couplings 1 + epsilon * uniform(-1, 1), 0 <= epsilon < 1,
-    drawn on its own: the per-chain oracle of ``disorder.sample_line_params``."""
+    drawn on its own: the per-chain oracle of ``disorder.sample_line_params``,
+    whose chains are those drawn one after another from ``default_rng(seed)``."""
     return apply_disorder(base, epsilon, rng.uniform(-1.0, 1.0, base.bulk.shape[-1]))
 
 

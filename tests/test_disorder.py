@@ -5,7 +5,6 @@ import spinline as sl
 from spinline import benchmarks as bm
 from spinline import disorder
 from spinline.disorder import (
-    _chain_rng,
     export_param_stats_csv,
     export_robustness_csv,
     param_statistics,
@@ -98,7 +97,7 @@ def test_study_arrays_are_reductions_of_the_sample(base20, tuned20_params):
 
 
 def test_sample_prefix_is_stable(base20, tuned20_params):
-    # chain i has its own stream: a larger sample starts with the smaller one
+    # chain i is row i of one seeded draw: a larger sample starts with the smaller one
     short = sample(base20, tuned20_params.t0, 0.05, 3, 4)
     long = sample(base20, tuned20_params.t0, 0.05, 5, 4)
     assert long.shape == (5,)
@@ -115,12 +114,23 @@ def test_stacked_sample_matches_per_chain_oracle(n, n_sender, n_chains):
     t0, eps, seed = 1.3 * n, 0.05, 11
     stacked = sample_line_params(base, t0, eps, n_chains=n_chains, seed=seed, n_sender=n_sender)
     assert stacked.shape == (n_chains,) and stacked.n_sender == n_sender
+    rng = np.random.default_rng(seed)
     for i in range(n_chains):
-        chain = sample_chain(base, eps, _chain_rng(seed, i))
+        chain = sample_chain(base, eps, rng)
         oracle = sl.line_params_at(sl.diagonalize(chain), t0, n_sender)
         for kind in KINDS:
             assert np.array_equal(getattr(stacked, kind)[i], getattr(oracle, kind)), (i, kind)
         assert np.array_equal(stacked[i].entries, oracle.entries)
+
+
+def test_sample_does_not_depend_on_chain_block(monkeypatch, base20, tuned20_params):
+    # blocks of 7, one block for the whole sample, and the default blocks
+    # give the same bits
+    t0, n_chains = tuned20_params.t0, disorder.CHAIN_BLOCK + 5
+    default = sample(base20, t0, 0.05, n_chains, 3)
+    for block in (7, n_chains, n_chains + 4):
+        monkeypatch.setattr(disorder, "CHAIN_BLOCK", block)
+        assert np.array_equal(sample(base20, t0, 0.05, n_chains, 3).entries, default.entries)
 
 
 def test_values_follow_param_index(tuned20_params):

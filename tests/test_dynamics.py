@@ -49,6 +49,24 @@ def test_solve_matches_dense_eigh(n):
             assert np.max(np.abs(one_excitation_columns(spectral, t) - p1)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 20, 21, 60])
+def test_row_selection_matches_the_rows_of_full_p1(n):
+    # line_params_at forms only the receiver rows of the sender columns: they
+    # are those rows of the full p1, for single chains and for stacks
+    bulk = np.ones((3, max(0, n - 5))) if n < MIN_PROFILE_NODES else random_couplings(
+        np.random.default_rng(n), (3, n - 5))
+    spectra = [sl.diagonalize(spec) for spec in chains_of(n)]
+    spectra.append(sl.diagonalize(ChainSpec(n, bulk=bulk)))
+    for spectral in spectra:
+        for t in (0.8, 1.3 * n):
+            p1 = one_excitation_columns(spectral, t)
+            for n_cols in (1, min(4, n - 2), None):
+                for rows in (slice(-2, None), slice(None, 1), np.array([n - 1, 0, n // 2])):
+                    block = one_excitation_columns(spectral, t, n_cols, rows)
+                    assert block.shape == p1[..., rows, :n_cols].shape
+                    assert np.max(np.abs(block - p1[..., rows, :n_cols])) <= 1e-15
+
+
 @pytest.mark.parametrize("n", SOLVE_SIZES)
 def test_solve_is_paired_and_orthonormal(n):
     for spec in chains_of(n):
