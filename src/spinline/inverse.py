@@ -128,16 +128,20 @@ def _quadratic_system(K, basis, target, rows=slice(None)):
     return 0.5 * (Q + Q.transpose(0, 2, 1)), c
 
 
-def _forms(Q, y):
-    """Q_k y (S, m, n) and the form values y^T Q_k y (S, m) at the stacked points y (S, n).
+def _rows(a, B):
+    """The product a @ B of a stack of rows a (S, k) with B (k, l).
 
-    A one-point stack is evaluated twice over and keeps one row: numpy sends
+    A one-row stack is evaluated twice over and keeps one row: numpy sends
     a one-row product to BLAS gemv, which rounds apart from the gemm of a
-    larger stack, and a point must give the same bits alone as in a stack.
+    larger stack, and a start must give the same bits alone as in a stack.
     """
+    return (np.vstack((a, a)) @ B)[:1] if len(a) == 1 else a @ B
+
+
+def _forms(Q, y):
+    """Q_k y (S, m, n) and the form values y^T Q_k y (S, m) at the stacked points y (S, n)."""
     m, n, _ = Q.shape
-    padded = np.vstack((y, y)) if len(y) == 1 else y
-    Qy = (padded @ Q.reshape(m * n, n).T)[:len(y)].reshape(len(y), m, n)
+    Qy = _rows(y, Q.reshape(m * n, n).T).reshape(len(y), m, n)
     return Qy, (Qy @ y[..., None])[..., 0]
 
 
@@ -162,6 +166,8 @@ STEP_BOUND = 100.0  # initial trust radius over |D y0|, as in MINPACK
 XTOL = 5e-16  # trust radius, relative to |D y|, at which a start has converged
 STALL_STEPS = 5  # accepted steps without progress that freeze a start
 STALL_GAIN = 1e-3  # relative fall of the best violation that counts as progress
+MEMORY = 5  # accepted |r|^2 values a trial point may stay below
+SLOW_GAIN = 0.2  # relative fall of |r|^2 below which the next step takes the curvature
 ACCELERATION_BOUND = 0.75  # largest |a| / |v| of an accepted geodesic correction
 EPS = np.finfo(float).eps
 ROUNDING = 16 * EPS  # a violation of the O(1) form values no step can lower
@@ -170,10 +176,10 @@ ROUNDING = 16 * EPS  # a violation of the O(1) form values no step can lower
 def _levenberg_parameter(w, b, delta):
     """More's damping lam >= 0 for one start, and the diagonal of (A + lam)^-1.
 
-    A = V diag(w) V^T is the scaled J^T J and b = V^T J_s^T r; the step is
-    u = b / (w + lam) in that eigenbasis, and eigenvalues at rounding level
-    of the largest take no step.  lam = 0 when the Gauss-Newton step is at
-    most 1.1 delta long; otherwise up to ten Newton steps on 1/|u(lam)| -
+    A = V diag(w) V^T is the scaled model matrix (J^T J, or the Hessian of
+    |r|^2 / 2) and b = V^T J_s^T r; the step is u = b / (w + lam) in that
+    eigenbasis, and eigenvalues at rounding level of the largest take no
+    step.  lam = 0 when the undamped step is at most 1.1 delta long; otherwise up to ten Newton steps on 1/|u(lam)| -
     1/delta from lam = 0 bring |u| within 10% of delta (More 1978).
     Returns lam, 1 / (w + lam), |u|^2 and b . u.
     """
@@ -196,31 +202,40 @@ def _levenberg_parameter(w, b, delta):
 @dataclass
 class _Start:
     """Scalar state of one start: the problem it solves, More's trust radius,
-    |r|^2 at the current point, and the best largest violation with the
-    stall bookkeeping."""
+    |r|^2 at the current point and at its last ``MEMORY`` accepted points,
+    whether its next model takes the curvature of the residuals, and the
+    best largest violation with the stall bookkeeping."""
 
     index: int
     problem: int
     delta: float
     xnorm: float  # |D y| at the start, the scale of XTOL
     f2: float
+    recent: list  # |r|^2 at the last MEMORY accepted points, f2 last
     best: float
     ref: float  # best violation when the start last made progress
     stale: int = 0  # steps since then
+    curved: bool = False  # the last accepted step lowered |r|^2 by less than SLOW_GAIN
 
     def step(self, f2_new, viol, lam, uu, slope, first, residual_tol):
         """Take or reject a trial point; returns (accepted, new best, done).
 
-        More's update, with reductions in units of |r|^2: the actual one,
-        and the one the linear model predicts for the velocity, slope +
-        lam |u|^2 with slope = b . u.
+        More's update, with reductions in units of |r|^2 and a nonmonotone
+        reference (Grippo, Lampariello and Lucidi, SIAM J. Numer. Anal. 23,
+        707, 1986; Toint, Math. Program. 77, 69, 1997): the actual reduction
+        is counted from the largest |r|^2 of the last ``MEMORY`` accepted
+        points, the current one among them, and the predicted one is that of
+        the model for the velocity, slope + lam |u|^2 with slope = b . u.  A
+        trial point below that reference is taken, and a good ratio to it
+        keeps or grows the trust radius, so a long Gauss-Newton step that
+        raises |r|^2 for a step or two is not cut back.
         """
         exact = self.best <= residual_tol
         pnorm = math.sqrt(uu)
         if first:
             self.delta = min(self.delta, pnorm)
         actual = self.f2 - f2_new
-        ratio = actual / (slope + lam * uu) if slope > 0.0 else 0.0
+        ratio = (max(self.recent) - f2_new) / (slope + lam * uu) if slope > 0.0 else 0.0
         if ratio <= 0.25:
             shrink = 0.5 if actual >= 0.0 else 0.5 * slope / (slope - 0.5 * actual)
             self.delta = max(shrink, 0.1) * min(self.delta, 10.0 * pnorm)
@@ -229,7 +244,9 @@ class _Start:
         accepted = ratio >= 1e-4
         better = accepted and viol < self.best
         if accepted:
+            self.curved = actual < SLOW_GAIN * self.f2
             self.f2 = f2_new
+            self.recent = self.recent[1 - MEMORY:] + [f2_new]
         if better:
             self.best = viol
         if self.best < (1.0 - STALL_GAIN) * self.ref:
@@ -250,10 +267,21 @@ def _levenberg_marquardt(Q, c, y, problem, residual_tol):
     All starts advance together as one stack.  Each step follows More's
     Levenberg-Marquardt: variables scaled by D, the running maximum of the
     Jacobian's column norms, and a trust radius that grows or shrinks with
-    the ratio of actual to predicted reduction.  The residuals are exactly
-    quadratic, r(y + v) = r + J v + q(v) with q_k(v) = v^T Q_k v, so the
-    geodesic acceleration a = -(J^T J + lam D^2)^-1 J^T 2q(v) of a
-    velocity step v is exact and costs one more product with Q; the step
+    the ratio of actual to predicted reduction.  The actual reduction is
+    counted from the largest |r|^2 of the start's last ``MEMORY`` accepted
+    points, not only from the current one (a nonmonotone rule,
+    :meth:`_Start.step`): a trial point below that value is taken, and the
+    radius does not shrink for it.  The model A of a step is Gauss-Newton,
+    J^T J, at the first step and after an accepted step that lowered |r|^2
+    by at least ``SLOW_GAIN`` of it; after any other accepted step it is
+    the exact Hessian of |r|^2 / 2, J^T J + 2 sum_k r_k Q_k, where that is
+    positive definite (Fletcher and Xu, IMA J. Numer. Anal. 7, 371, 1987).
+    The curvature term carries a start along the curved, nearly singular
+    valleys just below the feasibility boundary, where Gauss-Newton crawls
+    to the evaluation cap.  The residuals are exactly quadratic,
+    r(y + v) = r + J v + q(v) with q_k(v) = v^T Q_k v, so the geodesic
+    acceleration a = -(A + lam D^2)^-1 J^T 2q(v) of a velocity step v is
+    exact and costs one more product with Q; the step
     taken is v + a/2 whenever |D a| <= 0.75 |D v| (Transtrum and Sethna
     2012).  The linear algebra runs on the stack; the trust radius of each
     start is scalar bookkeeping in Python (:class:`_Start`), as a numpy
@@ -278,7 +306,7 @@ def _levenberg_marquardt(Q, c, y, problem, residual_tol):
     D = np.sqrt((J * J).sum(axis=1))
     D[D == 0.0] = 1.0
     best_y = y.copy()
-    starts = [_Start(k, g, STEP_BOUND * (dy or 1.0), dy, f2, best, best)
+    starts = [_Start(k, g, STEP_BOUND * (dy or 1.0), dy, f2, [f2], best, best)
               for k, (g, dy, f2, best) in enumerate(zip(
                   np.asarray(problem).tolist(), np.sqrt(((D * y) ** 2).sum(axis=1)).tolist(),
                   (r * r).sum(axis=1).tolist(), np.abs(r).max(axis=1).tolist()))]
@@ -301,7 +329,14 @@ def _levenberg_marquardt(Q, c, y, problem, residual_tol):
                 return out_res, out_y
         Js = J / D[:, None, :]
         JsT = Js.transpose(0, 2, 1)
-        w, V = np.linalg.eigh(JsT @ Js)
+        A = JsT @ Js
+        curved = np.flatnonzero([s.curved for s in starts])
+        if curved.size:  # the scaled Hessian of |r|^2 / 2 where it is positive definite
+            S = _rows(2.0 * r[curved], Q.reshape(len(Q), -1)).reshape(-1, *A.shape[1:])
+            A_curved = A[curved] + S / (D[curved, :, None] * D[curved, None, :])
+            definite = np.linalg.eigvalsh(A_curved)[:, 0] > 0.0
+            A[curved[definite]] = A_curved[definite]
+        w, V = np.linalg.eigh(A)
         G = V.transpose(0, 2, 1) @ JsT  # rows of V^T Js^T
         b = (G @ r[..., None])[..., 0]
         lam, inv, uu, slope = zip(*map(_levenberg_parameter, w.tolist(), b.tolist(),
@@ -380,8 +415,8 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
     ``n_starts - 1`` standard normal draws of ``seed``.  Where the solution
     manifold is degenerate (truncated parameter sets), start 0 selects a
     reproducible branch instead of an arbitrary manifold point.  Start 0
-    converges across the feasible range of the tuned n=20 line, so those
-    solutions do not depend on the seed.  One receiver operator gives the
+    converges at every p of :data:`WERNER_P` that the tuned n = 20 and
+    n = 60 lines can create, so those solutions do not depend on the seed.  One receiver operator gives the
     forms and the discrepancies of all solved p.
 
     Raises

@@ -337,6 +337,64 @@ def test_werner_controls_match_lone_solves(verdict_tables, tuned60_params, table
         assert abs(stacked.discrepancy[k] - lone[p].discrepancy[0]) <= 1e-14
 
 
+def _newton_root(Q, c, steps=40):
+    """The root of y^T Q_k y = c_k that undamped Newton reaches from the
+    equal-amplitude start: each step solves the square Jacobian 2 Q y."""
+    y = np.full(Q.shape[1], 1.0 / np.sqrt(Q.shape[1]))
+    for _ in range(steps):
+        y = y - np.linalg.solve(2.0 * (Q @ y), (Q @ y) @ y - c)
+    return y
+
+
+@pytest.mark.parametrize("table", ["tuned20", "probed20", "tuned60"])
+def test_werner_controls_are_the_newton_roots(bound_tables, table):
+    # a 4-node sender has as many pair amplitudes as Werner equations, so
+    # Newton's method is an independent oracle for each control; at p = 0
+    # of the 60-node line it lands on another root
+    params = bound_tables[table]
+    solved = sl.solve_werner(params, inverse.WERNER_P)
+    Q, c = inverse._werner_system(receiver_operator(params), params.n_sender,
+                                  werner_target(solved.p))
+    assert Q.shape[:2] == (6, 6)
+    pair = control_slices(params.n_sender)[1]
+    for p, x, cp in zip(solved.p.tolist(), solved.x, c):
+        if table == "tuned60" and p < 0.1:
+            continue
+        root = _newton_root(Q, cp)
+        assert np.abs((Q @ root) @ root - cp).max() <= 1e-14, p
+        sign = np.sign(root @ x[pair].real)
+        np.testing.assert_allclose(x[pair].real, sign * root, rtol=0, atol=1e-12, err_msg=str(p))
+
+
+def test_stacked_werner_solve_takes_few_steps(monkeypatch, tuned20_params):
+    # start 0 of every p reaches its root in a dozen trust-region steps; the
+    # monotone rule, which cut back each long Gauss-Newton step that raised
+    # |r|^2, took 45
+    steps = {}
+    step = inverse._Start.step
+
+    def counted(self, *args):
+        steps[self.index] = steps.get(self.index, 0) + 1
+        return step(self, *args)
+
+    monkeypatch.setattr(inverse._Start, "step", counted)
+    solved = sl.solve_werner(tuned20_params, inverse.WERNER_P)
+    assert len(solved.p) == len(steps) == 9  # start 0 solved every p
+    assert max(steps.values()) <= 15
+
+
+@pytest.mark.parametrize("table", ["tuned20", "tuned60"])
+def test_werner_controls_do_not_depend_on_the_seeded_starts(bound_tables, table):
+    # start 0 solves every p the line can create, so a disorder study's
+    # controls are those of a one-start solve, whatever its seed
+    params = bound_tables[table]
+    default = sl.solve_werner(params, inverse.WERNER_P)
+    alone = sl.solve_werner(params, inverse.WERNER_P, n_starts=1)
+    assert len(default.p) == {"tuned20": 9, "tuned60": 8}[table]
+    for got, want in zip(alone, default):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("table", ["sender4", "sender5"])
 def test_werner_controls_discrepancy_is_that_of_the_assembled_state(verdict_tables, table):
     # the solver's own discrepancy is the one the report reads: it matches the
