@@ -8,18 +8,23 @@ perturbations are the rows of one seeded uniform draw.
 
 :func:`sample_line_params` diagonalizes each sampled chain once and
 returns the whole sample as one stacked LineParams: the chains are
-processed in blocks of ``CHAIN_BLOCK``, each block one stacked SVD,
-one stacked receiver block R and one stacked parameter evaluation, so
-memory stays flat in the number of chains; the blocks join by
-concatenating their ``entries``.  The statistics are reductions over that
-stack, and each is an array.  :func:`param_statistics` reduces the
-(n_chains, n_entries) ``entries`` to a :class:`DisorderStudy` whose
+processed in blocks, each block one stacked SVD, one stacked receiver
+block R and one stacked parameter evaluation; the blocks join by
+concatenating their ``entries``.  A block holds as many chains as fit
+``BLOCK_BYTES`` (:func:`_blocks`), so memory stays flat in the number of
+chains and a long chain gets a block of its own.  The statistics are
+reductions over that stack, and each is an array; a sample that is not
+one stack of at least 2 chains is refused before any work.
+:func:`param_statistics` reduces the (n_chains, n_entries) ``entries``
+to a :class:`DisorderStudy` whose
 ``mean``, ``std`` and ``shift`` hold one value per entry, in the order of
 :func:`param_index`; :func:`werner_robustness` takes the Werner p and
 their (P, d) control vectors, as the arrays of one
-:func:`~spinline.inverse.solve_werner`, contracts one stacked receiver
-operator per block with all of them and returns a :class:`Robustness`
-with one value per p, in the order given.  The labels of a table's rows
+:func:`~spinline.inverse.solve_werner`, evaluates the receiver matrices
+of all of them on a block of chains at once, straight from the entries
+(:func:`~spinline.receiver.assemble_rho`), and returns a
+:class:`Robustness` with one value per p, in the order given.  A chain
+gives the same bits in any block.  The labels of a table's rows
 come from :func:`table_labels`.
 
 Standard deviation of a complex parameter is defined through |P - <P>|^2,
@@ -36,30 +41,34 @@ from .dynamics import diagonalize
 from .errors import InputError, NumericalError, SizeMismatchError
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
-from .receiver import (
-    LineParams,
-    line_params_at,
-    receiver_operator,
-    receiver_rho,
-    table_labels,
-    write_table,
-)
+from .receiver import LineParams, assemble_rho, line_params_at, table_labels, write_table
 
 DEFAULT_N_CHAINS = 100
 # 1000x the default; the stacked entries of this many chains take ~0.3 GB at
 # a 4-node sender, and the bound is checked before any chain is drawn
 MAX_CHAINS = 10**5
-# chains per stacked solve and per stacked receiver operator.  A stacked SVD
-# is still one LAPACK call per chain, so larger blocks save nothing
-# measurable; at 32, a block's operators (11x11, ~1 MB) and n=60
-# eigenvectors (~1 MB) leave a 100-chain study's peak memory where the
-# per-chain loop had it
-CHAIN_BLOCK = 32
+# bytes of one block's largest stack: the N x N eigenvectors of the
+# sampler's chains (8 N^2 bytes a chain), or in werner_robustness the
+# products of each control with the largest kind, P_mm (16 n_pairs^2 bytes
+# a chain and control).  1 MiB gives a 100-chain n = 20 sample and its nine
+# Werner controls one block each, n = 60 blocks of 36 chains, and every
+# chain longer than 256 nodes a block of its own
+BLOCK_BYTES = 2**20
 
 
-def _blocks(n_chains):
-    return [slice(start, min(start + CHAIN_BLOCK, n_chains))
-            for start in range(0, n_chains, CHAIN_BLOCK)]
+def _blocks(n_chains, chain_bytes):
+    """Consecutive slices over ``n_chains`` chains, each of as many chains
+    as fit ``BLOCK_BYTES`` at ``chain_bytes`` a chain, and at least one."""
+    size = max(1, BLOCK_BYTES // chain_bytes)
+    return [slice(start, min(start + size, n_chains)) for start in range(0, n_chains, size)]
+
+
+def _check_sample(sample):
+    """Raise unless ``sample`` is one stack of at least 2 chains."""
+    if len(sample.shape) != 1:
+        raise SizeMismatchError(f"a sample is one stack of chains, got stack axes {sample.shape}")
+    if sample.shape[0] < 2:
+        raise InputError(f"need at least 2 chains, got {sample.shape[0]}")
 
 
 def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_sender=4):
@@ -79,7 +88,7 @@ def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_s
         raise InputError(f"at most {MAX_CHAINS} chains, got {n_chains}")
     rng = np.random.default_rng(seed)
     blocks = []
-    for block in _blocks(n_chains):
+    for block in _blocks(n_chains, 8 * base.n_nodes**2):
         deltas = rng.uniform(-1.0, 1.0, (block.stop - block.start, base.bulk.shape[-1]))
         try:
             blocks.append(line_params_at(diagonalize(apply_disorder(base, epsilon, deltas)),
@@ -111,7 +120,10 @@ class DisorderStudy:
 
 def param_statistics(reference, sample):
     """Mean and deviation of every line parameter over the chains of the
-    stacked ``sample``; ``reference`` holds those of the unperturbed chain."""
+    stacked ``sample``; ``reference`` holds those of the unperturbed chain.
+    A sample that is not one stack of at least 2 chains raises
+    SizeMismatchError or InputError."""
+    _check_sample(sample)
     samples = sample.entries  # (n_chains, n_entries)
     n_chains = samples.shape[0]
     mean = samples.mean(axis=0)
@@ -140,20 +152,24 @@ def werner_robustness(sample, p, x):
     for the Werner parameters ``p`` (P,), as
     :func:`~spinline.inverse.solve_werner` returns them.  On each chain of
     the stacked ``sample`` the controls are sent as-is and the created
-    state is compared to the exact Werner target: one stacked receiver
-    operator per block of chains, contracted with every control at once.
-    Returns the Robustness arrays in the order of ``p``.
+    state is compared to the exact Werner target: one
+    :func:`~spinline.receiver.assemble_rho` per block of chains, with every
+    control at once, straight from the chains' entries.  A chain's
+    discrepancies do not depend on its block.  Returns the Robustness
+    arrays in the order of ``p``.  A sample that is not one stack of at
+    least 2 chains raises SizeMismatchError or InputError before any work.
     """
     p = np.asarray(p, float)
     if not p.size:
         raise InputError("no controls to evaluate")
     if np.shape(x)[:-1] != p.shape:
         raise SizeMismatchError(f"{np.shape(x)[:-1]} control vectors for {p.shape} Werner p")
+    _check_sample(sample)
     targets = werner_target(p)
     n_chains = sample.shape[0]
     deltas = np.concatenate([
-        discrepancy(receiver_rho(receiver_operator(sample[block]), x), targets)
-        for block in _blocks(n_chains)
+        discrepancy(assemble_rho(sample[block], x), targets)
+        for block in _blocks(n_chains, 16 * p.size * len(sample.pairs) ** 2)
     ])
     # centred on the first chain, so identical chains give exactly zero spread
     std = (deltas - deltas[0]).std(axis=0, ddof=1)

@@ -10,7 +10,7 @@ and the dense matrix is never formed.  :func:`diagonalize` takes a
 chains, to that spectrum in one stacked ``svd``; a single chain is the
 stack without leading axes, and everything downstream
 (:func:`one_excitation_columns`, :func:`~spinline.receiver.line_params_at`,
-:func:`~spinline.receiver.receiver_operator`) carries the leading axes
+:func:`~spinline.receiver.assemble_rho`) carries the leading axes
 along.  The one-excitation propagator at any time t is
 p1 = V exp(-i L t) V^T; the two-excitation propagator is its 2x2 minor,
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .basis import control_slices
 from .errors import InfeasibleTargetError, InputError
-from .receiver import density_deviations, entry_families, receiver_operator, receiver_rho
+from .receiver import assemble_rho, density_deviations, entry_families, receiver_operator
 
 WERNER_RESIDUAL_TOL = 1e-10
 FEASIBILITY_RESIDUAL_TOL = 1e-8
@@ -416,8 +416,10 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
     manifold is degenerate (truncated parameter sets), start 0 selects a
     reproducible branch instead of an arbitrary manifold point.  Start 0
     converges at every p of :data:`WERNER_P` that the tuned n = 20 and
-    n = 60 lines can create, so those solutions do not depend on the seed.  One receiver operator gives the
-    forms and the discrepancies of all solved p.
+    n = 60 lines can create, so those solutions do not depend on the seed.
+    One receiver operator gives the forms of all p, and
+    :func:`~spinline.receiver.assemble_rho` the discrepancies of the solved
+    ones.
 
     Raises
     ------
@@ -435,16 +437,17 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.ones(n_pairs), rng.standard_normal((n_starts - 1, n_pairs))])
     targets = werner_target(ps)
-    K = receiver_operator(params)
-    res, ys = _multistart(*_werner_system(K, params.n_sender, targets), starts, residual_tol)
+    system = _werner_system(receiver_operator(params), params.n_sender, targets)
+    res, ys = _multistart(*system, starts, residual_tol)
     unsolved = res > residual_tol
     n_solved = int(np.argmax(unsolved)) if unsolved.any() else len(res)
     if n_solved == 0:
         raise InfeasibleTargetError(res[0], best_controls=ys[0])
-    x = np.zeros((n_solved, K.shape[-1]), complex)
-    x[:, control_slices(params.n_sender)[1]] = ys[:n_solved]
+    pair = control_slices(params.n_sender)[1]
+    x = np.zeros((n_solved, pair.stop), complex)
+    x[:, pair] = ys[:n_solved]
     return WernerControls(ps[:n_solved], x, res[:n_solved],
-                          discrepancy(receiver_rho(K, x), targets[:n_solved]))
+                          discrepancy(assemble_rho(params, x), targets[:n_solved]))
 
 
 def solve_general(params, target, n_starts=32, seed=0):
@@ -458,11 +461,10 @@ def solve_general(params, target, n_starts=32, seed=0):
     """
     basis = _general_basis(params)
     starts = np.random.default_rng(seed).standard_normal((n_starts, basis.shape[1]))
-    K = receiver_operator(params)
-    Q, c = _quadratic_system(K, basis, target)
+    Q, c = _quadratic_system(receiver_operator(params), basis, target)
     _, (y,) = _multistart(Q, c[None], starts, WERNER_RESIDUAL_TOL)
     x = basis @ (y / np.linalg.norm(y))
-    rho = receiver_rho(K, x)
+    rho = assemble_rho(params, x)
     return InverseSolution(
         x=x,
         residual=float(np.max(np.abs(rho - target))),

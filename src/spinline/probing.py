@@ -3,7 +3,7 @@
 A prescribed family of two-term sender states, :func:`probe_set`, is sent
 through the line; its order is the one probe layout.  A probe's state is a
 plain control vector x (:meth:`ProbeState.controls`), and
-:func:`simulate_probes` contracts all of them at once.  Each probe output
+:func:`simulate_probes` evaluates all of them at once.  Each probe output
 is a (ProbeState, 4x4 receiver matrix) pair, the matrix a plain array
 (JSON: :func:`probe_outputs_to_json`).  The receiver matrices are stacked
 in probe-set order and inverted stage by stage, each stage as array
@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import control_slices, sender_pairs
 from .errors import ConditioningError, ExtractionError, InputError, malformed
-from .receiver import LineParams, receiver_operator, receiver_rho
+from .receiver import LineParams, assemble_rho
 
 PROBE_KINDS = ("single", "single-pair", "pair-pair-real", "pair-pair-imag")
 SPLIT = 1.0 / math.sqrt(2.0)
@@ -100,7 +100,7 @@ def simulate_probes(params):
     sender."""
     probes = probe_set(params.n_sender)
     x = np.array([probe.controls() for probe in probes])
-    return list(zip(probes, receiver_rho(receiver_operator(params), x)))
+    return list(zip(probes, assemble_rho(params, x)))
 
 
 def extract_params(probe_outputs, t0):

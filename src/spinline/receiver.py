@@ -8,10 +8,13 @@ block R of the one-excitation propagator from the sender to the receiver
 (:func:`line_params_at`).  Once they are known, the receiver density
 matrix is a quadratic form in the sender's control vector x = (a0,
 a_single, a_double), a plain complex (..., d) array laid out by
-:func:`~spinline.basis.control_slices`, held as one operator
-(:func:`receiver_operator`) that every receiver matrix is contracted
-from.  A receiver matrix is a plain complex (..., 4, 4) array;
-:func:`check_receiver` checks that one is a density matrix.
+:func:`~spinline.basis.control_slices`.  :func:`assemble_rho` evaluates
+it straight from the constants; the same form held as one operator
+(:func:`receiver_operator`) serves the quadratic equations of the inverse
+solves.  :data:`AMPLITUDES` and :data:`BILINEARS` say, once for both,
+where each kind enters the receiver matrix.  A receiver matrix is a plain
+complex (..., 4, 4) array; :func:`check_receiver` checks that one is a
+density matrix.
 
 A :class:`LineParams` holds its constants as one complex array, its
 ``entries``, in the order of :func:`param_index`: the eight kinds of
@@ -32,8 +35,8 @@ is I or II when the paper's table of that family, in
 Every function here broadcasts over leading axes: a stack of spectra (see
 :func:`~spinline.dynamics.diagonalize`) gives one :class:`LineParams`
 whose entries carry the stack axes in front, and a stack of parameter sets
-gives a stack of receiver operators.  A single chain is the case without
-leading axes.
+gives a stack of receiver matrices or operators.  A single chain is the
+case without leading axes.
 
 Basis order of the receiver matrix: |0>, |N-1>, |N>, |(N-1)N>.
 """
@@ -212,10 +215,20 @@ def line_params_at(spectral, t, n_sender=4):
     terms = G[..., None, :, nodes] * Rcn[..., None, :, :]
     P = terms[..., 0, :] - terms[..., 1, :]
     # (Ra, Rb) = (R1, R1), (R1, R2), (R2, R2) for P_mm, P_mN, P_NN
-    terms = (G[..., None, nodes[:, None, :, None], nodes[None, :, None, :]]
-             * Rn[..., [0, 0, 1], :, None, :, None] * Rcn[..., [0, 1, 1], None, :, None, :])
-    PP = (terms[..., 0, 0, :, :] - terms[..., 0, 1, :, :]
-          - terms[..., 1, 0, :, :] + terms[..., 1, 1, :, :])
+    Ra, Rb = Rn[..., [0, 0, 1], :, :, None], Rcn[..., [0, 1, 1], :, None, :]
+
+    def term(x, y):
+        """G at (nodes[x], nodes[y]) times Ra at nodes[1-x] and conj(Rb) at
+        nodes[1-y]; the four terms are summed one at a time, so a stack's
+        temporaries stay the size of PP."""
+        out = G[..., None, nodes[x][:, None], nodes[y]] * Ra[..., x, :, :]
+        out *= Rb[..., y, :, :]
+        return out
+
+    PP = term(0, 0)
+    PP -= term(0, 1)
+    PP -= term(1, 0)
+    PP += term(1, 1)
     params = LineParams.from_kinds(
         t, p_N=R[..., 1, :],
         p_Nm1=R[..., 0, :],
@@ -253,63 +266,99 @@ def density_deviations(m):
             np.min(np.linalg.eigvalsh(h)) if np.isfinite(h).all() else np.nan)
 
 
+# where each line parameter enters the receiver matrix, over the control
+# parts "single" and "pair" of control_slices.  A bare amplitude (a, kind,
+# part) gives f[a] = kind . x[part], with f[0] = a0, and rho = f f^H; a
+# bilinear (a, b, kind, rows, cols) adds sum_kq P[k, q] x[rows][k]
+# conj(x[cols][q]) to rho[a, b], and for a != b its conjugate to rho[b, a].
+# rho[0, 0] then takes the rest of |x|^2.
+AMPLITUDES = ((1, "p_Nm1", "single"), (2, "p_N", "single"), (3, "p_pair", "pair"))
+BILINEARS = ((0, 1, "P_Nm1", "single", "pair"), (0, 2, "P_N", "single", "pair"),
+             (1, 2, "P_mN", "pair", "pair"), (1, 1, "P_mm", "pair", "pair"),
+             (2, 2, "P_NN", "pair", "pair"))
+
+
+def _parts(n_sender):
+    return dict(zip(("single", "pair"), control_slices(n_sender)))
+
+
 def receiver_operator(params):
     """The receiver operator K: ``rho[a, b] = sum_ij K[a, b, i, j] x_i conj(x_j)``.
 
     x = (a0, a_single, a_double) has the d entries of
-    :func:`~spinline.basis.control_slices` and K has shape (4, 4, d, d).
-    The bare amplitudes enter as outer products and the P bilinears as
-    (single, pair) and (pair, pair) blocks; ``K[b, a]`` is the conjugate
-    transpose of ``K[a, b]``, and ``K[0, 0]`` is the identity minus the
-    other diagonal blocks.  This is the process-tomography picture of the
-    line (Chuang and Nielsen, 1997).
+    :func:`~spinline.basis.control_slices` and K has shape (4, 4, d, d),
+    placed by :data:`AMPLITUDES` and :data:`BILINEARS`: the bare amplitudes
+    enter as outer products and the P bilinears as (single, pair) and
+    (pair, pair) blocks; ``K[b, a]`` is the conjugate transpose of
+    ``K[a, b]``, and ``K[0, 0]`` is the identity minus the other diagonal
+    blocks.  This is the process-tomography picture of the line (Chuang and
+    Nielsen, 1997).  It serves the quadratic forms of the inverse solves;
+    receiver matrices come from :func:`assemble_rho`, which forms no K.
     A stacked ``params`` gives K of shape (..., 4, 4, d, d).
     """
-    one, pair = control_slices(params.n_sender)
-    d = pair.stop
+    parts = _parts(params.n_sender)
+    d = parts["pair"].stop
     # rows: the vacuum amplitude a0 and the amplitudes f_m, f_N, f_q
     V = np.zeros(params.shape + (4, d), complex)
     V[..., 0, 0] = 1.0
-    V[..., 1, one], V[..., 2, one], V[..., 3, pair] = params.p_Nm1, params.p_N, params.p_pair
+    for a, kind, part in AMPLITUDES:
+        V[..., a, parts[part]] = getattr(params, kind)
     K = V[..., :, None, :, None] * V.conj()[..., None, :, None, :]
-    for a, b, rows, P in ((0, 1, one, params.P_Nm1), (0, 2, one, params.P_N),
-                          (1, 2, pair, params.P_mN)):
-        K[..., a, b, rows, pair] += P
-        K[..., b, a, pair, rows] += P.conj().swapaxes(-1, -2)
-    K[..., 1, 1, pair, pair] += params.P_mm
-    K[..., 2, 2, pair, pair] += params.P_NN
+    for a, b, kind, rows, cols in BILINEARS:
+        P = getattr(params, kind)
+        K[..., a, b, parts[rows], parts[cols]] += P
+        if a != b:
+            K[..., b, a, parts[cols], parts[rows]] += P.conj().swapaxes(-1, -2)
     K[..., 0, 0, :, :] = np.eye(d) - K[..., 1, 1, :, :] - K[..., 2, 2, :, :] - K[..., 3, 3, :, :]
     return K
 
 
-def receiver_rho(K, x):
-    """Receiver matrices ``rho[..., a, b]`` of every control vector x (..., d)
-    under every receiver operator K (..., 4, 4, d, d).
-
-    rho has the leading axes of K, then those of x.  One matmul contracts K
-    over (i, j) with the outer products x_i conj(x_j), so no intermediate
-    grows beyond K.
-    """
-    d = K.shape[-1]
-    if x.shape[-1] != d:
-        raise SizeMismatchError(
-            f"{x.shape[-1]} control amplitudes, the receiver operator takes {d}"
-        )
-    xs = x.reshape(-1, d)
-    outer = (xs[:, :, None] * xs.conj()[:, None, :]).reshape(len(xs), d * d)
-    rho = (K.reshape(-1, d * d) @ outer.T).reshape(-1, 4, 4, len(xs))
-    return np.moveaxis(rho, -1, 1).reshape(*K.shape[:-4], *x.shape[:-1], 4, 4)
-
-
 def assemble_rho(params, x):
     """Receiver density matrices (..., 4, 4) of the control vectors x
-    (..., d), a quadratic form in x (:func:`receiver_rho`).
+    (..., d), straight from the entries of ``params``.
 
+    The bare amplitudes f = (a0, p_Nm1 . x_single, p_N . x_single,
+    p_pair . x_pair) give f f^H; each bilinear kind adds its sum over the
+    products x_k conj(x_q) of its parts, and its conjugate to the mirrored
+    entry (:data:`BILINEARS`); rho[0, 0] = |x|^2 - rho[1, 1] - rho[2, 2] -
+    rho[3, 3].  No receiver operator is formed.  rho has the leading axes
+    of ``params``, then those of x.
+
+    Every sum runs along the last axis of a fresh array, and every other
+    operation is elementwise, so the receiver matrix of one chain and one
+    control vector has the same bits alone as in any stack of either.
     Valid for approximate parameter sets too, in which case the result may
     fail to be a physical density matrix; only the exact-chain parameters
     guarantee positivity.
     """
-    return receiver_rho(receiver_operator(params), np.asarray(x, complex))
+    x = np.asarray(x, complex)
+    parts = _parts(params.n_sender)
+    if x.shape[-1] != parts["pair"].stop:
+        raise SizeMismatchError(
+            f"{x.shape[-1]} control amplitudes, a {params.n_sender}-node sender takes "
+            f"{parts['pair'].stop}"
+        )
+    layout = _layout(params.n_sender)
+    # one axis per stack axis of x after those of params
+    entries = params.entries.reshape(params.shape + (1,) * (x.ndim - 1) + (-1,))
+
+    def contract(kind, values):
+        return (entries[..., layout[kind][1]] * values).sum(axis=-1)
+
+    f = np.empty(params.shape + x.shape[:-1] + (4,), complex)
+    f[..., 0] = x[..., 0]
+    for a, kind, part in AMPLITUDES:
+        f[..., a] = contract(kind, x[..., parts[part]])
+    rho = f[..., :, None] * f.conj()[..., None, :]
+    for a, b, kind, rows, cols in BILINEARS:
+        products = x[..., parts[rows], None] * x[..., None, parts[cols]].conj()
+        term = contract(kind, products.reshape(x.shape[:-1] + (-1,)))
+        rho[..., a, b] += term
+        if a != b:
+            rho[..., b, a] += term.conj()
+    rho[..., 0, 0] = ((x * x.conj()).real.sum(axis=-1)
+                      - rho[..., 1, 1] - rho[..., 2, 2] - rho[..., 3, 3])
+    return rho
 
 
 # --- family classification -------------------------------------------------

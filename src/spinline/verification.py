@@ -33,8 +33,6 @@ from .receiver import (
     classify_families,
     entry_families,
     line_params_at,
-    receiver_operator,
-    receiver_rho,
 )
 
 TABLE_TOL = 1e-4
@@ -387,7 +385,7 @@ def check_werner(seed=0):
     ))
     # controls solved on the family-III-zeroed line, sent down the true one
     truncated = solve_werner(zero_family_iii(params), WERNER_P, seed=seed)
-    rho = receiver_rho(receiver_operator(params), truncated.x)
+    rho = assemble_rho(params, truncated.x)
     deltas = dict(zip(truncated.p.tolist(),
                       discrepancy(rho, werner_target(truncated.p)).tolist()))
     unsolved = [p for p in bm.WERNER_TRUNCATED_DISCREPANCY if p not in deltas]

@@ -13,13 +13,7 @@ from spinline.disorder import (
 )
 from spinline.errors import InputError, NumericalError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec
-from spinline.receiver import (
-    KINDS,
-    entry_families,
-    param_index,
-    receiver_operator,
-    receiver_rho,
-)
+from spinline.receiver import KINDS, entry_families, param_index, receiver_operator
 from spinline.verification import sample_chain
 
 
@@ -104,12 +98,31 @@ def test_sample_prefix_is_stable(base20, tuned20_params):
     assert np.array_equal(long.entries[:3], short.entries)
 
 
+def chains_per_block(monkeypatch, n_chains, chain_bytes):
+    """Set the block budget to ``n_chains`` chains of ``chain_bytes`` each."""
+    monkeypatch.setattr(disorder, "BLOCK_BYTES", n_chains * chain_bytes)
+
+
+def count_blocks(monkeypatch):
+    """The stacks that werner_robustness passes to assemble_rho, as a list
+    that fills as it runs."""
+    stacks = []
+
+    def counted(params, x):
+        stacks.append(params.shape)
+        return sl.assemble_rho(params, x)
+
+    monkeypatch.setattr(disorder, "assemble_rho", counted)
+    return stacks
+
+
 @pytest.mark.parametrize("n, n_sender, n_chains", [
-    (7, 3, 5), (7, 5, disorder.CHAIN_BLOCK + 3), (12, 4, 6), (20, 4, 7), (20, 5, 4),
+    (7, 3, 5), (7, 5, 35), (12, 4, 6), (20, 4, 7), (20, 5, 4),
 ])
-def test_stacked_sample_matches_per_chain_oracle(n, n_sender, n_chains):
+def test_stacked_sample_matches_per_chain_oracle(monkeypatch, n, n_sender, n_chains):
     # the oracle diagonalizes and evaluates each chain on its own; the
     # stack must give the same bits, across a block boundary too
+    chains_per_block(monkeypatch, 32, 8 * n**2)
     base = ChainSpec(n_nodes=n, delta1=0.6, delta2=0.85)
     t0, eps, seed = 1.3 * n, 0.05, 11
     stacked = sample_line_params(base, t0, eps, n_chains=n_chains, seed=seed, n_sender=n_sender)
@@ -124,12 +137,12 @@ def test_stacked_sample_matches_per_chain_oracle(n, n_sender, n_chains):
 
 
 def test_sample_does_not_depend_on_chain_block(monkeypatch, base20, tuned20_params):
-    # blocks of 7, one block for the whole sample, and the default blocks
-    # give the same bits
-    t0, n_chains = tuned20_params.t0, disorder.CHAIN_BLOCK + 5
+    # blocks of one chain, of 7, one block for the whole sample, and the
+    # default blocks give the same bits
+    t0, n_chains = tuned20_params.t0, 37
     default = sample(base20, t0, 0.05, n_chains, 3)
-    for block in (7, n_chains, n_chains + 4):
-        monkeypatch.setattr(disorder, "CHAIN_BLOCK", block)
+    for block in (1, 7, n_chains, n_chains + 4):
+        chains_per_block(monkeypatch, block, 8 * 20**2)
         assert np.array_equal(sample(base20, t0, 0.05, n_chains, 3).entries, default.entries)
 
 
@@ -143,21 +156,39 @@ def test_values_follow_param_index(tuned20_params):
 
 def test_stacked_robustness_matches_per_chain_oracle(monkeypatch, base20, tuned20_params,
                                                      controls):
-    monkeypatch.setattr(disorder, "CHAIN_BLOCK", 4)  # three blocks for ten chains
     chains = sample(base20, tuned20_params.t0, 0.05, 10, 6)
     p, x = controls
+    chains_per_block(monkeypatch, 4, 16 * p.size * len(chains.pairs) ** 2)
+    stacks = count_blocks(monkeypatch)
     targets = np.array([sl.werner_target(q) for q in p])
+    # the oracle contracts each chain's receiver operator with x x^H
     deltas = np.array([
-        sl.discrepancy(receiver_rho(receiver_operator(chains[i]), x), targets)
+        sl.discrepancy(np.einsum("abij,ci,cj->cab", receiver_operator(chains[i]), x, x.conj()),
+                       targets)
         for i in range(10)
     ])
     robustness = werner_robustness(chains, p, x)
+    assert stacks == [(4,), (4,), (2,)]
     assert robustness.p.tolist() == p.tolist()
     std = (deltas - deltas[0]).std(axis=0, ddof=1)
     for j in range(len(p)):
         assert robustness.mean[j] == pytest.approx(deltas[:, j].mean(), rel=0, abs=1e-14)
         assert robustness.std[j] == pytest.approx(std[j], rel=0, abs=1e-14)
         assert robustness.sem[j] == pytest.approx(std[j] / np.sqrt(10), rel=0, abs=1e-14)
+
+
+def test_robustness_does_not_depend_on_the_block_budget(monkeypatch, base20, tuned20_params,
+                                                       controls):
+    # one chain per block gives the bits of the default blocks
+    chains = sample(base20, tuned20_params.t0, 0.05, 40, 6)
+    stacks = count_blocks(monkeypatch)
+    default = werner_robustness(chains, *controls)
+    assert stacks == [(40,)]
+    monkeypatch.setattr(disorder, "BLOCK_BYTES", 1)
+    one_by_one = werner_robustness(chains, *controls)
+    assert stacks[1:] == [(1,)] * 40
+    for got, want in zip(one_by_one, default):
+        assert np.array_equal(got, want)
 
 
 def test_robustness_follows_the_order_of_controls(base20, tuned20_params, controls):
@@ -190,7 +221,7 @@ def test_stack_failure_names_the_chain(monkeypatch, base20):
             s[1, 0] += 1e-6  # chain 1 of the second block
         return u, s, wt
 
-    monkeypatch.setattr(disorder, "CHAIN_BLOCK", 2)
+    chains_per_block(monkeypatch, 2, 8 * 20**2)
     monkeypatch.setattr(np.linalg, "svd", faulty)
     with pytest.raises(NumericalError, match="^chain 3: eigendecomposition reconstruction") \
             as err:

@@ -1,17 +1,24 @@
-"""Library input checks raise the typed InputError.
+"""Library input checks raise the typed InputError or SizeMismatchError.
 
-InputError is a ValueError, so callers that catch ValueError keep working;
-the CLI maps it to exit code 2.
+Both are ValueErrors, so callers that catch ValueError keep working; the
+CLI maps them to exit code 2.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
 import spinline as sl
 from spinline.disorder import MAX_CHAINS
-from spinline.errors import InputError, NumericalError, check_tolerance, malformed
+from spinline.errors import (
+    InputError,
+    NumericalError,
+    SizeMismatchError,
+    check_tolerance,
+    malformed,
+)
 from spinline.hamiltonian import ChainSpec
 from spinline.probing import ProbeState
 
@@ -41,6 +48,29 @@ CASES = {
 def test_library_input_checks_raise_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+# samples of the tuned n = 20 line that are no stack of at least 2 chains
+SAMPLES = {
+    "single set": lambda params: params,
+    "one-chain stack": lambda params: params[None],
+    "stack of two axes": lambda params: params[None][[[0, 0], [0, 0]]],
+}
+
+
+@pytest.mark.parametrize("reduce", ["param_statistics", "werner_robustness"])
+@pytest.mark.parametrize("make", SAMPLES.values(), ids=SAMPLES.keys())
+def test_disorder_reductions_refuse_a_sample_of_fewer_than_two_chains(tuned20_params, make,
+                                                                      reduce):
+    # these ended in an IndexError, a TypeError, or NaN with two warnings
+    sample = make(tuned20_params)
+    x = sl.solve_werner(tuned20_params, 0.4).x
+    calls = {"param_statistics": lambda: sl.param_statistics(tuned20_params, sample),
+             "werner_robustness": lambda: sl.werner_robustness(sample, [0.4], x)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((InputError, SizeMismatchError), match="chains"):
+            calls[reduce]()
 
 
 @pytest.mark.parametrize("dev, chain", [(np.nan, None), (np.array([0.0, np.nan, 1.0]), 1),

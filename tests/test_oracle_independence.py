@@ -17,7 +17,7 @@ import spinline
 
 PACKAGE = Path(spinline.__file__).parent
 ORACLES = ("propagators", "partial_trace_oracle", "full_space_receiver")
-SHORTCUTS = {"line_params_at", "receiver_operator", "receiver_rho", "assemble_rho"}
+SHORTCUTS = {"line_params_at", "receiver_operator", "assemble_rho"}
 ORACLE_ONLY = {"propagators", "partial_trace_oracle", "pair_minors"}
 LIBRARY = sorted(path for path in PACKAGE.glob("*.py") if path.name != "verification.py")
 

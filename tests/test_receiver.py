@@ -20,6 +20,7 @@ from spinline.receiver import (
     export_params_csv,
     import_params_csv,
     param_index,
+    receiver_operator,
     write_table,
 )
 from spinline.verification import FULL_SPACE_TOL, full_space_receiver, partial_trace_oracle
@@ -208,6 +209,49 @@ def test_stacked_controls_match_each_vector(tuned20_params, rng):
     for idx in np.ndindex(2, 3):
         np.testing.assert_allclose(rho[idx], sl.assemble_rho(tuned20_params, xs[idx]),
                                    rtol=0, atol=1e-14)
+
+
+def _operator_oracle(params, x):
+    """rho = sum_ij K[a, b, i, j] x_i conj(x_j) by einsum, in extended
+    precision, so that at five sender nodes the oracle's own rounding over
+    d^2 = 256 terms stays far below the tolerance."""
+    K = receiver_operator(params).astype(np.clongdouble)
+    xs = np.asarray(x, np.clongdouble).reshape(-1, K.shape[-1])
+    rho = np.einsum("sabij,ci,cj->scab", K.reshape(-1, *K.shape[-4:]), xs, xs.conj())
+    return rho.astype(complex).reshape(params.shape + np.shape(x)[:-1] + (4, 4))
+
+
+@pytest.mark.parametrize("n_sender", [2, 3, 4, 5])
+def test_receiver_matrices_match_the_receiver_operator(n_sender):
+    # no library path contracts K any more; the oracle contracts it with
+    # x x^H, for stacked and single params and controls
+    stacked, singles = _chains(n_sender)
+    rng = np.random.default_rng(n_sender)
+    xs = np.array([random_controls(rng, n_sender) for _ in range(5)])
+    np.testing.assert_allclose(sl.assemble_rho(stacked, xs), _operator_oracle(stacked, xs),
+                               rtol=0, atol=1e-15)
+    for params, x in zip(singles, xs):
+        np.testing.assert_allclose(sl.assemble_rho(params, x), _operator_oracle(params, x),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sl.assemble_rho(params, xs), _operator_oracle(params, xs),
+                                   rtol=0, atol=1e-15)
+
+
+def test_receiver_matrices_do_not_depend_on_the_stack(tuned20_params):
+    # chain i alone, in a stack of 2 and in one of 33, and each control
+    # alone and among nine, give the same bits
+    chains = sl.sample_line_params(sl.ChainSpec(20, 0.55, 0.817), tuned20_params.t0, 0.05,
+                                   n_chains=33, seed=2)
+    xs = np.array([random_controls(np.random.default_rng(c)) for c in range(9)])
+    full = sl.assemble_rho(chains, xs)
+    assert full.shape == (33, 9, 4, 4)
+    for i in range(33):
+        pair = sl.assemble_rho(chains[i:i + 2] if i < 32 else chains[i - 1:], xs)
+        alone = sl.assemble_rho(chains[i], xs)
+        assert np.array_equal(pair[0 if i < 32 else 1], full[i]), i
+        assert np.array_equal(alone, full[i]), i
+        for c in range(9):
+            assert np.array_equal(sl.assemble_rho(chains[i], xs[c]), full[i, c]), (i, c)
 
 
 @pytest.mark.parametrize("d", [10, 16], ids=["fits-no-sender", "five-nodes-on-six"])
