@@ -7,10 +7,12 @@ state is read out.
 
 :func:`optimize_boundary` scores every point of the :func:`lattice` of step
 ``grid_step`` (0.05 by default) inside the search box, as stacked chains
-through :func:`diagonalize`, and refines the best one by trust-region Newton,
-which resolves the optimum far below the lattice step from any point in its
-basin.  The default box holds 625 points at the default step; a finer step
-costs time in proportion to its points, up to ``MAX_POINTS`` (10^6).
+through :func:`diagonalize` in blocks sized by memory
+(:func:`~spinline.dynamics.chain_blocks`, whose budget the disorder sampler
+shares), and refines the best one by trust-region Newton, which resolves
+the optimum far below the lattice step from any point in its basin.  The
+default box holds 625 points at the default step; a finer step costs time
+in proportion to its points, up to ``MAX_POINTS`` (10^6).
 
 The refinement works on the first-maximum amplitude A(delta1, delta2) =
 |p_{N;1}(t0)|, the envelope of |p_{N;1}(t)| over t.  Its gradient and its
@@ -50,8 +52,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import diagonalize
-from .errors import ChainLengthError, InputError, NoArrivalError, NumericalError, check_tolerance
+from .dynamics import SOLVE_BYTES, chain_blocks, diagonalize
+from .errors import (ChainLengthError, InputError, NoArrivalError, NumericalError, check_single,
+                     check_tolerance)
 from .hamiltonian import MIN_PROFILE_NODES, ChainSpec, check_chain_length
 
 # detection floor rejecting the tiny ripples that precede the main arrival
@@ -63,7 +66,6 @@ PAIRING_TOL = 1e-10
 _BLOCK = 128  # candidate time steps per scan block
 MAX_STEPS = 10**6  # largest time grid a scan allocates
 MAX_POINTS = 10**6  # largest stepped scan, and largest boundary search box
-_POINT_BLOCK = 64  # chains per stacked solve and arrival scan of the grid search
 _NEWTON_ITERATIONS = 100  # bound on the Newton-bisection steps of a peak time
 _STEP_TOL = 1e-8  # trust-region step at which the refinement stops
 _REFINE_STEPS = 100  # bound on the accepted steps of one refinement
@@ -158,12 +160,15 @@ def first_maximum(spectral, t_max=None):
 
     Raises
     ------
+    SizeMismatchError
+        If ``spectral`` is a stack of chains.
     InputError
         Unless t_max > ``DEFAULT_DT``, or if the window holds more than
         ``MAX_STEPS`` (10^6) grid steps.
     NoArrivalError
         If no local maximum above the floor occurs in the window.
     """
+    check_single(spectral.evals1.shape[:-1], "a first maximum is of one chain")
     n = spectral.evals1.shape[0]
     if t_max is None:
         t_max = default_t_max(n)
@@ -195,13 +200,14 @@ def _score_points(n_nodes, delta1, delta2, ts):
     """Grid first-maximum amplitudes of the chains with boundary pairs (delta1, delta2).
 
     One stacked :class:`ChainSpec`, :func:`diagonalize` and arrival scan per
-    block of ``_POINT_BLOCK`` chains, so memory stays bounded however many
-    points are scored; a chain's amplitude does not depend on its block.  Grid
-    peaks underestimate the true maxima, which is fine for ranking candidates.
+    block of :func:`~spinline.dynamics.chain_blocks`, a chain counting its
+    solve and its arrival table of N x (``_BLOCK`` + 2) floats, so memory
+    stays bounded however many points are scored and however long the chain;
+    a chain's amplitude does not depend on its block.  Grid peaks
+    underestimate the true maxima, which is fine for ranking candidates.
     """
     amplitude = np.zeros(delta1.size)
-    for lo in range(0, delta1.size, _POINT_BLOCK):
-        block = slice(lo, lo + _POINT_BLOCK)
+    for block in chain_blocks(delta1.size, (SOLVE_BYTES * n_nodes + 8 * (_BLOCK + 2)) * n_nodes):
         spectral = diagonalize(ChainSpec(n_nodes, delta1[block], delta2[block]))
         lam, V = spectral.evals1, spectral.evecs1
         amplitude[block], _ = _first_arrival(lam, V[:, -1] * V[:, 0], ts, AMPLITUDE_FLOOR)

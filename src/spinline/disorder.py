@@ -11,10 +11,11 @@ returns the whole sample as one stacked LineParams: the chains are
 processed in blocks, each block one stacked SVD, one stacked receiver
 block R and one stacked parameter evaluation; the blocks join by
 concatenating their ``entries``.  A block holds as many chains as fit
-``BLOCK_BYTES`` (:func:`_blocks`), so memory stays flat in the number of
-chains and a long chain gets a block of its own.  The statistics are
-reductions over that stack, and each is an array; a sample that is not
-one stack of at least 2 chains is refused before any work.
+:data:`~spinline.dynamics.BLOCK_BYTES`, the budget the boundary grid search
+shares (:func:`~spinline.dynamics.chain_blocks`), so memory stays flat in
+the number of chains and a long chain gets a block of its own.  The
+statistics are reductions over that stack, and each is an array; a sample
+that is not one stack of at least 2 chains is refused before any work.
 :func:`param_statistics` reduces the (n_chains, n_entries) ``entries``
 to a :class:`DisorderStudy` whose
 ``mean``, ``std`` and ``shift`` hold one value per entry, in the order of
@@ -37,30 +38,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import diagonalize
+from .dynamics import SOLVE_BYTES, chain_blocks, diagonalize
 from .errors import InputError, NumericalError, SizeMismatchError
 from .hamiltonian import apply_disorder
 from .inverse import discrepancy, werner_target
-from .receiver import LineParams, assemble_rho, line_params_at, table_labels, write_table
+from .receiver import (LineParams, assemble_rho, check_sender, line_params_at, table_labels,
+                       write_table)
 
 DEFAULT_N_CHAINS = 100
 # 1000x the default; the stacked entries of this many chains take ~0.3 GB at
 # a 4-node sender, and the bound is checked before any chain is drawn
 MAX_CHAINS = 10**5
-# bytes of one block's largest stack: the N x N eigenvectors of the
-# sampler's chains (8 N^2 bytes a chain), or in werner_robustness the
-# products of each control with the largest kind, P_mm (16 n_pairs^2 bytes
-# a chain and control).  1 MiB gives a 100-chain n = 20 sample and its nine
-# Werner controls one block each, n = 60 blocks of 36 chains, and every
-# chain longer than 256 nodes a block of its own
-BLOCK_BYTES = 2**20
-
-
-def _blocks(n_chains, chain_bytes):
-    """Consecutive slices over ``n_chains`` chains, each of as many chains
-    as fit ``BLOCK_BYTES`` at ``chain_bytes`` a chain, and at least one."""
-    size = max(1, BLOCK_BYTES // chain_bytes)
-    return [slice(start, min(start + size, n_chains)) for start in range(0, n_chains, size)]
 
 
 def _check_sample(sample):
@@ -80,15 +68,18 @@ def sample_line_params(base, t0, epsilon, n_chains=DEFAULT_N_CHAINS, seed=0, n_s
     block by block in chain order.  So a chain's parameters depend neither
     on how many chains the sample holds nor on the block it is computed in.
     A failed numerical check names the chain.  Raises InputError for fewer
-    than 2 or more than ``MAX_CHAINS`` (10^5) chains, before any draw.
+    than 2 or more than ``MAX_CHAINS`` (10^5) chains, and the error of
+    :func:`~spinline.receiver.check_sender` for a sender that does not fit
+    the chain, before any draw.
     """
     if n_chains < 2:
         raise InputError(f"need at least 2 chains, got {n_chains}")
     if n_chains > MAX_CHAINS:
         raise InputError(f"at most {MAX_CHAINS} chains, got {n_chains}")
+    check_sender(n_sender, base.n_nodes)
     rng = np.random.default_rng(seed)
     blocks = []
-    for block in _blocks(n_chains, 8 * base.n_nodes**2):
+    for block in chain_blocks(n_chains, SOLVE_BYTES * base.n_nodes**2):
         deltas = rng.uniform(-1.0, 1.0, (block.stop - block.start, base.bulk.shape[-1]))
         try:
             blocks.append(line_params_at(diagonalize(apply_disorder(base, epsilon, deltas)),
@@ -169,7 +160,7 @@ def werner_robustness(sample, p, x):
     n_chains = sample.shape[0]
     deltas = np.concatenate([
         discrepancy(assemble_rho(sample[block], x), targets)
-        for block in _blocks(n_chains, 16 * p.size * len(sample.pairs) ** 2)
+        for block in chain_blocks(n_chains, 16 * p.size * len(sample.pairs) ** 2)
     ])
     # centred on the first chain, so identical chains give exactly zero spread
     std = (deltas - deltas[0]).std(axis=0, ddof=1)

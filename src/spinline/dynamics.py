@@ -36,6 +36,19 @@ from .hamiltonian import sublattice_block
 
 RECONSTRUCTION_TOL = 1e-10
 _HALF_ROOT = math.sqrt(0.5)
+# bytes of one block's stacks, for every solve over a stack of chains: a
+# diagonalized chain of N nodes counts its eigenvectors, SOLVE_BYTES N^2, and
+# each caller adds its own stacks.  A block of the default n = 20 grid search
+# holds 66 points, of n = 200 three, and a 100-chain n = 20 sample is one
+BLOCK_BYTES = 1_600_000
+SOLVE_BYTES = 8
+
+
+def chain_blocks(n_chains, chain_bytes):
+    """Consecutive slices over ``n_chains`` chains, each of as many chains
+    as fit ``BLOCK_BYTES`` at ``chain_bytes`` a chain, and at least one."""
+    size = max(1, BLOCK_BYTES // chain_bytes)
+    return [slice(start, min(start + size, n_chains)) for start in range(0, n_chains, size)]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Exception types raised by the spinline package, and the failure policies
 they share: each :class:`SpinlineError` class carries the ``exit_code`` and
 stderr ``label`` the command line reports it with, :func:`check_tolerance`
-is the one tolerance gate (NaN fails it) and :func:`malformed` the one
+is the one tolerance gate (NaN fails it), :func:`check_single` the one
+refusal of a stack where one set is meant, and :func:`malformed` the one
 wrapper of a parse failure."""
 
 import contextlib
@@ -27,7 +28,15 @@ class SizeMismatchError(SpinlineError, ValueError):
 
 class InputError(SpinlineError, ValueError):
     """Malformed user input that cannot be used as given: a scan grid, a
-    search box, a parameter table, a target state or a sender size."""
+    search box, a parameter table, a target state, a sender size or a count
+    of solver starts."""
+
+
+def check_single(stack, what):
+    """Raise SizeMismatchError ``"<what>, not a stack of <stack>"`` unless the
+    stack axes ``stack`` of a chain, spectrum or parameter set are empty."""
+    if stack:
+        raise SizeMismatchError(f"{what}, not a stack of {stack}")
 
 
 @contextlib.contextmanager

@@ -20,8 +20,10 @@ from .errors import ChainLengthError, InputError, SizeMismatchError, malformed
 
 MIN_PROFILE_NODES = 7  # below this the [d1, d2, bulk.., d2, d1] layout overlaps
 # above every chain the tests and benchmarks use (N <= 60) or the roadmap
-# measures (N <= 500); a 32-chain block's eigenvectors take 256 MB at this
-# size, and the bound is checked before any coupling array is allocated
+# measures (N <= 500); one chain's eigenvectors take 8 MB at this size,
+# every stacked solve holds one chain a block there
+# (:func:`~spinline.dynamics.chain_blocks`), and the bound is checked before
+# any coupling array is allocated
 MAX_NODES = 1000
 
 

@@ -13,7 +13,11 @@ of starts in numpy (:func:`_levenberg_marquardt`): solutions are
 particular, not unique, and reproducibility of our chosen solution is what
 matters.
 The solver takes the same steps in any process, so a seeded solve gives
-the same bits wherever it runs.
+the same bits wherever it runs.  A Werner start, on six forms, also takes
+the same steps alone as in any stack of starts (:func:`_rows`); a start of
+:func:`solve_general`, on 21 forms for a four-node sender, need not once 16
+or more starts are live, as BLAS then rounds some rows of the stacked
+product apart from the same row alone.
 
 :func:`solve_werner` is the one Werner solve: the equations of different p
 share their forms and differ only in their values, so it solves one p or a
@@ -44,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import control_slices
-from .errors import InfeasibleTargetError, InputError
+from .errors import InfeasibleTargetError, InputError, check_single
 from .receiver import assemble_rho, density_deviations, entry_families, receiver_operator
 
 WERNER_RESIDUAL_TOL = 1e-10
@@ -133,7 +137,10 @@ def _rows(a, B):
 
     A one-row stack is evaluated twice over and keeps one row: numpy sends
     a one-row product to BLAS gemv, which rounds apart from the gemm of a
-    larger stack, and a start must give the same bits alone as in a stack.
+    larger stack.  So a start gives the same bits alone as in a stack where
+    B has the Werner system's six columns.  With the 21 columns of a general
+    solve that does not hold: OpenBLAS dgemm rounds some rows of a stack of
+    16 or more apart from the same row alone.
     """
     return (np.vstack((a, a)) @ B)[:1] if len(a) == 1 else a @ B
 
@@ -264,7 +271,9 @@ def _levenberg_marquardt(Q, c, y, problem, residual_tol):
     Start k solves ``y^T Q[i] y = c[k, i]``: the starts share the forms Q
     and each has its own row of values in c (S, m).  ``problem`` (S,) names
     the problem of each start; starts of one problem share their values.
-    All starts advance together as one stack.  Each step follows More's
+    All starts advance together as one stack, and a start of the six-form
+    Werner system takes the same steps as it would alone; one of a larger
+    system need not (:func:`_rows`).  Each step follows More's
     Levenberg-Marquardt: variables scaled by D, the running maximum of the
     Jacobian's column norms, and a trust radius that grows or shrinks with
     the ratio of actual to predicted reduction.  The actual reduction is
@@ -402,6 +411,14 @@ def _multistart(Q, c, starts, residual_tol):
 WERNER_P = tuple(round(0.1 * k, 1) for k in range(9))  # the paper's imperfection study
 
 
+def _check_solve(params, n_starts):
+    """Raise SizeMismatchError for a stack of parameter sets and InputError
+    for fewer than one start: a solve takes one set and runs at least one."""
+    check_single(params.shape, "a solve takes one parameter set")
+    if n_starts < 1:
+        raise InputError(f"need at least 1 start, got {n_starts}")
+
+
 def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TOL):
     """Real pair-amplitude controls creating the Werner state of each p in
     ``p`` (one p or a 1-D sequence), as :class:`WernerControls` arrays over
@@ -423,13 +440,16 @@ def solve_werner(params, p, n_starts=64, seed=0, residual_tol=WERNER_RESIDUAL_TO
 
     Raises
     ------
+    SizeMismatchError
+        If ``params`` is a stack of sets, before any work.
     InputError
-        If a p lies outside [0, 1] (from :func:`werner_target`), or ``p`` is
-        empty or has more than one axis.
+        If a p lies outside [0, 1] (from :func:`werner_target`), ``p`` is
+        empty or has more than one axis, or ``n_starts`` is below 1.
     InfeasibleTargetError
         If no start of the first p reaches ``residual_tol`` (expected beyond
         the feasibility boundary); it carries the best pair amplitudes found.
     """
+    _check_solve(params, n_starts)
     ps = np.array(p, float, ndmin=1)
     if ps.ndim != 1 or not ps.size:
         raise InputError(f"werner p must be one p or a 1-D sequence, got shape {ps.shape}")
@@ -457,8 +477,10 @@ def solve_general(params, target, n_starts=32, seed=0):
     and the norm in the 2d - 1 real controls (a0 real; 21 for a four-node
     sender) from seeded random starts.  Always returns the best solution
     found, normalized, with its honest residual; no feasibility claim is
-    made.
+    made.  A stack of sets raises SizeMismatchError and ``n_starts`` below 1
+    InputError, before any work.
     """
+    _check_solve(params, n_starts)
     basis = _general_basis(params)
     starts = np.random.default_rng(seed).standard_normal((n_starts, basis.shape[1]))
     Q, c = _quadratic_system(receiver_operator(params), basis, target)
@@ -586,10 +608,13 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0, refine_tol=5e-4):
 
     Raises
     ------
+    SizeMismatchError
+        If ``params`` is a stack of sets.
     InputError
         If the grid has fewer than two points, is not strictly increasing or
-        leaves [0, 1].
+        leaves [0, 1], or ``n_starts`` is below 1.
     """
+    _check_solve(params, n_starts)
     p_grid = np.asarray(p_grid, float)
     if p_grid.ndim != 1 or p_grid.size < 2:
         raise InputError(f"p_grid needs at least two points, got {p_grid.size}")

@@ -53,7 +53,7 @@ import numpy as np
 from . import benchmarks as bm
 from .basis import control_slices, sender_pairs
 from .dynamics import one_excitation_columns
-from .errors import InputError, SizeMismatchError, check_tolerance, malformed
+from .errors import InputError, SizeMismatchError, check_single, check_tolerance, malformed
 
 SYMMETRY_TOL = 1e-12
 RECEIVER_TOL = 1e-10  # Hermiticity and trace of a receiver matrix
@@ -176,6 +176,17 @@ class LineParams:
         return self.entries.shape[-1]
 
 
+def check_sender(n_sender, n_nodes):
+    """Raise InputError for a sender of fewer than 2 nodes, and
+    SizeMismatchError for one that overlaps the receiver of an
+    ``n_nodes``-node chain."""
+    if n_sender < 2:
+        raise InputError(f"a sender needs at least 2 nodes, got {n_sender}")
+    if n_sender > n_nodes - 2:
+        raise SizeMismatchError(
+            f"sender of {n_sender} nodes overlaps the receiver on an {n_nodes}-node chain")
+
+
 def line_params_at(spectral, t, n_sender=4):
     """Evaluate the full parameter set at time t from the receiver block R.
 
@@ -198,13 +209,11 @@ def line_params_at(spectral, t, n_sender=4):
 
     A stacked ``spectral`` gives a stacked LineParams; the Hermitian check
     of ``P_mm`` and ``P_NN`` applies to every chain and names the first
-    that fails.
+    that fails.  A sender that :func:`check_sender` refuses raises before
+    any work.
     """
     n = spectral.evals1.shape[-1]
-    if n_sender > n - 2:
-        raise SizeMismatchError(
-            f"sender of {n_sender} nodes overlaps the receiver on an {n}-node chain"
-        )
+    check_sender(n_sender, n)
     R = one_excitation_columns(spectral, t, n_sender, slice(-2, None))
     G = np.eye(n_sender) - R.swapaxes(-1, -2) @ R.conj()
     # nodes[x, s] is node x of sender pair s = (n, m); the antisymmetrised
@@ -388,8 +397,7 @@ def classify_families(params):
     """The {family: (min, max)} magnitude window of each family's entries;
     the family of each entry is :func:`entry_families`.  A stack of sets
     raises SizeMismatchError."""
-    if params.shape:
-        raise SizeMismatchError(f"family windows are of one set, not a stack of {params.shape}")
+    check_single(params.shape, "family windows are of one set")
     families = entry_families(params.n_sender)
     mags = np.abs(params.entries)
     return {fam: (float(m.min()), float(m.max()))
@@ -431,8 +439,7 @@ def export_params_csv(params, path, header_lines=()):
     """Write the (kind, indices, re, im, family) rows after a last ``# t0`` comment line.
 
     A stack of sets raises SizeMismatchError before the file is opened."""
-    if params.shape:
-        raise SizeMismatchError(f"a parameter table holds one set, not a stack of {params.shape}")
+    check_single(params.shape, "a parameter table holds one set")
     kinds, indices, families = table_labels(params.n_sender)
     write_table(path, [*header_lines, f"t0: {params.t0!r}"],
                 ["kind", "indices", "re", "im", "family"],

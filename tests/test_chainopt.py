@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.linalg import expm
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline import chainopt
+from spinline import chainopt, dynamics
 from spinline.chainopt import (
     AMPLITUDE_FLOOR,
     DEFAULT_DT,
@@ -278,13 +279,28 @@ def test_coarse_grid_matches_single_chains():
         assert grid_amp == amp[0] > 0.2
 
 
+def count_point_blocks(monkeypatch):
+    """The stacks that _score_points diagonalizes, as a list that fills as it runs."""
+    real, stacks = chainopt.diagonalize, []
+
+    def counted(spec):
+        stacks.append(np.size(spec.delta1))
+        return real(spec)
+
+    monkeypatch.setattr(chainopt, "diagonalize", counted)
+    return stacks
+
+
 def test_point_scoring_does_not_depend_on_the_block(monkeypatch):
     rng = np.random.default_rng(3)
     d1, d2 = rng.uniform(0.05, 1.25, (2, 40))
     ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
     whole = _score_points(20, d1, d2, ts)
-    monkeypatch.setattr(chainopt, "_POINT_BLOCK", 7)
+    chain_bytes = (dynamics.SOLVE_BYTES * 20 + 8 * (chainopt._BLOCK + 2)) * 20
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 7 * chain_bytes)
+    stacks = count_point_blocks(monkeypatch)
     assert np.array_equal(_score_points(20, d1, d2, ts), whole)
+    assert stacks == [7] * 5 + [5]
 
 
 def test_point_scoring_one_chain_per_block(monkeypatch):
@@ -292,8 +308,26 @@ def test_point_scoring_one_chain_per_block(monkeypatch):
     d1, d2 = rng.uniform(0.05, 1.25, (2, 9))
     ts = np.arange(0.0, 60.0 + DEFAULT_DT, DEFAULT_DT)
     whole = _score_points(20, d1, d2, ts)
-    monkeypatch.setattr(chainopt, "_POINT_BLOCK", 1)
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 1)
+    stacks = count_point_blocks(monkeypatch)
     assert np.array_equal(_score_points(20, d1, d2, ts), whole)
+    assert stacks == [1] * 9
+
+
+def test_point_scoring_memory_stays_near_one_chain():
+    # blocks are sized by memory, so a long chain is scored alone (one
+    # chain's solve, and the last block's eigenvectors until it is replaced);
+    # eight points in one block would hold eight chains' eigenvectors and more
+    n, n_points = 400, 8
+    d1, d2 = np.linspace(0.3, 0.9, n_points), np.full(n_points, 0.8)
+    ts = np.arange(0.0, chainopt.default_t_max(n) + DEFAULT_DT, DEFAULT_DT)
+    tracemalloc.start()
+    try:
+        _score_points(n, d1, d2, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * n**2  # five chains' N x N eigenvectors
 
 
 def full_scan(n_nodes, d1s, d2s, ts, floor):

@@ -3,7 +3,7 @@ import pytest
 
 import spinline as sl
 from spinline import benchmarks as bm
-from spinline import disorder
+from spinline import disorder, dynamics
 from spinline.disorder import (
     export_param_stats_csv,
     export_robustness_csv,
@@ -99,8 +99,8 @@ def test_sample_prefix_is_stable(base20, tuned20_params):
 
 
 def chains_per_block(monkeypatch, n_chains, chain_bytes):
-    """Set the block budget to ``n_chains`` chains of ``chain_bytes`` each."""
-    monkeypatch.setattr(disorder, "BLOCK_BYTES", n_chains * chain_bytes)
+    """Set the shared block budget to ``n_chains`` chains of ``chain_bytes`` each."""
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", n_chains * chain_bytes)
 
 
 def count_blocks(monkeypatch):
@@ -122,7 +122,7 @@ def count_blocks(monkeypatch):
 def test_stacked_sample_matches_per_chain_oracle(monkeypatch, n, n_sender, n_chains):
     # the oracle diagonalizes and evaluates each chain on its own; the
     # stack must give the same bits, across a block boundary too
-    chains_per_block(monkeypatch, 32, 8 * n**2)
+    chains_per_block(monkeypatch, 32, dynamics.SOLVE_BYTES * n**2)
     base = ChainSpec(n_nodes=n, delta1=0.6, delta2=0.85)
     t0, eps, seed = 1.3 * n, 0.05, 11
     stacked = sample_line_params(base, t0, eps, n_chains=n_chains, seed=seed, n_sender=n_sender)
@@ -142,7 +142,7 @@ def test_sample_does_not_depend_on_chain_block(monkeypatch, base20, tuned20_para
     t0, n_chains = tuned20_params.t0, 37
     default = sample(base20, t0, 0.05, n_chains, 3)
     for block in (1, 7, n_chains, n_chains + 4):
-        chains_per_block(monkeypatch, block, 8 * 20**2)
+        chains_per_block(monkeypatch, block, dynamics.SOLVE_BYTES * 20**2)
         assert np.array_equal(sample(base20, t0, 0.05, n_chains, 3).entries, default.entries)
 
 
@@ -184,7 +184,7 @@ def test_robustness_does_not_depend_on_the_block_budget(monkeypatch, base20, tun
     stacks = count_blocks(monkeypatch)
     default = werner_robustness(chains, *controls)
     assert stacks == [(40,)]
-    monkeypatch.setattr(disorder, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 1)
     one_by_one = werner_robustness(chains, *controls)
     assert stacks[1:] == [(1,)] * 40
     for got, want in zip(one_by_one, default):
@@ -221,7 +221,7 @@ def test_stack_failure_names_the_chain(monkeypatch, base20):
             s[1, 0] += 1e-6  # chain 1 of the second block
         return u, s, wt
 
-    chains_per_block(monkeypatch, 2, 8 * 20**2)
+    chains_per_block(monkeypatch, 2, dynamics.SOLVE_BYTES * 20**2)
     monkeypatch.setattr(np.linalg, "svd", faulty)
     with pytest.raises(NumericalError, match="^chain 3: eigendecomposition reconstruction") \
             as err:

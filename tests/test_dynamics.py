@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 import spinline as sl
 from spinline import benchmarks as bm
+from spinline import chainopt, disorder, dynamics
 from spinline.basis import control_slices, random_controls, sender_pairs
 from spinline.dynamics import one_excitation_columns
 from spinline.errors import NumericalError
@@ -89,6 +90,58 @@ def test_stacked_solve_equals_each_chain(n):
         alone = sl.diagonalize(ChainSpec(n, 0.55, 0.817, bulk))
         assert np.array_equal(spectral.evals1[j], alone.evals1)
         assert np.array_equal(spectral.evecs1[j], alone.evecs1)
+
+
+def tuned20_base():
+    ref = bm.TUNED_CHAINS[20]
+    return ChainSpec(20, ref["delta1"], ref["delta2"])
+
+
+def score_points(params):
+    d1, d2 = np.random.default_rng(3).uniform(0.05, 1.25, (2, 40))
+    ts = np.arange(0.0, 60.0 + chainopt.DEFAULT_DT, chainopt.DEFAULT_DT)
+    return [chainopt._score_points(20, d1, d2, ts)]
+
+
+def sample(params):
+    return [disorder.sample_line_params(tuned20_base(), params.t0, 0.05, n_chains=37,
+                                        seed=3).entries]
+
+
+def robustness(params):
+    chains = disorder.sample_line_params(tuned20_base(), params.t0, 0.05, n_chains=12, seed=6)
+    controls = sl.solve_werner(params, [0.0, 0.4, 0.8])
+    return list(disorder.werner_robustness(chains, controls.p, controls.x))
+
+
+# each caller of dynamics.chain_blocks: (module, the stacked solve it runs
+# once a block, chains it scores, run)
+BLOCKED = {
+    "grid": (chainopt, "diagonalize", 40, score_points),
+    "sampler": (disorder, "diagonalize", 37, sample),
+    "robustness": (disorder, "assemble_rho", 12, robustness),
+}
+
+
+@pytest.mark.parametrize("caller", BLOCKED)
+def test_blocked_results_do_not_depend_on_the_block(monkeypatch, tuned20_params, caller):
+    # the default budget holds every chain in one block, a budget of one
+    # byte one chain a block; both give the same bits
+    module, name, n_chains, run = BLOCKED[caller]
+    solve, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    default = run(tuned20_params)
+    monkeypatch.setattr(module, name, counted)
+    assert [a.tobytes() for a in run(tuned20_params)] == [a.tobytes() for a in default]
+    assert len(calls) == 1
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 1)
+    one_by_one = run(tuned20_params)
+    assert len(calls) == 1 + n_chains
+    assert [a.tobytes() for a in one_by_one] == [a.tobytes() for a in default]
 
 
 def test_solve_that_fails_outright_raises_numerical_error(monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import spinline as sl
+from spinline import chainopt, inverse
 from spinline.disorder import MAX_CHAINS
 from spinline.errors import (
     InputError,
@@ -41,6 +42,18 @@ CASES = {
         sl.line_params_at(sl.diagonalize(CHAIN), 7.0), [[0.1, 0.2]]),
     "discrepancy zero-norm target": lambda: sl.discrepancy(np.eye(4), np.zeros((4, 4))),
     "probe controls unknown kind": lambda: ProbeState("bogus", (1,)).controls(),
+    # counts below the minimum the command line's schemas already enforce
+    "solve_werner no start": lambda: sl.solve_werner(
+        sl.line_params_at(sl.diagonalize(CHAIN), 7.0), 0.4, n_starts=0),
+    "solve_general no start": lambda: sl.solve_general(
+        sl.line_params_at(sl.diagonalize(CHAIN), 7.0), sl.werner_target(0.4), n_starts=0),
+    "feasibility_scan no start": lambda: sl.feasibility_scan(
+        sl.line_params_at(sl.diagonalize(CHAIN), 7.0), [0.1, 0.2], n_starts=0),
+    "line_params_at no sender": lambda: sl.line_params_at(sl.diagonalize(CHAIN), 7.0, 0),
+    "line_params_at one-node sender": lambda: sl.line_params_at(sl.diagonalize(CHAIN), 7.0, 1),
+    "sample_line_params no sender": lambda: sl.sample_line_params(CHAIN, 7.0, 0.05, n_sender=0),
+    "sample_line_params one-node sender": lambda: sl.sample_line_params(
+        CHAIN, 7.0, 0.05, n_sender=1),
 }
 
 
@@ -71,6 +84,33 @@ def test_disorder_reductions_refuse_a_sample_of_fewer_than_two_chains(tuned20_pa
         warnings.simplefilter("error")
         with pytest.raises((InputError, SizeMismatchError), match="chains"):
             calls[reduce]()
+
+
+# calls that take one chain or parameter set, given a stack of them
+STACKED = {
+    "first_maximum": lambda params: sl.first_maximum(
+        sl.diagonalize(ChainSpec(20, np.array([0.5, 0.55]), np.array([0.8, 0.817])))),
+    "solve_werner": lambda params: sl.solve_werner(params, 0.4),
+    "solve_general": lambda params: sl.solve_general(params, sl.werner_target(0.4)),
+    "feasibility_scan": lambda params: sl.feasibility_scan(params, [0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("call", STACKED.values(), ids=STACKED.keys())
+def test_stacked_input_where_one_set_is_meant_raises_size_mismatch(monkeypatch, call):
+    # these ended in a raw ValueError from an unpacking or a concatenation;
+    # classify_families and export_params_csv share the check (test_receiver.py)
+    sample = sl.sample_line_params(ChainSpec(20, 0.55, 0.817), 26.4, 0.05, n_chains=4)
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the stack was refused")
+
+    for module, name in [(chainopt, "_time_grid"), (inverse, "receiver_operator"),
+                         (inverse, "werner_bounds")]:
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(SizeMismatchError, match=r"one (chain|parameter set), not a stack "
+                                                r"of \((2|4),\)"):
+        call(sample)
 
 
 @pytest.mark.parametrize("dev, chain", [(np.nan, None), (np.array([0.0, np.nan, 1.0]), 1),

@@ -689,7 +689,8 @@ def _scan_every_point(feasible, grid, refine_tol):
 
 
 @pytest.mark.parametrize("edge, n_feasible", [(0.8744, 8), (2.0, 21), (0.5, 0)])
-def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, edge, n_feasible):
+def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, tuned20_params, edge,
+                                                          n_feasible):
     calls = []
 
     def solve_stub(params, ps, **kwargs):
@@ -701,7 +702,7 @@ def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, edge, n_f
     monkeypatch.setattr(inverse, "solve_werner", solve_stub)
     monkeypatch.setattr(inverse, "werner_bounds", _refuse_nothing)
     grid = [float(p) for p in np.round(np.arange(0.80, 1.0001, 0.01), 10)]
-    got = sl.feasibility_scan(None, grid, refine_tol=5e-4)
+    got = sl.feasibility_scan(tuned20_params, grid, refine_tol=5e-4)
     n_grid = min(n_feasible + 1, len(grid))
     assert calls[:n_grid] == grid[:n_grid]
     bracket = calls[n_grid:]
