@@ -101,9 +101,9 @@ def one_excitation_columns(spectral, t, n_cols=None, rows=slice(None)):
     default), in the rows ``rows`` (a slice or an array of 0-based nodes;
     all by default).
 
-    Shape (..., n_rows, n_cols), with the leading axes of ``spectral``; only
-    the selected block is formed.  Raises NumericalError when a phase
-    lambda t overflows, before any is formed.
+    Shape (..., R, n_cols) for R selected rows, with the leading axes of
+    ``spectral``; only the selected block is formed.  Raises NumericalError
+    when a phase lambda t overflows, before any is formed.
     """
     if not math.isfinite(abs(t) * float(np.abs(spectral.evals1).max())):
         raise NumericalError(f"phase lambda t overflows at t = {t:g}")

@@ -13,11 +13,8 @@ of starts in numpy (:func:`_levenberg_marquardt`): solutions are
 particular, not unique, and reproducibility of our chosen solution is what
 matters.
 The solver takes the same steps in any process, so a seeded solve gives
-the same bits wherever it runs.  A Werner start, on six forms, also takes
-the same steps alone as in any stack of starts (:func:`_rows`); a start of
-:func:`solve_general`, on 21 forms for a four-node sender, need not once 16
-or more starts are live, as BLAS then rounds some rows of the stacked
-product apart from the same row alone.
+the same bits wherever it runs, and a start takes the same steps alone as
+in any stack of starts.
 
 :func:`solve_werner` is the one Werner solve: the equations of different p
 share their forms and differ only in their values, so it solves one p or a
@@ -132,23 +129,14 @@ def _quadratic_system(K, basis, target, rows=slice(None)):
     return 0.5 * (Q + Q.transpose(0, 2, 1)), c
 
 
-def _rows(a, B):
-    """The product a @ B of a stack of rows a (S, k) with B (k, l).
-
-    A one-row stack is evaluated twice over and keeps one row: numpy sends
-    a one-row product to BLAS gemv, which rounds apart from the gemm of a
-    larger stack.  So a start gives the same bits alone as in a stack where
-    B has the Werner system's six columns.  With the 21 columns of a general
-    solve that does not hold: OpenBLAS dgemm rounds some rows of a stack of
-    16 or more apart from the same row alone.
-    """
-    return (np.vstack((a, a)) @ B)[:1] if len(a) == 1 else a @ B
-
-
 def _forms(Q, y):
-    """Q_k y (S, m, n) and the form values y^T Q_k y (S, m) at the stacked points y (S, n)."""
+    """Q_k y (S, m, n) and the form values y^T Q_k y (S, m) at the stacked points y (S, n).
+
+    Each point takes its own matrix-vector product with Q, of one shape
+    whatever S, so a point gets the same bits alone as in any stack.
+    """
     m, n, _ = Q.shape
-    Qy = _rows(y, Q.reshape(m * n, n).T).reshape(len(y), m, n)
+    Qy = (Q.reshape(m * n, n) @ y[..., None]).reshape(len(y), m, n)
     return Qy, (Qy @ y[..., None])[..., 0]
 
 
@@ -271,9 +259,9 @@ def _levenberg_marquardt(Q, c, y, problem, residual_tol):
     Start k solves ``y^T Q[i] y = c[k, i]``: the starts share the forms Q
     and each has its own row of values in c (S, m).  ``problem`` (S,) names
     the problem of each start; starts of one problem share their values.
-    All starts advance together as one stack, and a start of the six-form
-    Werner system takes the same steps as it would alone; one of a larger
-    system need not (:func:`_rows`).  Each step follows More's
+    All starts advance together as one stack, and a start takes the same
+    steps as it would alone: every product with Q is a start's own
+    (:func:`_forms`).  Each step follows More's
     Levenberg-Marquardt: variables scaled by D, the running maximum of the
     Jacobian's column norms, and a trust radius that grows or shrinks with
     the ratio of actual to predicted reduction.  The actual reduction is
@@ -341,7 +329,8 @@ def _levenberg_marquardt(Q, c, y, problem, residual_tol):
         A = JsT @ Js
         curved = np.flatnonzero([s.curved for s in starts])
         if curved.size:  # the scaled Hessian of |r|^2 / 2 where it is positive definite
-            S = _rows(2.0 * r[curved], Q.reshape(len(Q), -1)).reshape(-1, *A.shape[1:])
+            n = A.shape[-1]
+            S = (Q.reshape(len(Q), n * n).T @ (2.0 * r[curved])[..., None]).reshape(-1, n, n)
             A_curved = A[curved] + S / (D[curved, :, None] * D[curved, None, :])
             definite = np.linalg.eigvalsh(A_curved)[:, 0] > 0.0
             A[curved[definite]] = A_curved[definite]
@@ -591,11 +580,14 @@ def werner_bounds(params, residual_tol):
             mu, f, pi, lam, V = trial, trial_f, trial_pi, trial_lam, trial_V
 
 
-def feasibility_scan(params, p_grid, n_starts=64, seed=0, refine_tol=5e-4):
+REFINE_TOL = 5e-4  # bracket width at which feasibility_scan stops bisecting
+
+
+def feasibility_scan(params, p_grid, n_starts=64, seed=0):
     """Largest Werner parameter p for which controls exist.
 
     Walks the monotone grid up to its first infeasible point to bracket the
-    boundary, then bisects the bracket down to ``refine_tol``.  Returns
+    boundary, then bisects the bracket down to ``REFINE_TOL``.  Returns
     (boundary, resolution).
 
     A p above the current bound of :func:`werner_bounds` at
@@ -643,7 +635,7 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0, refine_tol=5e-4):
     if hi_idx is None:
         return float(p_grid[-1]), float(p_grid[-1] - p_grid[-2])
     lo, hi = float(p_grid[hi_idx - 1]), float(p_grid[hi_idx])
-    while hi - lo > refine_tol:
+    while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

@@ -162,11 +162,6 @@ class LineParams:
         """The parameter sets of ``chains``, an index into the stack axes."""
         return replace(self, entries=self.entries[chains])
 
-    def items(self):
-        """Yield (kind, indices, value) over all entries, canonical order."""
-        by_entry = np.moveaxis(self.entries, -1, 0)
-        return ((kind, idx, value) for (kind, idx), value in zip(param_index(self.n_sender), by_entry))
-
     def get(self, kind, indices):
         """Single entry lookup by (kind, 1-based index tuple)."""
         return np.moveaxis(self.entries, -1, 0)[_positions(self.n_sender)[(kind, tuple(indices))]]

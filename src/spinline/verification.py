@@ -310,8 +310,12 @@ def full_space_receiver(x, spec, t):
     return np.einsum("ie,je->ij", C, C.conj())
 
 
-def check_oracle_equivalence(seed=2024, n_states=36):
-    rng = np.random.default_rng(seed)
+ORACLE_SEED = 2024
+ORACLE_STATES = 36  # random control vectors per chain length, half on each chain
+
+
+def check_oracle_equivalence():
+    rng = np.random.default_rng(ORACLE_SEED)
     out = []
     worst = 0.0
     for n in (7, 10, 20):
@@ -319,12 +323,12 @@ def check_oracle_equivalence(seed=2024, n_states=36):
             spectral = diagonalize(spec)
             t = rng.uniform(0.3, 2.0) * n
             params = line_params_at(spectral, t, n_sender=4)
-            for _ in range(n_states // 2):
+            for _ in range(ORACLE_STATES // 2):
                 x = random_controls(rng)
                 direct = assemble_rho(params, x)
                 oracle = partial_trace_oracle(x, spectral, t)
                 worst = max(worst, float(np.linalg.norm(direct - oracle)))
-    n_total = 6 * (n_states // 2)
+    n_total = 6 * (ORACLE_STATES // 2)
     out.append(_below("assembled state vs partial-trace oracle", worst, ORACLE_TOL,
                       f"{n_total} random states on n=7,10,20; worst Frobenius dev"))
     worst_full = 0.0
@@ -443,8 +447,11 @@ def check_disorder(seed=11, n_chains=DEFAULT_N_CHAINS):
 
 # --- criterion 9: structural invariants -------------------------------------
 
-def check_invariants(seed=5):
-    rng = np.random.default_rng(seed)
+INVARIANTS_SEED = 5
+
+
+def check_invariants():
+    rng = np.random.default_rng(INVARIANTS_SEED)
     out = []
     n = 20
     p1, p2 = propagators(diagonalize(tuned_spec(n)), bm.TUNED_CHAINS[n]["t0"])

@@ -98,10 +98,7 @@ def test_probe_params_from_external_outputs(workdir, params_csv):
                "--out", "probed.csv"])
     assert rc == EXIT_OK
     probed = import_params_csv(workdir / "probed.csv")
-    dev = max(
-        abs(a[2] - b[2]) for a, b in zip(params.items(), probed.items())
-    )
-    assert dev < 1e-9
+    assert np.max(np.abs(probed.entries - params.entries)) < 1e-9
     assert probed.t0 == params.t0
 
 

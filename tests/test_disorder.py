@@ -147,10 +147,9 @@ def test_sample_does_not_depend_on_chain_block(monkeypatch, base20, tuned20_para
 
 
 def test_values_follow_param_index(tuned20_params):
-    entries = tuned20_params.entries
-    assert entries.shape == (tuned20_params.n_entries,)
-    assert list(entries) == [v for _, _, v in tuned20_params.items()]
-    for j, key in enumerate(param_index(tuned20_params.n_sender)):
+    entries, keys = tuned20_params.entries, param_index(tuned20_params.n_sender)
+    assert entries.shape == (tuned20_params.n_entries,) == (len(keys),)
+    for j, key in enumerate(keys):
         assert tuned20_params.get(*key) == entries[j]
 
 

@@ -145,9 +145,9 @@ def test_forms_match_receiver(sender_params, kind):
 def constructed(monkeypatch):
     """Runs a solve with the values of its equations moved onto one start.
 
-    The values become the forms at that start, evaluated in the stack the
-    solver evaluates it in (start 0 alone, the others as one batch), so its
-    residual is exactly 0 at its first evaluation.  With a zero residual
+    The values become the forms at that start, evaluated alone: a start
+    gets the same bits alone as in any stack, so its residual is exactly 0
+    at its first evaluation.  With a zero residual
     tolerance no other start can be exact: they reach rounding level at
     best.  ``None`` keeps the solve's own values.  Returns the record of
     the runs: the unit starts, the result, and the start count of each
@@ -163,10 +163,8 @@ def constructed(monkeypatch):
     def run(solve, exact_start):
         def moved(Q, c, starts, residual_tol):
             y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-            if exact_start == 0:
-                c = inverse._forms(Q, y[:1])[1]
-            elif exact_start is not None:
-                c = inverse._forms(Q, y[1:])[1][exact_start - 1 : exact_start]
+            if exact_start is not None:
+                c = inverse._forms(Q, y[exact_start : exact_start + 1])[1]
             record["y"] = y
             record["result"] = multistart(Q, c, starts, residual_tol)
             return record["result"]
@@ -326,15 +324,32 @@ def test_werner_controls_match_lone_solves(verdict_tables, tuned60_params, table
     assert stacked.p.tolist() == list(lone)
     assert stacked.p.tolist() == [p for p in inverse.WERNER_P if table != "n60" or p < 0.75]
     assert stacked.x.shape == (len(lone), 1 + params.n_sender + len(params.pairs))
-    # the solves of a stack share nothing but the BLAS call of _forms, which
-    # takes gemm for a one-start stack too: every p finds its lone solve's
-    # bits (the discrepancies, one stacked contraction of them, may differ
-    # in the last bits)
+    # every p finds its lone solve's bits (the discrepancies, one stacked
+    # contraction of them, may differ in the last bits)
     for k, p in enumerate(stacked.p.tolist()):
         assert stacked.x[k].tobytes() == lone[p].x[0].tobytes(), p
         assert stacked.residual[k].tobytes() == lone[p].residual[0].tobytes(), p
         assert stacked.residual[k] <= inverse.WERNER_RESIDUAL_TOL
         assert abs(stacked.discrepancy[k] - lone[p].discrepancy[0]) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_general_starts_take_the_same_steps_alone_as_in_a_stack(tuned20_params, seed):
+    # 32 unit starts of the general system for an unreachable Werner target,
+    # so that every start runs until it stops: each ends at the same
+    # residual and point, bit for bit, alone as in the stack of all 32
+    basis = inverse._general_basis(tuned20_params)
+    Q, c = inverse._quadratic_system(receiver_operator(tuned20_params), basis, werner_target(0.9))
+    y = np.random.default_rng(seed).standard_normal((32, basis.shape[1]))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    tol = inverse.WERNER_RESIDUAL_TOL
+    res, ys = inverse._levenberg_marquardt(Q, np.repeat(c[None], 32, axis=0), y, np.arange(32),
+                                           tol)
+    assert res.min() > tol
+    for k in range(32):
+        lone_res, lone_y = inverse._levenberg_marquardt(Q, c[None], y[k : k + 1], [k], tol)
+        assert lone_res.tobytes() == res[k : k + 1].tobytes(), k
+        assert lone_y.tobytes() == ys[k : k + 1].tobytes(), k
 
 
 def _newton_root(Q, c, steps=40):
@@ -434,12 +449,12 @@ def test_exact_problem_leaves_the_others_running(tuned20_params):
     # stack still runs to the point it reaches alone, not to its start
     Q, c = inverse._werner_system(receiver_operator(tuned20_params), 4, werner_target(0.4))
     y = np.full((2, Q.shape[1]), 1.0 / np.sqrt(Q.shape[1]))
-    c = np.vstack([inverse._forms(Q, y)[1][0], c])  # the values at start 0, in this stack
+    c = np.vstack([inverse._forms(Q, y[:1])[1], c])  # the values at start 0
     res, ys = inverse._levenberg_marquardt(Q, c, y, [0, 1], inverse.WERNER_RESIDUAL_TOL)
     alone = inverse._levenberg_marquardt(Q, c[1:], y[1:], [1], inverse.WERNER_RESIDUAL_TOL)
     assert res[0] == 0.0 and ys[0].tobytes() == y[0].tobytes()
-    assert res[1] <= inverse.WERNER_RESIDUAL_TOL and alone[0][0] <= inverse.WERNER_RESIDUAL_TOL
-    np.testing.assert_allclose(ys[1], alone[1][0], rtol=0, atol=1e-12)
+    assert res[1] <= inverse.WERNER_RESIDUAL_TOL
+    assert res[1:].tobytes() == alone[0].tobytes() and ys[1:].tobytes() == alone[1].tobytes()
     # within one problem the rule stands: an exact start stops the later ones
     res, ys = inverse._levenberg_marquardt(Q, c[[0, 0]], y, [0, 0], inverse.WERNER_RESIDUAL_TOL)
     assert res[0] == 0.0 and ys[1].tobytes() == y[1].tobytes()
@@ -545,7 +560,8 @@ def test_zero_family_iii_zeroes_exactly_family_iii(n_sender):
     assert np.array_equal(params.entries, entries)  # the input is left alone
     kept = set(FAMILY_I) | set(FAMILY_II)
     n_zeroed = 0
-    for (kind, idx, old), (_, _, new) in zip(params.items(), truncated.items()):
+    for (kind, idx), old, new in zip(param_index(params.n_sender), params.entries.T,
+                                     truncated.entries.T):
         if (kind, idx) in kept:
             assert new.tobytes() == old.tobytes(), (kind, idx)
         else:
@@ -577,10 +593,9 @@ def test_solve_general_werner(tuned20_params):
     assert sol.discrepancy <= 1.532e-5
 
 
-def test_feasibility_scan_quick(tuned20_params):
-    boundary, res = sl.feasibility_scan(
-        tuned20_params, np.arange(0.85, 0.921, 0.01), refine_tol=2e-3
-    )
+def test_feasibility_scan_quick(monkeypatch, tuned20_params):
+    monkeypatch.setattr(inverse, "REFINE_TOL", 2e-3)
+    boundary, res = sl.feasibility_scan(tuned20_params, np.arange(0.85, 0.921, 0.01))
     assert boundary == pytest.approx(bm.WERNER_FEASIBLE_MAX, abs=0.002)
     assert res <= 2e-3
 
@@ -673,7 +688,7 @@ def test_feasibility_scan_matches_a_scan_that_solves_every_p(monkeypatch, bound_
     assert len(calls) < n_solves if table != "sender5" else len(calls) == n_solves
 
 
-def _scan_every_point(feasible, grid, refine_tol):
+def _scan_every_point(feasible, grid):
     """The bracket and bisection of a scan that evaluates the whole grid."""
     flags = [feasible(p) for p in grid]
     if not flags[0]:
@@ -682,7 +697,7 @@ def _scan_every_point(feasible, grid, refine_tol):
         return grid[-1], grid[-1] - grid[-2]
     k = flags.index(False)
     lo, hi = grid[k - 1], grid[k]
-    while hi - lo > refine_tol:
+    while hi - lo > inverse.REFINE_TOL:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -702,7 +717,7 @@ def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, tuned20_p
     monkeypatch.setattr(inverse, "solve_werner", solve_stub)
     monkeypatch.setattr(inverse, "werner_bounds", _refuse_nothing)
     grid = [float(p) for p in np.round(np.arange(0.80, 1.0001, 0.01), 10)]
-    got = sl.feasibility_scan(tuned20_params, grid, refine_tol=5e-4)
+    got = sl.feasibility_scan(tuned20_params, grid)
     n_grid = min(n_feasible + 1, len(grid))
     assert calls[:n_grid] == grid[:n_grid]
     bracket = calls[n_grid:]
@@ -710,7 +725,7 @@ def test_feasibility_scan_stops_at_first_infeasible_point(monkeypatch, tuned20_p
         assert bracket and all(grid[n_feasible - 1] < p < grid[n_feasible] for p in bracket)
     else:
         assert bracket == []
-    assert got == _scan_every_point(lambda p: p <= edge, grid, 5e-4)
+    assert got == _scan_every_point(lambda p: p <= edge, grid)
 
 
 @pytest.mark.parametrize("grid", [[0.5], [0.9, 0.8], [1.1, 1.15, 1.2],

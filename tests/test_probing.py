@@ -18,7 +18,7 @@ from spinline.receiver import param_index
 
 
 def max_deviation(a, b):
-    return max(abs(x[2] - y[2]) for x, y in zip(a.items(), b.items()))
+    return np.max(np.abs(a.entries - b.entries))
 
 
 def test_probe_census():

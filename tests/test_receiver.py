@@ -29,7 +29,7 @@ from spinline.verification import FULL_SPACE_TOL, full_space_receiver, partial_t
 def test_entry_census(tuned20_params):
     assert tuned20_params.n_entries == 170
     kinds = {}
-    for kind, _, _ in tuned20_params.items():
+    for kind, _ in param_index(tuned20_params.n_sender):
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds == {
         "p_N": 4, "p_Nm1": 4, "p_pair": 6,
@@ -121,7 +121,7 @@ def test_pair_exchange_symmetry(tuned20_params):
 
 
 def test_magnitudes_bounded(tuned20_params):
-    assert all(abs(v) <= 1 + 1e-10 for _, _, v in tuned20_params.items())
+    assert np.all(np.abs(tuned20_params.entries) <= 1 + 1e-10)
 
 
 def test_spot_values_n20(tuned20_params):
@@ -342,9 +342,7 @@ def test_csv_round_trip(tmp_path, tuned20_params):
     export_params_csv(tuned20_params, path, header_lines=["demo"])
     loaded = import_params_csv(path)
     assert loaded.t0 == tuned20_params.t0
-    dev = max(
-        abs(a[2] - b[2]) for a, b in zip(tuned20_params.items(), loaded.items())
-    )
+    dev = np.max(np.abs(loaded.entries - tuned20_params.entries))
     assert dev < 1e-11  # 13 significant digits in the export
     text = path.read_text()
     assert text.startswith("# demo")
@@ -439,7 +437,8 @@ def test_params_table_bytes_match_the_stdlib_writer(tmp_path_factory, csv_oracle
     comments = ['config: {"out": "a,b.csv"}', f"t0: {params.t0!r}"]
     export_params_csv(params, path, header_lines=comments[:1])
     rows = [[kind, ";".join(map(str, idx)), value.real, value.imag, family]
-            for (kind, idx, value), family in zip(params.items(), entry_families(params.n_sender))]
+            for (kind, idx), value, family in zip(param_index(params.n_sender), params.entries,
+                                                  entry_families(params.n_sender))]
     assert path.read_bytes() == csv_oracle(
         comments, ["kind", "indices", "re", "im", "family"], rows)
 
