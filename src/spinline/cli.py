@@ -289,11 +289,21 @@ def _read_text(path):
         return fh.read()
 
 
+def _parse_file(path, parse):
+    """``parse`` of the text of the input file ``path``; an InputError it
+    raises names the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _resolve_chain(config, default_tuned=False):
     """(spec, t0, n_sender) from the chain-selection part of a config."""
     sender = config["sender"]
     if config.get("chain"):
-        spec = ChainSpec.from_json(_read_text(config["chain"]))
+        spec = _parse_file(config["chain"], ChainSpec.from_json)
         if config.get("t0") is None:
             raise ConfigError("--t0 is required with --chain")
         return spec, float(config["t0"]), sender
@@ -313,14 +323,13 @@ def _resolve_chain(config, default_tuned=False):
 
 
 def _emit_json(config, result, out):
-    artifact = json.dumps(
-        {"config": config, "result": result}, indent=1, sort_keys=True
-    )
+    # one sorted-key line: without indent, json.dumps runs the C encoder
+    artifact = json.dumps({"config": config, "result": result}, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
-            fh.write(artifact + "\n")
+            fh.write(artifact)
     else:
-        print(artifact)
+        sys.stdout.write(artifact)
 
 
 def _provenance(config):
@@ -353,7 +362,7 @@ def run_probe_params(config):
         if config.get("t0") is None:
             raise ConfigError("--t0 is required with --outputs")
         t0 = float(config["t0"])
-        outputs = probe_outputs_from_json(_read_text(config["outputs"]))
+        outputs = _parse_file(config["outputs"], probe_outputs_from_json)
     else:
         params_true, _spec = _line_params_for(config)
         t0 = params_true.t0
@@ -368,6 +377,13 @@ def run_probe_params(config):
     return EXIT_OK
 
 
+def _target_from_json(text):
+    with malformed("must hold JSON {'re': 4x4, 'im': 4x4} numbers"):
+        data = json.loads(text)
+        m = np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float)
+    return check_target(m)
+
+
 def _load_target(config):
     target = config["target"]
     if target == "werner":
@@ -375,11 +391,7 @@ def _load_target(config):
             raise ConfigError("--p is required for the werner target")
         return werner_target(config["p"]), True
     if target.startswith("file:"):
-        text = _read_text(target[5:])
-        with malformed("target file must hold JSON {'re': 4x4, 'im': 4x4} numbers"):
-            data = json.loads(text)
-            m = np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float)
-        return check_target(m), False
+        return _parse_file(target[5:], _target_from_json), False
     raise ConfigError(f"unknown target {target!r} (use 'werner' or 'file:...')")
 
 

@@ -42,10 +42,11 @@ def check_single(stack, what):
 @contextlib.contextmanager
 def malformed(what):
     """Raise InputError ``"<what> (<Type>: <detail>)"`` for a KeyError,
-    TypeError, ValueError or csv.Error raised in the block."""
+    TypeError, ValueError, csv.Error or RecursionError (the JSON decoder's,
+    on input nested too deep) raised in the block."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+    except (KeyError, TypeError, ValueError, csv.Error, RecursionError) as exc:
         raise InputError(f"{what} ({type(exc).__name__}: {exc})") from exc
 
 

@@ -182,7 +182,7 @@ def probe_outputs_to_json(probe_outputs):
     records = [{"probe": {"kind": probe.kind, "indices": list(probe.indices)},
                 "rho": {"re": rho.real.tolist(), "im": rho.imag.tolist()}}
                for probe, rho in probe_outputs]
-    return json.dumps(records, indent=1)
+    return json.dumps(records, sort_keys=True)
 
 
 def probe_outputs_from_json(text):

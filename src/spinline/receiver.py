@@ -59,6 +59,15 @@ SYMMETRY_TOL = 1e-12
 RECEIVER_TOL = 1e-10  # Hermiticity and trace of a receiver matrix
 RECEIVER_PSD_TOL = 1e-9  # its least eigenvalue
 ENTRY_TOL = 1e-9  # how far an entry, a sum over unitary columns, may pass magnitude 1
+# the largest sender.  Its table has 2n + q(1 + 2n + 3q) entries, q = n(n-1)/2
+# pairs, a count that grows as n^4: 170 at 4 nodes, 882 at 6, 7040 at 10 and
+# 1.5M at 38 (at 198 one term of line_params_at asks for 5.7 GiB).  The bounds on
+# sampled chains and solver starts were set at 4 nodes; at 6 nodes a sample of
+# 10^5 chains stacks 1.4 GB of entries and a general solve of 10^4 starts
+# peaks at 1.4 GB, while at 8 nodes the sample takes 4.5 GB and the solve
+# outgrows a 3 GB address space.  The bound is checked before any table or
+# index of that size is built.
+MAX_SENDER = 6
 
 # parameter kinds, in canonical export order, each with the axes it runs
 # over: sender nodes k = 1..n_sender or sender pairs (nm) in the order of
@@ -172,11 +181,13 @@ class LineParams:
 
 
 def check_sender(n_sender, n_nodes):
-    """Raise InputError for a sender of fewer than 2 nodes, and
-    SizeMismatchError for one that overlaps the receiver of an
-    ``n_nodes``-node chain."""
+    """Raise InputError for a sender of fewer than 2 or more than
+    ``MAX_SENDER`` nodes, and SizeMismatchError for one that overlaps the
+    receiver of an ``n_nodes``-node chain."""
     if n_sender < 2:
         raise InputError(f"a sender needs at least 2 nodes, got {n_sender}")
+    if n_sender > MAX_SENDER:
+        raise InputError(f"a sender may have at most {MAX_SENDER} nodes, got {n_sender}")
     if n_sender > n_nodes - 2:
         raise SizeMismatchError(
             f"sender of {n_sender} nodes overlaps the receiver on an {n_nodes}-node chain")
@@ -452,8 +463,9 @@ def import_params_csv(path):
     InputError
         If the file is not UTF-8 text, the ``# t0`` line is missing,
         repeated or not finite, a row is malformed or repeats an entry, an
-        entry is not finite or exceeds 1 + ``ENTRY_TOL`` in magnitude, or
-        the table lacks or adds any entry of the index for its sender size.
+        entry is not finite or exceeds 1 + ``ENTRY_TOL`` in magnitude, the
+        ``p_N`` rows name a sender above ``MAX_SENDER`` nodes, or the table
+        lacks or adds any entry of the index for its sender size.
     """
     # UnicodeDecodeError is a ValueError; csv.Error is a cell longer than
     # csv.field_size_limit()
@@ -487,6 +499,9 @@ def import_params_csv(path):
     n_sender = max((i[0] for k, i in entries if k == "p_N"), default=0)
     if n_sender < 2:
         raise InputError(f"{path}: no p_N entries to fix the sender size")
+    if n_sender > MAX_SENDER:
+        raise InputError(f"{path}: p_N entries name a {n_sender}-node sender, "
+                         f"more than {MAX_SENDER} nodes")
     index = param_index(n_sender)
     missing = [k for k in index if k not in entries]
     unknown = [k for k in entries if k not in _positions(n_sender)]

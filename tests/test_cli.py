@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spinline import benchmarks as bm
 from spinline import cli
-from spinline import dynamics, receiver, verification
+from spinline import disorder, dynamics, inverse, receiver, verification
 from spinline.cli import EXIT_OK, EXIT_REPORT_FAILED, main
 from spinline.errors import InputError
 from spinline.disorder import DEFAULT_N_CHAINS
@@ -172,6 +172,18 @@ def test_input_file_not_utf8_exit_code(workdir, params_csv, option, capsys):
     assert "in.bin" in err and "'utf-8' codec can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("option", ["chain", "config", "outputs", "target"])
+def test_input_file_nested_too_deep_exit_code(workdir, params_csv, option, capsys):
+    # the JSON decoder recurses once a level, so this nesting ends in a
+    # RecursionError: each JSON option names the file and exits 2
+    (workdir / "params.csv").write_bytes(params_csv.read_bytes())
+    (workdir / "in.bin").write_text("[" * 100000 + "]" * 100000)
+    assert main(NOT_UTF8[option]) == 2
+    out, err = capsys.readouterr()
+    assert "in.bin" in err and "RecursionError" in err
+    assert out == "" and not (workdir / "out.csv").exists()
+
+
 def test_params_csv_cell_over_field_limit_rejected(workdir, params_csv, capsys):
     # the csv module refuses a cell longer than csv.field_size_limit()
     lines = params_csv.read_text().splitlines()
@@ -281,6 +293,9 @@ def test_create_state_infeasible_exit_code(params_csv):
 @pytest.mark.parametrize("argv", [
     "compute-params --n 4 --t0 1",
     "compute-params --n 20 --tuned --sender 19",
+    # a 7-node sender fits the chain, but its table is above the bound
+    "compute-params --n 20 --tuned --sender 7",
+    "disorder-study --n 20 --tuned --epsilon 0.05 --chains 2 --seed 1 --sender 7",
     "probe-params --n 5 --t0 1",
     "disorder-study --n 5 --t0 1 --epsilon 0.1 --chains 2 --seed 1",
     # a perturbed bulk is a non-uniform profile, which needs 7 nodes
@@ -290,6 +305,17 @@ def test_sender_too_long_exit_code(workdir, argv, capsys):
     assert main(argv.split() + ["--out", "out"]) == 2
     assert "invalid input" in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+def test_table_naming_sender_above_bound_exit_code(workdir, params_csv, capsys):
+    # p_N rows naming node 7 fix a 7-node sender, above receiver.MAX_SENDER
+    text = params_csv.read_text()
+    (workdir / "big.csv").write_text(text.replace("\np_N,1,", "\np_N,7,", 1))
+    assert main(["create-state", "--target", "werner", "--p", "0.4",
+                 "--params", "big.csv", "--out", "out.json"]) == 2
+    assert "big.csv: p_N entries name a 7-node sender, more than 6 nodes" in (
+        capsys.readouterr().err)
+    assert not (workdir / "out.json").exists()
 
 
 def test_create_state_werner_five_node_sender(workdir):
@@ -403,6 +429,66 @@ def test_disorder_study_stops_at_first_infeasible_werner_p(workdir):
     assert result["werner_skipped_p"] == [0.8]
     rows = (workdir / "rob.csv").read_text().splitlines()
     assert [float(row.split(",")[0]) for row in rows if row[0].isdigit()] == feasible
+
+
+def _canonical(path):
+    """The text of a JSON artifact, checked to be one sorted-key line."""
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    return text
+
+
+# the commands whose artifact goes to stdout without --out
+ARTIFACTS = {
+    "optimize-chain": ["optimize-chain", "--n", "7", "--grid-step", "0.2"],
+    "create-state-werner": ["create-state", "--target", "werner", "--p", "0.4",
+                            "--params", "params.csv"],
+    "create-state-file": ["create-state", "--target", "file:target.json",
+                          "--params", "params.csv", "--starts", "4"],
+    "feasibility": ["feasibility", "--params", "params.csv", "--grid", "0.3:0.5:0.1",
+                    "--starts", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACTS))
+def test_json_artifact_is_one_canonical_line(workdir, params_csv, case, capsys):
+    (workdir / "params.csv").write_bytes(params_csv.read_bytes())
+    target = werner_target(0.4)
+    (workdir / "target.json").write_text(
+        json.dumps({"re": target.real.tolist(), "im": target.imag.tolist()}))
+    assert main(ARTIFACTS[case] + ["--out", "a.json"]) == EXIT_OK
+    artifact = json.loads(_canonical(workdir / "a.json"))
+    # without --out, the same line less the config's "out"
+    del artifact["config"]["out"]
+    capsys.readouterr()
+    assert main(ARTIFACTS[case]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(artifact, sort_keys=True) + "\n"
+
+
+def test_dumped_probe_outputs_are_one_canonical_line(workdir):
+    assert main(["probe-params", "--n", "20", "--tuned", "--dump-outputs", "outputs.json",
+                 "--out", "p.csv"]) == EXIT_OK
+    _canonical(workdir / "outputs.json")
+
+
+def test_disorder_study_artifact_holds_the_library_values(workdir):
+    assert main(["disorder-study", "--n", "20", "--tuned", "--epsilon", "0.05",
+                 "--chains", "5", "--seed", "7", "--out", "study.json"]) == EXIT_OK
+    result = json.loads(_canonical(workdir / "study.json"))["result"]
+    params = verification.tuned_line_params(20)
+    sample = disorder.sample_line_params(verification.tuned_spec(20), params.t0, 0.05,
+                                         n_chains=5, seed=7)
+    study = disorder.param_statistics(params, sample)
+    controls = inverse.solve_werner(params, inverse.WERNER_P, seed=7)
+    robustness = disorder.werner_robustness(sample, controls.p, controls.x)
+    stats = [result["param_stats"][f"{kind};{indices}"]
+             for kind, indices, _family in zip(*receiver.table_labels(4))]
+    assert [complex(*s["mean"]) for s in stats] == study.mean.tolist()
+    assert [s["std"] for s in stats] == study.std.tolist()
+    assert [complex(*s["shift"]) for s in stats] == study.shift.tolist()
+    assert [[row[k] for k in ("p", "mean_delta", "std_delta", "sem")]
+            for row in result["werner_robustness"]] == np.column_stack(robustness).tolist()
 
 
 def test_numerical_check_exit_code(workdir, monkeypatch, capsys):

@@ -54,6 +54,11 @@ CASES = {
     "sample_line_params no sender": lambda: sl.sample_line_params(CHAIN, 7.0, 0.05, n_sender=0),
     "sample_line_params one-node sender": lambda: sl.sample_line_params(
         CHAIN, 7.0, 0.05, n_sender=1),
+    # a 7-node sender fits the chain, but its table is above the bound
+    "line_params_at sender above bound": lambda: sl.line_params_at(
+        sl.diagonalize(CHAIN), 7.0, 7),
+    "sample_line_params sender above bound": lambda: sl.sample_line_params(
+        CHAIN, 7.0, 0.05, n_sender=7),
 }
 
 

@@ -191,7 +191,8 @@ BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
                                              "im": BIG_TARGET.imag.tolist()})},
                  ["create-state", "--target", "file:target.json", "--params", "params.csv",
                   "--out", "out.json"],
-                 2, "invalid input: not a density matrix (an entry of magnitude 1.0e+308)",
+                 2, "invalid input: target.json: not a density matrix "
+                    "(an entry of magnitude 1.0e+308)",
                  id="target-entry-1e308"),
     pytest.param({"params.csv": lambda tuned: _mutated_table(tuned, "p_Nm1;1", 2, 1e308)},
                  ["create-state", "--target", "werner", "--p", "0.4", "--params", "params.csv",

@@ -10,6 +10,7 @@ import spinline as sl
 from spinline.basis import random_controls, sender_pairs
 from spinline.errors import InputError, NumericalError, SizeMismatchError
 from spinline.hamiltonian import ChainSpec, apply_disorder
+from spinline import receiver
 from spinline.receiver import (
     FAMILY_I,
     FAMILY_II,
@@ -504,3 +505,29 @@ def test_import_names_missing_and_unknown_entries(tmp_path, tuned20_params, edit
     with pytest.raises(InputError) as info:
         import_params_csv(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_import_refuses_a_sender_above_the_bound_before_its_index(
+        tmp_path, tuned20_params, monkeypatch):
+    # the index of a 40-node sender has 1.9M entries
+    head, rows = _table(tmp_path, tuned20_params)
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(head + [rows[0].replace("p_N,1,", "p_N,40,", 1)] + rows[1:]))
+
+    def refused(n_sender):
+        raise AssertionError(f"index of a {n_sender}-node sender built")
+
+    monkeypatch.setattr(receiver, "param_index", refused)
+    with pytest.raises(InputError) as info:
+        import_params_csv(path)
+    assert str(info.value) == f"{path}: p_N entries name a 40-node sender, more than 6 nodes"
+
+
+def test_largest_sender_table_round_trips(tmp_path):
+    assert receiver.MAX_SENDER == 6
+    params = sl.line_params_at(sl.diagonalize(ChainSpec.uniform(9)), 3.0, n_sender=6)
+    assert params.n_entries == 882
+    export_params_csv(params, tmp_path / "s6.csv")
+    got = import_params_csv(tmp_path / "s6.csv")
+    assert got.n_sender == 6
+    assert np.max(np.abs(got.entries - params.entries)) < 1e-12
