@@ -26,8 +26,8 @@ leading p the line can create.  :func:`solve_general` returns an
 
 :func:`werner_bounds` yields certified upper bounds on the creatable Werner
 p, from the dual of Shor's relaxation of the Werner equations, each with a
-margin of residual_tol (|lambda_max| + |mu|_1) plus rounding: above a
-bound, no controls violate any equation by less than ``residual_tol``.
+margin of FEASIBILITY_RESIDUAL_TOL (|lambda_max| + |mu|_1) plus rounding:
+above a bound, no controls violate any equation by less than that.
 :func:`feasibility_scan` refuses every p above its current bound without a
 solve, as no start could solve it, and runs the multi-start for every
 other p; its verdicts, and so its results, are those of a scan that solves
@@ -489,22 +489,23 @@ NEWTON_TOL = 0.1  # squared Newton decrement, over tau, that ends a level
 MAX_DAMPING = 1e12  # Levenberg damping, over the mean curvature, that ends a level
 
 
-def werner_bounds(params, residual_tol):
+def werner_bounds(params):
     """Certified upper bounds on the creatable Werner p, each below the last.
 
     Yields (bound, mu): no real pair amplitudes y violate any of the Werner
-    equations of a p above ``bound`` by more than ``residual_tol``, so no
-    start of :func:`solve_werner` can solve such a p to that tolerance.
+    equations of a p above ``bound`` by more than tol =
+    ``FEASIBILITY_RESIDUAL_TOL``, so no start of :func:`solve_werner` can
+    solve such a p to the tolerance of :func:`feasibility_scan`.
     ``mu`` (5,) weighs the five non-norm rows of :func:`_werner_system`.
 
     Those rows are y^T Q_k y = c_k(p) = c0_k + p dc_k, and the norm row is
     |y|^2 = 1.  For any mu with mu . dc = 1, summing the rows with weights mu
     gives p = y^T M y - mu . c0 <= lambda_max(M) - mu . c0 for M = sum_k mu_k
     Q_k: the dual bound of Shor's relaxation (Polik and Terlaky, SIAM Rev.
-    49, 2007).  Violations within ``residual_tol`` add at most residual_tol
-    (|lambda_max| + |mu|_1) to it, and a rounding slack of ``ROUNDING`` n
-    (|lambda_max| + sum_k |mu_k| (|Q_k|_F + 1)) covers the eigensolver, the
-    residuals the solver computes and mu . dc = 1 holding to rounding.
+    49, 2007).  Violations within tol add at most tol (|lambda_max| +
+    |mu|_1) to it, and a rounding slack of ``ROUNDING`` n (|lambda_max| +
+    sum_k |mu_k| (|Q_k|_F + 1)) covers the eigensolver, the residuals the
+    solver computes and mu . dc = 1 holding to rounding.
     Every mu gives a bound; the best mu minimizes lambda_max(M) - mu . c0, a
     convex function whose top eigenvalue is degenerate at the minimum.  So mu
     follows damped Newton steps on the smoothed dual tau log tr exp(M / tau)
@@ -532,7 +533,8 @@ def werner_bounds(params, residual_tol):
         lam, V = np.linalg.eigh((mu @ flat).reshape(n, n))
         top, weight = abs(lam[-1]), np.abs(mu)
         slack = ROUNDING * n * (top + weight @ (size + 1.0))
-        return lam[-1] - mu @ c0 + residual_tol * (top + weight.sum()) + slack, lam, V
+        bound = lam[-1] - mu @ c0 + FEASIBILITY_RESIDUAL_TOL * (top + weight.sum()) + slack
+        return bound, lam, V
 
     def smoothed(mu, lam, tau):
         """tau log tr exp(M / tau) - mu . c0, and the weights of exp(M / tau) / tr."""
@@ -590,10 +592,10 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0):
     boundary, then bisects the bracket down to ``REFINE_TOL``.  Returns
     (boundary, resolution).
 
-    A p above the current bound of :func:`werner_bounds` at
-    ``FEASIBILITY_RESIDUAL_TOL`` is infeasible without a solve.  The bound
-    carries a margin of FEASIBILITY_RESIDUAL_TOL (|lambda_max| + |mu|_1) plus
-    rounding, so no start could solve such a p to that tolerance, and the
+    A p above the current bound of :func:`werner_bounds` is infeasible
+    without a solve.  The bound carries a margin of FEASIBILITY_RESIDUAL_TOL
+    (|lambda_max| + |mu|_1) plus rounding, so no start could solve such a p
+    to FEASIBILITY_RESIDUAL_TOL, the tolerance the scan solves to, and the
     verdict is the one the multi-start would give.  Bounds are drawn as
     needed, until one falls below the p to test or they run out; every other
     p runs the multi-start of :func:`solve_werner`.
@@ -614,7 +616,7 @@ def feasibility_scan(params, p_grid, n_starts=64, seed=0):
         raise InputError("p_grid must be strictly increasing")
     if p_grid[0] < 0.0 or p_grid[-1] > 1.0:
         raise InputError(f"p_grid must lie in [0, 1], got {p_grid[0]}..{p_grid[-1]}")
-    bounds, bound = werner_bounds(params, FEASIBILITY_RESIDUAL_TOL), math.inf
+    bounds, bound = werner_bounds(params), math.inf
 
     def feasible(p):
         nonlocal bound

@@ -109,15 +109,13 @@ def _positions(n_sender):
 
 @functools.lru_cache(maxsize=8)
 def _sender_size(n_entries):
-    """The sender size whose layout has ``n_entries`` entries: two node
-    vectors and p_pair, two (node, pair) and three (pair, pair) matrices."""
-    for n_sender in itertools.count(2):
-        n_pairs = n_sender * (n_sender - 1) // 2
-        if (count := 2 * n_sender + n_pairs * (1 + 2 * n_sender + 3 * n_pairs)) >= n_entries:
-            break
-    if count != n_entries:
-        raise SizeMismatchError(f"{n_entries} parameter entries fit no sender size")
-    return n_sender
+    """The sender size, 2 to ``MAX_SENDER`` nodes, whose layout has
+    ``n_entries`` entries."""
+    for n_sender in range(2, MAX_SENDER + 1):
+        if len(param_index(n_sender)) == n_entries:
+            return n_sender
+    raise SizeMismatchError(
+        f"{n_entries} parameter entries fit no sender size of 2 to {MAX_SENDER} nodes")
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ class LineParams:
     Hermitian in the pair indices.  A stack of chains puts its axes in
     front (``shape``); ``params[i]`` selects chains of the stack.  The
     sender size follows from the number of entries; a count that fits no
-    sender size raises SizeMismatchError.
+    sender of 2 to ``MAX_SENDER`` nodes raises SizeMismatchError.
     """
 
     t0: float

@@ -13,7 +13,6 @@ from spinline import cli
 from spinline import disorder, dynamics, inverse, receiver, verification
 from spinline.cli import EXIT_OK, EXIT_REPORT_FAILED, main
 from spinline.errors import InputError
-from spinline.disorder import DEFAULT_N_CHAINS
 from spinline.inverse import werner_target
 from spinline.probing import probe_outputs_to_json, probe_set, simulate_probes
 from spinline.receiver import assemble_rho, import_params_csv
@@ -774,8 +773,32 @@ def test_config_file_takes_the_schema_defaults(workdir, monkeypatch):
     (workdir / "cfg.json").write_text(json.dumps({"command": "reproduce-paper", "fast": True}))
     assert main(["run", "--config", "cfg.json"]) == EXIT_OK
     assert main(["reproduce-paper", "--fast"]) == EXIT_OK
-    assert seen == 2 * [{"command": "reproduce-paper", "fast": True, "n": 20, "seed": 0,
-                         "chains": DEFAULT_N_CHAINS}]
+    assert seen == 2 * [{"command": "reproduce-paper", "fast": True, "n": 20}]
+
+
+def test_report_runs_the_acceptance_configuration(monkeypatch, capsys):
+    # the report's seeded sections print the lines of the checks the
+    # acceptance suite calls, on the same draws; the oracle section is slow
+    # and draws from its own seed
+    monkeypatch.setattr(cli, "check_oracle_equivalence", lambda: [])
+    assert main(["reproduce-paper", "--n", "20", "--fast"]) == EXIT_OK
+    report = capsys.readouterr().out.splitlines()
+    for title, check in [("probe-protocol closure", verification.check_probe_closure),
+                         ("werner creation", verification.check_werner),
+                         ("disorder robustness", verification.check_disorder)]:
+        start = report.index(f"== {title}") + 1
+        lines = [result.line() for result in check()]
+        assert report[start:start + len(lines)] == lines
+        assert report[start + len(lines)].startswith("== ")  # and the section has no more
+
+
+@pytest.mark.parametrize("option", ["--seed", "--chains"])
+def test_report_takes_no_seed_or_chain_count(capsys, option):
+    with pytest.raises(SystemExit) as err:
+        main(["reproduce-paper", "--fast", option, "1"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"unrecognized arguments: {option} 1" in stderr and "Traceback" not in stderr
 
 
 def _argv(config):

@@ -224,10 +224,12 @@ BIG_TARGET[1, 2] = BIG_TARGET[2, 1] = -1e308
                       "100000000000000", "--seed", "1", "--out", "out.json"],
                  2, "invalid config: 100000000000000 is greater than the maximum of 100000",
                  id="disorder-chains-1e14"),
-    # refused at validation, before the report prints its first section
-    pytest.param({}, ["reproduce-paper", "--fast", "--chains", "100000000000000"],
-                 2, "invalid config: 100000000000000 is greater than the maximum of 100000",
-                 id="reproduce-chains-1e14"),
+    # the report samples a fixed number of chains: a config file that sets
+    # one is refused before the report prints its first section
+    pytest.param({"rp.json": json.dumps({"command": "reproduce-paper", "chains": 100})},
+                 ["run", "--config", "rp.json"],
+                 2, "invalid config: Additional properties are not allowed ('chains' was "
+                    "unexpected)", id="reproduce-chains-config"),
     # refused before the time grid, whose step count the default window
     # of a chain this long would exceed
     pytest.param({}, ["optimize-chain", "--n", "10000000000000", "--out", "out.json"],

@@ -600,7 +600,7 @@ def test_feasibility_scan_quick(monkeypatch, tuned20_params):
     assert res <= 2e-3
 
 
-def _refuse_nothing(params, residual_tol):
+def _refuse_nothing(params):
     """A stand-in for werner_bounds that yields no bound."""
     return iter(())
 
@@ -651,7 +651,7 @@ def test_werner_bounds_are_certified(bound_tables, unrefused_scan, table):
     # with each draw and follows from its weights mu by an independent
     # eigensolver; the generator ends without raising on every table
     params, tol = bound_tables[table], inverse.FEASIBILITY_RESIDUAL_TOL
-    drawn = list(inverse.werner_bounds(params, tol))
+    drawn = list(inverse.werner_bounds(params))
     (boundary, resolution), _ = unrefused_scan(table, "0.6:1:0.02")
     solved = boundary - resolution  # the scan's largest feasible p
     assert len(sl.solve_werner(params, [solved], residual_tol=tol).p) == 1

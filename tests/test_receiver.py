@@ -116,6 +116,16 @@ def test_entry_count_that_fits_no_sender_is_refused(count):
         LineParams(t0=1.0, entries=np.zeros(count, complex))
 
 
+def test_entry_count_of_a_sender_above_the_bound_is_refused():
+    # 1652 entries are a 7-node layout, which check_sender and the table
+    # reader refuse; 882 are the largest sender's
+    assert len(param_index(receiver.MAX_SENDER + 1)) == 1652
+    with pytest.raises(SizeMismatchError,
+                       match="^1652 parameter entries fit no sender size of 2 to 6 nodes$"):
+        LineParams(t0=1.0, entries=np.zeros(1652, complex))
+    assert LineParams(t0=1.0, entries=np.zeros(882, complex)).n_sender == receiver.MAX_SENDER
+
+
 def test_pair_exchange_symmetry(tuned20_params):
     for M in (tuned20_params.P_mm, tuned20_params.P_NN):
         assert np.max(np.abs(M - M.conj().T)) < 1e-12
