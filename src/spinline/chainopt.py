@@ -37,8 +37,9 @@ even N and W_0 + 2 sum_{lambda>0} W cos(lambda t) for odd N (W_0: the zero
 mode), a real sum over half the modes.  The kernel scans
 the time grid in a fixed partition of blocks of ``_BLOCK`` (128) steps, each with
 one neighbour on either side for the local-maximum test, and drops a chain at its
-first hit: tuned chains arrive near t = 1.3N, well short of the default 3N window.
-The grid must be uniform (``np.arange(0, t_max + dt, dt)``), so that every block
+first hit: tuned chains arrive near t = 1.3N, well short of the 3N window
+(:func:`default_t_max`), whose grid holds 241 to 60 001 points for 4 to 1000 nodes.
+The grid must be uniform (``np.arange(0, 3N + dt, dt)``), so that every block
 has the same offsets tau_j = ts[j] - ts[0]: one table of cos(lambda tau_j) and
 sin(lambda tau_j) per chain serves every block, which then costs one sin and one
 cos of lambda t_start per mode and one matrix-vector product by angle addition,
@@ -64,7 +65,6 @@ TIME_TOL = 1e-12  # Newton step in t at which a first maximum is final
 COUPLING_TOL = 1e-4  # finest lattice step of the boundary search
 PAIRING_TOL = 1e-10
 _BLOCK = 128  # candidate time steps per scan block
-MAX_STEPS = 10**6  # largest time grid a scan allocates
 MAX_POINTS = 10**6  # largest stepped scan, and largest boundary search box
 _NEWTON_ITERATIONS = 100  # bound on the Newton-bisection steps of a peak time
 _STEP_TOL = 1e-8  # trust-region step at which the refinement stops
@@ -88,21 +88,17 @@ class BoundaryOptimum:
 
 
 def default_t_max(n_nodes):
-    """Arrival scales linearly with N; 3N covers the first maximum amply."""
+    """The end of every arrival scan: arrival scales linearly with N, and 3N
+    covers the first maximum amply."""
     return 3.0 * n_nodes
 
 
-def _time_grid(t_max):
-    """The grid 0, dt, ... up to t_max at dt = ``DEFAULT_DT``, checked before it is allocated.
+def _time_grid(n_nodes):
+    """The grid 0, dt, ... up to :func:`default_t_max` at dt = ``DEFAULT_DT``.
 
     An exact ``np.arange``, not a :func:`lattice`: :func:`_first_arrival`
     reuses the first block's offsets ts[j] - ts[0] for every block."""
-    if not t_max > DEFAULT_DT:
-        raise InputError(f"need t_max > dt = {DEFAULT_DT:g}, got t_max={t_max:g}")
-    if t_max / DEFAULT_DT > MAX_STEPS:
-        raise InputError(f"time window t_max={t_max:g} at dt={DEFAULT_DT:g} "
-                         f"holds more than {MAX_STEPS} steps")
-    return np.arange(0.0, t_max + DEFAULT_DT, DEFAULT_DT)
+    return np.arange(0.0, default_t_max(n_nodes) + DEFAULT_DT, DEFAULT_DT)
 
 
 def _first_arrival(evals, weights, ts, floor):
@@ -110,11 +106,10 @@ def _first_arrival(evals, weights, ts, floor):
 
     ``evals`` (B, N) is a stack of ascending one-excitation spectra
     and ``weights`` (B, N) their end-to-end weights W_k = V[N-1, k] V[0, k].
-    ``ts`` is a uniform grid of at most ``MAX_STEPS`` steps (see
-    :func:`_time_grid`); every block of it reuses one table of the first
-    block's offsets.  Returns, per chain, the amplitude at the first hit and
-    its index into ``ts`` (0 and -1 without a hit).  Raises NumericalError
-    unless every spectrum is +-lambda paired.
+    ``ts`` is a uniform grid (see :func:`_time_grid`); every block of it
+    reuses one table of the first block's offsets.  Returns, per chain, the
+    amplitude at the first hit and its index into ``ts`` (0 and -1 without
+    a hit).  Raises NumericalError unless every spectrum is +-lambda paired.
     """
     n_chains, n = evals.shape
     half = n // 2
@@ -149,10 +144,10 @@ def _first_arrival(evals, weights, ts, floor):
     return amplitude, index
 
 
-def first_maximum(spectral, t_max=None):
+def first_maximum(spectral):
     """Locate the first local maximum of |p_{N;1}(t)| above ``AMPLITUDE_FLOOR``.
 
-    Scans [0, t_max] (3N by default) at steps of ``DEFAULT_DT`` for the first
+    Scans [0, 3N] (:func:`default_t_max`) at steps of ``DEFAULT_DT`` for the first
     grid peak k, then solves d|p|^2/dt = 2 Re(conj(p) p') = 0 by Newton's
     method inside [ts[k-1], ts[k+1]], bisecting the bracket where a Newton step
     would leave it, until the step falls below ``TIME_TOL`` (1e-12).  p, p'
@@ -162,21 +157,17 @@ def first_maximum(spectral, t_max=None):
     ------
     SizeMismatchError
         If ``spectral`` is a stack of chains.
-    InputError
-        Unless t_max > ``DEFAULT_DT``, or if the window holds more than
-        ``MAX_STEPS`` (10^6) grid steps.
     NoArrivalError
         If no local maximum above the floor occurs in the window.
     """
     check_single(spectral.evals1.shape[:-1], "a first maximum is of one chain")
     n = spectral.evals1.shape[0]
-    if t_max is None:
-        t_max = default_t_max(n)
-    ts = _time_grid(t_max)
+    ts = _time_grid(n)
     lam, w = spectral.evals1, spectral.evecs1[n - 1] * spectral.evecs1[0]
     _, (k,) = _first_arrival(lam[None], w[None], ts, AMPLITUDE_FLOOR)
     if k < 0:
-        raise NoArrivalError(f"no transfer maximum above {AMPLITUDE_FLOOR} within t <= {t_max:g}")
+        raise NoArrivalError(f"no transfer maximum above {AMPLITUDE_FLOOR} "
+                             f"within t <= {default_t_max(n):g}")
     rate = -1j * lam
     series = np.stack([w, rate * w, rate**2 * w], axis=1)  # p, p' and p'' at once
     lo, hi, t = ts[k - 1], ts[k + 1], ts[k]
@@ -358,7 +349,6 @@ def optimize_boundary(
     delta1_range=(0.05, 1.25),
     delta2_range=(0.05, 1.25),
     grid_step=0.05,
-    t_max=None,
 ):
     """Search (delta1, delta2) maximizing the first-maximum amplitude.
 
@@ -380,8 +370,7 @@ def optimize_boundary(
         :data:`~spinline.hamiltonian.MAX_NODES` (1000).
     InputError
         If the box leaves (0, 1.5], ``grid_step`` is below ``COUPLING_TOL``,
-        the lattice holds more than ``MAX_POINTS`` (10^6) points, or the time
-        window is empty or holds more than ``MAX_STEPS`` (10^6) steps.
+        or the lattice holds more than ``MAX_POINTS`` (10^6) points.
     """
     if n_nodes < MIN_PROFILE_NODES:
         raise ChainLengthError(
@@ -397,9 +386,7 @@ def optimize_boundary(
     if d1s.size * d2s.size > MAX_POINTS:
         raise InputError(f"grid step {grid_step:g} gives {d1s.size} x {d2s.size} "
                          f"lattice points, more than {MAX_POINTS}")
-    if t_max is None:
-        t_max = default_t_max(n_nodes)
-    ts = _time_grid(t_max)
+    ts = _time_grid(n_nodes)
     d1, d2 = (a.ravel() for a in np.meshgrid(d1s, d2s, indexing="ij"))
     amplitude = _score_points(n_nodes, d1, d2, ts)
     best = np.argmax(amplitude)  # the first maximum in (delta1, delta2) order
@@ -413,7 +400,7 @@ def optimize_boundary(
             return None
         spectral = diagonalize(spec)
         try:
-            t0, amp = first_maximum(spectral, t_max=t_max)
+            t0, amp = first_maximum(spectral)
         except NoArrivalError:
             return None
         return t0, amp, _amplitude_derivatives(spectral, t0)

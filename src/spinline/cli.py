@@ -45,7 +45,7 @@ from .disorder import (
     werner_robustness,
 )
 from .dynamics import diagonalize
-from .errors import InputError, SpinlineError, malformed
+from .errors import InputError, SpinlineError, check_keys, is_number, malformed, numbers
 from .hamiltonian import ChainSpec
 from .inverse import (
     WERNER_P,
@@ -128,8 +128,6 @@ SCHEMAS = dict([
         # to its points; the refinement resolves far below any step
         grid_step={"type": "number", "minimum": COUPLING_TOL,
                    "description": "coupling lattice step"},
-        t_max={"type": "number", "exclusiveMinimum": 0,
-               "description": "end of the arrival scan"},
         delta1_range=_RANGE,
         delta2_range=_RANGE,
         out=_JSON_OUT,
@@ -196,7 +194,6 @@ _TYPES = {"string": str, "boolean": bool, "null": type(None), "array": list, "ob
 # keyword -> (breaks the bound, message) for a number
 _BOUNDS = {
     "minimum": (lambda v, b: v < b, "less than the minimum"),
-    "exclusiveMinimum": (lambda v, b: v <= b, "less than or equal to the minimum"),
     "maximum": (lambda v, b: v > b, "greater than the maximum"),
     "exclusiveMaximum": (lambda v, b: v >= b, "greater than or equal to the maximum"),
 }
@@ -213,12 +210,8 @@ class ConfigError(InputError):
 
 
 def _has_type(value, kind):
-    # JSON Schema counts 20.0 as an integer, but chain lengths, counts and
-    # seeds must reach the library as ints; true is no number
-    if kind == "integer":
-        return type(value) is int
-    if kind == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind in ("integer", "number"):
+        return is_number(value, kind)
     return isinstance(value, _TYPES[kind])
 
 
@@ -336,7 +329,7 @@ def _provenance(config):
 
 
 def run_optimize_chain(config):
-    keys = ("grid_step", "t_max", "delta1_range", "delta2_range")
+    keys = ("grid_step", "delta1_range", "delta2_range")
     opt = optimize_boundary(config["n"], **{k: config[k] for k in keys if config.get(k)})
     _emit_json(config, opt.as_dict(), config.get("out"))
     return EXIT_OK
@@ -379,7 +372,8 @@ def run_probe_params(config):
 def _target_from_json(text):
     with malformed("must hold JSON {'re': 4x4, 'im': 4x4} numbers"):
         data = json.loads(text)
-        m = np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float)
+        check_keys(data, {"re", "im"})
+        m = numbers(data["re"], "re") + 1j * numbers(data["im"], "im")
     return check_target(m)
 
 

@@ -2,8 +2,9 @@
 they share: each :class:`SpinlineError` class carries the ``exit_code`` and
 stderr ``label`` the command line reports it with, :func:`check_tolerance`
 is the one tolerance gate (NaN fails it), :func:`check_single` the one
-refusal of a stack where one set is meant, and :func:`malformed` the one
-wrapper of a parse failure."""
+refusal of a stack where one set is meant, :func:`malformed` the one
+wrapper of a parse failure, and :func:`check_keys` and :func:`numbers` the
+readers of a JSON input file's objects and numbers."""
 
 import contextlib
 import csv
@@ -42,12 +43,40 @@ def check_single(stack, what):
 @contextlib.contextmanager
 def malformed(what):
     """Raise InputError ``"<what> (<Type>: <detail>)"`` for a KeyError,
-    TypeError, ValueError, csv.Error or RecursionError (the JSON decoder's,
-    on input nested too deep) raised in the block."""
+    TypeError, ValueError, OverflowError (a JSON integer too large for a
+    float), csv.Error or RecursionError (the JSON decoder's, on input nested
+    too deep) raised in the block."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, csv.Error, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, csv.Error, RecursionError) as exc:
         raise InputError(f"{what} ({type(exc).__name__}: {exc})") from exc
+
+
+def is_number(value, kind="number"):
+    """JSON Schema's type ``"integer"``, an int (20.0 would reach the library
+    as a float), or ``"number"``, an int or float; true is neither."""
+    return type(value) is int or (kind == "number" and isinstance(value, float))
+
+
+def check_keys(data, keys, where=""):
+    """For :func:`malformed`: TypeError unless ``data`` is a JSON object, and
+    ValueError for a key outside ``keys``, which would be ignored."""
+    at = f"{where}: " if where else ""
+    if not isinstance(data, dict):
+        raise TypeError(f"{at}expected a JSON object, got {type(data).__name__}")
+    if unknown := sorted(data.keys() - keys, key=str):
+        raise ValueError(f"{at}unknown key {', '.join(map(repr, unknown))}, "
+                         f"not one of {', '.join(sorted(keys))}")
+
+
+def numbers(value, name, kind="number"):
+    """The JSON scalar or nested lists ``value`` as a float array.  For
+    :func:`malformed`: ValueError at the first leaf that :func:`is_number`
+    refuses, such as ``"0.5"`` or true, which numpy would read as numbers."""
+    for leaf in np.asarray(value, dtype=object).ravel().tolist():
+        if not is_number(leaf, kind):
+            raise ValueError(f"{name}: {leaf!r} is not of type {kind!r}")
+    return np.asarray(value, float)
 
 
 class NumericalError(SpinlineError):

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ChainLengthError, InputError, SizeMismatchError, malformed
+from .errors import (ChainLengthError, InputError, SizeMismatchError, check_keys, malformed,
+                     numbers)
 
 MIN_PROFILE_NODES = 7  # below this the [d1, d2, bulk.., d2, d1] layout overlaps
 # above every chain the tests and benchmarks use (N <= 60) or the roadmap
@@ -107,16 +108,21 @@ class ChainSpec:
     def from_json(cls, text):
         """Spec from :meth:`to_json` text; ``bulk`` may be null (uniform).
 
-        Raises InputError for text that is not JSON, lacks a key or does
-        not describe one valid chain.
+        Raises InputError for text that is not JSON, lacks a key or has
+        one other than n, delta1, delta2 and bulk, gives ``n`` as anything
+        but an integer or a coupling as anything but numbers, or does not
+        describe one valid chain.
         """
         with malformed("not a chain spec"):
             d = json.loads(text)
+            check_keys(d, {"n", "delta1", "delta2", "bulk"})
+            for key, kind in (("n", "integer"), ("delta1", "number"), ("delta2", "number")):
+                numbers(d[key], key, kind)
             spec = cls(
                 n_nodes=d["n"],
                 delta1=d["delta1"],
                 delta2=d["delta2"],
-                bulk=np.asarray(d["bulk"], float) if d.get("bulk") is not None else None,
+                bulk=numbers(d["bulk"], "bulk") if d.get("bulk") is not None else None,
             )
         if spec.couplings().ndim != 1:
             raise InputError("not a chain spec: it describes a stack of chains")

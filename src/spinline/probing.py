@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import control_slices, sender_pairs
-from .errors import ConditioningError, ExtractionError, InputError, malformed
+from .errors import (ConditioningError, ExtractionError, InputError, check_keys, malformed,
+                     numbers)
 from .receiver import LineParams, assemble_rho
 
 PROBE_KINDS = ("single", "single-pair", "pair-pair-real", "pair-pair-imag")
@@ -189,16 +190,21 @@ def probe_outputs_from_json(text):
     """Inverse of :func:`probe_outputs_to_json`.
 
     Raises InputError for text that is not a JSON list of records with a
-    probe kind, integer indices and a numeric 4x4 ``rho``, and for a ``rho``
-    with a non-finite entry (JSON readers accept NaN and Infinity).
+    probe kind, integer indices and a numeric 4x4 ``rho``, for a key beyond
+    those :func:`probe_outputs_to_json` writes, and for a ``rho`` with a
+    non-finite entry (JSON readers accept NaN and Infinity).
     """
     outputs = []
     with malformed("malformed probe outputs"):
-        for rec in json.loads(text):
+        for j, rec in enumerate(json.loads(text)):
+            check_keys(rec, {"probe", "rho"}, f"record {j}")
+            check_keys(rec["probe"], {"kind", "indices"}, f"record {j} probe")
             probe = ProbeState(rec["probe"]["kind"], tuple(rec["probe"]["indices"]))
             if not all(type(i) is int for i in probe.indices):
                 raise ValueError(f"probe indices must be integers, got {list(probe.indices)}")
-            rho = np.asarray(rec["rho"]["re"], float) + 1j * np.asarray(rec["rho"]["im"], float)
+            check_keys(rec["rho"], {"re", "im"}, f"record {j} rho")
+            re, im = (numbers(rec["rho"][part], f"record {j} rho.{part}") for part in ("re", "im"))
+            rho = re + 1j * im
             if rho.shape != (4, 4):
                 raise ValueError(f"rho must be 4x4, got {rho.shape}")
             outputs.append((probe, rho))

@@ -472,8 +472,10 @@ def import_params_csv(path):
             raw = [r for r in csv.reader(fh) if r]
         rows = [r for r in raw if not r[0].startswith("#")]
         t0 = [float(r[0].split(":", 1)[1]) for r in raw if r[0].startswith("# t0:")]
-        cells = [((kind, tuple(int(i) for i in idx.split(";"))),
-                  complex(float(re), float(im)))  # keeps a -0.0 imaginary part
+        # each distinct index text is parsed once, in a cache that lives for this
+        # call: a 4-node table has 70 of them in 170 rows
+        label = functools.cache(lambda idx: tuple(map(int, idx.split(";"))))
+        cells = [((kind, label(idx)), complex(float(re), float(im)))  # keeps a -0.0 imaginary part
                  for kind, idx, re, im, _fam in rows[1:]]
     entries = {}
     for (kind, indices), value in cells:
@@ -501,9 +503,9 @@ def import_params_csv(path):
         raise InputError(f"{path}: p_N entries name a {n_sender}-node sender, "
                          f"more than {MAX_SENDER} nodes")
     index = param_index(n_sender)
-    missing = [k for k in index if k not in entries]
-    unknown = [k for k in entries if k not in _positions(n_sender)]
-    if missing or unknown:
+    if entries.keys() != _positions(n_sender).keys():
+        missing = [k for k in index if k not in entries]
+        unknown = [k for k in entries if k not in _positions(n_sender)]
         bad = missing or unknown
         raise InputError(
             f"{path}: {len(missing)} entries missing and {len(unknown)} unknown for "

@@ -20,7 +20,7 @@ from spinline.chainopt import (
     optimize_boundary,
 )
 from spinline.errors import ChainLengthError, InputError, NoArrivalError, NumericalError
-from spinline.hamiltonian import ChainSpec, hopping_matrix
+from spinline.hamiltonian import MAX_NODES, ChainSpec, hopping_matrix
 from spinline.verification import propagators
 
 
@@ -46,8 +46,12 @@ def test_uniform_chain_below_tuned():
 
 
 def test_no_arrival_error():
-    with pytest.raises(NoArrivalError):
-        first_maximum(spectral_for(20), t_max=5.0)
+    # weak boundary pairs hold the excitation back: no maximum above the floor
+    # within the 3N window
+    with pytest.raises(NoArrivalError, match="above 0.2 within t <= 60"):
+        first_maximum(spectral_for(20, 0.1, 0.1))
+    with pytest.raises(NoArrivalError, match="no grid point"):
+        optimize_boundary(20, (0.05, 0.06), (0.05, 0.06))
 
 
 def test_transfer_is_symmetric(tuned20):
@@ -431,13 +435,13 @@ def test_refinement_leaves_boxes_that_miss_the_optimum(default_optimum20, box):
 
 
 def test_time_window_is_bounded():
-    spectral = spectral_for(20)
-    with pytest.raises(InputError, match="more than 1000000 steps"):
-        first_maximum(spectral, t_max=1e12)
-    with pytest.raises(InputError, match="more than 1000000 steps"):
-        optimize_boundary(20, t_max=1e12)
-    with pytest.raises(InputError, match=r"t_max > dt"):
-        first_maximum(spectral, t_max=0.04)
+    # the window is 3N at steps of DEFAULT_DT, so the chain-length bound,
+    # checked first, bounds the grid: 241 points at 4 nodes, 60 001 at 1000
+    for n, size in ((4, 241), (20, 1201), (MAX_NODES, 60001)):
+        ts = chainopt._time_grid(n)
+        assert ts.size == size and ts[-1] == pytest.approx(chainopt.default_t_max(n))
+    with pytest.raises(ChainLengthError):
+        optimize_boundary(MAX_NODES + 1)
 
 
 @pytest.mark.parametrize("box", tune_boxes(16))

@@ -58,11 +58,6 @@ def test_optimize_chain_artifact(workdir, capsys):
     # refused before scoring 1.44e8 lattice points, about three hours
     pytest.param(["--grid-step", "0.0001"], "lattice points, more than 1000000",
                  id="grid-step-1e-4"),
-    # refused before np.arange asks for ~146 TiB of time grid
-    pytest.param(["--t-max", "1e12"], "more than 1000000 steps", id="t-max-1e12"),
-    pytest.param(["--t-max", "0.04"], "t_max > dt", id="t-max-below-dt"),
-    pytest.param(["--t-max", "0"], "0.0 is less than or equal to the minimum of 0",
-                 id="t-max-0"),
 ])
 def test_optimize_chain_bad_search_box_exit_code(workdir, args, message, capsys):
     rc = main(["optimize-chain", "--n", "7", *args, "--out", "opt.json"])
@@ -236,6 +231,17 @@ def test_create_state_nonphysical_target_exit_code(workdir, params_csv, capsys):
         "must be 4x4": json.dumps({"re": [[1.0]], "im": [[0.0]]}),
         "ValueError": json.dumps({"re": [["a"] * 4] * 4, "im": zeros}),
         "TypeError": json.dumps([1, 2]),
+        # numpy read "0.25" and true as numbers, and an unknown key was ignored
+        "target.json: must hold JSON {'re': 4x4, 'im': 4x4} numbers (ValueError: re: '0.25' "
+        "is not of type 'number')": json.dumps(
+            {"re": [["0.25", 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+             "im": zeros}),
+        "im: True is not of type 'number'": json.dumps(
+            {"re": np.diag([1.0, 0, 0, 0]).tolist(), "im": [[True, 0, 0, 0]] + zeros[1:]}),
+        "unknown key 'Re', not one of im, re": json.dumps(
+            {"re": np.diag([1.0, 0, 0, 0]).tolist(), "Re": zeros, "im": zeros}),
+        # an integer beyond the float range ended in an OverflowError traceback
+        "OverflowError": json.dumps({"re": np.diag([10**400, 0, 0, 0]).tolist(), "im": zeros}),
         # nan compares false, so only an explicit check refuses it
         "non-finite": json.dumps({"re": np.diag([float("nan"), 0.5, 0.5, 0.0]).tolist(),
                                   "im": zeros}),
@@ -615,6 +621,12 @@ def _probe_outputs_with(kind, indices):
     return json.dumps(records)
 
 
+def _probe_outputs_edited(edit):
+    records = json.loads(_probe_outputs())
+    edit(records)
+    return json.dumps(records)
+
+
 def _zero_probe_outputs():
     zero = {"re": np.zeros((4, 4)).tolist(), "im": np.zeros((4, 4)).tolist()}
     return json.dumps([{"probe": {"kind": p.kind, "indices": list(p.indices)}, "rho": zero}
@@ -658,6 +670,9 @@ OUTSIDE_JSON = {
                             ["run", "--config", "in.json"], "'20' is not of type 'integer'"),
     "config-finite-first": ({"command": "compute-params", "n": float("inf")},
                             ["run", "--config", "in.json"], "n must be finite, got inf"),
+    "config-t-max": ({"command": "optimize-chain", "n": 7, "t_max": 5.0, "out": "out.csv"},
+                     ["run", "--config", "in.json"],
+                     "Additional properties are not allowed ('t_max' was unexpected)"),
     "config-first-item": ({"command": "optimize-chain", "n": 7, "delta1_range": ["a", "b"]},
                           ["run", "--config", "in.json"], "'a' is not of type 'number'"),
     "outputs-missing-probe": ([{"rho": {"re": [], "im": []}}], _OUTPUTS, "'probe'"),
@@ -676,6 +691,35 @@ OUTSIDE_JSON = {
                                    "probe single (9,) is not in the probe set"),
     "outputs-index-not-integer": (lambda: _probe_outputs_with("single", [[1]]), _OUTPUTS,
                                   "probe indices must be integers"),
+    # JSON values numpy would have read as numbers, and keys that would
+    # have been ignored: each names the file and the key
+    "chain-string-coupling": ({**_SPEC, "delta1": "0.55"}, _CHAIN,
+                              "in.json: not a chain spec (ValueError: delta1: '0.55' is not of "
+                              "type 'number')"),
+    "chain-bool-coupling": ({**_SPEC, "delta2": True}, _CHAIN,
+                            "delta2: True is not of type 'number'"),
+    "chain-string-bulk": ({**_SPEC, "bulk": ["1.0"] * 15}, _CHAIN,
+                          "bulk: '1.0' is not of type 'number'"),
+    "chain-float-n": ({**_SPEC, "n": 20.0}, _CHAIN, "n: 20.0 is not of type 'integer'"),
+    # an integer beyond the float range ended in an OverflowError traceback
+    "chain-huge-integer": ({**_SPEC, "delta1": 10**400}, _CHAIN,
+                           "OverflowError: int too large to convert to float"),
+    "chain-misspelled-bulk": ({"n": 20, "delta1": 0.55, "delta2": 0.817, "Bulk": [2.0] * 15},
+                              _CHAIN, "in.json: not a chain spec (ValueError: unknown key "
+                              "'Bulk', not one of bulk, delta1, delta2, n)"),
+    "outputs-string-entry": (lambda: _probe_outputs_edited(
+        lambda records: records[3]["rho"]["re"][0].__setitem__(1, "0.1")), _OUTPUTS,
+        "in.json: malformed probe outputs (ValueError: record 3 rho.re: '0.1' is not of "
+        "type 'number')"),
+    "outputs-unknown-record-key": (lambda: _probe_outputs_edited(
+        lambda records: records[3].update(extra=1)), _OUTPUTS,
+        "record 3: unknown key 'extra', not one of probe, rho"),
+    "outputs-unknown-probe-key": (lambda: _probe_outputs_edited(
+        lambda records: records[3]["probe"].update(phase=0.0)), _OUTPUTS,
+        "record 3 probe: unknown key 'phase', not one of indices, kind"),
+    "outputs-unknown-rho-key": (lambda: _probe_outputs_edited(
+        lambda records: records[3]["rho"].update(Im=records[3]["rho"]["im"])), _OUTPUTS,
+        "record 3 rho: unknown key 'Im', not one of im, re"),
     "outputs-without-t0": (_probe_outputs,
                            ["probe-params", "--outputs", "in.json", "--out", "out.csv"],
                            "--t0 is required"),
@@ -701,11 +745,10 @@ def test_malformed_outside_json_exit_code(workdir, case, capsys):
     ["create-state", "--target", "werner", "--p", "nan", "--params", "PARAMS"],
     ["feasibility", "--params", "PARAMS", "--grid", "0.8:nan:0.05"],
     ["optimize-chain", "--n", "7", "--grid-step", "nan"],
-    ["optimize-chain", "--n", "7", "--t-max", "nan"],
     ["disorder-study", "--n", "20", "--epsilon", "nan", "--seed", "1"],
     ["disorder-study", "--n", "20", "--epsilon", "inf", "--seed", "1"],
 ], ids=["compute-t0-nan", "probe-t0-inf", "create-p-nan", "feasibility-grid-nan",
-        "optimize-grid-step-nan", "optimize-t-max-nan", "disorder-epsilon-nan",
+        "optimize-grid-step-nan", "disorder-epsilon-nan",
         "disorder-epsilon-inf"])
 def test_non_finite_flag_exit_code(workdir, params_csv, argv, capsys):
     argv = [str(params_csv) if a == "PARAMS" else a for a in argv]
@@ -799,6 +842,16 @@ def test_report_takes_no_seed_or_chain_count(capsys, option):
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert f"unrecognized arguments: {option} 1" in stderr and "Traceback" not in stderr
+
+
+def test_arrival_window_is_no_option(workdir, capsys):
+    # the first-maximum scan always covers 3N
+    with pytest.raises(SystemExit) as err:
+        main(["optimize-chain", "--n", "7", "--t-max", "5", "--out", "opt.json"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "unrecognized arguments: --t-max 5" in stderr and "Traceback" not in stderr
+    assert not (workdir / "opt.json").exists()
 
 
 def _argv(config):

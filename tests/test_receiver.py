@@ -517,6 +517,22 @@ def test_import_names_missing_and_unknown_entries(tmp_path, tuned20_params, edit
     assert str(info.value) == f"{path}: {message}"
 
 
+def test_import_names_the_first_repeated_entry_after_every_row_parses(tmp_path, tuned20_params):
+    # an index text is parsed once per call, so "01;2;1;02" must still meet "1;2;1;2"
+    head, rows = _table(tmp_path, tuned20_params)
+    pmm = next(row for row in rows if row.startswith("P_mm,1;2;1;2,"))
+    repeats = [_relabel(pmm, "0{}"), rows[0]]
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(head + rows + repeats))
+    with pytest.raises(InputError) as info:
+        import_params_csv(path)
+    assert str(info.value) == f"{path}: repeated entry P_mm;1;2;1;2"
+    # a malformed row anywhere is reported before any repeat
+    path.write_text("".join(head + rows + repeats + ["p_N,1;x,0.0,0.0,I\n"]))
+    with pytest.raises(InputError, match="malformed parameter table"):
+        import_params_csv(path)
+
+
 def test_import_refuses_a_sender_above_the_bound_before_its_index(
         tmp_path, tuned20_params, monkeypatch):
     # the index of a 40-node sender has 1.9M entries
